@@ -16,7 +16,7 @@ from .oracles import (BudgetExhausted, DirectBernoulli, ExactSign,
                       UniformNoise, seeded_rng, with_budget)
 from .learners import (LearnerConfig, ThresholdEstimate, adaptive_epoch_schedule,
                        adaptive_learner, auto_grid_size, bisect_noiseless,
-                       bz_learner, erm_cut, passive_erm)
+                       bz_learner, erm_cut, passive_erm, run_learner)
 from .optimizer import (LineLabelOracle, OptRunResult, OptimizerConfig,
                         default_epoch_count, line_label_oracle, rssgd)
 from .metrics import (ErrorRecord, RateFit, error_record, excess_risk,
@@ -39,5 +39,6 @@ __all__ = [
     "default_epoch_count", "erm_cut", "error_record", "excess_risk",
     "excess_risk_quadrature", "fit_rate_slope", "line_label_oracle",
     "load_config", "load_ridge_text", "make_tnc_problem", "passive_erm",
-    "rssgd", "run_experiment", "seeded_rng", "slope_report", "with_budget",
+    "rssgd", "run_experiment", "run_learner", "seeded_rng", "slope_report",
+    "with_budget",
 ]

@@ -10,25 +10,23 @@ versioned CSV (17 significant digits) or JSON mirroring the same rows.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .learners import (LearnerConfig, ORIENTATION_AUTO, adaptive_learner,
-                       auto_grid_size, bisect_noiseless, bz_learner,
-                       passive_erm)
+from .learners import GRID_AUTO, LEARNERS, LearnerConfig, run_learner
 from .metrics import error_record, fit_rate_slope
-from .optimizer import (LINE_SEARCHES, OptimizerConfig, PAPER_DEFAULT,
-                        rssgd)
-from .oracles import (DirectBernoulli, ExactSign, GaussianNoise, LabelOracle,
-                      QuantizedSign, ROLE_LABELS, ROLE_SAMPLING, SignOracle,
-                      UniformNoise, seeded_rng)
-from .problems import (Interval, ORIENTATIONS, Quadratic, Ridge,
+from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
+from .oracles import (LabelOracle, ROLE_LABELS, ROLE_SAMPLING, SIGN_MODES,
+                      SignOracle, seeded_rng)
+from .problems import (Interval, POSITIVE_RIGHT, Quadratic, Ridge,
                        SeparablePower, TncProblem, UcFunction, box_from_bounds,
                        load_ridge_text)
 
@@ -60,7 +58,7 @@ _KNOWN_KEYS = {
     "problem.matrix_file",
     "oracle.mode", "oracle.sigma", "oracle.halfwidth", "oracle.slope",
     "oracle.cap", "oracle.decimals", "oracle.seed", "oracle.budget",
-    "learner.name", "learner.confidence", "learner.c_delta",
+    "learner.name", "learner.c_delta",
     "learner.orientation", "learner.grid_size", "learner.bz_k", "learner.bz_mu",
     "optimizer.epoch_rule", "optimizer.line_search", "optimizer.x0",
     "sweep.budgets", "sweep.replications", "sweep.base_seed",
@@ -127,17 +125,6 @@ def _get_ints(raw: dict, key: str):
 
 
 @dataclass
-class LearnerSpec:
-    name: str = "adaptive"
-    confidence: float = 0.05
-    c_delta: float = 2.0
-    orientation: str = "positive-right"
-    grid_size: int | str | None = None
-    bz_k: float | None = None
-    bz_mu: float | None = None
-
-
-@dataclass
 class OracleSpec:
     mode: str = "exact"
     sigma: float = 1.0
@@ -152,16 +139,10 @@ class OracleSpec:
     budget: int | None = None
 
     def build(self):
-        if self.mode == "additive-gaussian":
-            return GaussianNoise(self.sigma)
-        if self.mode == "additive-uniform":
-            return UniformNoise(self.halfwidth)
-        if self.mode == "direct-bernoulli":
-            return DirectBernoulli(self.slope, self.cap)
-        if self.mode == "exact":
-            return ExactSign()
-        if self.mode == "quantized":
-            return QuantizedSign(self.decimals)
+        """The sign mode named ``mode``, built from the fields it declares."""
+        for mode in SIGN_MODES:
+            if mode.name == self.mode:
+                return mode(**{f.name: getattr(self, f.name) for f in fields(mode)})
         raise ConfigError(f"oracle.mode: unknown mode {self.mode!r}")
 
 
@@ -177,7 +158,7 @@ class ExperimentConfig:
     kind: str
     problem: TncProblem | UcFunction
     experiment_id: str = "exp"
-    learner: LearnerSpec = field(default_factory=LearnerSpec)
+    learner: LearnerConfig = field(default_factory=LearnerConfig)
     oracle: OracleSpec = field(default_factory=OracleSpec)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     budgets: list[int] | None = None
@@ -200,6 +181,8 @@ class ExperimentConfig:
                 raise ConfigError("sweep.budgets: budgets must be positive")
             if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
                 raise ConfigError("sweep.budgets: budgets must be strictly increasing")
+        if self.single_budget is not None and self.single_budget < 1:
+            raise ConfigError("budget: must be positive")
         if self.replications < 1:
             raise ConfigError("sweep.replications: must be at least 1")
         if self.report not in ("csv", "json", "slope-summary"):
@@ -284,28 +267,21 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"kind: expected {KIND_THRESHOLD!r} or {KIND_OPTIMIZE!r}, "
                           f"got {kind!r}")
 
-    grid_size: int | str | None = None
-    if "learner.grid_size" in raw:
-        grid_size = raw["learner.grid_size"]
-        if grid_size != "auto":
-            grid_size = _get_int(raw, "learner.grid_size")
-    learner = LearnerSpec(
+    grid_size: int | str | None = raw.get("learner.grid_size")
+    if grid_size not in (None, GRID_AUTO):
+        grid_size = _get_int(raw, "learner.grid_size")
+    learner_fields = dict(
         name=raw.get("learner.name", "adaptive"),
-        confidence=_get_float(raw, "learner.confidence", 0.05),
         c_delta=_get_float(raw, "learner.c_delta", 2.0),
-        orientation=raw.get("learner.orientation", "positive-right"),
+        orientation=raw.get("learner.orientation", POSITIVE_RIGHT),
         grid_size=grid_size,
-        bz_k=_get_float(raw, "learner.bz_k", 0.0) or None,
-        bz_mu=_get_float(raw, "learner.bz_mu", 0.0) or None,
+        bz_k=_get_float(raw, "learner.bz_k") if "learner.bz_k" in raw else None,
+        bz_mu=_get_float(raw, "learner.bz_mu") if "learner.bz_mu" in raw else None,
     )
-    if learner.name not in ("passive", "bz", "adaptive", "bisect"):
-        raise ConfigError(f"learner.name: unknown learner {learner.name!r}")
-    if learner.orientation not in ORIENTATIONS + (ORIENTATION_AUTO,):
-        raise ConfigError(f"learner.orientation: unknown orientation "
-                          f"{learner.orientation!r}")
-    if learner.name in ("passive", "bisect") and learner.orientation == ORIENTATION_AUTO:
-        raise ConfigError("learner.orientation: 'auto' is only supported by the "
-                          "adaptive and bz learners")
+    try:
+        learner = LearnerConfig(**learner_fields)
+    except ValueError as exc:
+        raise ConfigError(f"learner.{exc}") from exc
 
     oracle = OracleSpec(
         mode=raw.get("oracle.mode", "exact"),
@@ -330,8 +306,8 @@ def load_config(path) -> ExperimentConfig:
         line_search=raw.get("optimizer.line_search", "adaptive"),
         x0=x0,
     )
-    if optimizer.line_search not in LINE_SEARCHES:
-        raise ConfigError(f"optimizer.line_search: expected one of {LINE_SEARCHES}")
+    if optimizer.line_search not in LEARNERS:
+        raise ConfigError(f"optimizer.line_search: expected one of {LEARNERS}")
 
     budgets = _get_ints(raw, "sweep.budgets") if "sweep.budgets" in raw else None
     return ExperimentConfig(
@@ -348,7 +324,7 @@ def load_config(path) -> ExperimentConfig:
         output=raw.get("output"),
         slope_column=raw.get("slope.column", "excess_risk"),
         slope_statistic=raw.get("slope.statistic", "median"),
-        single_budget=_get_int(raw, "budget", 0) or None,
+        single_budget=_get_int(raw, "budget") if "budget" in raw else None,
     )
 
 
@@ -400,10 +376,12 @@ class RunTable:
 
     def csv_text(self, include_timing: bool = True) -> str:
         cols = CSV_COLUMNS if include_timing else CSV_COLUMNS[:-1]
-        lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(getattr(row, c)) for c in cols))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        out.write(f"# schema_version={SCHEMA_VERSION}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([_fmt(getattr(row, c)) for c in cols] for row in self.rows)
+        return out.getvalue()
 
     def to_csv(self, path, include_timing: bool = True) -> None:
         Path(path).write_text(self.csv_text(include_timing))
@@ -416,12 +394,12 @@ class RunTable:
 
     @classmethod
     def from_csv(cls, path) -> "RunTable":
-        lines = [ln for ln in Path(path).read_text().splitlines()
-                 if ln and not ln.startswith("#")]
-        header = lines[0].split(",")
+        with open(path, newline="") as f:
+            records = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
+        header = records[0]
         rows = []
-        for line in lines[1:]:
-            cells = dict(zip(header, line.split(",")))
+        for record in records[1:]:
+            cells = dict(zip(header, record))
             values = {c: _parse_cell(cells.get(c, "")) for c in CSV_COLUMNS}
             values["error"] = cells.get("error", "") or ""
             values["estimate"] = cells.get("estimate", "") or None
@@ -444,14 +422,6 @@ def cell_seed(base_seed: int, replication: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _resolve_grid_size(spec: LearnerSpec, budget: int, replication: int = 0) -> int:
-    if spec.grid_size == "auto" or spec.grid_size is None:
-        if spec.bz_k is None:
-            raise ConfigError("learner.bz_k: required to derive an automatic grid size")
-        return auto_grid_size(budget, spec.bz_k, dither=replication)
-    return int(spec.grid_size)
-
-
 def _oracle_stream(config: ExperimentConfig, replication: int):
     seed = config.base_seed if config.oracle.seed is None else config.oracle.seed
     return seeded_rng(seed, replication, ROLE_LABELS)
@@ -463,47 +433,6 @@ def _oracle_budget(config: ExperimentConfig, budget: int) -> int:
     return min(budget, config.oracle.budget)
 
 
-def _threshold_estimate(config: ExperimentConfig, budget: int, replication: int):
-    problem = config.problem
-    oracle = LabelOracle(problem, _oracle_stream(config, replication),
-                         budget=_oracle_budget(config, budget))
-    rng = seeded_rng(config.base_seed, replication, ROLE_SAMPLING)
-    spec = config.learner
-    search = problem.interval
-    if spec.name == "passive":
-        point = passive_erm(oracle, search, budget, spec.orientation, rng)
-    elif spec.name == "adaptive":
-        cfg = LearnerConfig(budget=budget, confidence=spec.confidence,
-                            c_delta=spec.c_delta, orientation=spec.orientation)
-        point = adaptive_learner(oracle, search, cfg, rng).point
-    elif spec.name == "bz":
-        cfg = LearnerConfig(budget=budget, confidence=spec.confidence,
-                            c_delta=spec.c_delta, orientation=spec.orientation,
-                            grid_size=_resolve_grid_size(spec, budget, replication),
-                            bz_k=spec.bz_k, bz_mu=spec.bz_mu)
-        point = bz_learner(oracle, search, cfg).point
-    elif spec.name == "bisect":
-        point = bisect_noiseless(oracle, search, budget, spec.orientation)
-    else:
-        raise ConfigError(f"learner.name: unknown learner {spec.name!r}")
-    return point, oracle.queries_used
-
-
-def _line_search_options(config: ExperimentConfig, budget: int) -> dict:
-    spec = config.learner
-    name = config.optimizer.line_search
-    if name == "adaptive":
-        return {"confidence": spec.confidence, "c_delta": spec.c_delta}
-    if name == "bz":
-        epochs = OptimizerConfig(budget=budget,
-                                 epoch_rule=config.optimizer.epoch_rule,
-                                 line_search="bz").epoch_count(config.problem.dim)
-        per_epoch = max(1, budget // epochs)
-        return {"grid_size": _resolve_grid_size(spec, per_epoch),
-                "bz_k": spec.bz_k, "bz_mu": spec.bz_mu}
-    return {}
-
-
 def _optimize_estimate(config: ExperimentConfig, budget: int, replication: int):
     fn = config.problem
     oracle = SignOracle(fn, config.oracle.build(),
@@ -511,9 +440,11 @@ def _optimize_estimate(config: ExperimentConfig, budget: int, replication: int):
                         budget=_oracle_budget(config, budget))
     opt = config.optimizer
     x0 = None if opt.x0 == "center" else np.asarray(opt.x0, dtype=float)
+    # learner.* parameterizes the line search; LineLabelOracle fixes its orientation
+    line_search = replace(config.learner, name=opt.line_search,
+                          orientation=POSITIVE_RIGHT)
     cfg = OptimizerConfig(budget=budget, epoch_rule=opt.epoch_rule,
-                          line_search=opt.line_search,
-                          line_search_options=_line_search_options(config, budget),
+                          line_search=line_search,
                           seed=(config.base_seed, replication))
     result = rssgd(fn, oracle, cfg, x0)
     return result.x_final, result.queries_used
@@ -528,8 +459,15 @@ def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
     error = ""
     try:
         if config.kind == KIND_THRESHOLD:
-            point, queries = _threshold_estimate(config, budget, replication)
-            rec = error_record(config.problem, point)
+            problem = config.problem
+            oracle = LabelOracle(problem, _oracle_stream(config, replication),
+                                 budget=_oracle_budget(config, budget))
+            point = run_learner(oracle, problem.interval,
+                                config.learner.for_budget(budget, dither=replication),
+                                seeded_rng(config.base_seed, replication,
+                                           ROLE_SAMPLING)).point
+            queries = oracle.queries_used
+            rec = error_record(problem, point)
             estimate = float(point)
             point_error, risk = rec.point_error, rec.excess_risk
         else:

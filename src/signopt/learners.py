@@ -5,6 +5,8 @@
 parameters up front; ``adaptive_learner`` wraps the passive subroutine in
 epochs with halving search radii and needs no noise parameters at all;
 ``bisect_noiseless`` is plain binary search for deterministic signs.
+``run_learner`` runs whichever of them a ``LearnerConfig`` names, for the
+harness and for every line search of the optimizer alike.
 
 Every learner takes an oracle (anything exposing ``label_sample`` /
 ``label_sample_many``), an explicit search interval and, where it places
@@ -14,47 +16,69 @@ its own queries, an explicit numpy Generator, so runs are replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .problems import (Interval, POSITIVE_LEFT, POSITIVE_RIGHT,
                        orientation_sign)
 
+LEARNERS = ("adaptive", "bisect", "passive", "bz")
 ORIENTATION_AUTO = "auto"
+GRID_AUTO = "auto"
 
 _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
 class LearnerConfig:
-    """Parameters of a 1-D learner run.
+    """Which 1-D learner runs, and its parameters.
 
-    ``c_delta`` is the epoch-count constant of the adaptive learner and must
-    exceed sqrt(2).  ``confidence`` is carried for bookkeeping; the failure
-    probability only enters through ``c_delta``.  ``grid_size``, ``bz_k`` and
-    ``bz_mu`` configure probabilistic bisection only.
+    ``budget`` is the query budget of one run; a config that serves a whole
+    sweep leaves it at 0 and ``for_budget`` sets it per run.  ``c_delta`` is
+    the epoch-count constant of the adaptive learner and must exceed
+    sqrt(2).  ``grid_size``, ``bz_k`` and ``bz_mu`` configure probabilistic
+    bisection only; an unset or ``"auto"`` grid scales with the budget.
+    Only the adaptive and bz learners accept ``orientation="auto"``.
     """
 
-    budget: int
-    confidence: float = 0.05
+    name: str = "adaptive"
+    budget: int = 0
     c_delta: float = 2.0
     orientation: str = POSITIVE_RIGHT
-    grid_size: int | None = None
+    grid_size: int | str | None = None
     bz_k: float | None = None
     bz_mu: float | None = None
 
     def __post_init__(self):
+        if self.name not in LEARNERS:
+            raise ValueError(f"name: unknown learner {self.name!r}")
         if self.budget < 0:
-            raise ValueError("budget must be non-negative")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
+            raise ValueError("budget: must be non-negative")
         if not self.c_delta > _SQRT2:
-            raise ValueError(f"c_delta must exceed sqrt(2), got {self.c_delta}")
+            raise ValueError(f"c_delta: must exceed sqrt(2), got {self.c_delta}")
         if self.orientation not in (POSITIVE_RIGHT, POSITIVE_LEFT, ORIENTATION_AUTO):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        if self.grid_size is not None and self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+            raise ValueError(f"orientation: unknown orientation {self.orientation!r}")
+        if self.orientation == ORIENTATION_AUTO and self.name in ("passive", "bisect"):
+            raise ValueError("orientation: 'auto' is only supported by the "
+                             "adaptive and bz learners")
+        if self.grid_size not in (None, GRID_AUTO) and self.grid_size < 2:
+            raise ValueError("grid_size: must be at least 2")
+        if self.bz_k is not None and not self.bz_k >= 1.0:
+            raise ValueError(f"bz_k: must be at least 1, got {self.bz_k}")
+        if self.bz_mu is not None and not self.bz_mu > 0.0:
+            raise ValueError(f"bz_mu: must be positive, got {self.bz_mu}")
+
+    def for_budget(self, budget: int, dither: int = 0) -> LearnerConfig:
+        """This config for one run of ``budget`` queries.
+
+        An unset or ``"auto"`` grid becomes ``auto_grid_size(budget, bz_k,
+        dither)`` once ``bz_k`` is known.
+        """
+        grid = self.grid_size
+        if grid in (None, GRID_AUTO) and self.bz_k is not None:
+            grid = auto_grid_size(budget, self.bz_k, dither)
+        return replace(self, budget=int(budget), grid_size=grid)
 
 
 @dataclass
@@ -92,9 +116,11 @@ def erm_cut(positions, labels, search: Interval,
     left_pos = np.concatenate(([0], np.cumsum(pos)))
     left_neg = np.concatenate(([0], np.cumsum(~pos)))
     boundaries = np.nonzero(p[1:] > p[:-1])[0] + 1  # splits between distinct values
-    cands = np.concatenate(([search.lo],
-                            0.5 * (p[boundaries - 1] + p[boundaries]),
-                            [search.hi]))
+    lower, upper = p[boundaries - 1], p[boundaries]
+    mids = 0.5 * (lower + upper)
+    # the midpoint of two adjacent floats can round onto the lower one
+    mids = np.where(mids == lower, upper, mids)
+    cands = np.concatenate(([search.lo], mids, [search.hi]))
     # a cut c classifies x >= c as the positive side
     split = np.searchsorted(p, cands, side="left")
     err = left_pos[split] + (left_neg[-1] - left_neg[split])
@@ -259,6 +285,24 @@ def bisect_noiseless(oracle, search: Interval, budget: int,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def run_learner(oracle, search: Interval, config: LearnerConfig,
+                rng: np.random.Generator) -> ThresholdEstimate:
+    """Run the learner that ``config.name`` names on ``search``.
+
+    The learners are looked up by name in this module at call time, so a
+    wrapper installed on the module (a tracer, say) sees every run.
+    """
+    if config.name == "adaptive":
+        return adaptive_learner(oracle, search, config, rng)
+    if config.name == "bz":
+        return bz_learner(oracle, search, config)
+    if config.name == "passive":
+        point = passive_erm(oracle, search, config.budget, config.orientation, rng)
+        return ThresholdEstimate(point=point, queries_used=config.budget, epochs=1)
+    point = bisect_noiseless(oracle, search, config.budget, config.orientation)
+    return ThresholdEstimate(point=point, queries_used=config.budget, epochs=0)
 
 
 def auto_grid_size(budget: int, bz_k: float, dither: int = 0) -> int:

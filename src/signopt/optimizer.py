@@ -14,17 +14,15 @@ iterate); independent replications parallelize with independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .learners import (LearnerConfig, POSITIVE_RIGHT, adaptive_learner,
-                       bisect_noiseless, bz_learner, passive_erm)
+from .learners import LearnerConfig, POSITIVE_RIGHT, run_learner
 from .oracles import ROLE_COORDS, ROLE_SAMPLING, SignOracle, seeded_rng
 from .problems import Interval, UcFunction
 
 PAPER_DEFAULT = "paper-default"
-LINE_SEARCHES = ("adaptive", "bisect", "passive", "bz")
 
 
 def default_epoch_count(dim: int, budget: int) -> int:
@@ -52,19 +50,17 @@ def line_search_rng(seed, epoch: int) -> np.random.Generator:
 
 @dataclass
 class OptimizerConfig:
-    """Budget, epoch rule, line-search choice and seed of one descent run.
+    """Budget, epoch rule, line search and seed of one descent run.
 
     ``epoch_rule`` is either ``"paper-default"`` (ceil(d ln^2 T) epochs) or an
-    explicit positive epoch count.  ``line_search_options`` feeds extra
-    LearnerConfig fields (c_delta, grid_size, bz_k, bz_mu, ...) to the
-    per-epoch learner; its budget and orientation are always set by the
+    explicit positive epoch count.  ``line_search`` is the per-epoch learner
+    with its parameters; its budget and orientation are always set by the
     optimizer.
     """
 
     budget: int
     epoch_rule: int | str = PAPER_DEFAULT
-    line_search: str = "adaptive"
-    line_search_options: dict = field(default_factory=dict)
+    line_search: LearnerConfig = field(default_factory=LearnerConfig)
     seed: int | tuple = 0
 
     def __post_init__(self):
@@ -75,8 +71,6 @@ class OptimizerConfig:
                 raise ValueError(f"unknown epoch rule {self.epoch_rule!r}")
         elif int(self.epoch_rule) < 1:
             raise ValueError("explicit epoch count must be at least 1")
-        if self.line_search not in LINE_SEARCHES:
-            raise ValueError(f"line_search must be one of {LINE_SEARCHES}")
 
     def epoch_count(self, dim: int) -> int:
         if self.epoch_rule == PAPER_DEFAULT:
@@ -116,7 +110,6 @@ class LineLabelOracle:
         self._x = fn._point(x).copy()
         self._j = fn._index(j)
         alo, ahi = fn.box.segment(self._x, self._j)
-        self._alo, self._ahi = alo, ahi
         self.degenerate = not ahi > alo
         self.sole_step = alo if self.degenerate else None
         self.interval = None if self.degenerate else Interval(alo, ahi)
@@ -124,10 +117,6 @@ class LineLabelOracle:
     @property
     def queries_used(self) -> int:
         return self.base.queries_used
-
-    @property
-    def rng(self):
-        return self.base.rng
 
     def label_sample(self, alpha: float) -> int:
         box = self.base.fn.box
@@ -143,20 +132,6 @@ class LineLabelOracle:
 def line_label_oracle(sign_oracle: SignOracle, x, j: int) -> LineLabelOracle:
     """View one coordinate line of a sign oracle as a 1-D label oracle."""
     return LineLabelOracle(sign_oracle, x, j)
-
-
-def _run_line_search(name: str, oracle: LineLabelOracle, budget: int,
-                     options: dict, rng: np.random.Generator) -> float:
-    if name == "bisect":
-        return bisect_noiseless(oracle, oracle.interval, budget)
-    if name == "passive":
-        return passive_erm(oracle, oracle.interval, budget, POSITIVE_RIGHT, rng)
-    cfg = LearnerConfig(budget=budget, orientation=POSITIVE_RIGHT, **options)
-    if name == "adaptive":
-        return adaptive_learner(oracle, oracle.interval, cfg, rng).point
-    if name == "bz":
-        return bz_learner(oracle, oracle.interval, cfg).point
-    raise ValueError(f"unknown line search {name!r}")
 
 
 def rssgd(fn: UcFunction, sign_oracle: SignOracle, config: OptimizerConfig,
@@ -179,7 +154,8 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle, config: OptimizerConfig,
             f"budget {budget} cannot cover {epochs} epochs; increase the budget "
             f"or set an explicit epoch count"
         )
-    per_epoch = budget // epochs
+    line_config = replace(config.line_search,
+                          orientation=POSITIVE_RIGHT).for_budget(budget // epochs)
     x = fn.box.center if x0 is None else np.asarray(x0, dtype=float).copy()
     x = fn._point(x).copy()
     coord_rng = coordinate_rng(config.seed)
@@ -191,9 +167,8 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle, config: OptimizerConfig,
         if line.degenerate:
             step = line.sole_step
         else:
-            step = _run_line_search(config.line_search, line, per_epoch,
-                                    config.line_search_options,
-                                    line_search_rng(config.seed, epoch))
+            step = run_learner(line, line.interval, line_config,
+                               line_search_rng(config.seed, epoch)).point
         x[j] += step
         x = fn.box.clip(x)  # absorbs end-point roundoff only
         trace.append(EpochStep(coordinate=j, step=float(step), f_value=fn.value(x)))

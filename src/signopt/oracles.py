@@ -66,12 +66,6 @@ class _CountingOracle:
             )
         self.queries_used += n
 
-    @property
-    def remaining(self) -> int | None:
-        if self.budget is None:
-            return None
-        return self.budget - self.queries_used
-
 
 class LabelOracle(_CountingOracle):
     """Draws noisy binary labels from a threshold problem's regression function."""
@@ -271,14 +265,6 @@ class BudgetedOracle:
         self.base = base
         self.budget = budget
         self._start = base.queries_used
-
-    @property
-    def queries_used(self) -> int:
-        return self.base.queries_used
-
-    @property
-    def rng(self):
-        return self.base.rng
 
     def _check(self, n: int) -> None:
         if self.base.queries_used - self._start + n > self.budget:

@@ -223,8 +223,7 @@ class UcFunction(abc.ABC):
     """
 
     def __init__(self, box: Box, uc_exponent: float, uc_modulus: float,
-                 lkss_bound: float, lipschitz: float | None = None,
-                 smoothness: float | None = None):
+                 lkss_bound: float):
         lo_k, hi_k = UC_EXPONENT_RANGE
         if not lo_k <= uc_exponent <= hi_k:
             raise ValueError(f"convexity exponent must lie in [{lo_k}, {hi_k}], "
@@ -237,8 +236,6 @@ class UcFunction(abc.ABC):
         self.uc_exponent = float(uc_exponent)
         self.uc_modulus = float(uc_modulus)
         self.lkss_bound = float(lkss_bound)
-        self.lipschitz = lipschitz
-        self.smoothness = smoothness
 
     @property
     def dim(self) -> int:
@@ -307,11 +304,7 @@ class SeparablePower(UcFunction):
         # contributes at least 2^(1-k) |du|^k, and ||.||_k^k >= d^(1-k/2) ||.||_2^k.
         uc_modulus = float(np.min(coeffs)) * 2.0 ** (2.0 - k) * d ** (1.0 - k / 2.0)
         lkss_bound = k * float(np.max(coeffs))
-        span = np.maximum(np.abs(box.lo - x_star), np.abs(box.hi - x_star))
-        lipschitz = float(np.linalg.norm(coeffs * k * span ** (k - 1.0)))
-        smoothness = float(k * (k - 1.0) * np.max(coeffs) * np.max(span) ** (k - 2.0)) \
-            if k > 2.0 else float(2.0 * np.max(coeffs))
-        super().__init__(box, k, uc_modulus, lkss_bound, lipschitz, smoothness)
+        super().__init__(box, k, uc_modulus, lkss_bound)
         self.coeffs = coeffs
         self.x_star = x_star
         self.f_min = 0.0
@@ -357,10 +350,7 @@ class Quadratic(UcFunction):
             raise ValueError(f"matrix must be positive definite, min eigenvalue {eigs[0]}")
         if not box.contains(x_star):
             raise ValueError("x_star must lie inside the domain box")
-        span = np.maximum(np.abs(box.lo - x_star), np.abs(box.hi - x_star))
-        super().__init__(box, 2.0, float(eigs[0]), float(np.max(np.diag(A))),
-                         lipschitz=float(eigs[-1] * np.linalg.norm(span)),
-                         smoothness=float(eigs[-1]))
+        super().__init__(box, 2.0, float(eigs[0]), float(np.max(np.diag(A))))
         self.matrix = A
         self.x_star = x_star
         self.f_min = 0.0
@@ -417,10 +407,7 @@ class Ridge(UcFunction):
             raise ValueError("the global minimizer must lie inside the domain box")
         eigs = np.linalg.eigvalsh(Q)
         col_sq = np.sum(A * A, axis=0)
-        span = np.maximum(np.abs(box.lo - x_star), np.abs(box.hi - x_star))
-        super().__init__(box, 2.0, float(eigs[0]), float(np.max(col_sq) + 1.0),
-                         lipschitz=float(eigs[-1] * np.linalg.norm(span)),
-                         smoothness=float(eigs[-1]))
+        super().__init__(box, 2.0, float(eigs[0]), float(np.max(col_sq) + 1.0))
         self.design = A
         self.targets = b
         self.x_star = x_star

@@ -18,8 +18,8 @@ from signopt import (ExactSign, GaussianNoise, LabelOracle, LearnerConfig,
                      adaptive_epoch_schedule, bisect_noiseless,
                      box_from_bounds, default_epoch_count, make_tnc_problem,
                      rssgd, seeded_rng, slope_report, with_budget)
-from signopt.harness import (ExperimentConfig, LearnerSpec, OptimizerSpec,
-                             OracleSpec, run_experiment)
+from signopt.harness import (ExperimentConfig, OptimizerSpec, OracleSpec,
+                             run_experiment)
 
 from _checks import (binomial_band, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
@@ -29,7 +29,7 @@ BUDGETS_1D = [2 ** e for e in range(8, 16)]
 BUDGETS_OPT = [2 ** e for e in range(12, 19)]
 
 # identical learner configuration for every 1-D sweep (criterion 3)
-ADAPTIVE_1D = LearnerSpec(name="adaptive", c_delta=1.5)
+ADAPTIVE_1D = LearnerConfig(name="adaptive", c_delta=1.5)
 SEED_1D = 23
 
 
@@ -89,7 +89,7 @@ def test_criterion_04_bz_rate_and_comparison(adaptive_sweeps):
     config = ExperimentConfig(
         kind="learn-threshold", problem=_threshold_problem(2.0),
         experiment_id="bz-k2",
-        learner=LearnerSpec(name="bz", grid_size="auto", bz_k=2.0, bz_mu=1.0),
+        learner=LearnerConfig(name="bz", grid_size="auto", bz_k=2.0, bz_mu=1.0),
         budgets=BUDGETS_1D, replications=100, base_seed=SEED_1D)
     table = run_experiment(config)
     fit = slope_report(table, "median", "excess_risk")
@@ -116,7 +116,7 @@ def test_criterion_05_optimizer_rate_k2():
         kind="optimize", problem=fn, experiment_id="rssgd-quad-d5",
         oracle=OracleSpec(mode="additive-gaussian", sigma=1.0),
         optimizer=OptimizerSpec(line_search="adaptive"),
-        learner=LearnerSpec(c_delta=3.0),
+        learner=LearnerConfig(c_delta=3.0),
         budgets=BUDGETS_OPT, replications=50, base_seed=3)
     start = time.perf_counter()
     table = run_experiment(config)
@@ -136,7 +136,7 @@ def test_criterion_06_optimizer_rate_k3():
         kind="optimize", problem=fn, experiment_id="rssgd-sep-k3",
         oracle=OracleSpec(mode="additive-gaussian", sigma=1.0),
         optimizer=OptimizerSpec(line_search="adaptive"),
-        learner=LearnerSpec(c_delta=3.0),
+        learner=LearnerConfig(c_delta=3.0),
         budgets=BUDGETS_OPT, replications=50, base_seed=5)
     table = run_experiment(config)
     fit = slope_report(table, "median", "f_error")
@@ -157,9 +157,10 @@ def test_criterion_07_sign_preserving_exponential_rate():
     def run(budget, rep):
         oracle = SignOracle(fn, QuantizedSign(3), seeded_rng(11, rep, 0),
                             budget=budget)
-        return rssgd(fn, oracle, OptimizerConfig(budget=budget,
-                                                 line_search="bisect",
-                                                 seed=(11, rep))).f_error
+        return rssgd(fn, oracle,
+                     OptimizerConfig(budget=budget,
+                                     line_search=LearnerConfig("bisect"),
+                                     seed=(11, rep))).f_error
 
     checkpoints = [2000, 4000, 6000, 8000, 10000, 12000]
     medians = [float(np.median([run(T, rep) for rep in range(5)]))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from signopt import ConfigError, RunTable, load_config, run_experiment, slope_report
-from signopt.harness import (ExperimentConfig, LearnerSpec, OptimizerSpec,
-                             OracleSpec, Row, cell_seed, parse_config_text)
+from signopt import LearnerConfig
+from signopt.harness import (ExperimentConfig, OptimizerSpec, OracleSpec, Row,
+                             cell_seed, parse_config_text)
 from signopt import make_tnc_problem
 
 THRESHOLD_CFG = """
@@ -96,6 +97,15 @@ def test_bad_number_names_the_key(tmp_path):
     with pytest.raises(ConfigError, match="problem.mu"):
         _load(tmp_path, THRESHOLD_CFG.replace("problem.mu = 1.0",
                                               "problem.mu = one"))
+    # out-of-range values are errors, never read as "unset"
+    for line, key in (("budget = 0", "budget"),
+                      ("learner.bz_k = 0", "learner.bz_k"),
+                      ("learner.bz_mu = 0", "learner.bz_mu")):
+        with pytest.raises(ConfigError, match=key):
+            _load(tmp_path, THRESHOLD_CFG + line + "\n")
+    with pytest.raises(ConfigError, match="learner.c_delta"):
+        _load(tmp_path, THRESHOLD_CFG.replace("learner.c_delta = 2.0",
+                                              "learner.c_delta = 1.0"))
 
 
 def test_invalid_problem_is_reported(tmp_path):
@@ -132,7 +142,7 @@ sweep.replications = 1
 def _small_config(**overrides):
     problem = make_tnc_problem((0.0, 1.0), 0.37, 2.0, 1.0, 0.4)
     defaults = dict(kind="learn-threshold", problem=problem,
-                    experiment_id="unit", learner=LearnerSpec(name="adaptive"),
+                    experiment_id="unit", learner=LearnerConfig(name="adaptive"),
                     budgets=[32, 64], replications=2, base_seed=1)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -215,9 +225,9 @@ def test_cell_seed_is_stable():
 
 @pytest.mark.parametrize("name", ["passive", "bisect", "adaptive", "bz"])
 def test_every_learner_runs_through_the_harness(name):
-    spec = LearnerSpec(name=name)
+    spec = LearnerConfig(name=name)
     if name == "bz":
-        spec = LearnerSpec(name=name, grid_size="auto", bz_k=2.0, bz_mu=1.0)
+        spec = LearnerConfig(name=name, grid_size="auto", bz_k=2.0, bz_mu=1.0)
     table = run_experiment(_small_config(learner=spec, budgets=[128]))
     assert table.n_errors == 0
     for row in table.rows:
@@ -238,7 +248,7 @@ def test_oracle_seed_override_fixes_the_label_stream():
 
 
 def test_oracle_budget_cap_records_error_rows():
-    config = _small_config(learner=LearnerSpec(name="bisect"),
+    config = _small_config(learner=LearnerConfig(name="bisect"),
                            oracle=OracleSpec(budget=16), budgets=[64])
     table = run_experiment(config)
     assert table.n_errors == len(table.rows)
@@ -259,6 +269,10 @@ def test_jobs_env_var_sets_default_concurrency(monkeypatch):
 
 def test_csv_roundtrip(tmp_path):
     table = run_experiment(_small_config())
+    # an error row whose message holds a comma
+    capped = _small_config(learner=LearnerConfig(name="bisect"),
+                           oracle=OracleSpec(budget=10), budgets=[8, 64])
+    table.rows += [r for r in run_experiment(capped).rows if r.error][:1]
     path = tmp_path / "out.csv"
     table.to_csv(path)
     text = path.read_text()
@@ -269,6 +283,8 @@ def test_csv_roundtrip(tmp_path):
         assert a.budget == b.budget and a.replication == b.replication
         assert a.point_error == pytest.approx(b.point_error, rel=1e-15)
         assert a.excess_risk == pytest.approx(b.excess_risk, rel=1e-15)
+        assert a.error == b.error and a.wall_time_ms == b.wall_time_ms
+    assert "," in back.rows[-1].error
 
 
 def test_json_mirrors_rows(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signopt import (Interval, LabelOracle, LearnerConfig, POSITIVE_LEFT,
@@ -58,6 +58,7 @@ def _brute_force_error(positions, labels, cut, orientation="positive-right"):
                                     allow_nan=False),
                           st.sampled_from([-1, 1])),
                 min_size=1, max_size=30))
+@example([(0.0, -1), (5e-324, 1)])
 def test_erm_cut_minimizes_empirical_error(samples):
     positions = [p for p, _ in samples]
     labels = [y for _, y in samples]
@@ -259,8 +260,6 @@ def test_bisect_positive_left():
 def test_learner_config_validation():
     with pytest.raises(ValueError):
         LearnerConfig(budget=10, c_delta=1.0)  # needs c^2 > 2
-    with pytest.raises(ValueError):
-        LearnerConfig(budget=10, confidence=0.0)
     with pytest.raises(ValueError):
         LearnerConfig(budget=10, orientation="sideways")
     with pytest.raises(ValueError):

@@ -36,7 +36,8 @@ def test_budget_must_cover_the_epochs():
         rssgd(fn, _oracle(fn), OptimizerConfig(budget=10, seed=1))
     # an explicit epoch count makes small budgets legal
     res = rssgd(fn, _oracle(fn), OptimizerConfig(budget=10, epoch_rule=5,
-                                                 line_search="bisect", seed=1))
+                                                 line_search=LearnerConfig("bisect"),
+                                                 seed=1))
     assert res.queries_used <= 10
 
 
@@ -48,7 +49,7 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(budget=10, epoch_rule=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(budget=10, line_search="newton")
+        OptimizerConfig(budget=10, line_search=LearnerConfig("newton"))
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +94,8 @@ def test_degenerate_segment_reports_single_step():
     line = line_label_oracle(_oracle(fn), np.array([0.0, 0.5]), 0)
     assert line.degenerate and line.sole_step == 0.0
     res = rssgd(fn, _oracle(fn, seed=(1, 1)),
-                OptimizerConfig(budget=200, epoch_rule=10, line_search="bisect",
-                                seed=2))
+                OptimizerConfig(budget=200, epoch_rule=10,
+                                line_search=LearnerConfig("bisect"), seed=2))
     assert res.x_final[0] == 0.0
 
 
@@ -106,7 +107,8 @@ def test_descent_from_the_optimum_stays_there():
     # resolution width * 2^-(N+1), so the error stays at resolution scale.
     fn = _quad((1.0, 2.0))
     res = rssgd(fn, _oracle(fn), OptimizerConfig(budget=2000, epoch_rule=40,
-                                                 line_search="bisect", seed=3),
+                                                 line_search=LearnerConfig("bisect"),
+                                                 seed=3),
                 x0=fn.x_star)
     resolution = 2.0 * 2.0 ** -(2000 // 40 + 1)
     assert res.f_error <= fn.dim * fn.lkss_bound * resolution ** 2
@@ -115,8 +117,9 @@ def test_descent_from_the_optimum_stays_there():
 def test_descent_reference_run_reaches_deep_accuracy():
     fn = _quad((1.0, 2.0), x_star=(0.0, 0.0))
     res = rssgd(fn, _oracle(fn, seed=(4, 0)),
-                OptimizerConfig(budget=2000, epoch_rule=40, line_search="bisect",
-                                seed=4), x0=np.array([1.0, 1.0]))
+                OptimizerConfig(budget=2000, epoch_rule=40,
+                                line_search=LearnerConfig("bisect"), seed=4),
+                x0=np.array([1.0, 1.0]))
     assert res.f_error <= 1e-8
     assert res.queries_used == 2000
 
@@ -124,7 +127,8 @@ def test_descent_reference_run_reaches_deep_accuracy():
 def test_descent_is_deterministic_given_the_seed():
     fn = _quad((1.0, 3.0))
     runs = [rssgd(fn, _oracle(fn, mode=GaussianNoise(0.5), seed=(5, 0)),
-                  OptimizerConfig(budget=3000, line_search="adaptive", seed=(5, 1)))
+                  OptimizerConfig(budget=3000, line_search=LearnerConfig("adaptive"),
+                                  seed=(5, 1)))
             for _ in range(2)]
     assert np.array_equal(runs[0].x_final, runs[1].x_final)
     assert runs[0].queries_used == runs[1].queries_used
@@ -133,7 +137,8 @@ def test_descent_is_deterministic_given_the_seed():
 def test_iterates_respect_the_box():
     fn = _quad((1.0, 2.0, 3.0), half=0.5, x_star=(0.4, -0.4, 0.3))
     oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(6, 0))
-    res = rssgd(fn, oracle, OptimizerConfig(budget=4000, line_search="adaptive",
+    res = rssgd(fn, oracle, OptimizerConfig(budget=4000,
+                                            line_search=LearnerConfig("adaptive"),
                                             seed=6))
     assert fn.box.contains(res.x_final)
 
@@ -142,7 +147,8 @@ def test_budget_accounting_and_leftover_discard():
     fn = _quad((1.0, 2.0))
     oracle = _oracle(fn, seed=(7, 0), budget=777)
     res = rssgd(fn, oracle, OptimizerConfig(budget=777, epoch_rule=10,
-                                            line_search="bisect", seed=7))
+                                            line_search=LearnerConfig("bisect"),
+                                            seed=7))
     assert res.queries_used == 10 * (777 // 10)
     assert oracle.queries_used <= 777
 
@@ -153,8 +159,9 @@ def test_monotone_progress_with_exact_signs():
     # resolution's worth of function value.
     fn = _quad((1.0, 2.0, 3.0), half=2.0, x_star=(0.5, -0.3, 0.2))
     res = rssgd(fn, _oracle(fn, seed=(8, 0)),
-                OptimizerConfig(budget=4000, epoch_rule=50, line_search="bisect",
-                                seed=8), x0=np.array([-1.5, 1.5, -1.5]))
+                OptimizerConfig(budget=4000, epoch_rule=50,
+                                line_search=LearnerConfig("bisect"), seed=8),
+                x0=np.array([-1.5, 1.5, -1.5]))
     n = 4000 // 50
     # resolution slack, plus an absolute floor for coordinate-update rounding
     # (a step lands within one ulp of the coordinate's own magnitude)
@@ -174,7 +181,7 @@ def test_mean_error_is_nonincreasing_under_noise():
     for rep in range(50):
         oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(9, rep))
         res = rssgd(fn, oracle, OptimizerConfig(budget=3000, epoch_rule=30,
-                                                line_search="adaptive",
+                                                line_search=LearnerConfig("adaptive"),
                                                 seed=(9, rep)))
         traces.append([step.f_value - fn.f_min for step in res.trace])
     traces = np.asarray(traces)
@@ -193,7 +200,7 @@ def test_one_dimensional_reduction_matches_adaptive_learner():
     budget, seed = 900, 11
     res = rssgd(fn, _oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0)),
                 OptimizerConfig(budget=budget, epoch_rule=1,
-                                line_search="adaptive", seed=seed),
+                                line_search=LearnerConfig("adaptive"), seed=seed),
                 x0=np.array([0.0]))
     line = line_label_oracle(_oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0)),
                              np.array([0.0]), 0)
@@ -209,7 +216,7 @@ def test_oracle_budget_is_never_tripped_by_the_schedule():
         oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(12, budget),
                          budget=budget)
         res = rssgd(fn, oracle, OptimizerConfig(budget=budget,
-                                                line_search="adaptive",
+                                                line_search=LearnerConfig("adaptive"),
                                                 seed=(12, budget)))
         assert res.queries_used <= budget
 
@@ -219,8 +226,9 @@ def test_separable_power_descent_improves():
                         box_from_bounds(-2.0, 2.0, dim=3), exponent=3.0)
     x0 = np.array([-1.0, 1.0, -1.0])
     res = rssgd(fn, _oracle(fn, seed=(13, 0)),
-                OptimizerConfig(budget=6000, epoch_rule=60, line_search="bisect",
-                                seed=13), x0=x0)
+                OptimizerConfig(budget=6000, epoch_rule=60,
+                                line_search=LearnerConfig("bisect"), seed=13),
+                x0=x0)
     assert res.f_error <= 1e-6 * (fn.value(x0) - fn.f_min)
 
 
