@@ -17,9 +17,9 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (ConfigError, ExperimentConfig, KIND_OPTIMIZE,
-                      KIND_THRESHOLD, RunTable, load_config, run_cell,
-                      run_experiment, slope_report)
+from .harness import (ConfigError, ERROR_COLUMNS, ExperimentConfig,
+                      KIND_OPTIMIZE, KIND_THRESHOLD, RunTable, load_config,
+                      run_cell, run_experiment, slope_report)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slope = sub.add_parser("slope", help="fit a log-log rate slope from a table")
     slope.add_argument("--table", required=True, help="CSV table path")
-    slope.add_argument("--column", default="excess_risk",
-                       choices=["excess_risk", "f_error", "point_error"])
+    slope.add_argument("--column", default="excess_risk", choices=ERROR_COLUMNS)
     slope.add_argument("--statistic", default="median", choices=["median", "mean"])
     return parser
 

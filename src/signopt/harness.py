@@ -24,8 +24,8 @@ import numpy as np
 from .learners import GRID_AUTO, LEARNERS, LearnerConfig, run_learner
 from .metrics import error_record, fit_rate_slope
 from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
-from .oracles import (LabelOracle, ROLE_LABELS, ROLE_SAMPLING, SIGN_MODES,
-                      SignOracle, seeded_rng)
+from .oracles import (ExactSign, LabelOracle, ROLE_LABELS, ROLE_SAMPLING,
+                      SIGN_MODES, SignOracle, seeded_rng)
 from .problems import (Interval, POSITIVE_RIGHT, Quadratic, Ridge,
                        SeparablePower, TncProblem, UcFunction, box_from_bounds,
                        load_ridge_text)
@@ -39,6 +39,7 @@ KIND_OPTIMIZE = "optimize"
 CSV_COLUMNS = ("experiment_id", "kind", "budget", "replication", "seed",
                "estimate", "point_error", "excess_risk", "f_error",
                "queries_used", "error", "wall_time_ms")
+ERROR_COLUMNS = ("excess_risk", "f_error", "point_error")
 
 
 class ConfigError(ValueError):
@@ -48,7 +49,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config file parsing
 
-_KNOWN_KEYS = {
+# each sign mode's parameters, as oracle.<field> keys
+_MODE_KEYS = {f"oracle.{f.name}" for mode in SIGN_MODES for f in fields(mode)}
+_KNOWN_KEYS = _MODE_KEYS | {
     "kind", "id", "budget", "report", "output",
     "slope.column", "slope.statistic",
     "problem.lo", "problem.hi", "problem.t", "problem.k", "problem.mu",
@@ -56,8 +59,7 @@ _KNOWN_KEYS = {
     "problem.family", "problem.dim", "problem.box_lo", "problem.box_hi",
     "problem.coeffs", "problem.x_star", "problem.a_diag", "problem.a",
     "problem.matrix_file",
-    "oracle.mode", "oracle.sigma", "oracle.halfwidth", "oracle.slope",
-    "oracle.cap", "oracle.decimals", "oracle.seed", "oracle.budget",
+    "oracle.mode", "oracle.seed", "oracle.budget",
     "learner.name", "learner.c_delta",
     "learner.orientation", "learner.grid_size", "learner.bz_k", "learner.bz_mu",
     "optimizer.epoch_rule", "optimizer.line_search", "optimizer.x0",
@@ -126,31 +128,16 @@ def _get_ints(raw: dict, key: str):
 
 @dataclass
 class OracleSpec:
-    mode: str = "exact"
-    sigma: float = 1.0
-    halfwidth: float = 1.0
-    slope: float = 1.0
-    cap: float = 0.5
-    decimals: int = 3
-    # optional overrides: re-key the label stream independently of the sweep
-    # seed, or cap oracle queries below the cell budget (cells that hit the
-    # cap record error rows)
+    """The sign mode of optimize cells, and optional overrides of every oracle.
+
+    ``seed`` re-keys the label stream independently of the sweep seed;
+    ``budget`` caps oracle queries below the cell budget (cells that hit the
+    cap record error rows).
+    """
+
+    mode: object = ExactSign()
     seed: int | None = None
     budget: int | None = None
-
-    def build(self):
-        """The sign mode named ``mode``, built from the fields it declares."""
-        for mode in SIGN_MODES:
-            if mode.name == self.mode:
-                return mode(**{f.name: getattr(self, f.name) for f in fields(mode)})
-        raise ConfigError(f"oracle.mode: unknown mode {self.mode!r}")
-
-
-@dataclass
-class OptimizerSpec:
-    epoch_rule: int | str = PAPER_DEFAULT
-    line_search: str = "adaptive"
-    x0: str | list[float] = "center"
 
 
 @dataclass
@@ -160,7 +147,7 @@ class ExperimentConfig:
     experiment_id: str = "exp"
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     oracle: OracleSpec = field(default_factory=OracleSpec)
-    optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     budgets: list[int] | None = None
     replications: int = 1
     base_seed: int = 0
@@ -189,6 +176,9 @@ class ExperimentConfig:
             raise ConfigError(f"report: unknown report kind {self.report!r}")
         if self.slope_statistic not in ("median", "mean"):
             raise ConfigError("slope.statistic: expected 'median' or 'mean'")
+        if self.slope_column not in ERROR_COLUMNS:
+            raise ConfigError(f"slope.column: expected one of {ERROR_COLUMNS}, "
+                              f"got {self.slope_column!r}")
 
 
 def _build_tnc_problem(raw: dict) -> TncProblem:
@@ -251,6 +241,27 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
 
+def _build_mode(raw: dict):
+    """The sign mode ``oracle.mode`` names, from the ``oracle.*`` keys it declares."""
+    name = raw.get("oracle.mode", ExactSign.name)
+    mode = next((m for m in SIGN_MODES if m.name == name), None)
+    if mode is None:
+        raise ConfigError(f"oracle.mode: unknown mode {name!r}")
+    declared = {f"oracle.{f.name}": f for f in fields(mode)}
+    stray = sorted(k for k in raw if k in _MODE_KEYS and k not in declared)
+    if stray:
+        raise ConfigError(f"{stray[0]}: not a parameter of oracle.mode = {name}")
+    params = {}
+    for key, f in declared.items():
+        if key in raw:
+            get = _get_int if isinstance(f.default, int) else _get_float
+            params[f.name] = get(raw, key)
+    try:
+        return mode(**params)
+    except ValueError as exc:
+        raise ConfigError(f"oracle.{exc}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config file."""
     path = Path(path)
@@ -271,29 +282,27 @@ def load_config(path) -> ExperimentConfig:
     if grid_size not in (None, GRID_AUTO):
         grid_size = _get_int(raw, "learner.grid_size")
     learner_fields = dict(
-        name=raw.get("learner.name", "adaptive"),
         c_delta=_get_float(raw, "learner.c_delta", 2.0),
         orientation=raw.get("learner.orientation", POSITIVE_RIGHT),
         grid_size=grid_size,
         bz_k=_get_float(raw, "learner.bz_k") if "learner.bz_k" in raw else None,
         bz_mu=_get_float(raw, "learner.bz_mu") if "learner.bz_mu" in raw else None,
     )
+    line_search = raw.get("optimizer.line_search", "adaptive")
+    if line_search not in LEARNERS:
+        raise ConfigError(f"optimizer.line_search: expected one of {LEARNERS}")
     try:
-        learner = LearnerConfig(**learner_fields)
+        learner = LearnerConfig(raw.get("learner.name", "adaptive"), **learner_fields)
+        # learner.* also parameterizes the line search of optimize configs
+        line_config = LearnerConfig(line_search, **learner_fields)
     except ValueError as exc:
         raise ConfigError(f"learner.{exc}") from exc
 
     oracle = OracleSpec(
-        mode=raw.get("oracle.mode", "exact"),
-        sigma=_get_float(raw, "oracle.sigma", 1.0),
-        halfwidth=_get_float(raw, "oracle.halfwidth", 1.0),
-        slope=_get_float(raw, "oracle.slope", 1.0),
-        cap=_get_float(raw, "oracle.cap", 0.5),
-        decimals=_get_int(raw, "oracle.decimals", 3),
+        mode=_build_mode(raw),
         seed=_get_int(raw, "oracle.seed") if "oracle.seed" in raw else None,
         budget=_get_int(raw, "oracle.budget") if "oracle.budget" in raw else None,
     )
-    oracle.build()  # validates the mode name and parameters
 
     epoch_rule: int | str = raw.get("optimizer.epoch_rule", PAPER_DEFAULT)
     if epoch_rule != PAPER_DEFAULT:
@@ -301,13 +310,11 @@ def load_config(path) -> ExperimentConfig:
     x0: str | list[float] = raw.get("optimizer.x0", "center")
     if x0 != "center":
         x0 = _get_floats(raw, "optimizer.x0")
-    optimizer = OptimizerSpec(
-        epoch_rule=epoch_rule,
-        line_search=raw.get("optimizer.line_search", "adaptive"),
-        x0=x0,
-    )
-    if optimizer.line_search not in LEARNERS:
-        raise ConfigError(f"optimizer.line_search: expected one of {LEARNERS}")
+    try:
+        optimizer = OptimizerConfig(epoch_rule=epoch_rule, line_search=line_config,
+                                    x0=x0)
+    except ValueError as exc:
+        raise ConfigError(f"optimizer.{exc}") from exc
 
     budgets = _get_ints(raw, "sweep.budgets") if "sweep.budgets" in raw else None
     return ExperimentConfig(
@@ -435,18 +442,10 @@ def _oracle_budget(config: ExperimentConfig, budget: int) -> int:
 
 def _optimize_estimate(config: ExperimentConfig, budget: int, replication: int):
     fn = config.problem
-    oracle = SignOracle(fn, config.oracle.build(),
-                        _oracle_stream(config, replication),
+    oracle = SignOracle(fn, config.oracle.mode, _oracle_stream(config, replication),
                         budget=_oracle_budget(config, budget))
-    opt = config.optimizer
-    x0 = None if opt.x0 == "center" else np.asarray(opt.x0, dtype=float)
-    # learner.* parameterizes the line search; LineLabelOracle fixes its orientation
-    line_search = replace(config.learner, name=opt.line_search,
-                          orientation=POSITIVE_RIGHT)
-    cfg = OptimizerConfig(budget=budget, epoch_rule=opt.epoch_rule,
-                          line_search=line_search,
-                          seed=(config.base_seed, replication))
-    result = rssgd(fn, oracle, cfg, x0)
+    result = rssgd(fn, oracle, replace(config.optimizer, budget=budget,
+                                       seed=(config.base_seed, replication)))
     return result.x_final, result.queries_used
 
 
@@ -558,7 +557,7 @@ def slope_report(table: RunTable, statistic: str = "median",
     """Aggregate one error column per budget and fit the log-log slope."""
     if statistic not in ("median", "mean"):
         raise ValueError("statistic must be 'median' or 'mean'")
-    if error_column not in ("excess_risk", "f_error", "point_error"):
+    if error_column not in ERROR_COLUMNS:
         raise ValueError(f"unknown error column {error_column!r}")
     if not table.rows:
         raise ValueError("empty table")

@@ -153,15 +153,20 @@ def adaptive_epoch_schedule(budget: int, c_delta: float) -> tuple[int, int]:
     return epochs, budget // epochs
 
 
-def _auto_orientation(oracle, search: Interval, n_probe: int,
-                      rng: np.random.Generator) -> str:
-    """Probe labels on each half of the interval; the plus-heavy half wins."""
-    xs = rng.uniform(search.lo, search.hi, size=n_probe)
-    labels = oracle.label_sample_many(xs)
-    right = xs >= search.midpoint
-    frac_right = labels[right].mean() if right.any() else 0.0
-    frac_left = labels[~right].mean() if (~right).any() else 0.0
-    return POSITIVE_RIGHT if frac_right >= frac_left else POSITIVE_LEFT
+def _auto_orientation(oracle, search: Interval, n_probe: int) -> str:
+    """Orientation from probes at the 3/4 and 1/4 points, alternating, right first.
+
+    The side with the higher mean label is the positive one.  The probe
+    points are fixed, so no sampling stream is needed; zero probes give
+    positive-right.
+    """
+    x_left = search.lo + 0.25 * search.width
+    x_right = search.lo + 0.75 * search.width
+    labels = oracle.label_sample_many(np.resize([x_right, x_left], n_probe))
+    right, left = labels[0::2], labels[1::2]
+    mean_right = right.mean() if right.size else 0.0
+    mean_left = left.mean() if left.size else 0.0
+    return POSITIVE_RIGHT if mean_right >= mean_left else POSITIVE_LEFT
 
 
 def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
@@ -182,13 +187,9 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
     orientation = config.orientation
     probe_used = 0
     if orientation == ORIENTATION_AUTO:
-        n_probe = min(20, per_epoch, budget - epochs)
-        if n_probe >= 1:
-            orientation = _auto_orientation(oracle, search, n_probe, rng)
-            probe_used = n_probe
-            per_epoch = (budget - probe_used) // epochs
-        else:
-            orientation = POSITIVE_RIGHT  # no budget to spare for probing
+        probe_used = min(20, per_epoch, budget - epochs)
+        orientation = _auto_orientation(oracle, search, probe_used)
+        per_epoch = (budget - probe_used) // epochs
 
     x = search.midpoint
     radius = search.width
@@ -224,20 +225,8 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> ThresholdEsti
     probe_used = 0
     orientation = config.orientation
     if orientation == ORIENTATION_AUTO:
-        # Deterministic quarter-point probes; no sampling stream needed.
-        n_probe = min(20, budget)
-        x_left = search.lo + 0.25 * search.width
-        x_right = search.lo + 0.75 * search.width
-        right_labels, left_labels = [], []
-        for i in range(n_probe):
-            if i % 2 == 0:
-                right_labels.append(oracle.label_sample(x_right))
-            else:
-                left_labels.append(oracle.label_sample(x_left))
-        mean_right = float(np.mean(right_labels)) if right_labels else 0.0
-        mean_left = float(np.mean(left_labels)) if left_labels else 0.0
-        orientation = POSITIVE_RIGHT if mean_right >= mean_left else POSITIVE_LEFT
-        probe_used = n_probe
+        probe_used = min(20, budget)
+        orientation = _auto_orientation(oracle, search, probe_used)
     osign = orientation_sign(orientation)
 
     delta = search.width / cells

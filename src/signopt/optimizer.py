@@ -50,27 +50,32 @@ def line_search_rng(seed, epoch: int) -> np.random.Generator:
 
 @dataclass
 class OptimizerConfig:
-    """Budget, epoch rule, line search and seed of one descent run.
+    """Budget, epoch rule, line search, seed and start of one descent run.
 
-    ``epoch_rule`` is either ``"paper-default"`` (ceil(d ln^2 T) epochs) or an
-    explicit positive epoch count.  ``line_search`` is the per-epoch learner
-    with its parameters; its budget and orientation are always set by the
-    optimizer.
+    ``budget`` is the query budget of one run; a config that serves a whole
+    sweep leaves it at 0 and each run sets it.  ``epoch_rule`` is either
+    ``"paper-default"`` (ceil(d ln^2 T) epochs) or an explicit positive
+    epoch count.  ``line_search`` is the per-epoch learner with its
+    parameters; its budget and orientation are always set by the optimizer.
+    ``x0`` is ``"center"`` (the box center) or a starting point.
     """
 
-    budget: int
+    budget: int = 0
     epoch_rule: int | str = PAPER_DEFAULT
     line_search: LearnerConfig = field(default_factory=LearnerConfig)
     seed: int | tuple = 0
+    x0: str | list[float] = "center"
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        if self.budget < 0:
+            raise ValueError("budget: must be non-negative")
+        if isinstance(self.x0, str) and self.x0 != "center":
+            raise ValueError(f"x0: expected 'center' or a point, got {self.x0!r}")
         if isinstance(self.epoch_rule, str):
             if self.epoch_rule != PAPER_DEFAULT:
-                raise ValueError(f"unknown epoch rule {self.epoch_rule!r}")
+                raise ValueError(f"epoch_rule: unknown epoch rule {self.epoch_rule!r}")
         elif int(self.epoch_rule) < 1:
-            raise ValueError("explicit epoch count must be at least 1")
+            raise ValueError("epoch_rule: explicit epoch count must be at least 1")
 
     def epoch_count(self, dim: int) -> int:
         if self.epoch_rule == PAPER_DEFAULT:
@@ -134,15 +139,16 @@ def line_label_oracle(sign_oracle: SignOracle, x, j: int) -> LineLabelOracle:
     return LineLabelOracle(sign_oracle, x, j)
 
 
-def rssgd(fn: UcFunction, sign_oracle: SignOracle, config: OptimizerConfig,
-          x0=None) -> OptRunResult:
+def rssgd(fn: UcFunction, sign_oracle: SignOracle,
+          config: OptimizerConfig) -> OptRunResult:
     """Minimize ``fn`` from gradient signs alone by randomized coordinate descent.
 
-    Runs E epochs; each epoch draws a coordinate uniformly at random, builds
-    the line label oracle at the current iterate and moves to the step
-    returned by the configured 1-D learner under a budget of floor(T / E)
-    queries.  Returns the final iterate with its exact function error.
-    Raises if the budget cannot cover one query per epoch; leftover queries
+    Starts from ``config.x0`` and runs E epochs; each epoch draws a
+    coordinate uniformly at random, builds the line label oracle at the
+    current iterate and moves to the step returned by the configured 1-D
+    learner under a budget of floor(T / E) queries.  Returns the final
+    iterate with its exact function error.  Raises if the budget cannot
+    cover one query per epoch (a zero budget never can); leftover queries
     beyond E * N are not spent.
     """
     if sign_oracle.fn is not fn:
@@ -156,8 +162,7 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle, config: OptimizerConfig,
         )
     line_config = replace(config.line_search,
                           orientation=POSITIVE_RIGHT).for_budget(budget // epochs)
-    x = fn.box.center if x0 is None else np.asarray(x0, dtype=float).copy()
-    x = fn._point(x).copy()
+    x = fn._point(fn.box.center if isinstance(config.x0, str) else config.x0).copy()
     coord_rng = coordinate_rng(config.seed)
     used_before = sign_oracle.queries_used
     trace: list[EpochStep] = []

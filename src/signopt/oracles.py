@@ -100,12 +100,12 @@ def _phi(t: float) -> float:
 class GaussianNoise:
     """Additive centered gaussian noise on the gradient before taking the sign."""
 
-    sigma: float
+    sigma: float = 1.0
     name = "additive-gaussian"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not self.sigma > 0:
+            raise ValueError("sigma: must be positive")
 
     def probability_positive(self, g):
         return np.vectorize(_phi)(np.asarray(g, dtype=float) / self.sigma)
@@ -119,12 +119,12 @@ class GaussianNoise:
 class UniformNoise:
     """Additive noise uniform on [-halfwidth, halfwidth]."""
 
-    halfwidth: float
+    halfwidth: float = 1.0
     name = "additive-uniform"
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
+        if not self.halfwidth > 0:
+            raise ValueError("halfwidth: must be positive")
 
     def probability_positive(self, g):
         g = np.asarray(g, dtype=float)
@@ -147,10 +147,10 @@ class DirectBernoulli:
     name = "direct-bernoulli"
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise ValueError("slope must be positive")
+        if not self.slope > 0:
+            raise ValueError("slope: must be positive")
         if not 0.0 < self.cap <= 0.5:
-            raise ValueError("cap must lie in (0, 1/2]")
+            raise ValueError("cap: must lie in (0, 1/2]")
 
     def probability_positive(self, g):
         g = np.asarray(g, dtype=float)
@@ -185,12 +185,12 @@ class QuantizedSign:
     A gradient that is exactly zero resolves by a fair coin.
     """
 
-    decimals: int
+    decimals: int = 3
     name = "quantized"
 
     def __post_init__(self):
         if self.decimals < 0:
-            raise ValueError("decimals must be non-negative")
+            raise ValueError("decimals: must be non-negative")
 
     def probability_positive(self, g):
         g = np.asarray(g, dtype=float)

@@ -18,8 +18,7 @@ from signopt import (ExactSign, GaussianNoise, LabelOracle, LearnerConfig,
                      adaptive_epoch_schedule, bisect_noiseless,
                      box_from_bounds, default_epoch_count, make_tnc_problem,
                      rssgd, seeded_rng, slope_report, with_budget)
-from signopt.harness import (ExperimentConfig, OptimizerSpec, OracleSpec,
-                             run_experiment)
+from signopt.harness import ExperimentConfig, OracleSpec, run_experiment
 
 from _checks import (binomial_band, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
@@ -114,9 +113,8 @@ def test_criterion_05_optimizer_rate_k2():
                    box_from_bounds(-16.0, 16.0, dim=5))
     config = ExperimentConfig(
         kind="optimize", problem=fn, experiment_id="rssgd-quad-d5",
-        oracle=OracleSpec(mode="additive-gaussian", sigma=1.0),
-        optimizer=OptimizerSpec(line_search="adaptive"),
-        learner=LearnerConfig(c_delta=3.0),
+        oracle=OracleSpec(mode=GaussianNoise(sigma=1.0)),
+        optimizer=OptimizerConfig(line_search=LearnerConfig("adaptive", c_delta=3.0)),
         budgets=BUDGETS_OPT, replications=50, base_seed=3)
     start = time.perf_counter()
     table = run_experiment(config)
@@ -134,9 +132,8 @@ def test_criterion_06_optimizer_rate_k3():
                         box_from_bounds(-10.0, 10.0, dim=3), exponent=3.0)
     config = ExperimentConfig(
         kind="optimize", problem=fn, experiment_id="rssgd-sep-k3",
-        oracle=OracleSpec(mode="additive-gaussian", sigma=1.0),
-        optimizer=OptimizerSpec(line_search="adaptive"),
-        learner=LearnerConfig(c_delta=3.0),
+        oracle=OracleSpec(mode=GaussianNoise(sigma=1.0)),
+        optimizer=OptimizerConfig(line_search=LearnerConfig("adaptive", c_delta=3.0)),
         budgets=BUDGETS_OPT, replications=50, base_seed=5)
     table = run_experiment(config)
     fit = slope_report(table, "median", "f_error")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from signopt import ConfigError, RunTable, load_config, run_experiment, slope_report
-from signopt import LearnerConfig
-from signopt.harness import (ExperimentConfig, OptimizerSpec, OracleSpec, Row,
-                             cell_seed, parse_config_text)
+from signopt import GaussianNoise, LearnerConfig, OptimizerConfig
+from signopt.harness import (ExperimentConfig, OracleSpec, Row, cell_seed,
+                             parse_config_text)
 from signopt import make_tnc_problem
 
 THRESHOLD_CFG = """
@@ -81,11 +81,20 @@ def test_load_optimize_config(tmp_path):
     assert config.kind == "optimize"
     assert config.problem.dim == 2
     assert config.single_budget == 512
+    assert config.oracle.mode == GaussianNoise(sigma=1.0)
+    assert config.optimizer.line_search == LearnerConfig("adaptive", c_delta=3.0)
+    assert config.optimizer.x0 == "center"
+    # an omitted mode parameter takes the mode's own default
+    no_sigma = _load(tmp_path, OPTIMIZE_CFG.replace("oracle.sigma = 1.0\n", ""))
+    assert no_sigma.oracle.mode == GaussianNoise()
 
 
 def test_unknown_key_is_an_error(tmp_path):
     with pytest.raises(ConfigError, match="problem.tt"):
         _load(tmp_path, THRESHOLD_CFG.replace("problem.t =", "problem.tt ="))
+    # a parameter of another sign mode than the chosen one
+    with pytest.raises(ConfigError, match="oracle.halfwidth"):
+        _load(tmp_path, OPTIMIZE_CFG + "oracle.halfwidth = 5.0\n")
 
 
 def test_budgets_must_increase(tmp_path):
@@ -100,7 +109,13 @@ def test_bad_number_names_the_key(tmp_path):
     # out-of-range values are errors, never read as "unset"
     for line, key in (("budget = 0", "budget"),
                       ("learner.bz_k = 0", "learner.bz_k"),
-                      ("learner.bz_mu = 0", "learner.bz_mu")):
+                      ("learner.bz_mu = 0", "learner.bz_mu"),
+                      ("oracle.mode = additive-gaussian\noracle.sigma = 0",
+                       "oracle.sigma"),
+                      ("oracle.mode = additive-uniform\noracle.halfwidth = nan",
+                       "oracle.halfwidth"),
+                      ("slope.column = f_eror", "slope.column"),
+                      ("optimizer.epoch_rule = 0", "optimizer.epoch_rule")):
         with pytest.raises(ConfigError, match=key):
             _load(tmp_path, THRESHOLD_CFG + line + "\n")
     with pytest.raises(ConfigError, match="learner.c_delta"):
@@ -190,8 +205,7 @@ def test_error_rows_do_not_kill_the_sweep():
         kind="optimize",
         problem=_opt_problem(),
         experiment_id="failing",
-        oracle=OracleSpec(mode="exact"),
-        optimizer=OptimizerSpec(),
+        optimizer=OptimizerConfig(),
         budgets=[8, 12], replications=2, base_seed=0)
     table = run_experiment(config)
     assert len(table.rows) == 4
@@ -208,8 +222,8 @@ def _opt_problem():
 def test_optimize_cells_record_vector_estimates():
     config = ExperimentConfig(
         kind="optimize", problem=_opt_problem(), experiment_id="vec",
-        oracle=OracleSpec(mode="exact"),
-        optimizer=OptimizerSpec(line_search="bisect", epoch_rule=20),
+        optimizer=OptimizerConfig(line_search=LearnerConfig("bisect"),
+                                  epoch_rule=20),
         budgets=[400], replications=1, base_seed=2)
     row = run_experiment(config).rows[0]
     vec = [float(tok) for tok in row.estimate.split()]

@@ -34,6 +34,9 @@ def test_budget_must_cover_the_epochs():
     # d=2, T=10: the default schedule asks for ceil(2 ln(10)^2) = 11 > 10 epochs
     with pytest.raises(ValueError, match="epoch"):
         rssgd(fn, _oracle(fn), OptimizerConfig(budget=10, seed=1))
+    # a config whose budget was never set cannot run
+    with pytest.raises(ValueError, match="budget 0"):
+        rssgd(fn, _oracle(fn), OptimizerConfig(epoch_rule=5, seed=1))
     # an explicit epoch count makes small budgets legal
     res = rssgd(fn, _oracle(fn), OptimizerConfig(budget=10, epoch_rule=5,
                                                  line_search=LearnerConfig("bisect"),
@@ -42,8 +45,12 @@ def test_budget_must_cover_the_epochs():
 
 
 def test_optimizer_config_validation():
+    # budget 0 means "set per run"; a negative budget is never valid
+    OptimizerConfig(budget=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(budget=0)
+        OptimizerConfig(budget=-1)
+    with pytest.raises(ValueError, match="x0"):
+        OptimizerConfig(budget=10, x0="origin")
     with pytest.raises(ValueError):
         OptimizerConfig(budget=10, epoch_rule="sometimes")
     with pytest.raises(ValueError):
@@ -108,8 +115,7 @@ def test_descent_from_the_optimum_stays_there():
     fn = _quad((1.0, 2.0))
     res = rssgd(fn, _oracle(fn), OptimizerConfig(budget=2000, epoch_rule=40,
                                                  line_search=LearnerConfig("bisect"),
-                                                 seed=3),
-                x0=fn.x_star)
+                                                 seed=3, x0=fn.x_star))
     resolution = 2.0 * 2.0 ** -(2000 // 40 + 1)
     assert res.f_error <= fn.dim * fn.lkss_bound * resolution ** 2
 
@@ -118,8 +124,8 @@ def test_descent_reference_run_reaches_deep_accuracy():
     fn = _quad((1.0, 2.0), x_star=(0.0, 0.0))
     res = rssgd(fn, _oracle(fn, seed=(4, 0)),
                 OptimizerConfig(budget=2000, epoch_rule=40,
-                                line_search=LearnerConfig("bisect"), seed=4),
-                x0=np.array([1.0, 1.0]))
+                                line_search=LearnerConfig("bisect"), seed=4,
+                                x0=np.array([1.0, 1.0])))
     assert res.f_error <= 1e-8
     assert res.queries_used == 2000
 
@@ -160,8 +166,8 @@ def test_monotone_progress_with_exact_signs():
     fn = _quad((1.0, 2.0, 3.0), half=2.0, x_star=(0.5, -0.3, 0.2))
     res = rssgd(fn, _oracle(fn, seed=(8, 0)),
                 OptimizerConfig(budget=4000, epoch_rule=50,
-                                line_search=LearnerConfig("bisect"), seed=8),
-                x0=np.array([-1.5, 1.5, -1.5]))
+                                line_search=LearnerConfig("bisect"), seed=8,
+                                x0=np.array([-1.5, 1.5, -1.5])))
     n = 4000 // 50
     # resolution slack, plus an absolute floor for coordinate-update rounding
     # (a step lands within one ulp of the coordinate's own magnitude)
@@ -200,8 +206,8 @@ def test_one_dimensional_reduction_matches_adaptive_learner():
     budget, seed = 900, 11
     res = rssgd(fn, _oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0)),
                 OptimizerConfig(budget=budget, epoch_rule=1,
-                                line_search=LearnerConfig("adaptive"), seed=seed),
-                x0=np.array([0.0]))
+                                line_search=LearnerConfig("adaptive"), seed=seed,
+                                x0=np.array([0.0])))
     line = line_label_oracle(_oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0)),
                              np.array([0.0]), 0)
     direct = adaptive_learner(line, line.interval, LearnerConfig(budget=budget),
@@ -227,8 +233,7 @@ def test_separable_power_descent_improves():
     x0 = np.array([-1.0, 1.0, -1.0])
     res = rssgd(fn, _oracle(fn, seed=(13, 0)),
                 OptimizerConfig(budget=6000, epoch_rule=60,
-                                line_search=LearnerConfig("bisect"), seed=13),
-                x0=x0)
+                                line_search=LearnerConfig("bisect"), seed=13, x0=x0))
     assert res.f_error <= 1e-6 * (fn.value(x0) - fn.f_min)
 
 
