@@ -51,18 +51,21 @@ class ConfigError(ValueError):
 
 # each sign mode's parameters, as oracle.<field> keys
 _MODE_KEYS = {f"oracle.{f.name}" for mode in SIGN_MODES for f in fields(mode)}
-_KNOWN_KEYS = _MODE_KEYS | {
-    "kind", "id", "budget", "report", "output",
-    "slope.column", "slope.statistic",
-    "problem.lo", "problem.hi", "problem.t", "problem.k", "problem.mu",
-    "problem.cap", "problem.orientation",
+# keys that only one kind of config reads
+_THRESHOLD_KEYS = {"problem.lo", "problem.hi", "problem.t", "problem.mu", "problem.cap",
+                   "problem.orientation", "learner.name"}
+_OPTIMIZE_KEYS = _MODE_KEYS | {
     "problem.family", "problem.dim", "problem.box_lo", "problem.box_hi",
     "problem.coeffs", "problem.x_star", "problem.a_diag", "problem.a",
-    "problem.matrix_file",
-    "oracle.mode", "oracle.seed", "oracle.budget",
-    "learner.name", "learner.c_delta",
-    "learner.orientation", "learner.grid_size", "learner.bz_k", "learner.bz_mu",
+    "problem.matrix_file", "oracle.mode",
     "optimizer.epoch_rule", "optimizer.line_search", "optimizer.x0",
+}
+_KNOWN_KEYS = _THRESHOLD_KEYS | _OPTIMIZE_KEYS | {
+    "kind", "id", "budget", "report", "output",
+    "slope.column", "slope.statistic", "problem.k",
+    "oracle.seed", "oracle.budget",
+    "learner.c_delta", "learner.orientation", "learner.grid_size",
+    "learner.bz_k", "learner.bz_mu",
     "sweep.budgets", "sweep.replications", "sweep.base_seed",
 }
 
@@ -317,7 +320,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"optimizer.{exc}") from exc
 
     budgets = _get_ints(raw, "sweep.budgets") if "sweep.budgets" in raw else None
-    return ExperimentConfig(
+    config = ExperimentConfig(
         kind=kind,
         problem=problem,
         experiment_id=raw.get("id", path.stem),
@@ -333,6 +336,12 @@ def load_config(path) -> ExperimentConfig:
         slope_statistic=raw.get("slope.statistic", "median"),
         single_budget=_get_int(raw, "budget") if "budget" in raw else None,
     )
+    # after the values are built, so a bad value is reported as such first
+    unread = _OPTIMIZE_KEYS if kind == KIND_THRESHOLD else _THRESHOLD_KEYS
+    stray = sorted(set(raw) & unread)
+    if stray:
+        raise ConfigError(f"{stray[0]}: not read by kind = {kind} configs")
+    return config
 
 
 # ---------------------------------------------------------------------------

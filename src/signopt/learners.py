@@ -107,24 +107,26 @@ def erm_cut(positions, labels, search: Interval,
     """
     positions = np.asarray(positions, dtype=float)
     labels = np.asarray(labels)
-    if positions.size == 0:
+    n = positions.size
+    if n == 0:
         return search.midpoint
-    order = np.argsort(positions, kind="stable")
+    order = positions.argsort(kind="stable")
     p = positions[order]
     y = labels[order]
     pos = (y > 0) if orientation_sign(orientation) > 0 else (y < 0)
-    left_pos = np.concatenate(([0], np.cumsum(pos)))
-    left_neg = np.concatenate(([0], np.cumsum(~pos)))
-    boundaries = np.nonzero(p[1:] > p[:-1])[0] + 1  # splits between distinct values
+    left_pos = np.zeros(n + 1, dtype=np.intp)  # left_pos[s]: positives among p[:s]
+    pos.cumsum(out=left_pos[1:])
+    boundaries = (p[1:] > p[:-1]).nonzero()[0] + 1  # splits between distinct values
     lower, upper = p[boundaries - 1], p[boundaries]
     mids = 0.5 * (lower + upper)
     # the midpoint of two adjacent floats can round onto the lower one
     mids = np.where(mids == lower, upper, mids)
     cands = np.concatenate(([search.lo], mids, [search.hi]))
     # a cut c classifies x >= c as the positive side
-    split = np.searchsorted(p, cands, side="left")
-    err = left_pos[split] + (left_neg[-1] - left_neg[split])
-    return float(cands[int(np.argmin(err))])
+    split = p.searchsorted(cands, side="left")
+    left = left_pos[split]  # positives left of each cut; split - left negatives
+    err = left + ((n - left_pos[n]) - (split - left))
+    return float(cands[err.argmin()])
 
 
 def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,
@@ -236,24 +238,27 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> ThresholdEsti
     ratio = (1.0 + gamma) / (1.0 - gamma)
     weights = np.full(cells, 1.0 / cells)
 
+    label_sample = oracle.label_sample  # Python floats below: same rounding, faster
     for _ in range(budget - probe_used):
-        cum = np.cumsum(weights)
-        half = 0.5 * cum[-1]
-        idx = int(np.searchsorted(cum, half))
-        inside = (half - (cum[idx] - weights[idx])) / weights[idx] if weights[idx] > 0 else 0.5
+        cum = weights.cumsum()
+        total = float(cum[-1])
+        half = 0.5 * total
+        idx = int(cum.searchsorted(half))
+        w = float(weights[idx])
+        inside = (half - (float(cum[idx]) - w)) / w if w > 0 else 0.5
         boundary = int(round(idx + inside))
         boundary = min(max(boundary, 1), cells - 1)
-        label = oracle.label_sample(search.lo + boundary * delta)
+        label = label_sample(search.lo + boundary * delta)
         if osign * label > 0:
             # A plus label favours the threshold lying left of the boundary.
             weights[:boundary] *= ratio
         else:
             weights[boundary:] *= ratio
-        if cum[-1] > 1e250:
-            weights /= cum[-1]
+        if total > 1e250:
+            weights /= total
 
-    cum = np.cumsum(weights)
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
+    cum = weights.cumsum()
+    idx = int(cum.searchsorted(0.5 * cum[-1]))
     point = search.lo + (idx + 0.5) * delta
     return ThresholdEstimate(point=float(point), queries_used=budget, epochs=0)
 

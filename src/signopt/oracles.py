@@ -239,9 +239,9 @@ class SignOracle(_CountingOracle):
         alphas = np.asarray(alphas, dtype=float)
         alo, ahi = self.fn.box.segment(x, j)
         pad = 1e-12 * max(1.0, abs(alo), abs(ahi))
-        if np.any(alphas < alo - pad) or np.any(alphas > ahi + pad):
+        if (alphas < alo - pad).any() or (alphas > ahi + pad).any():
             raise OutOfDomain("step leaves the domain box")
-        g = self.fn.grad_coord_line(x, j, np.clip(alphas, alo, ahi))
+        g = self.fn.grad_coord_line(x, j, alphas.clip(alo, ahi))
         self._charge(alphas.size)
         return self.mode.draw_many(g, self.rng)
 

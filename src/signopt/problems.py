@@ -112,23 +112,24 @@ class TncProblem:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not 0.0 < self.cap <= 0.5:
             raise ValueError(f"cap must lie in (0, 1/2], got {self.cap}")
-        orientation_sign(self.orientation)  # validates
+        # constants of eta_at's scalar path, which runs once per label query
+        t = _tol(self.interval.lo, self.interval.hi)
+        self.__dict__.update(_lo_tol=self.interval.lo - t, _hi_tol=self.interval.hi + t,
+                             _osign=orientation_sign(self.orientation))
 
     def eta_at(self, x):
         """P(label = + | x); accepts scalars or arrays."""
-        if np.ndim(x) == 0:
+        if isinstance(x, float) or np.ndim(x) == 0:
             # scalar fast path: this sits inside every sequential learner loop
             x = float(x)
-            lo, hi = self.interval.lo, self.interval.hi
-            t = _tol(lo, hi)
-            if not lo - t <= x <= hi + t:
-                raise OutOfDomain(f"query outside [{lo}, {hi}]")
-            d = min(max(x, lo), hi) - self.threshold
+            if not self._lo_tol <= x <= self._hi_tol:
+                raise OutOfDomain(f"query outside [{self.interval.lo}, {self.interval.hi}]")
+            d = min(max(x, self.interval.lo), self.interval.hi) - self.threshold
             if d == 0.0:
                 return 0.5
             margin = min(self.mu * abs(d) ** (self.exponent - 1.0), self.cap)
             sign = 1.0 if d > 0 else -1.0
-            return 0.5 + orientation_sign(self.orientation) * sign * margin
+            return 0.5 + self._osign * sign * margin
         arr = np.asarray(x, dtype=float)
         if not self.interval.contains(arr):
             raise OutOfDomain(
@@ -137,7 +138,7 @@ class TncProblem:
         arr = self.interval.clip(arr)
         d = arr - self.threshold
         margin = np.minimum(self.mu * np.abs(d) ** (self.exponent - 1.0), self.cap)
-        return 0.5 + orientation_sign(self.orientation) * np.sign(d) * margin
+        return 0.5 + self._osign * np.sign(d) * margin
 
 
 def make_tnc_problem(interval, threshold, exponent, mu, cap,
@@ -171,10 +172,15 @@ class Box:
             raise ValueError("box bounds must be finite")
         if np.any(hi < lo):
             raise ValueError("box needs hi >= lo in every coordinate")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        # the bounds are read-only, so the tolerance-widened ones never go stale
+        t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        for name, value in (("lo", lo), ("hi", hi), ("_lo_tol", lo - t), ("_hi_tol", hi + t)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # rebuild through __post_init__: unpickled arrays would be writeable
+        return type(self), (self.lo, self.hi)
 
     @property
     def dim(self) -> int:
@@ -186,8 +192,7 @@ class Box:
 
     def contains(self, x) -> bool:
         a = np.asarray(x, dtype=float)
-        t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
-        return bool(np.all((a >= self.lo - t) & (a <= self.hi + t)))
+        return bool(((a >= self._lo_tol) & (a <= self._hi_tol)).all())
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)

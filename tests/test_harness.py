@@ -97,6 +97,31 @@ def test_unknown_key_is_an_error(tmp_path):
         _load(tmp_path, OPTIMIZE_CFG + "oracle.halfwidth = 5.0\n")
 
 
+def test_keys_the_kind_never_reads_are_errors(tmp_path):
+    # a threshold cell builds a label oracle and no optimizer
+    for line, key in (("oracle.mode = additive-gaussian", "oracle.mode"),
+                      ("oracle.mode = additive-gaussian\noracle.sigma = 50",
+                       "oracle.mode"),
+                      ("optimizer.line_search = bisect", "optimizer.line_search"),
+                      ("optimizer.x0 = 0.5", "optimizer.x0"),
+                      ("problem.family = quadratic", "problem.family"),
+                      ("problem.box_lo = -1.0", "problem.box_lo")):
+        with pytest.raises(ConfigError, match=f"{key}: not read by kind = learn-threshold"):
+            _load(tmp_path, THRESHOLD_CFG + line + "\n")
+    # an optimize cell names its learner in optimizer.line_search
+    for line, key in (("learner.name = bz", "learner.name"),
+                      ("problem.t = 0.5", "problem.t"),
+                      ("problem.mu = 1.0", "problem.mu"),
+                      ("problem.orientation = positive-left", "problem.orientation")):
+        with pytest.raises(ConfigError, match=f"{key}: not read by kind = optimize"):
+            _load(tmp_path, OPTIMIZE_CFG + line + "\n")
+    # problem.k is the exponent of separable-power functions
+    text = OPTIMIZE_CFG.replace("problem.family = quadratic\n",
+                                "problem.family = separable-power\nproblem.k = 3.0\n")
+    text = text.replace("problem.a_diag =", "problem.coeffs =")
+    assert _load(tmp_path, text).problem.uc_exponent == 3.0
+
+
 def test_budgets_must_increase(tmp_path):
     with pytest.raises(ConfigError, match="budgets"):
         _load(tmp_path, THRESHOLD_CFG.replace("64, 128", "128, 64"))

@@ -1,9 +1,12 @@
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from signopt import (Box, DimensionMismatch, Interval, OutOfDomain,
-                     POSITIVE_LEFT, Quadratic, Ridge, RidgeState,
+                     POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge, RidgeState,
                      SeparablePower, box_from_bounds, load_ridge_text,
                      make_tnc_problem)
 
@@ -32,6 +35,26 @@ def test_box_segment_arithmetic():
     assert box.segment(x, 0) == (-1.9, pytest.approx(0.1))
     assert box.contains([1.0, -1.0])
     assert not box.contains([1.1, 0.0])
+
+
+def test_box_contains_at_the_tolerance_edge():
+    # the tolerance is 1e-12 * max(1, |lo_j|, |hi_j|) per coordinate: 5e-12, 1e-11
+    box = box_from_bounds([-5.0, 2.0], [4.0, 10.0])
+    assert box.contains([-5.0 - 4e-12, 10.0 + 9e-12])
+    assert box.contains([4.0 + 4e-12, 2.0 - 9e-12])
+    assert not box.contains([-5.0 - 6e-12, 5.0])
+    assert not box.contains([0.0, 10.0 + 11e-12])
+    assert not box.contains([0.0, 2.0 - 11e-12])
+    assert not box.contains([np.nan, 5.0])
+
+
+def test_box_survives_pickle():
+    box = box_from_bounds([-5.0, 2.0], [4.0, 10.0])
+    copy = pickle.loads(pickle.dumps(box))
+    assert np.array_equal(copy.lo, box.lo) and np.array_equal(copy.hi, box.hi)
+    assert not copy.lo.flags.writeable and not copy.hi.flags.writeable
+    assert copy.contains([-5.0 - 4e-12, 10.0 + 9e-12])
+    assert not copy.contains([-5.0 - 6e-12, 5.0])
 
 
 def test_box_rejects_inverted_bounds():
@@ -75,6 +98,51 @@ def test_eta_orientation_flips_sign():
     p = make_tnc_problem((0, 1), 0.5, 2.0, 1.0, 0.4, POSITIVE_LEFT)
     assert p.eta_at(0.6) == pytest.approx(0.4)
     assert p.eta_at(0.4) == pytest.approx(0.6)
+
+
+def _eta_probe_points(lo, hi, t):
+    """Endpoints, the threshold and its neighbours, and points inside the tolerance."""
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    return [lo - 0.9 * tol, lo - 0.5 * tol, lo, np.nextafter(lo, hi),
+            t - tol, np.nextafter(t, lo), t, np.nextafter(t, hi), t + tol,
+            np.nextafter(hi, lo), hi, hi + 0.5 * tol, hi + 0.9 * tol]
+
+
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("orientation", [POSITIVE_RIGHT, POSITIVE_LEFT])
+def test_eta_scalar_and_array_paths_agree(k, orientation):
+    lo, hi, t = -2.0, 3.0, 0.37
+    p = make_tnc_problem((lo, hi), t, k, 1.0, 0.4, orientation)
+    xs = _eta_probe_points(lo, hi, t)
+    scalar = [p.eta_at(float(x)) for x in xs]
+    assert scalar == [p.eta_at(np.float64(x)) for x in xs]
+    assert np.array_equal(np.array(scalar), p.eta_at(np.array(xs)))
+    grid = np.linspace(lo, hi, 2001)
+    on_grid = np.array([p.eta_at(float(x)) for x in grid])
+    if k in (1.0, 2.0):  # |d| ** 0 and |d| ** 1 are exact
+        assert np.array_equal(on_grid, p.eta_at(grid))
+    else:  # numpy's array power may round differently from libm's pow
+        np.testing.assert_array_max_ulp(on_grid, p.eta_at(grid), maxulp=4)
+    # just beyond the tolerance both paths refuse; 2e-12 is inside it here
+    assert p.eta_at(lo - 2e-12) == p.eta_at(np.array([lo - 2e-12]))[0]
+    for x in (lo - 4e-12, hi + 4e-12):
+        with pytest.raises(OutOfDomain):
+            p.eta_at(x)
+        with pytest.raises(OutOfDomain):
+            p.eta_at(np.array([0.0, x]))
+
+
+def test_tnc_problem_cached_constants_follow_the_fields():
+    p = make_tnc_problem((-2.0, 3.0), 0.37, 2.0, 1.0, 0.4)
+    flipped = dataclasses.replace(p, orientation=POSITIVE_LEFT)
+    assert flipped.eta_at(1.0) == p.eta_at(-0.26) == pytest.approx(0.5 - 0.4)
+    assert flipped.eta_at(-0.26) == pytest.approx(0.5 + 0.4)
+    copy = pickle.loads(pickle.dumps(flipped))
+    assert copy == flipped
+    xs = _eta_probe_points(-2.0, 3.0, 0.37)
+    assert [copy.eta_at(x) for x in xs] == [flipped.eta_at(x) for x in xs]
+    with pytest.raises(OutOfDomain):
+        copy.eta_at(3.0 + 4e-12)
 
 
 def test_tnc_sandwich_on_grid():
