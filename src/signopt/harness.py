@@ -53,7 +53,7 @@ class ConfigError(ValueError):
 _MODE_KEYS = {f"oracle.{f.name}" for mode in SIGN_MODES for f in fields(mode)}
 # keys that only one kind of config reads
 _THRESHOLD_KEYS = {"problem.lo", "problem.hi", "problem.t", "problem.mu", "problem.cap",
-                   "problem.orientation", "learner.name"}
+                   "problem.orientation", "learner.name", "learner.orientation"}
 _OPTIMIZE_KEYS = _MODE_KEYS | {
     "problem.family", "problem.dim", "problem.box_lo", "problem.box_hi",
     "problem.coeffs", "problem.x_star", "problem.a_diag", "problem.a",
@@ -64,10 +64,15 @@ _KNOWN_KEYS = _THRESHOLD_KEYS | _OPTIMIZE_KEYS | {
     "kind", "id", "budget", "report", "output",
     "slope.column", "slope.statistic", "problem.k",
     "oracle.seed", "oracle.budget",
-    "learner.c_delta", "learner.orientation", "learner.grid_size",
-    "learner.bz_k", "learner.bz_mu",
+    "learner.c_delta", "learner.grid_size", "learner.bz_k", "learner.bz_mu",
     "sweep.budgets", "sweep.replications", "sweep.base_seed",
 }
+# keys that only one problem family or one learner reads
+_FAMILY_KEYS = {"separable-power": {"problem.k", "problem.coeffs"},
+                "quadratic": {"problem.a_diag", "problem.a"},
+                "ridge": {"problem.matrix_file"}}
+_LEARNER_KEYS = {"adaptive": {"learner.c_delta"},
+                 "bz": {"learner.grid_size", "learner.bz_k", "learner.bz_mu"}}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -337,11 +342,34 @@ def load_config(path) -> ExperimentConfig:
         single_budget=_get_int(raw, "budget") if "budget" in raw else None,
     )
     # after the values are built, so a bad value is reported as such first
-    unread = _OPTIMIZE_KEYS if kind == KIND_THRESHOLD else _THRESHOLD_KEYS
-    stray = sorted(set(raw) & unread)
-    if stray:
-        raise ConfigError(f"{stray[0]}: not read by kind = {kind} configs")
+    _reject_unread_keys(raw, kind, learner.name if kind == KIND_THRESHOLD
+                        else line_search)
     return config
+
+
+def _reject_unread_keys(raw: dict, kind: str, learner_name: str) -> None:
+    """Raise on the first key that the kind, family or learner never reads."""
+    unread = dict.fromkeys(_OPTIMIZE_KEYS if kind == KIND_THRESHOLD else _THRESHOLD_KEYS,
+                           f"kind = {kind} configs")
+    learner_key = "learner.name" if kind == KIND_THRESHOLD else "optimizer.line_search"
+    for name, keys in _LEARNER_KEYS.items():
+        if name != learner_name:
+            unread.update(dict.fromkeys(keys, f"{learner_key} = {learner_name}"))
+    if kind == KIND_OPTIMIZE:
+        family = raw["problem.family"]
+        by_family = f"problem.family = {family}"
+        for name, keys in _FAMILY_KEYS.items():
+            if name != family:
+                unread.update(dict.fromkeys(keys, by_family))
+        if family == "ridge":
+            unread.update(dict.fromkeys(("problem.dim", "problem.x_star"), by_family))
+            bounds = ("problem.box_lo", "problem.box_hi")
+            if (bounds[0] in raw) != (bounds[1] in raw):
+                unread.update({bounds[0]: f"{by_family} without {bounds[1]}",
+                               bounds[1]: f"{by_family} without {bounds[0]}"})
+    stray = sorted(set(raw) & set(unread))
+    if stray:
+        raise ConfigError(f"{stray[0]}: not read by {unread[stray[0]]}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .learners import LearnerConfig, POSITIVE_RIGHT, run_learner
-from .oracles import ROLE_COORDS, ROLE_SAMPLING, SignOracle, seeded_rng
+from .oracles import ROLE_COORDS, ROLE_SAMPLING, SignOracle, philox_keys, seeded_rng
 from .problems import Interval, UcFunction
 
 PAPER_DEFAULT = "paper-default"
+KEY_BLOCK = 4096  # epochs whose line-search keys are derived in one pass
 
 
 def default_epoch_count(dim: int, budget: int) -> int:
@@ -46,6 +47,26 @@ def coordinate_rng(seed) -> np.random.Generator:
 def line_search_rng(seed, epoch: int) -> np.random.Generator:
     """Stream that places the line-search queries of one epoch."""
     return seeded_rng(*_seed_tuple(seed), ROLE_SAMPLING, epoch)
+
+
+def line_search_streams(seed, epochs: int):
+    """Yield the stream ``line_search_rng(seed, e)`` for e = 1..epochs, in turn.
+
+    One Philox generator serves every epoch: its state is reset to the
+    epoch's key with a zero counter and an empty buffer, exactly as a fresh
+    generator starts.  The keys come from ``philox_keys``, a block of
+    epochs per pass.  Each yielded generator is valid until the next one.
+    """
+    prefix = (*_seed_tuple(seed), ROLE_SAMPLING)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh generator's counter, buffer and flags
+    for first in range(1, epochs + 1, KEY_BLOCK):
+        stop = min(first + KEY_BLOCK, epochs + 1)
+        for key in philox_keys(prefix, np.arange(first, stop)):
+            state["state"]["key"] = key
+            bitgen.state = state
+            yield rng
 
 
 @dataclass
@@ -166,14 +187,13 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
     coord_rng = coordinate_rng(config.seed)
     used_before = sign_oracle.queries_used
     trace: list[EpochStep] = []
-    for epoch in range(1, epochs + 1):
+    for line_rng in line_search_streams(config.seed, epochs):
         j = int(coord_rng.integers(fn.dim))
         line = line_label_oracle(sign_oracle, x, j)
         if line.degenerate:
             step = line.sole_step
         else:
-            step = run_learner(line, line.interval, line_config,
-                               line_search_rng(config.seed, epoch)).point
+            step = run_learner(line, line.interval, line_config, line_rng).point
         x[j] += step
         x = fn.box.clip(x)  # absorbs end-point roundoff only
         trace.append(EpochStep(coordinate=j, step=float(step), f_value=fn.value(x)))

@@ -40,6 +40,75 @@ def seeded_rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_SHIFT = np.uint32(16)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words, lowest first, that SeedSequence reads from one integer."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix, whose multiplier advances on every call."""
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SHIFT)
+    return hashmix
+
+
+def philox_keys(prefix, last) -> np.ndarray:
+    """Philox keys of the streams ``seeded_rng(*prefix, e)`` for each ``e`` in ``last``.
+
+    Ports SeedSequence's entropy mix and ``generate_state(2, np.uint64)`` to
+    uint32 array arithmetic, vectorized over the last entropy word, so the
+    keys of many streams cost one pass.  Each ``e`` must fit in 32 bits.
+    Returns an (n, 2) uint64 array, row i the key of stream ``last[i]``.
+    """
+    last = np.asarray(last)
+    if last.size and (last.min() < 0 or last.max() > _MASK32):
+        raise ValueError("last entropy word: expected integers in [0, 2**32)")
+    last = last.astype(np.uint32)
+    entropy = [np.full(last.size, w, np.uint32)
+               for e in prefix for w in _uint32_words(int(e))] + [last]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return result ^ (result >> _SHIFT)
+
+    zeros = np.zeros(last.size, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(2, np.uint64): 4 words, one pass over the pool
+    output = _hasher(_INIT_B, _MULT_B)
+    state = [output(value).astype(np.uint64) for value in pool]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng

@@ -120,6 +120,63 @@ def test_keys_the_kind_never_reads_are_errors(tmp_path):
                                 "problem.family = separable-power\nproblem.k = 3.0\n")
     text = text.replace("problem.a_diag =", "problem.coeffs =")
     assert _load(tmp_path, text).problem.uc_exponent == 3.0
+    # rssgd runs every line search positive-right
+    with pytest.raises(ConfigError,
+                       match="learner.orientation: not read by kind = optimize configs"):
+        _load(tmp_path, OPTIMIZE_CFG + "learner.orientation = auto\n")
+
+
+RIDGE_CFG = """
+kind = optimize
+problem.family = ridge
+problem.matrix_file = design.txt
+optimizer.line_search = bisect
+optimizer.epoch_rule = 20
+sweep.budgets = 400
+"""
+
+
+def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
+    (tmp_path / "design.txt").write_text(
+        "3 2\n1.0 0.0\n0.0 1.0\n1.0 1.0\n0.5 -0.5 0.25\n")
+    separable = OPTIMIZE_CFG.replace("problem.family = quadratic",
+                                     "problem.family = separable-power")
+    separable = separable.replace("problem.a_diag =", "problem.coeffs =")
+    for base, line, key, reader in (
+            (OPTIMIZE_CFG, "problem.coeffs = 9.0", "problem.coeffs",
+             "problem.family = quadratic"),
+            (OPTIMIZE_CFG, "problem.k = 5.0", "problem.k", "problem.family = quadratic"),
+            (separable, "problem.a = 1 0; 0 1", "problem.a",
+             "problem.family = separable-power"),
+            (RIDGE_CFG, "problem.a_diag = 1.0", "problem.a_diag", "problem.family = ridge"),
+            (RIDGE_CFG, "problem.k = 2.0", "problem.k", "problem.family = ridge"),
+            (OPTIMIZE_CFG, "problem.matrix_file = design.txt", "problem.matrix_file",
+             "problem.family = quadratic"),
+            (RIDGE_CFG, "problem.dim = 2", "problem.dim", "problem.family = ridge"),
+            (RIDGE_CFG, "problem.x_star = 0.0", "problem.x_star", "problem.family = ridge"),
+            (RIDGE_CFG, "problem.box_lo = -1.0", "problem.box_lo",
+             "problem.family = ridge without problem.box_hi"),
+            (RIDGE_CFG, "problem.box_hi = 1.0", "problem.box_hi",
+             "problem.family = ridge without problem.box_lo"),
+            (RIDGE_CFG, "learner.c_delta = 9.0", "learner.c_delta",
+             "optimizer.line_search = bisect"),
+            (RIDGE_CFG, "learner.grid_size = 7", "learner.grid_size",
+             "optimizer.line_search = bisect"),
+            (OPTIMIZE_CFG, "learner.bz_k = 2.0", "learner.bz_k",
+             "optimizer.line_search = adaptive"),
+            (THRESHOLD_CFG, "learner.bz_mu = 1.0", "learner.bz_mu",
+             "learner.name = adaptive"),
+            (THRESHOLD_CFG.replace("learner.name = adaptive", "learner.name = bz"),
+             "learner.bz_k = 2.0\nlearner.bz_mu = 1.0", "learner.c_delta",
+             "learner.name = bz")):
+        with pytest.raises(ConfigError, match=f"^{key}: not read by {reader}$"):
+            _load(tmp_path, base + line + "\n")
+    # the keys each family or learner does read
+    ridge = _load(tmp_path, RIDGE_CFG + "problem.box_lo = -2.0\nproblem.box_hi = 2.0\n")
+    assert ridge.problem.box.hi.tolist() == [2.0, 2.0]
+    bz = _load(tmp_path, OPTIMIZE_CFG.replace("= adaptive", "= bz").replace(
+        "learner.c_delta = 3.0", "learner.grid_size = 7\nlearner.bz_k = 2.0"))
+    assert bz.optimizer.line_search.grid_size == 7
 
 
 def test_budgets_must_increase(tmp_path):

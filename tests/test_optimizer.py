@@ -5,7 +5,8 @@ from signopt import (BudgetExhausted, ExactSign, GaussianNoise, LearnerConfig,
                      OptimizerConfig, Quadratic, SeparablePower, SignOracle,
                      adaptive_learner, box_from_bounds, default_epoch_count,
                      line_label_oracle, rssgd, seeded_rng)
-from signopt.optimizer import line_search_rng
+from signopt import optimizer
+from signopt.optimizer import line_search_rng, line_search_streams
 
 from _checks import binomial_band
 
@@ -242,3 +243,40 @@ def test_requires_matching_oracle():
     other = _quad((1.0, 2.0))
     with pytest.raises(ValueError):
         rssgd(fn, _oracle(other), OptimizerConfig(budget=2000, seed=0))
+
+
+def _plain(state):
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+def _draws(rng, odd_uint32=False):
+    n_ints = 3 if odd_uint32 else 4
+    return (rng.uniform(-2.0, 3.0, size=5).tolist() + rng.random(3).tolist()
+            + rng.integers(0, 2 ** 31, size=n_ints, dtype=np.uint32).tolist()
+            + [rng.random()])
+
+
+@pytest.mark.parametrize("seed", [5, (2 ** 32, 3), (0, 1)])
+def test_line_search_streams_match_line_search_rng(monkeypatch, seed):
+    # small key blocks, so the run crosses several of them
+    monkeypatch.setattr(optimizer, "KEY_BLOCK", 4)
+    epochs = 11
+    for epoch, rng in enumerate(line_search_streams(seed, epochs), start=1):
+        # an odd number of uint32 draws leaves half of a 64-bit word buffered,
+        # which the next epoch's reset must drop
+        odd = epoch % 2 == 1
+        assert _draws(rng, odd) == _draws(line_search_rng(seed, epoch), odd)
+        assert rng.bit_generator.state["has_uint32"] == int(odd)
+    assert epoch == epochs
+
+
+def test_line_search_stream_ignores_what_the_last_epoch_left():
+    streams = line_search_streams(9, 2)
+    first = next(streams)
+    first.integers(0, 10, size=1, dtype=np.uint32)  # half-used 32-bit buffer
+    first.random(7)                                  # mid-block counter
+    second = next(streams)
+    assert _plain(second.bit_generator.state) == _plain(
+        line_search_rng(9, 2).bit_generator.state)
+    assert _draws(second) == _draws(line_search_rng(9, 2))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -7,6 +9,7 @@ from signopt import (BudgetExhausted, DirectBernoulli, ExactSign,
                      QuantizedSign, SeparablePower, SignOracle, UniformNoise,
                      box_from_bounds, make_tnc_problem, seeded_rng,
                      with_budget)
+from signopt.oracles import philox_keys
 
 from _checks import binomial_band
 
@@ -232,3 +235,33 @@ def test_distinct_roles_give_distinct_streams():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(a, seeded_rng(7, 0, 0).random(32))
+
+
+def _seed_sequence_key(*entropy):
+    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+
+
+def test_philox_keys_match_seed_sequence():
+    # entries of one word, of two words (2**32) and of three (2**64 + 3)
+    words = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
+    lasts = [0, 1, 2 ** 32 - 1]
+    for n in range(5):
+        for prefix in itertools.product(words, repeat=n):
+            keys = philox_keys(prefix, lasts)
+            assert keys.dtype == np.uint64 and keys.shape == (3, 2)
+            for last, key in zip(lasts, keys):
+                assert np.array_equal(key, _seed_sequence_key(*prefix, last))
+    # a run of consecutive epochs, keyed in one pass
+    keys = philox_keys((2 ** 32, 7, 1), np.arange(1, 1201))
+    for epoch, key in enumerate(keys, start=1):
+        assert np.array_equal(key, _seed_sequence_key(2 ** 32, 7, 1, epoch))
+
+
+def test_philox_keys_reject_what_seeded_rng_rejects():
+    with pytest.raises(ValueError):
+        seeded_rng(3, -1, 0)
+    with pytest.raises(ValueError):
+        philox_keys((3, -1), [0])
+    for last in ([-1], [2 ** 32]):
+        with pytest.raises(ValueError):
+            philox_keys((3,), last)
