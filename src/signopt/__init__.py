@@ -13,11 +13,11 @@ from .problems import (Box, DimensionMismatch, Interval, OutOfDomain,
                        box_from_bounds, load_ridge_text, make_tnc_problem)
 from .oracles import (BudgetExhausted, DirectBernoulli, ExactSign,
                       GaussianNoise, LabelOracle, QuantizedSign, SignOracle,
-                      UniformNoise, seeded_rng, with_budget)
-from .learners import (LearnerConfig, ThresholdEstimate, adaptive_epoch_schedule,
+                      UniformNoise, seeded_rng)
+from .learners import (LearnerConfig, adaptive_epoch_schedule,
                        adaptive_learner, auto_grid_size, bisect_noiseless,
                        bz_learner, erm_cut, passive_erm, run_learner)
-from .optimizer import (LineLabelOracle, OptRunResult, OptimizerConfig,
+from .optimizer import (LineLabelOracle, OptimizerConfig,
                         default_epoch_count, line_label_oracle, rssgd)
 from .metrics import (ErrorRecord, RateFit, error_record, excess_risk,
                       excess_risk_quadrature, fit_rate_slope)
@@ -30,15 +30,13 @@ __all__ = [
     "Box", "BudgetExhausted", "ConfigError", "DimensionMismatch",
     "DirectBernoulli", "ErrorRecord", "ExactSign", "ExperimentConfig",
     "GaussianNoise", "Interval", "LabelOracle", "LearnerConfig",
-    "LineLabelOracle", "OptRunResult", "OptimizerConfig", "OutOfDomain",
-    "POSITIVE_LEFT", "POSITIVE_RIGHT", "Quadratic", "QuantizedSign",
-    "RateFit", "Ridge", "RidgeState", "RunTable", "SeparablePower",
-    "SignOracle", "ThresholdEstimate", "TncProblem", "UcFunction",
-    "UniformNoise", "adaptive_epoch_schedule", "adaptive_learner",
+    "LineLabelOracle", "OptimizerConfig", "OutOfDomain", "POSITIVE_LEFT",
+    "POSITIVE_RIGHT", "Quadratic", "QuantizedSign", "RateFit", "Ridge",
+    "RidgeState", "RunTable", "SeparablePower", "SignOracle", "TncProblem",
+    "UcFunction", "UniformNoise", "adaptive_epoch_schedule", "adaptive_learner",
     "auto_grid_size", "bisect_noiseless", "box_from_bounds", "bz_learner",
     "default_epoch_count", "erm_cut", "error_record", "excess_risk",
     "excess_risk_quadrature", "fit_rate_slope", "line_label_oracle",
     "load_config", "load_ridge_text", "make_tnc_problem", "passive_erm",
     "rssgd", "run_experiment", "run_learner", "seeded_rng", "slope_report",
-    "with_budget",
 ]

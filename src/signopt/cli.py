@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (ConfigError, ERROR_COLUMNS, ExperimentConfig,
@@ -26,9 +27,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _single_budget(config: ExperimentConfig, override: int | None) -> int:
-    if override is not None:
-        return override
+def _single_budget(config: ExperimentConfig) -> int:
     if config.single_budget is not None:
         return config.single_budget
     if config.budgets:
@@ -40,7 +39,12 @@ def _run_single(args, expected_kind: str) -> int:
     config = load_config(args.config)
     if config.kind != expected_kind:
         raise ConfigError(f"kind: config is {config.kind!r}, expected {expected_kind!r}")
-    row = run_cell(config, _single_budget(config, args.budget), args.rep)
+    if args.budget is not None:
+        # validated as the config's own ``budget`` key is
+        config = replace(config, single_budget=args.budget)
+    if args.rep < 0:
+        raise ConfigError(f"--rep: must be non-negative, got {args.rep}")
+    row = run_cell(config, _single_budget(config), args.rep)
     print(json.dumps({c: getattr(row, c) for c in row.__dataclass_fields__}, indent=2))
     return EXIT_RUNTIME if row.error else EXIT_OK
 

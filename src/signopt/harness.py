@@ -477,15 +477,6 @@ def _oracle_budget(config: ExperimentConfig, budget: int) -> int:
     return min(budget, config.oracle.budget)
 
 
-def _optimize_estimate(config: ExperimentConfig, budget: int, replication: int):
-    fn = config.problem
-    oracle = SignOracle(fn, config.oracle.mode, _oracle_stream(config, replication),
-                        budget=_oracle_budget(config, budget))
-    result = rssgd(fn, oracle, replace(config.optimizer, budget=budget,
-                                       seed=(config.base_seed, replication)))
-    return result.x_final, result.queries_used
-
-
 def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
     """Execute one (budget, replication) cell; failures become error rows."""
     start = time.perf_counter()
@@ -494,23 +485,24 @@ def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
     point_error = risk = f_error = queries = None
     error = ""
     try:
+        problem = config.problem
+        labels = _oracle_stream(config, replication)
+        cap = _oracle_budget(config, budget)
         if config.kind == KIND_THRESHOLD:
-            problem = config.problem
-            oracle = LabelOracle(problem, _oracle_stream(config, replication),
-                                 budget=_oracle_budget(config, budget))
+            oracle = LabelOracle(problem, labels, budget=cap)
             point = run_learner(oracle, problem.interval,
                                 config.learner.for_budget(budget, dither=replication),
                                 seeded_rng(config.base_seed, replication,
-                                           ROLE_SAMPLING)).point
-            queries = oracle.queries_used
-            rec = error_record(problem, point)
-            estimate = float(point)
-            point_error, risk = rec.point_error, rec.excess_risk
+                                           ROLE_SAMPLING))
         else:
-            x_final, queries = _optimize_estimate(config, budget, replication)
-            rec = error_record(config.problem, x_final)
-            estimate = " ".join(f"{v:.17g}" for v in x_final)
-            point_error, f_error = rec.point_error, rec.f_error
+            oracle = SignOracle(problem, config.oracle.mode, labels, budget=cap)
+            point = rssgd(problem, oracle, replace(config.optimizer, budget=budget,
+                                                   seed=(config.base_seed, replication)))
+        queries = oracle.queries_used
+        rec = error_record(problem, point)
+        point_error, risk, f_error = rec.point_error, rec.excess_risk, rec.f_error
+        estimate = (float(point) if config.kind == KIND_THRESHOLD
+                    else " ".join(f"{v:.17g}" for v in point))
     except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
         error = f"{type(exc).__name__}: {exc}"
     wall = (time.perf_counter() - start) * 1e3
@@ -525,10 +517,17 @@ def _run_cell_star(args) -> Row:
 
 
 def resolve_jobs(n_jobs: int | None) -> int:
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    env = os.environ.get(JOBS_ENV_VAR)
-    return max(1, int(env)) if env else 1
+    """Worker count: ``n_jobs`` (the --jobs flag), else $SIGNOPT_JOBS, else 1."""
+    source, value = "--jobs", n_jobs
+    if value is None:
+        source, value = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR) or 1
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise ConfigError(f"{source}: expected an integer, got {value!r}") from None
+    if jobs < 1:
+        raise ConfigError(f"{source}: must be at least 1, got {jobs}")
+    return jobs
 
 
 def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RunTable:

@@ -16,7 +16,7 @@ its own queries, an explicit numpy Generator, so runs are replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,21 +79,6 @@ class LearnerConfig:
         if grid in (None, GRID_AUTO) and self.bz_k is not None:
             grid = auto_grid_size(budget, self.bz_k, dither)
         return replace(self, budget=int(budget), grid_size=grid)
-
-
-@dataclass
-class EpochRecord:
-    center: float
-    radius: float
-    estimate: float
-
-
-@dataclass
-class ThresholdEstimate:
-    point: float
-    queries_used: int
-    epochs: int
-    trace: list[EpochRecord] | None = field(default=None, repr=False)
 
 
 def erm_cut(positions, labels, search: Interval,
@@ -172,7 +157,7 @@ def _auto_orientation(oracle, search: Interval, n_probe: int) -> str:
 
 
 def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
-                     rng: np.random.Generator) -> ThresholdEstimate:
+                     rng: np.random.Generator) -> float:
     """Epoch-based threshold learner that adapts to unknown noise parameters.
 
     Runs the passive subroutine for E epochs with a per-epoch budget of
@@ -187,26 +172,21 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
     epochs, per_epoch = adaptive_epoch_schedule(budget, config.c_delta)
 
     orientation = config.orientation
-    probe_used = 0
     if orientation == ORIENTATION_AUTO:
-        probe_used = min(20, per_epoch, budget - epochs)
-        orientation = _auto_orientation(oracle, search, probe_used)
-        per_epoch = (budget - probe_used) // epochs
+        n_probe = min(20, per_epoch, budget - epochs)
+        orientation = _auto_orientation(oracle, search, n_probe)
+        per_epoch = (budget - n_probe) // epochs
 
     x = search.midpoint
     radius = search.width
-    trace: list[EpochRecord] = []
     for _ in range(epochs):
-        lo = max(search.lo, x - radius)
-        hi = min(search.hi, x + radius)
-        x = passive_erm(oracle, Interval(lo, hi), per_epoch, orientation, rng)
-        trace.append(EpochRecord(center=0.5 * (lo + hi), radius=radius, estimate=x))
+        ball = Interval(max(search.lo, x - radius), min(search.hi, x + radius))
+        x = passive_erm(oracle, ball, per_epoch, orientation, rng)
         radius *= 0.5
-    return ThresholdEstimate(point=x, queries_used=epochs * per_epoch + probe_used,
-                             epochs=epochs, trace=trace)
+    return x
 
 
-def bz_learner(oracle, search: Interval, config: LearnerConfig) -> ThresholdEstimate:
+def bz_learner(oracle, search: Interval, config: LearnerConfig) -> float:
     """Probabilistic bisection on a uniform grid with known noise parameters.
 
     Maintains a probability vector over the grid cells, queries the interior
@@ -222,13 +202,13 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> ThresholdEsti
         raise ValueError("grid_size must be at least 2")
     budget = int(config.budget)
     if budget == 0:
-        return ThresholdEstimate(point=search.midpoint, queries_used=0, epochs=0)
+        return search.midpoint
 
-    probe_used = 0
+    n_probe = 0
     orientation = config.orientation
     if orientation == ORIENTATION_AUTO:
-        probe_used = min(20, budget)
-        orientation = _auto_orientation(oracle, search, probe_used)
+        n_probe = min(20, budget)
+        orientation = _auto_orientation(oracle, search, n_probe)
     osign = orientation_sign(orientation)
 
     delta = search.width / cells
@@ -239,7 +219,7 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> ThresholdEsti
     weights = np.full(cells, 1.0 / cells)
 
     label_sample = oracle.label_sample  # Python floats below: same rounding, faster
-    for _ in range(budget - probe_used):
+    for _ in range(budget - n_probe):
         cum = weights.cumsum()
         total = float(cum[-1])
         half = 0.5 * total
@@ -259,8 +239,7 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> ThresholdEsti
 
     cum = weights.cumsum()
     idx = int(cum.searchsorted(0.5 * cum[-1]))
-    point = search.lo + (idx + 0.5) * delta
-    return ThresholdEstimate(point=float(point), queries_used=budget, epochs=0)
+    return float(search.lo + (idx + 0.5) * delta)
 
 
 def bisect_noiseless(oracle, search: Interval, budget: int,
@@ -282,8 +261,8 @@ def bisect_noiseless(oracle, search: Interval, budget: int,
 
 
 def run_learner(oracle, search: Interval, config: LearnerConfig,
-                rng: np.random.Generator) -> ThresholdEstimate:
-    """Run the learner that ``config.name`` names on ``search``.
+                rng: np.random.Generator) -> float:
+    """Run the learner that ``config.name`` names on ``search``; return its estimate.
 
     The learners are looked up by name in this module at call time, so a
     wrapper installed on the module (a tracer, say) sees every run.
@@ -293,10 +272,8 @@ def run_learner(oracle, search: Interval, config: LearnerConfig,
     if config.name == "bz":
         return bz_learner(oracle, search, config)
     if config.name == "passive":
-        point = passive_erm(oracle, search, config.budget, config.orientation, rng)
-        return ThresholdEstimate(point=point, queries_used=config.budget, epochs=1)
-    point = bisect_noiseless(oracle, search, config.budget, config.orientation)
-    return ThresholdEstimate(point=point, queries_used=config.budget, epochs=0)
+        return passive_erm(oracle, search, config.budget, config.orientation, rng)
+    return bisect_noiseless(oracle, search, config.budget, config.orientation)
 
 
 def auto_grid_size(budget: int, bz_k: float, dither: int = 0) -> int:

@@ -26,9 +26,6 @@ class ErrorRecord:
     point_error: float
     excess_risk: float | None = None
     f_error: float | None = None
-    queries_used: int | None = None
-    seed: int | None = None
-    budget: int | None = None
 
 
 def excess_risk(problem: TncProblem, estimate: float) -> float:
@@ -95,25 +92,18 @@ def excess_risk_quadrature(problem: TncProblem, estimate: float,
     return _adaptive_simpson(gap, a, b, tol, max_depth)
 
 
-def error_record(target, estimate, queries_used: int | None = None,
-                 seed: int | None = None, budget: int | None = None) -> ErrorRecord:
+def error_record(target, estimate) -> ErrorRecord:
     """Fill point error plus risk (1-D problems) or function error (test functions)."""
     if isinstance(target, TncProblem):
         est = float(estimate)
-        return ErrorRecord(
-            point_error=abs(est - target.threshold),
-            excess_risk=excess_risk(target, est),
-            queries_used=queries_used, seed=seed, budget=budget,
-        )
+        return ErrorRecord(point_error=abs(est - target.threshold),
+                           excess_risk=excess_risk(target, est))
     if isinstance(target, UcFunction):
         est = np.asarray(estimate, dtype=float)
         raw = target.value(est) - target.f_min
         f_err = 0.0 if raw <= F_ERROR_ATOL else float(raw)
-        return ErrorRecord(
-            point_error=float(np.linalg.norm(est - target.x_star)),
-            f_error=f_err,
-            queries_used=queries_used, seed=seed, budget=budget,
-        )
+        return ErrorRecord(point_error=float(np.linalg.norm(est - target.x_star)),
+                           f_error=f_err)
     raise TypeError(f"cannot compute errors for {type(target).__name__}")
 
 

@@ -104,21 +104,6 @@ class OptimizerConfig:
         return int(self.epoch_rule)
 
 
-@dataclass
-class EpochStep:
-    coordinate: int
-    step: float
-    f_value: float
-
-
-@dataclass
-class OptRunResult:
-    x_final: np.ndarray
-    f_error: float
-    queries_used: int
-    trace: list[EpochStep] = field(repr=False, default_factory=list)
-
-
 class LineLabelOracle:
     """Label oracle over the step range of one coordinate line.
 
@@ -140,10 +125,6 @@ class LineLabelOracle:
         self.sole_step = alo if self.degenerate else None
         self.interval = None if self.degenerate else Interval(alo, ahi)
 
-    @property
-    def queries_used(self) -> int:
-        return self.base.queries_used
-
     def label_sample(self, alpha: float) -> int:
         box = self.base.fn.box
         q = self._x.copy()
@@ -161,16 +142,16 @@ def line_label_oracle(sign_oracle: SignOracle, x, j: int) -> LineLabelOracle:
 
 
 def rssgd(fn: UcFunction, sign_oracle: SignOracle,
-          config: OptimizerConfig) -> OptRunResult:
+          config: OptimizerConfig) -> np.ndarray:
     """Minimize ``fn`` from gradient signs alone by randomized coordinate descent.
 
     Starts from ``config.x0`` and runs E epochs; each epoch draws a
     coordinate uniformly at random, builds the line label oracle at the
     current iterate and moves to the step returned by the configured 1-D
     learner under a budget of floor(T / E) queries.  Returns the final
-    iterate with its exact function error.  Raises if the budget cannot
-    cover one query per epoch (a zero budget never can); leftover queries
-    beyond E * N are not spent.
+    iterate; the sign oracle counts the queries.  Raises if the budget
+    cannot cover one query per epoch (a zero budget never can); leftover
+    queries beyond E * N are not spent.
     """
     if sign_oracle.fn is not fn:
         raise ValueError("the sign oracle must query the function being minimized")
@@ -185,21 +166,13 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
                           orientation=POSITIVE_RIGHT).for_budget(budget // epochs)
     x = fn._point(fn.box.center if isinstance(config.x0, str) else config.x0).copy()
     coord_rng = coordinate_rng(config.seed)
-    used_before = sign_oracle.queries_used
-    trace: list[EpochStep] = []
     for line_rng in line_search_streams(config.seed, epochs):
         j = int(coord_rng.integers(fn.dim))
         line = line_label_oracle(sign_oracle, x, j)
         if line.degenerate:
             step = line.sole_step
         else:
-            step = run_learner(line, line.interval, line_config, line_rng).point
+            step = run_learner(line, line.interval, line_config, line_rng)
         x[j] += step
         x = fn.box.clip(x)  # absorbs end-point roundoff only
-        trace.append(EpochStep(coordinate=j, step=float(step), f_value=fn.value(x)))
-    return OptRunResult(
-        x_final=x,
-        f_error=max(0.0, fn.value(x) - fn.f_min),
-        queries_used=sign_oracle.queries_used - used_before,
-        trace=trace,
-    )
+    return x

@@ -319,49 +319,3 @@ class SignOracle(_CountingOracle):
         return float(np.asarray(
             self.mode.probability_positive(self.fn.grad_coord(x, j))))
 
-
-class BudgetedOracle:
-    """A view on an oracle that caps the queries made through (or beside) it.
-
-    The view shares the base oracle's generator and counter: it allows
-    ``budget`` more queries counted from its creation, whoever issues them.
-    """
-
-    def __init__(self, base, budget: int):
-        budget = int(budget)
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
-        self.base = base
-        self.budget = budget
-        self._start = base.queries_used
-
-    def _check(self, n: int) -> None:
-        if self.base.queries_used - self._start + n > self.budget:
-            raise BudgetExhausted(
-                f"view budget {self.budget} exhausted "
-                f"({self.base.queries_used - self._start} used, {n} more requested)"
-            )
-
-    def label_sample(self, x):
-        self._check(1)
-        return self.base.label_sample(x)
-
-    def label_sample_many(self, xs):
-        self._check(np.asarray(xs).size)
-        return self.base.label_sample_many(xs)
-
-    def sign_sample(self, x, j):
-        self._check(1)
-        return self.base.sign_sample(x, j)
-
-    def sign_sample_line(self, x, j, alphas):
-        self._check(np.asarray(alphas).size)
-        return self.base.sign_sample_line(x, j, alphas)
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-
-def with_budget(oracle, budget: int) -> BudgetedOracle:
-    """Wrap an oracle so that at most ``budget`` further queries succeed."""
-    return BudgetedOracle(oracle, budget)

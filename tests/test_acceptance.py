@@ -15,9 +15,9 @@ import pytest
 from signopt import (ExactSign, GaussianNoise, LabelOracle, LearnerConfig,
                      OptimizerConfig, Quadratic, QuantizedSign, Ridge,
                      SeparablePower, SignOracle, UniformNoise,
-                     adaptive_epoch_schedule, bisect_noiseless,
-                     box_from_bounds, default_epoch_count, make_tnc_problem,
-                     rssgd, seeded_rng, slope_report, with_budget)
+                     adaptive_epoch_schedule, adaptive_learner, bisect_noiseless,
+                     box_from_bounds, bz_learner, default_epoch_count,
+                     make_tnc_problem, rssgd, seeded_rng, slope_report)
 from signopt.harness import ExperimentConfig, OracleSpec, run_experiment
 
 from _checks import (binomial_band, check_gradient_finite_differences,
@@ -154,10 +154,10 @@ def test_criterion_07_sign_preserving_exponential_rate():
     def run(budget, rep):
         oracle = SignOracle(fn, QuantizedSign(3), seeded_rng(11, rep, 0),
                             budget=budget)
-        return rssgd(fn, oracle,
-                     OptimizerConfig(budget=budget,
-                                     line_search=LearnerConfig("bisect"),
-                                     seed=(11, rep))).f_error
+        x = rssgd(fn, oracle, OptimizerConfig(budget=budget,
+                                              line_search=LearnerConfig("bisect"),
+                                              seed=(11, rep)))
+        return max(0.0, fn.value(x) - fn.f_min)
 
     checkpoints = [2000, 4000, 6000, 8000, 10000, 12000]
     medians = [float(np.median([run(T, rep) for rep in range(5)]))
@@ -240,22 +240,20 @@ def test_criterion_09_property_suites():
     # budget exactness across the learners
     for name, opts in (("adaptive", {}), ("bisect", {}),
                        ("bz", {"grid_size": 32, "bz_k": 2.0, "bz_mu": 1.0})):
-        base = LabelOracle(problem, seeded_rng(98, 0, 0))
-        view = with_budget(base, 500)
+        oracle = LabelOracle(problem, seeded_rng(98, 0, 0), budget=500)
         if name == "adaptive":
-            from signopt import adaptive_learner
-            res = adaptive_learner(view, problem.interval,
-                                   LearnerConfig(budget=500, c_delta=1.5),
-                                   seeded_rng(98, 0, 1))
-            used = res.queries_used
+            adaptive_learner(oracle, problem.interval,
+                             LearnerConfig(budget=500, c_delta=1.5),
+                             seeded_rng(98, 0, 1))
+            epochs, per_epoch = adaptive_epoch_schedule(500, 1.5)
+            expected = epochs * per_epoch
         elif name == "bisect":
-            bisect_noiseless(view, problem.interval, 500)
-            used = 500
+            bisect_noiseless(oracle, problem.interval, 500)
+            expected = 500
         else:
-            from signopt import bz_learner
-            used = bz_learner(view, problem.interval,
-                              LearnerConfig(budget=500, **opts)).queries_used
-        assert used == base.queries_used <= 500
+            bz_learner(oracle, problem.interval, LearnerConfig(budget=500, **opts))
+            expected = 500
+        assert oracle.queries_used == expected <= 500
 
     # determinism: parallel and serial sweeps produce identical tables
     config = ExperimentConfig(kind="learn-threshold", problem=problem,

@@ -1,7 +1,7 @@
 import json
 
 import numpy as np
-
+import pytest
 
 from signopt.cli import main
 
@@ -120,3 +120,39 @@ def test_sweep_slope_summary_report(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["error_column"] == "point_error"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--budget", "0"], "budget: must be positive"),
+    (["--budget", "-5"], "budget: must be positive"),
+    (["--rep", "-1"], "--rep: must be non-negative"),
+])
+def test_bad_single_run_flags_are_config_errors(tmp_path, capsys, flags, message):
+    code = main(["learn-threshold", "--config", _write(tmp_path, THRESHOLD_CFG),
+                 *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    (["--jobs", "0"], None, "--jobs: must be at least 1, got 0"),
+    (["--jobs", "-2"], "3", "--jobs: must be at least 1, got -2"),
+    ([], "-4", "SIGNOPT_JOBS: must be at least 1, got -4"),
+    ([], "0", "SIGNOPT_JOBS: must be at least 1, got 0"),
+    ([], "abc", "SIGNOPT_JOBS: expected an integer, got 'abc'"),
+    ([], "2.5", "SIGNOPT_JOBS: expected an integer, got '2.5'"),
+])
+def test_bad_job_counts_are_config_errors(tmp_path, capsys, monkeypatch,
+                                          flags, env, message):
+    if env is None:
+        monkeypatch.delenv("SIGNOPT_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("SIGNOPT_JOBS", env)
+    out = tmp_path / "r"
+    code = main(["sweep", "--config", _write(tmp_path, THRESHOLD_CFG),
+                 "--out", str(out), *flags])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()

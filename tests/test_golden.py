@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from signopt import load_config, run_experiment
+from signopt import RunTable, load_config, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
@@ -27,6 +27,13 @@ def _table_bytes(name: str) -> bytes:
 @pytest.mark.parametrize("name", CASES)
 def test_golden_table(name):
     assert _table_bytes(name) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_csv_round_trips(name):
+    # every column, vector estimates and error messages included
+    path = GOLDEN / f"{name}.csv"
+    assert RunTable.from_csv(path).csv_text(include_timing=False) == path.read_text()
 
 
 if __name__ == "__main__":

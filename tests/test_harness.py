@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ def test_load_optimize_config(tmp_path):
     # an omitted mode parameter takes the mode's own default
     no_sigma = _load(tmp_path, OPTIMIZE_CFG.replace("oracle.sigma = 1.0\n", ""))
     assert no_sigma.oracle.mode == GaussianNoise()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    config = load_config(path)
+    assert config.budgets and config.single_budget is not None
 
 
 def test_unknown_key_is_an_error(tmp_path):
@@ -358,6 +368,10 @@ def test_jobs_env_var_sets_default_concurrency(monkeypatch):
     monkeypatch.setenv("SIGNOPT_JOBS", "3")
     assert resolve_jobs(None) == 3
     assert resolve_jobs(2) == 2  # explicit argument wins
+    monkeypatch.setenv("SIGNOPT_JOBS", "abc")
+    assert resolve_jobs(2) == 2  # the variable is not read at all
+    monkeypatch.setenv("SIGNOPT_JOBS", "")
+    assert resolve_jobs(None) == 1  # an empty variable counts as unset
 
 
 # ---------------------------------------------------------------------------

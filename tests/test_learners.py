@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from signopt import (Interval, LabelOracle, LearnerConfig, POSITIVE_LEFT,
                      adaptive_epoch_schedule, adaptive_learner, auto_grid_size,
                      bisect_noiseless, bz_learner, erm_cut, excess_risk,
-                     fit_rate_slope, make_tnc_problem, passive_erm, seeded_rng,
-                     with_budget)
+                     fit_rate_slope, make_tnc_problem, passive_erm, seeded_rng)
+from signopt import learners
 
 UNIT = Interval(0.0, 1.0)
 
@@ -93,68 +93,94 @@ def test_epoch_schedule_reference_values():
     assert adaptive_epoch_schedule(256, 2.0) == (2, 128)
 
 
-def test_adaptive_learner_noiseless_bound():
+def _record_passive_searches(monkeypatch):
+    """Record (search, estimate) of each passive_erm call the learners make."""
+    calls = []
+    original = learners.passive_erm
+
+    def recording(oracle, search, *args):
+        estimate = original(oracle, search, *args)
+        calls.append((search, estimate))
+        return estimate
+
+    monkeypatch.setattr(learners, "passive_erm", recording)
+    return calls
+
+
+def _assert_halving_searches(calls, search, point):
+    """Epoch e searches [x - R, x + R] within ``search``, R halving from the width."""
+    x, radius = search.midpoint, search.width
+    for epoch_search, estimate in calls:
+        assert epoch_search == Interval(max(search.lo, x - radius),
+                                        min(search.hi, x + radius))
+        x, radius = estimate, radius / 2
+    assert point == x
+
+
+def test_adaptive_learner_noiseless_bound(monkeypatch):
+    calls = _record_passive_searches(monkeypatch)
     problem = _noiseless(0.7)
     oracle = LabelOracle(problem, seeded_rng(0, 2, 0), budget=4096)
-    res = adaptive_learner(oracle, UNIT, LearnerConfig(budget=4096),
-                           seeded_rng(0, 2, 1))
+    point = adaptive_learner(oracle, UNIT, LearnerConfig(budget=4096),
+                             seeded_rng(0, 2, 1))
     # 3 epochs of halving radii: the estimate localizes within R * 2^-E
-    assert res.epochs == 3
-    assert abs(res.point - 0.7) <= 0.125
-    assert res.queries_used == 3 * 1365
+    assert len(calls) == 3
+    assert abs(point - 0.7) <= 0.125
+    assert oracle.queries_used == 3 * 1365
 
 
-def test_adaptive_learner_radii_halve_exactly():
+def test_adaptive_learner_radii_halve_exactly(monkeypatch):
+    calls = _record_passive_searches(monkeypatch)
     oracle = LabelOracle(_noisy(), seeded_rng(0, 3, 0))
-    res = adaptive_learner(oracle, UNIT, LearnerConfig(budget=2048),
-                           seeded_rng(0, 3, 1))
-    radii = [rec.radius for rec in res.trace]
-    for r1, r2 in zip(radii, radii[1:]):
-        assert r2 == r1 / 2
-    assert radii[0] == UNIT.width
+    point = adaptive_learner(oracle, UNIT, LearnerConfig(budget=2048),
+                             seeded_rng(0, 3, 1))
+    assert len(calls) == adaptive_epoch_schedule(2048, 2.0)[0] >= 2
+    _assert_halving_searches(calls, UNIT, point)
 
 
-def test_adaptive_learner_tiny_budget_is_one_passive_epoch():
+def test_adaptive_learner_tiny_budget_is_one_passive_epoch(monkeypatch):
+    calls = _record_passive_searches(monkeypatch)
     problem = _noiseless(0.3)
     cfg = LearnerConfig(budget=4)
-    res = adaptive_learner(LabelOracle(problem, seeded_rng(0, 4, 0)), UNIT,
-                           cfg, seeded_rng(0, 4, 1))
+    oracle = LabelOracle(problem, seeded_rng(0, 4, 0))
+    point = adaptive_learner(oracle, UNIT, cfg, seeded_rng(0, 4, 1))
     direct = passive_erm(LabelOracle(problem, seeded_rng(0, 4, 0)), UNIT, 4,
                          "positive-right", seeded_rng(0, 4, 1))
-    assert res.epochs == 1 and res.queries_used == 4
-    assert res.point == direct
+    assert len(calls) == 1 and oracle.queries_used == 4
+    assert point == direct
 
 
-def test_adaptive_learner_estimate_stays_in_interval():
+def test_adaptive_learner_estimate_stays_in_interval(monkeypatch):
+    calls = _record_passive_searches(monkeypatch)
     for seed in range(5):
+        calls.clear()
         oracle = LabelOracle(_noisy(0.02), seeded_rng(1, seed, 0))
-        res = adaptive_learner(oracle, UNIT, LearnerConfig(budget=300),
-                               seeded_rng(1, seed, 1))
-        assert UNIT.contains(res.point)
-        for rec in res.trace:
-            assert UNIT.contains(rec.estimate)
+        point = adaptive_learner(oracle, UNIT, LearnerConfig(budget=300),
+                                 seeded_rng(1, seed, 1))
+        assert UNIT.contains(point)
+        _assert_halving_searches(calls, UNIT, point)
+        for _, estimate in calls:
+            assert UNIT.contains(estimate)
 
 
 def test_adaptive_learner_auto_orientation():
     for orientation, threshold in (("positive-right", 0.62), ("positive-left", 0.41)):
         problem = make_tnc_problem((0.0, 1.0), threshold, 2.0, 1e12, 0.5, orientation)
         oracle = LabelOracle(problem, seeded_rng(2, 0, 0), budget=2048)
-        res = adaptive_learner(oracle, UNIT,
-                               LearnerConfig(budget=2048, orientation="auto"),
-                               seeded_rng(2, 0, 1))
-        assert abs(res.point - threshold) <= 0.3
-        assert res.queries_used <= 2048
+        point = adaptive_learner(oracle, UNIT,
+                                 LearnerConfig(budget=2048, orientation="auto"),
+                                 seeded_rng(2, 0, 1))
+        assert abs(point - threshold) <= 0.3
+        assert oracle.queries_used <= 2048
 
 
 def test_adaptive_learner_budget_never_exceeded():
     for budget in (5, 17, 100, 999):
         problem = _noisy()
-        base = LabelOracle(problem, seeded_rng(3, budget, 0))
-        view = with_budget(base, budget)
-        res = adaptive_learner(view, UNIT, LearnerConfig(budget=budget,
-                                                         orientation="auto"),
-                               seeded_rng(3, budget, 1))
-        assert res.queries_used == base.queries_used <= budget
+        oracle = LabelOracle(problem, seeded_rng(3, budget, 0), budget=budget)
+        adaptive_learner(oracle, UNIT, LearnerConfig(budget=budget, orientation="auto"),
+                         seeded_rng(3, budget, 1))
+        assert oracle.queries_used <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +192,27 @@ def _bz_config(budget, grid=64, k=2.0, mu=1e12, **kw):
 
 def test_bz_zero_budget_returns_midpoint():
     oracle = LabelOracle(_noiseless(0.5), seeded_rng(4, 0, 0))
-    res = bz_learner(oracle, UNIT, _bz_config(0))
-    assert res.point == 0.5 and res.queries_used == 0
+    assert bz_learner(oracle, UNIT, _bz_config(0)) == 0.5
+    assert oracle.queries_used == 0
 
 
 def test_bz_deterministic_labels_centered_threshold():
     oracle = LabelOracle(_noiseless(0.5), seeded_rng(4, 1, 0))
-    res = bz_learner(oracle, UNIT, _bz_config(30))
-    assert abs(res.point - 0.5) <= 1.0 / 64.0
-    assert res.queries_used == 30
+    point = bz_learner(oracle, UNIT, _bz_config(30))
+    assert abs(point - 0.5) <= 1.0 / 64.0
+    assert oracle.queries_used == 30
 
 
 def test_bz_threshold_at_boundary():
     problem = make_tnc_problem((0.0, 1.0), 0.0, 2.0, 1e12, 0.5)
     oracle = LabelOracle(problem, seeded_rng(4, 2, 0))
-    res = bz_learner(oracle, UNIT, _bz_config(30))
-    assert res.point <= 1.0 / 64.0
+    assert bz_learner(oracle, UNIT, _bz_config(30)) <= 1.0 / 64.0
 
 
 def test_bz_noisy_convergence():
     oracle = LabelOracle(_noisy(0.37), seeded_rng(4, 3, 0))
-    res = bz_learner(oracle, UNIT, _bz_config(2000, grid=40, mu=1.0))
-    assert abs(res.point - 0.37) <= 0.05
+    point = bz_learner(oracle, UNIT, _bz_config(2000, grid=40, mu=1.0))
+    assert abs(point - 0.37) <= 0.05
 
 
 def test_bz_requires_grid_parameters():
@@ -202,16 +227,16 @@ def test_bz_requires_grid_parameters():
 def test_bz_positive_left_orientation():
     problem = make_tnc_problem((0.0, 1.0), 0.7, 2.0, 1e12, 0.5, POSITIVE_LEFT)
     oracle = LabelOracle(problem, seeded_rng(4, 5, 0))
-    res = bz_learner(oracle, UNIT, _bz_config(40, orientation=POSITIVE_LEFT))
-    assert abs(res.point - 0.7) <= 1.0 / 64.0
+    point = bz_learner(oracle, UNIT, _bz_config(40, orientation=POSITIVE_LEFT))
+    assert abs(point - 0.7) <= 1.0 / 64.0
 
 
 def test_bz_auto_orientation_spends_the_same_budget():
     problem = make_tnc_problem((0.0, 1.0), 0.7, 2.0, 1e12, 0.5, POSITIVE_LEFT)
     oracle = LabelOracle(problem, seeded_rng(4, 6, 0), budget=60)
-    res = bz_learner(oracle, UNIT, _bz_config(60, orientation="auto"))
-    assert res.queries_used == 60 == oracle.queries_used
-    assert abs(res.point - 0.7) <= 1.0 / 64.0
+    point = bz_learner(oracle, UNIT, _bz_config(60, orientation="auto"))
+    assert oracle.queries_used == 60
+    assert abs(point - 0.7) <= 1.0 / 64.0
 
 
 def test_auto_grid_size_scales_with_budget():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signopt import (ErrorRecord, OutOfDomain, Quadratic, SeparablePower,
-                     UniformNoise, box_from_bounds, error_record, excess_risk,
+from signopt import (OutOfDomain, Quadratic, SeparablePower, UniformNoise,
+                     box_from_bounds, error_record, excess_risk,
                      excess_risk_quadrature, fit_rate_slope, make_tnc_problem)
 
 
@@ -152,8 +152,3 @@ def test_fit_slope_invariant_to_error_scaling(scale, slope):
     assert f1.slope == pytest.approx(f0.slope, abs=1e-9)
     assert f1.intercept == pytest.approx(f0.intercept + np.log(scale), abs=1e-6)
 
-
-def test_error_record_carries_metadata():
-    rec = error_record(_problem(), 0.6, queries_used=128, seed=7, budget=256)
-    assert isinstance(rec, ErrorRecord)
-    assert rec.queries_used == 128 and rec.seed == 7 and rec.budget == 256

@@ -22,6 +22,23 @@ def _oracle(fn, mode=None, seed=(0, 0), budget=None):
     return SignOracle(fn, mode or ExactSign(), seeded_rng(*seed, 0), budget=budget)
 
 
+def _f_error(fn, x):
+    return max(0.0, fn.value(x) - fn.f_min)
+
+
+def _record_iterates(monkeypatch):
+    """Record the iterate that each epoch of rssgd starts from."""
+    iterates = []
+    original = optimizer.line_label_oracle
+
+    def recording(sign_oracle, x, j):
+        iterates.append(x.copy())
+        return original(sign_oracle, x, j)
+
+    monkeypatch.setattr(optimizer, "line_label_oracle", recording)
+    return iterates
+
+
 # ---------------------------------------------------------------------------
 # epoch schedule
 
@@ -39,10 +56,10 @@ def test_budget_must_cover_the_epochs():
     with pytest.raises(ValueError, match="budget 0"):
         rssgd(fn, _oracle(fn), OptimizerConfig(epoch_rule=5, seed=1))
     # an explicit epoch count makes small budgets legal
-    res = rssgd(fn, _oracle(fn), OptimizerConfig(budget=10, epoch_rule=5,
-                                                 line_search=LearnerConfig("bisect"),
-                                                 seed=1))
-    assert res.queries_used <= 10
+    oracle = _oracle(fn)
+    rssgd(fn, oracle, OptimizerConfig(budget=10, epoch_rule=5,
+                                      line_search=LearnerConfig("bisect"), seed=1))
+    assert oracle.queries_used <= 10
 
 
 def test_optimizer_config_validation():
@@ -101,10 +118,10 @@ def test_degenerate_segment_reports_single_step():
     fn = Quadratic(np.eye(2), np.zeros(2), box)
     line = line_label_oracle(_oracle(fn), np.array([0.0, 0.5]), 0)
     assert line.degenerate and line.sole_step == 0.0
-    res = rssgd(fn, _oracle(fn, seed=(1, 1)),
-                OptimizerConfig(budget=200, epoch_rule=10,
-                                line_search=LearnerConfig("bisect"), seed=2))
-    assert res.x_final[0] == 0.0
+    x = rssgd(fn, _oracle(fn, seed=(1, 1)),
+              OptimizerConfig(budget=200, epoch_rule=10,
+                              line_search=LearnerConfig("bisect"), seed=2))
+    assert x[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -114,83 +131,87 @@ def test_descent_from_the_optimum_stays_there():
     # Each line search re-perturbs a coordinate by at most its bisection
     # resolution width * 2^-(N+1), so the error stays at resolution scale.
     fn = _quad((1.0, 2.0))
-    res = rssgd(fn, _oracle(fn), OptimizerConfig(budget=2000, epoch_rule=40,
-                                                 line_search=LearnerConfig("bisect"),
-                                                 seed=3, x0=fn.x_star))
+    x = rssgd(fn, _oracle(fn), OptimizerConfig(budget=2000, epoch_rule=40,
+                                               line_search=LearnerConfig("bisect"),
+                                               seed=3, x0=fn.x_star))
     resolution = 2.0 * 2.0 ** -(2000 // 40 + 1)
-    assert res.f_error <= fn.dim * fn.lkss_bound * resolution ** 2
+    assert _f_error(fn, x) <= fn.dim * fn.lkss_bound * resolution ** 2
 
 
 def test_descent_reference_run_reaches_deep_accuracy():
     fn = _quad((1.0, 2.0), x_star=(0.0, 0.0))
-    res = rssgd(fn, _oracle(fn, seed=(4, 0)),
-                OptimizerConfig(budget=2000, epoch_rule=40,
-                                line_search=LearnerConfig("bisect"), seed=4,
-                                x0=np.array([1.0, 1.0])))
-    assert res.f_error <= 1e-8
-    assert res.queries_used == 2000
+    oracle = _oracle(fn, seed=(4, 0))
+    x = rssgd(fn, oracle, OptimizerConfig(budget=2000, epoch_rule=40,
+                                          line_search=LearnerConfig("bisect"), seed=4,
+                                          x0=np.array([1.0, 1.0])))
+    assert _f_error(fn, x) <= 1e-8
+    assert oracle.queries_used == 2000
 
 
 def test_descent_is_deterministic_given_the_seed():
     fn = _quad((1.0, 3.0))
-    runs = [rssgd(fn, _oracle(fn, mode=GaussianNoise(0.5), seed=(5, 0)),
+    oracles = [_oracle(fn, mode=GaussianNoise(0.5), seed=(5, 0)) for _ in range(2)]
+    runs = [rssgd(fn, oracle,
                   OptimizerConfig(budget=3000, line_search=LearnerConfig("adaptive"),
                                   seed=(5, 1)))
-            for _ in range(2)]
-    assert np.array_equal(runs[0].x_final, runs[1].x_final)
-    assert runs[0].queries_used == runs[1].queries_used
+            for oracle in oracles]
+    assert np.array_equal(runs[0], runs[1])
+    assert oracles[0].queries_used == oracles[1].queries_used
 
 
 def test_iterates_respect_the_box():
     fn = _quad((1.0, 2.0, 3.0), half=0.5, x_star=(0.4, -0.4, 0.3))
     oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(6, 0))
-    res = rssgd(fn, oracle, OptimizerConfig(budget=4000,
-                                            line_search=LearnerConfig("adaptive"),
-                                            seed=6))
-    assert fn.box.contains(res.x_final)
+    x = rssgd(fn, oracle, OptimizerConfig(budget=4000,
+                                          line_search=LearnerConfig("adaptive"),
+                                          seed=6))
+    assert fn.box.contains(x)
 
 
 def test_budget_accounting_and_leftover_discard():
     fn = _quad((1.0, 2.0))
     oracle = _oracle(fn, seed=(7, 0), budget=777)
-    res = rssgd(fn, oracle, OptimizerConfig(budget=777, epoch_rule=10,
-                                            line_search=LearnerConfig("bisect"),
-                                            seed=7))
-    assert res.queries_used == 10 * (777 // 10)
-    assert oracle.queries_used <= 777
+    rssgd(fn, oracle, OptimizerConfig(budget=777, epoch_rule=10,
+                                      line_search=LearnerConfig("bisect"), seed=7))
+    assert oracle.queries_used == 10 * (777 // 10) <= 777
 
 
-def test_monotone_progress_with_exact_signs():
+def test_monotone_progress_with_exact_signs(monkeypatch):
     # With an exact oracle and bisection, each epoch moves to within the
     # bisection resolution of the line minimum, so f can rise only by that
     # resolution's worth of function value.
+    iterates = _record_iterates(monkeypatch)
     fn = _quad((1.0, 2.0, 3.0), half=2.0, x_star=(0.5, -0.3, 0.2))
-    res = rssgd(fn, _oracle(fn, seed=(8, 0)),
-                OptimizerConfig(budget=4000, epoch_rule=50,
-                                line_search=LearnerConfig("bisect"), seed=8,
-                                x0=np.array([-1.5, 1.5, -1.5])))
+    x = rssgd(fn, _oracle(fn, seed=(8, 0)),
+              OptimizerConfig(budget=4000, epoch_rule=50,
+                              line_search=LearnerConfig("bisect"), seed=8,
+                              x0=np.array([-1.5, 1.5, -1.5])))
     n = 4000 // 50
     # resolution slack, plus an absolute floor for coordinate-update rounding
     # (a step lands within one ulp of the coordinate's own magnitude)
     slack = fn.lkss_bound * (4.0 * 2.0 ** -n) ** 2 + 1e-29
-    values = [fn.value(np.array([-1.5, 1.5, -1.5]))] + \
-             [step.f_value for step in res.trace]
+    assert len(iterates) == 50
+    assert np.array_equal(iterates[0], [-1.5, 1.5, -1.5])
+    values = [fn.value(it) for it in iterates + [x]]
     for before, after in zip(values, values[1:]):
         assert after <= before + slack
 
 
-def test_mean_error_is_nonincreasing_under_noise():
+def test_mean_error_is_nonincreasing_under_noise(monkeypatch):
     # Averaged over seeds, the expected error makes progress beyond the first
     # d epochs: per-epoch means at stationarity fluctuate at the 1-SE scale,
     # so compare early and late blocks rather than consecutive epochs.
     fn = _quad((1.0, 2.0), half=2.0, x_star=(0.7, -0.4))
+    iterates = _record_iterates(monkeypatch)
     traces = []
     for rep in range(50):
+        iterates.clear()
         oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(9, rep))
-        res = rssgd(fn, oracle, OptimizerConfig(budget=3000, epoch_rule=30,
-                                                line_search=LearnerConfig("adaptive"),
-                                                seed=(9, rep)))
-        traces.append([step.f_value - fn.f_min for step in res.trace])
+        x = rssgd(fn, oracle, OptimizerConfig(budget=3000, epoch_rule=30,
+                                              line_search=LearnerConfig("adaptive"),
+                                              seed=(9, rep)))
+        # the error after each epoch: every iterate but the start, then the last
+        traces.append([fn.value(it) - fn.f_min for it in iterates[1:] + [x]])
     traces = np.asarray(traces)
     early = traces[:, 2:8].mean(axis=1)   # beyond the first d = 2 epochs
     late = traces[:, -6:].mean(axis=1)
@@ -205,16 +226,16 @@ def test_one_dimensional_reduction_matches_adaptive_learner():
     fn = Quadratic(np.array([[2.0]]), np.array([0.31]),
                    box_from_bounds(-1.0, 1.0, dim=1))
     budget, seed = 900, 11
-    res = rssgd(fn, _oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0)),
-                OptimizerConfig(budget=budget, epoch_rule=1,
-                                line_search=LearnerConfig("adaptive"), seed=seed,
-                                x0=np.array([0.0])))
-    line = line_label_oracle(_oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0)),
-                             np.array([0.0]), 0)
+    oracle = _oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0))
+    x = rssgd(fn, oracle, OptimizerConfig(budget=budget, epoch_rule=1,
+                                          line_search=LearnerConfig("adaptive"),
+                                          seed=seed, x0=np.array([0.0])))
+    direct_oracle = _oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0))
+    line = line_label_oracle(direct_oracle, np.array([0.0]), 0)
     direct = adaptive_learner(line, line.interval, LearnerConfig(budget=budget),
                               line_search_rng(seed, 1))
-    assert res.x_final[0] == direct.point
-    assert res.queries_used == direct.queries_used
+    assert x[0] == direct
+    assert oracle.queries_used == direct_oracle.queries_used
 
 
 def test_oracle_budget_is_never_tripped_by_the_schedule():
@@ -222,20 +243,20 @@ def test_oracle_budget_is_never_tripped_by_the_schedule():
     for budget in (500, 1234, 4096):
         oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(12, budget),
                          budget=budget)
-        res = rssgd(fn, oracle, OptimizerConfig(budget=budget,
-                                                line_search=LearnerConfig("adaptive"),
-                                                seed=(12, budget)))
-        assert res.queries_used <= budget
+        rssgd(fn, oracle, OptimizerConfig(budget=budget,
+                                          line_search=LearnerConfig("adaptive"),
+                                          seed=(12, budget)))
+        assert oracle.queries_used <= budget
 
 
 def test_separable_power_descent_improves():
     fn = SeparablePower([1.0, 2.0, 1.5], [0.2, -0.3, 0.4],
                         box_from_bounds(-2.0, 2.0, dim=3), exponent=3.0)
     x0 = np.array([-1.0, 1.0, -1.0])
-    res = rssgd(fn, _oracle(fn, seed=(13, 0)),
-                OptimizerConfig(budget=6000, epoch_rule=60,
-                                line_search=LearnerConfig("bisect"), seed=13, x0=x0))
-    assert res.f_error <= 1e-6 * (fn.value(x0) - fn.f_min)
+    x = rssgd(fn, _oracle(fn, seed=(13, 0)),
+              OptimizerConfig(budget=6000, epoch_rule=60,
+                              line_search=LearnerConfig("bisect"), seed=13, x0=x0))
+    assert _f_error(fn, x) <= 1e-6 * (fn.value(x0) - fn.f_min)
 
 
 def test_requires_matching_oracle():

@@ -7,8 +7,7 @@ from scipy.stats import norm
 from signopt import (BudgetExhausted, DirectBernoulli, ExactSign,
                      GaussianNoise, LabelOracle, OutOfDomain, Quadratic,
                      QuantizedSign, SeparablePower, SignOracle, UniformNoise,
-                     box_from_bounds, make_tnc_problem, seeded_rng,
-                     with_budget)
+                     box_from_bounds, make_tnc_problem, seeded_rng)
 from signopt.oracles import philox_keys
 
 from _checks import binomial_band
@@ -185,25 +184,6 @@ def test_batch_overflow_charges_nothing():
     assert oracle.queries_used == 8
     oracle.label_sample_many(np.full(2, 0.5))
     assert oracle.queries_used == 10
-
-
-def test_with_budget_view_semantics():
-    base = LabelOracle(_problem(), seeded_rng(14, 0, 0))
-    view = with_budget(base, 0)
-    with pytest.raises(BudgetExhausted):
-        view.label_sample(0.5)
-    view = with_budget(base, 5)
-    for _ in range(5):
-        view.label_sample(0.5)
-    with pytest.raises(BudgetExhausted):
-        view.label_sample(0.5)
-    # the view shares the base counter
-    assert view.queries_used == base.queries_used == 5
-    view2 = with_budget(base, 3)
-    view2.label_sample_many(np.full(3, 0.5))
-    with pytest.raises(BudgetExhausted):
-        view2.label_sample(0.5)
-    assert base.queries_used == 8
 
 
 # ---------------------------------------------------------------------------
