@@ -4,8 +4,11 @@ Configs are flat ``key = value`` text files with dotted section keys
 (``problem.*``, ``oracle.*``, ``learner.*``, ``optimizer.*``, ``sweep.*``).
 Every (budget, replication) cell derives its random streams from
 ``(base_seed, replication, role)``, so tables are bit-reproducible and
-independent of execution order or worker count.  Results are emitted as
-versioned CSV (17 significant digits) or JSON mirroring the same rows.
+independent of execution order, worker count and how cells are blocked.
+A block of cells is one worker's unit of work; a threshold sweep's bz cells
+in a block run in lockstep through one batched learner.  Results are
+emitted as versioned CSV (17 significant digits) or JSON mirroring the same
+rows.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .learners import GRID_AUTO, LEARNERS, LearnerConfig, run_learner
+from .learners import GRID_AUTO, LEARNERS, LearnerConfig, bz_rows, run_learner
 from .metrics import error_record, fit_rate_slope
 from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
 from .oracles import (ExactSign, LabelOracle, ROLE_LABELS, ROLE_SAMPLING,
@@ -375,7 +379,7 @@ def _reject_unread_keys(raw: dict, kind: str, learner_name: str) -> None:
 # ---------------------------------------------------------------------------
 # table rows and serialization
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     experiment_id: str
     kind: str
@@ -477,43 +481,99 @@ def _oracle_budget(config: ExperimentConfig, budget: int) -> int:
     return min(budget, config.oracle.budget)
 
 
-def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
-    """Execute one (budget, replication) cell; failures become error rows."""
-    start = time.perf_counter()
-    seed = cell_seed(config.base_seed, replication)
+def _row(config: ExperimentConfig, budget: int, replication: int, outcome,
+         wall_ms: float) -> Row:
+    """The table row of one cell from its run's outcome: (point, queries) or
+    the exception that ended it."""
     estimate: float | str | None = None
     point_error = risk = f_error = queries = None
     error = ""
     try:
-        problem = config.problem
-        labels = _oracle_stream(config, replication)
-        cap = _oracle_budget(config, budget)
-        if config.kind == KIND_THRESHOLD:
-            oracle = LabelOracle(problem, labels, budget=cap)
-            point = run_learner(oracle, problem.interval,
-                                config.learner.for_budget(budget, dither=replication),
-                                seeded_rng(config.base_seed, replication,
-                                           ROLE_SAMPLING))
-        else:
-            oracle = SignOracle(problem, config.oracle.mode, labels, budget=cap)
-            point = rssgd(problem, oracle, replace(config.optimizer, budget=budget,
-                                                   seed=(config.base_seed, replication)))
-        queries = oracle.queries_used
-        rec = error_record(problem, point)
+        if isinstance(outcome, Exception):
+            raise outcome
+        point, queries = outcome
+        rec = error_record(config.problem, point)
         point_error, risk, f_error = rec.point_error, rec.excess_risk, rec.f_error
         estimate = (float(point) if config.kind == KIND_THRESHOLD
                     else " ".join(f"{v:.17g}" for v in point))
     except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
         error = f"{type(exc).__name__}: {exc}"
-    wall = (time.perf_counter() - start) * 1e3
     return Row(experiment_id=config.experiment_id, kind=config.kind, budget=budget,
-               replication=replication, seed=seed, estimate=estimate,
-               point_error=point_error, excess_risk=risk, f_error=f_error,
-               queries_used=queries, error=error, wall_time_ms=wall)
+               replication=replication, seed=cell_seed(config.base_seed, replication),
+               estimate=estimate, point_error=point_error, excess_risk=risk,
+               f_error=f_error, queries_used=queries, error=error, wall_time_ms=wall_ms)
 
 
-def _run_cell_star(args) -> Row:
-    return run_cell(*args)
+def _label_oracle(config: ExperimentConfig, budget: int, replication: int) -> LabelOracle:
+    return LabelOracle(config.problem, _oracle_stream(config, replication),
+                       budget=_oracle_budget(config, budget))
+
+
+def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
+    """Execute one (budget, replication) cell on its own; failures become error rows."""
+    start = time.perf_counter()
+    try:
+        problem = config.problem
+        if config.kind == KIND_THRESHOLD:
+            oracle = _label_oracle(config, budget, replication)
+            point = run_learner(oracle, problem.interval,
+                                config.learner.for_budget(budget, dither=replication),
+                                seeded_rng(config.base_seed, replication,
+                                           ROLE_SAMPLING))
+        else:
+            oracle = SignOracle(problem, config.oracle.mode,
+                                _oracle_stream(config, replication),
+                                budget=_oracle_budget(config, budget))
+            point = rssgd(problem, oracle, replace(config.optimizer, budget=budget,
+                                                   seed=(config.base_seed, replication)))
+        outcome = (point, oracle.queries_used)
+    except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
+        outcome = exc
+    return _row(config, budget, replication, outcome,
+                (time.perf_counter() - start) * 1e3)
+
+
+def _run_bz_cells(config: ExperimentConfig, cells) -> list[Row]:
+    """The bz cells of a threshold sweep through one ``bz_rows`` call.
+
+    The rows' ``wall_time_ms`` split the block's time in proportion to
+    their queries.
+    """
+    start = time.perf_counter()
+    runs = []  # per cell: (oracle, learner config), or the exception that stopped it
+    for budget, replication in cells:
+        try:
+            runs.append((_label_oracle(config, budget, replication),
+                         config.learner.for_budget(budget, dither=replication)))
+        except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
+            runs.append(exc)
+    ready = [run for run in runs if not isinstance(run, Exception)]
+    results = iter(bz_rows([oracle for oracle, _ in ready], config.problem.interval,
+                           [learner for _, learner in ready]))
+    rows, queries = [], []
+    for (budget, replication), run in zip(cells, runs):
+        outcome, used = run, 0
+        if not isinstance(run, Exception):
+            result, used = next(results), run[0].queries_used
+            outcome = result if isinstance(result, Exception) else (result, used)
+        rows.append(_row(config, budget, replication, outcome, 0.0))
+        queries.append(used)
+    wall_ms, total = (time.perf_counter() - start) * 1e3, sum(queries)
+    for row, used in zip(rows, queries):
+        row.wall_time_ms = wall_ms * (used / total if total else 1.0 / len(rows))
+    return rows
+
+
+def run_block(config: ExperimentConfig, cells) -> list[Row]:
+    """Execute a block of (budget, replication) cells; failures become error rows.
+
+    The bz cells of a threshold sweep run in lockstep through one
+    ``bz_rows`` call; every other cell runs on its own through ``run_cell``.
+    Each row is the same as ``run_cell`` gives for its cell alone.
+    """
+    if config.kind == KIND_THRESHOLD and config.learner.name == "bz":
+        return _run_bz_cells(config, cells)
+    return [run_cell(config, budget, replication) for budget, replication in cells]
 
 
 def resolve_jobs(n_jobs: int | None) -> int:
@@ -533,20 +593,25 @@ def resolve_jobs(n_jobs: int | None) -> int:
 def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RunTable:
     """Run every (budget, replication) cell of the sweep.
 
-    Identical configs produce identical tables regardless of worker count;
-    rows are assembled in (budget, replication) order.
+    The cells are split round robin into at most ``n_jobs`` blocks, each
+    run by ``run_block`` in its own worker, with the config pickled once per
+    block.  Identical configs produce identical tables regardless of worker
+    count or split; rows are assembled in (budget, replication) order.
     """
     if config.budgets is None:
         raise ConfigError("sweep.budgets: required to run a sweep")
-    cells = [(config, budget, rep)
+    cells = [(budget, rep)
              for budget in config.budgets
              for rep in range(config.replications)]
     n_jobs = resolve_jobs(n_jobs)
-    if n_jobs == 1:
-        rows = [run_cell(*cell) for cell in cells]
+    # round robin: every block gets a share of each budget
+    blocks = [cells[i::n_jobs] for i in range(min(n_jobs, len(cells)))]
+    if len(blocks) == 1:
+        rows = run_block(config, blocks[0])
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_run_cell_star, cells, chunksize=1))
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            rows = [row for block in pool.map(run_block, repeat(config), blocks)
+                    for row in block]
     rows.sort(key=lambda r: (r.budget, r.replication))
     return RunTable(rows)
 

@@ -11,6 +11,8 @@ harness and for every line search of the optimizer alike.
 Every learner takes an oracle (anything exposing ``label_sample`` /
 ``label_sample_many``), an explicit search interval and, where it places
 its own queries, an explicit numpy Generator, so runs are replayable.
+``bz_rows`` runs probabilistic bisection for many independent rows in
+lockstep; ``bz_learner`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .problems import (Interval, POSITIVE_LEFT, POSITIVE_RIGHT,
                        orientation_sign)
@@ -194,52 +197,124 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> float:
     consistent with the observed label by (1 + g) against (1 - g), where
     g = min(1/2, bz_mu * cell_width**(bz_k - 1)).  After the budget is spent
     it returns the midpoint of the cell containing the posterior median.
+    This is the one-row call of ``bz_rows``.
     """
-    if config.grid_size is None or config.bz_k is None or config.bz_mu is None:
-        raise ValueError("bz_learner needs grid_size, bz_k and bz_mu")
-    cells = int(config.grid_size)
-    if cells < 2:
-        raise ValueError("grid_size must be at least 2")
-    budget = int(config.budget)
-    if budget == 0:
-        return search.midpoint
+    (result,) = bz_rows([oracle], search, [config])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    n_probe = 0
-    orientation = config.orientation
-    if orientation == ORIENTATION_AUTO:
-        n_probe = min(20, budget)
-        orientation = _auto_orientation(oracle, search, n_probe)
-    osign = orientation_sign(orientation)
 
-    delta = search.width / cells
-    gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
-    # Work with unnormalized weights and rescale one side only: the posterior
-    # is proportional either way and the loop runs once per label query.
-    ratio = (1.0 + gamma) / (1.0 - gamma)
-    weights = np.full(cells, 1.0 / cells)
+def _ended(x: float) -> int:
+    """Stands in for the oracle of a row that has ended: no query, no label."""
+    return 0
 
-    label_sample = oracle.label_sample  # Python floats below: same rounding, faster
-    for _ in range(budget - n_probe):
-        cum = weights.cumsum()
-        total = float(cum[-1])
-        half = 0.5 * total
-        idx = int(cum.searchsorted(half))
-        w = float(weights[idx])
-        inside = (half - (float(cum[idx]) - w)) / w if w > 0 else 0.5
-        boundary = int(round(idx + inside))
-        boundary = min(max(boundary, 1), cells - 1)
-        label = label_sample(search.lo + boundary * delta)
-        if osign * label > 0:
-            # A plus label favours the threshold lying left of the boundary.
-            weights[:boundary] *= ratio
-        else:
-            weights[boundary:] *= ratio
-        if total > 1e250:
-            weights /= total
 
-    cum = weights.cumsum()
-    idx = int(cum.searchsorted(0.5 * cum[-1]))
-    return float(search.lo + (idx + 0.5) * delta)
+def bz_rows(oracles, search: Interval, configs) -> list:
+    """``bz_learner`` for R independent rows at once, one query per row and step.
+
+    Row r runs on ``oracles[r]`` with ``configs[r]``; rows may differ in
+    budget, grid and orientation.  The posteriors form a zero-padded
+    (R, max M) weight matrix whose padding stays 0 under ``cumsum`` and
+    the reweighting, and every per-row operation is the one ``bz_learner``
+    makes on its own row, so each row's result is bit-identical to its
+    one-row call.  Each query is its row's oracle's own ``label_sample``
+    at a grid point, so the oracle validates, charges and draws it as it
+    would any query.  The rows run longest first, so the live rows are a
+    shrinking prefix.  Returns, per row, the estimate or the exception
+    that ended the row (a budget cap, a query outside the domain, ...);
+    the other rows run on.
+    """
+    results: list = [None] * len(oracles)
+    runs = []  # per row that queries: (row, cells, delta, ratio, positive-left?, steps)
+    for r, (oracle, config) in enumerate(zip(oracles, configs)):
+        try:
+            if config.grid_size is None or config.bz_k is None or config.bz_mu is None:
+                raise ValueError("bz_learner needs grid_size, bz_k and bz_mu")
+            cells = int(config.grid_size)
+            if cells < 2:
+                raise ValueError("grid_size must be at least 2")
+            budget = int(config.budget)
+            if budget == 0:
+                results[r] = search.midpoint
+                continue
+            n_probe = 0
+            orientation = config.orientation
+            if orientation == ORIENTATION_AUTO:
+                n_probe = min(20, budget)
+                orientation = _auto_orientation(oracle, search, n_probe)
+        except Exception as exc:  # noqa: BLE001 - ends this row only
+            results[r] = exc
+            continue
+        delta = search.width / cells
+        gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
+        # Work with unnormalized weights and rescale one side only: the
+        # posterior is proportional either way.
+        ratio = (1.0 + gamma) / (1.0 - gamma)
+        runs.append((r, cells, delta, ratio, orientation_sign(orientation) < 0,
+                     budget - n_probe))
+    if not runs:
+        return results
+
+    # longest first (a stable sort): the live rows of a step are a prefix
+    runs.sort(key=lambda run: -run[-1])
+    row_of, sizes, deltas, ratios, negs, steps = zip(*runs)
+    n, width = len(runs), max(sizes)
+    weights = np.zeros((n, width))
+    for i, m in enumerate(sizes):
+        weights[i, :m] = 1.0 / m
+    ratio_col = np.array(ratios)[:, None]
+    base = np.arange(n) * width
+    samplers = [oracles[r].label_sample for r in row_of]
+    tops = [m - 1 for m in sizes]
+    # points[i][b] is row i's grid boundary b, as the one-row loop computed it
+    points = [[search.lo + b * delta for b in range(m)]
+              for m, delta in zip(sizes, deltas)]
+    errors: list[Exception | None] = [None] * n
+    # sides[2 * width - b] are the cells left of boundary b, sides[width - b]
+    # the others: windows of one strip, so O(width) memory.  A label that
+    # matches the row's orientation favours the threshold left of b.
+    strip = np.zeros(3 * width, dtype=bool)
+    strip[width:2 * width] = True
+    sides = sliding_window_view(strip, width)
+    on_plus = [width if neg else 2 * width for neg in negs]
+    on_minus = [3 * width - start for start in on_plus]
+
+    done = 0
+    for live in range(n, 0, -1):  # rows [0, live) take steps [done, steps[live - 1])
+        w_live, base_l, ratio_l = weights[:live], base[:live], ratio_col[:live]
+        for _ in range(steps[live - 1] - done):
+            cum = w_live.cumsum(axis=1)
+            total = cum[:, -1]
+            half = 0.5 * total
+            # cum is nondecreasing: its first entry >= half is at searchsorted(half)
+            idx = (cum >= half[:, None]).argmax(axis=1)
+            at = base_l + idx
+            windows, big = [], []
+            for i, (k, h, c, w) in enumerate(zip(idx.tolist(), half.tolist(),
+                                                 cum.take(at).tolist(),
+                                                 weights.take(at).tolist())):
+                # w > 0: it is the first cell whose cumulative weight reaches half
+                b = round(k + (h - (c - w)) / w)
+                b = 1 if b < 1 else tops[i] if b > tops[i] else b
+                try:
+                    label = samplers[i](points[i][b])
+                except Exception as exc:  # noqa: BLE001 - ends this row only
+                    errors[i], samplers[i], label = exc, _ended, 0
+                windows.append((on_plus[i] if label > 0 else on_minus[i]) - b)
+                if h > 5e249:  # total > 1e250: h is half of it, exactly
+                    big.append(i)
+            np.multiply(w_live, ratio_l, out=w_live, where=sides[windows])
+            if big:
+                w_live[big] /= total[big, None]
+        done = steps[live - 1]
+
+    cum = weights.cumsum(axis=1)
+    idx = (cum >= 0.5 * cum[:, -1:]).argmax(axis=1)
+    for i, (r, delta) in enumerate(zip(row_of, deltas)):
+        results[r] = errors[i] if errors[i] is not None else float(
+            search.lo + (int(idx[i]) + 0.5) * delta)
+    return results
 
 
 def bisect_noiseless(oracle, search: Interval, budget: int,

@@ -114,22 +114,27 @@ class TncProblem:
             raise ValueError(f"cap must lie in (0, 1/2], got {self.cap}")
         # constants of eta_at's scalar path, which runs once per label query
         t = _tol(self.interval.lo, self.interval.hi)
-        self.__dict__.update(_lo_tol=self.interval.lo - t, _hi_tol=self.interval.hi + t,
-                             _osign=orientation_sign(self.orientation))
+        self.__dict__.update(_lo=self.interval.lo, _hi=self.interval.hi,
+                             _lo_tol=self.interval.lo - t, _hi_tol=self.interval.hi + t,
+                             _osign=orientation_sign(self.orientation),
+                             _k1=self.exponent - 1.0)
 
     def eta_at(self, x):
         """P(label = + | x); accepts scalars or arrays."""
         if isinstance(x, float) or np.ndim(x) == 0:
             # scalar fast path: this sits inside every sequential learner loop
+            # plain comparisons give the floats of min, max and osign * sign * margin
             x = float(x)
             if not self._lo_tol <= x <= self._hi_tol:
                 raise OutOfDomain(f"query outside [{self.interval.lo}, {self.interval.hi}]")
-            d = min(max(x, self.interval.lo), self.interval.hi) - self.threshold
+            lo, hi = self._lo, self._hi
+            d = (lo if x < lo else hi if x > hi else x) - self.threshold
             if d == 0.0:
                 return 0.5
-            margin = min(self.mu * abs(d) ** (self.exponent - 1.0), self.cap)
-            sign = 1.0 if d > 0 else -1.0
-            return 0.5 + self._osign * sign * margin
+            margin = self.mu * abs(d) ** self._k1
+            if margin > self.cap:
+                margin = self.cap
+            return 0.5 + margin if (d > 0) == (self._osign > 0) else 0.5 - margin
         arr = np.asarray(x, dtype=float)
         if not self.interval.contains(arr):
             raise OutOfDomain(

@@ -7,7 +7,7 @@ import pytest
 from signopt import ConfigError, RunTable, load_config, run_experiment, slope_report
 from signopt import GaussianNoise, LearnerConfig, OptimizerConfig
 from signopt.harness import (ExperimentConfig, OracleSpec, Row, cell_seed,
-                             parse_config_text)
+                             parse_config_text, run_cell)
 from signopt import make_tnc_problem
 
 THRESHOLD_CFG = """
@@ -273,6 +273,69 @@ def test_parallel_equals_serial():
     parallel = run_experiment(_small_config(), n_jobs=2)
     assert serial.csv_text(include_timing=False) == \
         parallel.csv_text(include_timing=False)
+
+
+def _bz_sweep():
+    return _small_config(learner=LearnerConfig(name="bz", grid_size="auto", bz_k=2.0,
+                                               bz_mu=1.0, orientation="auto"),
+                         budgets=[16, 40, 100, 300], replications=5,
+                         oracle=OracleSpec(budget=200))
+
+
+def _optimize_sweep():
+    return ExperimentConfig(
+        kind="optimize", problem=_opt_problem(), experiment_id="blocks",
+        oracle=OracleSpec(mode=GaussianNoise(sigma=1.0)),
+        optimizer=OptimizerConfig(line_search=LearnerConfig("adaptive", c_delta=3.0),
+                                  epoch_rule=8),
+        budgets=[64, 200], replications=5, base_seed=4)
+
+
+@pytest.mark.parametrize("make", [_bz_sweep, _optimize_sweep])
+def test_any_blocking_gives_the_same_table(make):
+    tables = [run_experiment(make(), n_jobs=jobs).csv_text(include_timing=False)
+              for jobs in (1, 2, 3)]
+    assert tables[0] == tables[1] == tables[2]
+    # and each row is what its cell gives alone
+    config = make()
+    alone = RunTable([run_cell(config, budget, rep) for budget in config.budgets
+                      for rep in range(config.replications)])
+    assert alone.csv_text(include_timing=False) == tables[0]
+
+
+def test_bz_block_rows_share_the_block_time():
+    table = run_experiment(_bz_sweep())
+    assert 1 <= table.n_errors < len(table.rows)  # the cap binds at budget 300
+    assert all(row.wall_time_ms > 0.0 for row in table.rows)
+
+
+def test_pool_never_starts_more_workers_than_blocks(monkeypatch):
+    import signopt.harness as harness
+    started = []
+
+    class Serial:
+        """Stands in for the process pool; runs the blocks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Serial)
+    config = _small_config()  # 4 cells
+    table = run_experiment(config, n_jobs=9)
+    assert started == [4]
+    assert table.csv_text(include_timing=False) == \
+        run_experiment(config, n_jobs=1).csv_text(include_timing=False)
+    run_experiment(_small_config(budgets=[32]), n_jobs=9)
+    assert started == [4, 2]
 
 
 def test_budget_honesty_column():

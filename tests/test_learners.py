@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signopt import (Interval, LabelOracle, LearnerConfig, POSITIVE_LEFT,
+from signopt import (Interval, LabelOracle, LearnerConfig, OutOfDomain, POSITIVE_LEFT,
                      adaptive_epoch_schedule, adaptive_learner, auto_grid_size,
                      bisect_noiseless, bz_learner, erm_cut, excess_risk,
                      fit_rate_slope, make_tnc_problem, passive_erm, seeded_rng)
@@ -224,6 +224,19 @@ def test_bz_requires_grid_parameters():
                                                bz_k=2.0, bz_mu=1.0))
 
 
+def test_bz_raises_only_when_a_query_leaves_the_domain():
+    # the search grids overhang the problem's [0, 1]: grid points outside it
+    # that are never queried do not matter, a query outside it ends the run
+    config = _bz_config(50, grid=6, mu=1.0)
+    wide = Interval(-1.0, 2.0)
+    got = bz_learner(LabelOracle(_noisy(), seeded_rng(4, 7, 0)), wide, config)
+    assert got == _bz_reference(LabelOracle(_noisy(), seeded_rng(4, 7, 0)), wide, config)
+    oracle = LabelOracle(_noisy(), seeded_rng(4, 7, 0))
+    with pytest.raises(OutOfDomain):
+        bz_learner(oracle, Interval(0.5, 3.0), config)
+    assert oracle.queries_used == 0
+
+
 def test_bz_positive_left_orientation():
     problem = make_tnc_problem((0.0, 1.0), 0.7, 2.0, 1e12, 0.5, POSITIVE_LEFT)
     oracle = LabelOracle(problem, seeded_rng(4, 5, 0))
@@ -237,6 +250,145 @@ def test_bz_auto_orientation_spends_the_same_budget():
     point = bz_learner(oracle, UNIT, _bz_config(60, orientation="auto"))
     assert oracle.queries_used == 60
     assert abs(point - 0.7) <= 1.0 / 64.0
+
+
+def _bz_block():
+    """Rows of different budgets, grids and orientations, two of them capped:
+    (stream, problem, oracle cap, learner config) per row."""
+    right = _noisy(0.37)
+    left = make_tnc_problem((0.0, 1.0), 0.62, 2.5, 0.8, 0.4, POSITIVE_LEFT)
+    auto = LearnerConfig(name="bz", grid_size="auto", bz_k=2.0, bz_mu=1.0)
+    rows = [
+        (right, 300, None, auto),
+        (right, 0, None, auto),
+        (left, 500, None, _bz_config(500, grid=17, k=2.5, mu=0.8,
+                                     orientation=POSITIVE_LEFT)),
+        (left, 80, None, _bz_config(80, grid=9, k=2.5, mu=0.8, orientation="auto")),
+        (right, 400, 150, auto),  # the cap binds mid-run
+        (right, 64, 12, _bz_config(64, grid=5, mu=1.0, orientation="auto")),  # in the probe
+        (right, 15, None, _bz_config(15, grid=3, mu=1.0, orientation="auto")),  # probe only
+        (right, 2000, None, auto),
+    ]
+    return [(i, problem, cap,
+             config.for_budget(budget, dither=i) if config is auto else config)
+            for i, (problem, budget, cap, config) in enumerate(rows)]
+
+
+def _bz_oracle(row):
+    stream, problem, cap, _ = row
+    return LabelOracle(problem, seeded_rng(7, stream, 0), budget=cap)
+
+
+def _bz_run(rows):
+    oracles = [_bz_oracle(row) for row in rows]
+    results = learners.bz_rows(oracles, UNIT, [config for *_, config in rows])
+    return [(repr(r) if isinstance(r, Exception) else r, oracle.queries_used)
+            for r, oracle in zip(results, oracles)]
+
+
+def _bz_one_row(row):
+    oracle = _bz_oracle(row)
+    try:
+        return bz_learner(oracle, UNIT, row[-1]), oracle.queries_used
+    except Exception as exc:  # noqa: BLE001
+        return repr(exc), oracle.queries_used
+
+
+def test_bz_rows_match_their_one_row_calls():
+    rows = _bz_block()
+    batched = _bz_run(rows)
+    assert batched == [_bz_one_row(row) for row in rows]
+    assert len({config.grid_size for *_, config in rows}) >= 5
+    errors = [r for r, _ in batched if isinstance(r, str)]
+    assert errors == ["BudgetExhausted('budget 150 exhausted (150 used, 1 more requested)')",
+                      "BudgetExhausted('budget 12 exhausted (0 used, 20 more requested)')"]
+    assert batched[1] == (0.5, 0)
+    assert [q for _, q in batched] == [300, 0, 500, 80, 150, 0, 15, 2000]
+
+
+def test_bz_block_rows_do_not_depend_on_each_other():
+    rows = _bz_block()
+    full = _bz_run(rows)
+    # without the capped rows, and in reverse order
+    kept = [i for i, (_, _, cap, _) in enumerate(rows) if cap is None]
+    assert _bz_run([rows[i] for i in kept]) == [full[i] for i in kept]
+    assert _bz_run(rows[::-1]) == full[::-1]
+
+
+def _bz_reference(oracle, search, config):
+    """The sequential loop of probabilistic bisection, one label_sample per query."""
+    cells, budget = int(config.grid_size), int(config.budget)
+    if budget == 0:
+        return search.midpoint
+    n_probe, orientation = 0, config.orientation
+    if orientation == "auto":
+        n_probe = min(20, budget)
+        orientation = learners._auto_orientation(oracle, search, n_probe)
+    osign = 1 if orientation == "positive-right" else -1
+    delta = search.width / cells
+    gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
+    ratio = (1.0 + gamma) / (1.0 - gamma)
+    weights = np.full(cells, 1.0 / cells)
+    for _ in range(budget - n_probe):
+        cum = weights.cumsum()
+        total = float(cum[-1])
+        half = 0.5 * total
+        idx = int(cum.searchsorted(half))
+        w = float(weights[idx])
+        boundary = int(round(idx + (half - (float(cum[idx]) - w)) / w))
+        boundary = min(max(boundary, 1), cells - 1)
+        if osign * oracle.label_sample(search.lo + boundary * delta) > 0:
+            weights[:boundary] *= ratio
+        else:
+            weights[boundary:] *= ratio
+        if total > 1e250:
+            weights /= total
+    cum = weights.cumsum()
+    return float(search.lo + (int(cum.searchsorted(0.5 * cum[-1])) + 0.5) * delta)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bz_rows_match_the_sequential_reference(seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(12):
+        k = float(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0]))
+        problem = make_tnc_problem((0.0, 1.0), float(rng.uniform(0.05, 0.95)), k,
+                                   float(rng.choice([0.3, 1.0])), 0.4,
+                                   str(rng.choice(["positive-right", "positive-left"])))
+        budget = int(rng.choice([1, 20, 150, 700, 3000]))
+        grid = rng.choice([2, 9, 64, 300]) if k == 1.0 else "auto"
+        config = LearnerConfig(
+            name="bz", grid_size=grid, bz_k=k, bz_mu=float(rng.choice([0.5, 2.0])),
+            orientation=str(rng.choice(["positive-right", "positive-left", "auto"])),
+        ).for_budget(budget, dither=i)
+        cap = int(rng.choice([10, 100, 10_000]))
+        rows.append((i, problem, cap, config))
+    batched = _bz_run(rows)
+    for row, got in zip(rows, batched):
+        oracle = _bz_oracle(row)
+        try:
+            want = _bz_reference(oracle, UNIT, row[-1])
+        except Exception as exc:  # noqa: BLE001
+            want = repr(exc)
+        assert got == (want, oracle.queries_used)
+
+
+class _ScalarOnly(type(_noisy())):
+    """A threshold problem whose array path is refused."""
+
+    def eta_at(self, x):
+        assert np.ndim(x) == 0, "array eta_at called"
+        return super().eta_at(x)
+
+
+def test_bz_rows_read_probabilities_from_the_scalar_eta():
+    problem = _ScalarOnly(UNIT, 0.37, 2.5, 1.0, 0.4)
+    configs = [_bz_config(b, grid=g, k=2.5, mu=1.0) for b, g in ((200, 11), (90, 30))]
+    oracles = [LabelOracle(problem, seeded_rng(8, i, 0)) for i in range(2)]
+    scalar = [LabelOracle(_noisy(0.37, k=2.5), seeded_rng(8, i, 0)) for i in range(2)]
+    assert learners.bz_rows(oracles, UNIT, configs) == \
+        [bz_learner(o, UNIT, c) for o, c in zip(scalar, configs)]
 
 
 def test_auto_grid_size_scales_with_budget():

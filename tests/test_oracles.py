@@ -217,6 +217,17 @@ def test_distinct_roles_give_distinct_streams():
     assert np.array_equal(a, seeded_rng(7, 0, 0).random(32))
 
 
+def test_random_n_draws_the_scalar_stream():
+    # label_sample_many draws its n uniforms at once, label_sample one at a time:
+    # the two query paths read one stream alike
+    scalar = seeded_rng(3, 1, 0)
+    singles = [scalar.random() for _ in range(1500)]
+    chunked = seeded_rng(3, 1, 0)
+    draws = np.concatenate([chunked.random(n) for n in (1, 512, 0, 700, 287)])
+    assert draws.tolist() == singles
+    assert chunked.random() == scalar.random()
+
+
 def _seed_sequence_key(*entropy):
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
