@@ -19,7 +19,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -53,30 +54,33 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config file parsing
 
-# each sign mode's parameters, as oracle.<field> keys
-_MODE_KEYS = {f"oracle.{f.name}" for mode in SIGN_MODES for f in fields(mode)}
-# keys that only one kind of config reads
-_THRESHOLD_KEYS = {"problem.lo", "problem.hi", "problem.t", "problem.mu", "problem.cap",
-                   "problem.orientation", "learner.name", "learner.orientation"}
-_OPTIMIZE_KEYS = _MODE_KEYS | {
-    "problem.family", "problem.dim", "problem.box_lo", "problem.box_hi",
-    "problem.coeffs", "problem.x_star", "problem.a_diag", "problem.a",
-    "problem.matrix_file", "oracle.mode",
-    "optimizer.epoch_rule", "optimizer.line_search", "optimizer.x0",
+# The keys that only some configs read, keyed by what selects them: a config
+# reads the keys of each (selector, value) entry it selects, and the None
+# entry's keys always.  The learner is selected by learner.name
+# (learn-threshold) or optimizer.line_search (optimize).
+_KEY_TABLE = {
+    None: {None: ("kind", "id", "budget", "report", "output", "slope.column",
+                  "slope.statistic", "oracle.seed", "oracle.budget", "sweep.budgets",
+                  "sweep.replications", "sweep.base_seed")},
+    "kind": {
+        KIND_THRESHOLD: ("problem.lo", "problem.hi", "problem.t", "problem.k", "problem.mu",
+                         "problem.cap", "problem.orientation", "learner.name",
+                         "learner.orientation"),
+        KIND_OPTIMIZE: ("problem.family", "problem.box_lo", "problem.box_hi", "oracle.mode",
+                        "optimizer.epoch_rule", "optimizer.line_search", "optimizer.x0"),
+    },
+    "problem.family": {
+        "separable-power": ("problem.dim", "problem.x_star", "problem.k", "problem.coeffs"),
+        "quadratic": ("problem.dim", "problem.x_star", "problem.a_diag", "problem.a"),
+        "ridge": ("problem.matrix_file",),
+    },
+    "oracle.mode": {mode.name: tuple(f"oracle.{f.name}" for f in fields(mode))
+                    for mode in SIGN_MODES},
+    "learner": {"adaptive": ("learner.c_delta",),
+                "bz": ("learner.grid_size", "learner.bz_k", "learner.bz_mu")},
 }
-_KNOWN_KEYS = _THRESHOLD_KEYS | _OPTIMIZE_KEYS | {
-    "kind", "id", "budget", "report", "output",
-    "slope.column", "slope.statistic", "problem.k",
-    "oracle.seed", "oracle.budget",
-    "learner.c_delta", "learner.grid_size", "learner.bz_k", "learner.bz_mu",
-    "sweep.budgets", "sweep.replications", "sweep.base_seed",
-}
-# keys that only one problem family or one learner reads
-_FAMILY_KEYS = {"separable-power": {"problem.k", "problem.coeffs"},
-                "quadratic": {"problem.a_diag", "problem.a"},
-                "ridge": {"problem.matrix_file"}}
-_LEARNER_KEYS = {"adaptive": {"learner.c_delta"},
-                 "bz": {"learner.grid_size", "learner.bz_k", "learner.bz_mu"}}
+_KNOWN_KEYS = {key for by_value in _KEY_TABLE.values() for keys in by_value.values()
+               for key in keys}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -96,46 +100,45 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _need(raw: dict, key: str) -> str:
-    if key not in raw:
-        raise ConfigError(f"{key}: required key is missing")
-    return raw[key]
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _get_float(raw: dict, key: str, default=None):
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.replace(",", " ").split()]
+
+
+@contextmanager
+def _config_errors(prefix: str):
+    """Raise a ValueError of the enclosed build as a ConfigError, ``prefix`` first."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+_EXPECTED = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers"}
+_REQUIRED = object()
+
+
+def _get(raw: dict, key: str, parse=str, default=_REQUIRED, word=None):
+    """``raw[key]`` parsed by ``parse``, or ``default`` when the key is unset.
+
+    A key without a default is required.  ``word`` is a value that stands
+    for itself unparsed (``auto``, ``center``, ...).
+    """
     if key not in raw:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"{key}: required key is missing")
         return default
+    if raw[key] == word:
+        return word
     try:
-        return float(raw[key])
+        return parse(raw[key])
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw[key]!r}") from None
-
-
-def _get_int(raw: dict, key: str, default=None):
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"{key}: required key is missing")
-        return default
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw[key]!r}") from None
-
-
-def _get_floats(raw: dict, key: str):
-    try:
-        return [float(tok) for tok in raw[key].replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"{key}: expected numbers, got {raw[key]!r}") from None
-
-
-def _get_ints(raw: dict, key: str):
-    try:
-        return [int(tok) for tok in raw[key].replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"{key}: expected integers, got {raw[key]!r}") from None
+        raise ConfigError(f"{key}: expected {_EXPECTED[parse]}, got {raw[key]!r}") from None
 
 
 @dataclass
@@ -154,6 +157,13 @@ class OracleSpec:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment: its problem, oracles, learner and sweep.
+
+    Threshold cells run ``learner``; optimize cells run ``optimizer``, whose
+    ``line_search`` is their learner.  ``load_config`` builds one learner and
+    sets it in both places.
+    """
+
     kind: str
     problem: TncProblem | UcFunction
     experiment_id: str = "exp"
@@ -191,65 +201,59 @@ class ExperimentConfig:
         if self.slope_column not in ERROR_COLUMNS:
             raise ConfigError(f"slope.column: expected one of {ERROR_COLUMNS}, "
                               f"got {self.slope_column!r}")
+        for key, value in (("sweep.base_seed", self.base_seed),
+                           ("oracle.seed", self.oracle.seed),
+                           ("oracle.budget", self.oracle.budget)):
+            if value is not None and value < 0:
+                raise ConfigError(f"{key}: must be non-negative, got {value}")
+        if self.kind == KIND_OPTIMIZE and not isinstance(self.optimizer.x0, str):
+            with _config_errors("optimizer.x0: "):
+                self.problem._point(self.optimizer.x0)
 
 
 def _build_tnc_problem(raw: dict) -> TncProblem:
-    try:
+    with _config_errors("problem: "):
         return TncProblem(
-            interval=Interval(_get_float(raw, "problem.lo"), _get_float(raw, "problem.hi")),
-            threshold=_get_float(raw, "problem.t"),
-            exponent=_get_float(raw, "problem.k"),
-            mu=_get_float(raw, "problem.mu"),
-            cap=_get_float(raw, "problem.cap"),
-            orientation=raw.get("problem.orientation", "positive-right"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"problem: {exc}") from exc
+            interval=Interval(_get(raw, "problem.lo", float), _get(raw, "problem.hi", float)),
+            threshold=_get(raw, "problem.t", float), exponent=_get(raw, "problem.k", float),
+            mu=_get(raw, "problem.mu", float), cap=_get(raw, "problem.cap", float),
+            orientation=raw.get("problem.orientation", POSITIVE_RIGHT))
 
 
 def _build_function(raw: dict, base_dir: Path) -> UcFunction:
-    family = _need(raw, "problem.family")
-    try:
+    family = _get(raw, "problem.family")
+    with _config_errors("problem: "):
         if family == "ridge":
-            path = Path(_need(raw, "problem.matrix_file"))
-            if not path.is_absolute():
-                path = base_dir / path
-            design, targets = load_ridge_text(path)
-            box = None
-            if "problem.box_lo" in raw and "problem.box_hi" in raw:
-                box = box_from_bounds(_get_floats(raw, "problem.box_lo"),
-                                      _get_floats(raw, "problem.box_hi"),
-                                      dim=design.shape[1])
-            return Ridge(design, targets, box)
-        dim = _get_int(raw, "problem.dim")
-        box = box_from_bounds(_get_floats(raw, "problem.box_lo"),
-                              _get_floats(raw, "problem.box_hi"), dim=dim)
-        x_star = np.asarray(_get_floats(raw, "problem.x_star"))
+            design, targets = load_ridge_text(base_dir / _get(raw, "problem.matrix_file"))
+            lo, hi = (_get(raw, f"problem.box_{end}", _floats, None) for end in ("lo", "hi"))
+            if (lo is None) != (hi is None):
+                key, other = ("problem.box_lo", "problem.box_hi")[::1 if hi is None else -1]
+                raise ConfigError(f"{key}: not read by problem.family = ridge without {other}")
+            return Ridge(design, targets,
+                         None if lo is None else box_from_bounds(lo, hi, dim=design.shape[1]))
+        dim = _get(raw, "problem.dim", int)
+        if dim < 1:
+            raise ConfigError(f"problem.dim: must be at least 1, got {dim}")
+        box = box_from_bounds(_get(raw, "problem.box_lo", _floats),
+                              _get(raw, "problem.box_hi", _floats), dim=dim)
+        x_star = np.asarray(_get(raw, "problem.x_star", _floats))
         if x_star.size == 1:
             x_star = np.full(dim, x_star[0])
         if family == "separable-power":
-            coeffs = np.asarray(_get_floats(raw, "problem.coeffs"))
+            coeffs = np.asarray(_get(raw, "problem.coeffs", _floats))
             if coeffs.size == 1:
                 coeffs = np.full(dim, coeffs[0])
             return SeparablePower(coeffs, x_star, box,
-                                  exponent=_get_float(raw, "problem.k", 2.0))
+                                  exponent=_get(raw, "problem.k", float, 2.0))
         if family == "quadratic":
             if "problem.a_diag" in raw:
-                diag = _get_floats(raw, "problem.a_diag")
+                diag = _get(raw, "problem.a_diag", _floats)
                 matrix = np.diag(np.full(dim, diag[0]) if len(diag) == 1 else diag)
             elif "problem.a" in raw:
-                rows = [[float(tok) for tok in row.replace(",", " ").split()]
-                        for row in raw["problem.a"].split(";")]
-                matrix = np.asarray(rows)
+                matrix = np.asarray([_floats(row) for row in raw["problem.a"].split(";")])
             else:
                 raise ConfigError("problem.a_diag or problem.a: required for quadratic")
             return Quadratic(matrix, x_star, box)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"problem: {exc}") from exc
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
 
@@ -259,29 +263,23 @@ def _build_mode(raw: dict):
     mode = next((m for m in SIGN_MODES if m.name == name), None)
     if mode is None:
         raise ConfigError(f"oracle.mode: unknown mode {name!r}")
-    declared = {f"oracle.{f.name}": f for f in fields(mode)}
-    stray = sorted(k for k in raw if k in _MODE_KEYS and k not in declared)
-    if stray:
-        raise ConfigError(f"{stray[0]}: not a parameter of oracle.mode = {name}")
-    params = {}
-    for key, f in declared.items():
-        if key in raw:
-            get = _get_int if isinstance(f.default, int) else _get_float
-            params[f.name] = get(raw, key)
-    try:
-        return mode(**params)
-    except ValueError as exc:
-        raise ConfigError(f"oracle.{exc}") from exc
+    with _config_errors("oracle."):
+        return mode(**{f.name: _get(raw, f"oracle.{f.name}", type(f.default), f.default)
+                       for f in fields(mode)})
 
 
 def load_config(path) -> ExperimentConfig:
-    """Load and validate an experiment config file."""
+    """Load and validate an experiment config file.
+
+    Every value is built and checked before the keys that the config never
+    reads are rejected, so a bad value is reported as such first.
+    """
     path = Path(path)
     raw = parse_config_text(path.read_text())
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown key")
-    kind = _need(raw, "kind")
+    kind = _get(raw, "kind")
     if kind == KIND_THRESHOLD:
         problem: TncProblem | UcFunction = _build_tnc_problem(raw)
     elif kind == KIND_OPTIMIZE:
@@ -290,45 +288,26 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"kind: expected {KIND_THRESHOLD!r} or {KIND_OPTIMIZE!r}, "
                           f"got {kind!r}")
 
-    grid_size: int | str | None = raw.get("learner.grid_size")
-    if grid_size not in (None, GRID_AUTO):
-        grid_size = _get_int(raw, "learner.grid_size")
-    learner_fields = dict(
-        c_delta=_get_float(raw, "learner.c_delta", 2.0),
-        orientation=raw.get("learner.orientation", POSITIVE_RIGHT),
-        grid_size=grid_size,
-        bz_k=_get_float(raw, "learner.bz_k") if "learner.bz_k" in raw else None,
-        bz_mu=_get_float(raw, "learner.bz_mu") if "learner.bz_mu" in raw else None,
-    )
-    line_search = raw.get("optimizer.line_search", "adaptive")
-    if line_search not in LEARNERS:
+    # the one learner: the threshold learner, or the optimizer's line search
+    name_key = "learner.name" if kind == KIND_THRESHOLD else "optimizer.line_search"
+    name = raw.get(name_key, "adaptive")
+    if kind == KIND_OPTIMIZE and name not in LEARNERS:
         raise ConfigError(f"optimizer.line_search: expected one of {LEARNERS}")
-    try:
-        learner = LearnerConfig(raw.get("learner.name", "adaptive"), **learner_fields)
-        # learner.* also parameterizes the line search of optimize configs
-        line_config = LearnerConfig(line_search, **learner_fields)
-    except ValueError as exc:
-        raise ConfigError(f"learner.{exc}") from exc
+    with _config_errors("learner."):
+        learner = LearnerConfig(
+            name, c_delta=_get(raw, "learner.c_delta", float, 2.0),
+            orientation=raw.get("learner.orientation", POSITIVE_RIGHT),
+            grid_size=_get(raw, "learner.grid_size", int, None, word=GRID_AUTO),
+            bz_k=_get(raw, "learner.bz_k", float, None),
+            bz_mu=_get(raw, "learner.bz_mu", float, None))
+    with _config_errors("optimizer."):
+        optimizer = OptimizerConfig(
+            epoch_rule=_get(raw, "optimizer.epoch_rule", int, PAPER_DEFAULT,
+                            word=PAPER_DEFAULT),
+            line_search=learner, x0=_get(raw, "optimizer.x0", _floats, "center", word="center"))
 
-    oracle = OracleSpec(
-        mode=_build_mode(raw),
-        seed=_get_int(raw, "oracle.seed") if "oracle.seed" in raw else None,
-        budget=_get_int(raw, "oracle.budget") if "oracle.budget" in raw else None,
-    )
-
-    epoch_rule: int | str = raw.get("optimizer.epoch_rule", PAPER_DEFAULT)
-    if epoch_rule != PAPER_DEFAULT:
-        epoch_rule = _get_int(raw, "optimizer.epoch_rule")
-    x0: str | list[float] = raw.get("optimizer.x0", "center")
-    if x0 != "center":
-        x0 = _get_floats(raw, "optimizer.x0")
-    try:
-        optimizer = OptimizerConfig(epoch_rule=epoch_rule, line_search=line_config,
-                                    x0=x0)
-    except ValueError as exc:
-        raise ConfigError(f"optimizer.{exc}") from exc
-
-    budgets = _get_ints(raw, "sweep.budgets") if "sweep.budgets" in raw else None
+    oracle = OracleSpec(mode=_build_mode(raw), seed=_get(raw, "oracle.seed", int, None),
+                        budget=_get(raw, "oracle.budget", int, None))
     config = ExperimentConfig(
         kind=kind,
         problem=problem,
@@ -336,44 +315,40 @@ def load_config(path) -> ExperimentConfig:
         learner=learner,
         oracle=oracle,
         optimizer=optimizer,
-        budgets=budgets,
-        replications=_get_int(raw, "sweep.replications", 1),
-        base_seed=_get_int(raw, "sweep.base_seed", 0),
+        budgets=_get(raw, "sweep.budgets", _ints, None),
+        replications=_get(raw, "sweep.replications", int, 1),
+        base_seed=_get(raw, "sweep.base_seed", int, 0),
         report=raw.get("report", "csv"),
         output=raw.get("output"),
         slope_column=raw.get("slope.column", "excess_risk"),
         slope_statistic=raw.get("slope.statistic", "median"),
-        single_budget=_get_int(raw, "budget") if "budget" in raw else None,
+        single_budget=_get(raw, "budget", int, None),
     )
-    # after the values are built, so a bad value is reported as such first
-    _reject_unread_keys(raw, kind, learner.name if kind == KIND_THRESHOLD
-                        else line_search)
+    selected = {("kind", kind): f"kind = {kind} configs",
+                ("learner", name): f"{name_key} = {name}"}
+    if kind == KIND_OPTIMIZE:
+        for selector, value in (("problem.family", raw["problem.family"]),
+                                ("oracle.mode", oracle.mode.name)):
+            selected[selector, value] = f"{selector} = {value}"
+    _reject_unread_keys(raw, selected)
     return config
 
 
-def _reject_unread_keys(raw: dict, kind: str, learner_name: str) -> None:
-    """Raise on the first key that the kind, family or learner never reads."""
-    unread = dict.fromkeys(_OPTIMIZE_KEYS if kind == KIND_THRESHOLD else _THRESHOLD_KEYS,
-                           f"kind = {kind} configs")
-    learner_key = "learner.name" if kind == KIND_THRESHOLD else "optimizer.line_search"
-    for name, keys in _LEARNER_KEYS.items():
-        if name != learner_name:
-            unread.update(dict.fromkeys(keys, f"{learner_key} = {learner_name}"))
-    if kind == KIND_OPTIMIZE:
-        family = raw["problem.family"]
-        by_family = f"problem.family = {family}"
-        for name, keys in _FAMILY_KEYS.items():
-            if name != family:
-                unread.update(dict.fromkeys(keys, by_family))
-        if family == "ridge":
-            unread.update(dict.fromkeys(("problem.dim", "problem.x_star"), by_family))
-            bounds = ("problem.box_lo", "problem.box_hi")
-            if (bounds[0] in raw) != (bounds[1] in raw):
-                unread.update({bounds[0]: f"{by_family} without {bounds[1]}",
-                               bounds[1]: f"{by_family} without {bounds[0]}"})
-    stray = sorted(set(raw) & set(unread))
+def _reject_unread_keys(raw: dict, selected: dict) -> None:
+    """Raise on the first key that no ``_KEY_TABLE`` entry the config selects lists.
+
+    ``selected`` maps each selected (selector, value) entry, the kind's
+    first, to how the message names it.  The message names the last
+    selector that reads the key for some value, else the kind.
+    """
+    read = set(_KEY_TABLE[None][None]).union(
+        *(_KEY_TABLE[selector].get(value, ()) for selector, value in selected))
+    stray = sorted(set(raw) - read)
     if stray:
-        raise ConfigError(f"{stray[0]}: not read by {unread[stray[0]]}")
+        reader = next(label for (selector, _), label in reversed(selected.items())
+                      if selector == "kind"
+                      or any(stray[0] in keys for keys in _KEY_TABLE[selector].values()))
+        raise ConfigError(f"{stray[0]}: not read by {reader}")
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +615,7 @@ class SlopeReport:
     n_excluded_zero: int
 
     def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_residual": self.max_residual,
-            "statistic": self.statistic,
-            "error_column": self.error_column,
-            "per_budget": [vars(b) for b in self.per_budget],
-            "excluded_budgets": self.excluded_budgets,
-            "n_error_rows": self.n_error_rows,
-            "n_excluded_zero": self.n_excluded_zero,
-        }
+        return asdict(self)
 
 
 def slope_report(table: RunTable, statistic: str = "median",
@@ -681,12 +646,13 @@ def slope_report(table: RunTable, statistic: str = "median",
         agg = float(np.median(values)) if statistic == "median" else float(values.mean())
         summaries.append(BudgetSummary(budget=budget, value=agg, n_rows=values.size,
                                        n_zero=int(np.count_nonzero(values == 0.0))))
-    usable = [(s.budget, s.value) for s in summaries if s.value > 0.0]
     excluded = [s.budget for s in summaries if s.value <= 0.0]
-    if len(usable) < 2:
+    n_usable = len(summaries) - len(excluded)
+    if n_usable < 2:
         raise ValueError(f"need at least 2 budgets with positive {statistic} "
-                         f"{error_column}, have {len(usable)}")
-    fit = fit_rate_slope(usable)
+                         f"{error_column}, have {n_usable}")
+    # the fit drops and counts the zero budgets itself
+    fit = fit_rate_slope([(s.budget, s.value) for s in summaries])
     return SlopeReport(slope=fit.slope, intercept=fit.intercept,
                        max_residual=fit.max_residual, statistic=statistic,
                        error_column=error_column, per_budget=summaries,

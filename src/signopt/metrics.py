@@ -16,9 +16,6 @@ import numpy as np
 
 from .problems import OutOfDomain, TncProblem, UcFunction
 
-F_ERROR_ATOL = 1e-12
-
-
 @dataclass
 class ErrorRecord:
     """Errors of one run outcome against ground truth."""
@@ -100,10 +97,9 @@ def error_record(target, estimate) -> ErrorRecord:
                            excess_risk=excess_risk(target, est))
     if isinstance(target, UcFunction):
         est = np.asarray(estimate, dtype=float)
-        raw = target.value(est) - target.f_min
-        f_err = 0.0 if raw <= F_ERROR_ATOL else float(raw)
+        gap = target.value(est) - target.f_min
         return ErrorRecord(point_error=float(np.linalg.norm(est - target.x_star)),
-                           f_error=f_err)
+                           f_error=0.0 if gap <= 0.0 else float(gap))
     raise TypeError(f"cannot compute errors for {type(target).__name__}")
 
 

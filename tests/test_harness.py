@@ -6,7 +6,7 @@ import pytest
 
 from signopt import ConfigError, RunTable, load_config, run_experiment, slope_report
 from signopt import GaussianNoise, LearnerConfig, OptimizerConfig
-from signopt.harness import (ExperimentConfig, OracleSpec, Row, cell_seed,
+from signopt.harness import (_KNOWN_KEYS, ExperimentConfig, OracleSpec, Row, cell_seed,
                              parse_config_text, run_cell)
 from signopt import make_tnc_problem
 
@@ -189,6 +189,14 @@ def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
     assert bz.optimizer.line_search.grid_size == 7
 
 
+def test_readme_names_exactly_the_config_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("### Config keys", 1)[1].split("```")[1]
+    named = {key.strip() for line in block.splitlines()
+             for key in line.split("#", 1)[0].split("=", 1)[0].replace("|", ",").split(",")}
+    assert named - {""} == _KNOWN_KEYS
+
+
 def test_budgets_must_increase(tmp_path):
     with pytest.raises(ConfigError, match="budgets"):
         _load(tmp_path, THRESHOLD_CFG.replace("64, 128", "128, 64"))
@@ -207,9 +215,19 @@ def test_bad_number_names_the_key(tmp_path):
                       ("oracle.mode = additive-uniform\noracle.halfwidth = nan",
                        "oracle.halfwidth"),
                       ("slope.column = f_eror", "slope.column"),
-                      ("optimizer.epoch_rule = 0", "optimizer.epoch_rule")):
+                      ("optimizer.epoch_rule = 0", "optimizer.epoch_rule"),
+                      ("oracle.seed = -2", "oracle.seed"),
+                      ("oracle.budget = -5", "oracle.budget")):
         with pytest.raises(ConfigError, match=key):
             _load(tmp_path, THRESHOLD_CFG + line + "\n")
+    # values that would otherwise fail every cell, or crash the loader
+    for text, key in ((OPTIMIZE_CFG.replace("base_seed = 9", "base_seed = -1"),
+                       "sweep.base_seed"),
+                      (OPTIMIZE_CFG.replace("dim = 2", "dim = 0"), "problem.dim"),
+                      (OPTIMIZE_CFG + "optimizer.x0 = 0.5\n", "optimizer.x0"),
+                      (OPTIMIZE_CFG + "optimizer.x0 = 0.5, 3.0\n", "optimizer.x0")):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            _load(tmp_path, text)
     with pytest.raises(ConfigError, match="learner.c_delta"):
         _load(tmp_path, THRESHOLD_CFG.replace("learner.c_delta = 2.0",
                                               "learner.c_delta = 1.0"))
@@ -503,6 +521,7 @@ def test_slope_report_excludes_zero_median_budgets():
     table = _table_from({10: [1.0], 100: [0.1], 1000: [0.0]})
     report = slope_report(table, "median", "excess_risk")
     assert report.excluded_budgets == [1000]
+    assert report.n_excluded_zero == 1
     assert report.slope == pytest.approx(-1.0, abs=1e-12)
 
 

@@ -99,10 +99,12 @@ def test_error_record_separable_cubic():
     assert rec.f_error == pytest.approx(1e-3)
 
 
-def test_error_record_zero_iff_within_tolerance():
+def test_error_record_reports_the_true_gap():
     fn = Quadratic(np.eye(1), [0.0], box_from_bounds(-1.0, 1.0, dim=1))
-    assert error_record(fn, [1e-7]).f_error == 0.0     # value gap 5e-15 <= 1e-12
-    assert error_record(fn, [1e-5]).f_error > 0.0      # value gap 5e-11 > 1e-12
+    assert error_record(fn, [1e-7]).f_error == pytest.approx(5e-15, rel=1e-9)
+    assert error_record(fn, [0.0]).f_error == 0.0
+    fn.f_min = 1e-3  # a value below the stated minimum is never a negative gap
+    assert error_record(fn, [1e-7]).f_error == 0.0
 
 
 def test_error_record_rejects_unknown_targets():
