@@ -108,6 +108,10 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _rows(text: str) -> list[list[float]]:
+    return [_floats(row) for row in text.split(";")]
+
+
 @contextmanager
 def _config_errors(prefix: str):
     """Raise a ValueError of the enclosed build as a ConfigError, ``prefix`` first."""
@@ -119,7 +123,8 @@ def _config_errors(prefix: str):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-_EXPECTED = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers"}
+_EXPECTED = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers",
+             _rows: "rows of numbers separated by ';'"}
 _REQUIRED = object()
 
 
@@ -239,6 +244,8 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
         x_star = np.asarray(_get(raw, "problem.x_star", _floats))
         if x_star.size == 1:
             x_star = np.full(dim, x_star[0])
+        if x_star.shape == (box.dim,) and not box.contains(x_star):
+            raise ConfigError("problem.x_star: must lie inside the domain box")
         if family == "separable-power":
             coeffs = np.asarray(_get(raw, "problem.coeffs", _floats))
             if coeffs.size == 1:
@@ -250,7 +257,7 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
                 diag = _get(raw, "problem.a_diag", _floats)
                 matrix = np.diag(np.full(dim, diag[0]) if len(diag) == 1 else diag)
             elif "problem.a" in raw:
-                matrix = np.asarray([_floats(row) for row in raw["problem.a"].split(";")])
+                matrix = np.asarray(_get(raw, "problem.a", _rows))
             else:
                 raise ConfigError("problem.a_diag or problem.a: required for quadratic")
             return Quadratic(matrix, x_star, box)

@@ -105,16 +105,18 @@ def erm_cut(positions, labels, search: Interval,
     left_pos = np.zeros(n + 1, dtype=np.intp)  # left_pos[s]: positives among p[:s]
     pos.cumsum(out=left_pos[1:])
     boundaries = (p[1:] > p[:-1]).nonzero()[0] + 1  # splits between distinct values
-    lower, upper = p[boundaries - 1], p[boundaries]
-    mids = 0.5 * (lower + upper)
+    # a cut c classifies x >= c as the positive side; at split s = #{p < c} its
+    # error is left_pos[s] + #{negatives in p[s:]} = 2 * left_pos[s] - s + const,
+    # and a midpoint between distinct values splits at their boundary
+    ends = p.searchsorted((search.lo, search.hi), side="left")
+    splits = np.concatenate((ends[:1], boundaries, ends[1:]))
+    best = int((2 * left_pos[splits] - splits).argmin())
+    if not 0 < best <= boundaries.size:
+        return float(search.hi if best else search.lo)
+    lower, upper = p[boundaries[best - 1] - 1], p[boundaries[best - 1]]
+    mid = 0.5 * (lower + upper)
     # the midpoint of two adjacent floats can round onto the lower one
-    mids = np.where(mids == lower, upper, mids)
-    cands = np.concatenate(([search.lo], mids, [search.hi]))
-    # a cut c classifies x >= c as the positive side
-    split = p.searchsorted(cands, side="left")
-    left = left_pos[split]  # positives left of each cut; split - left negatives
-    err = left + ((n - left_pos[n]) - (split - left))
-    return float(cands[err.argmin()])
+    return float(upper if mid == lower else mid)
 
 
 def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,

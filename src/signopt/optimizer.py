@@ -119,17 +119,20 @@ class LineLabelOracle:
         fn = sign_oracle.fn
         self.base = sign_oracle
         self._x = fn._point(x).copy()
-        self._j = fn._index(j)
-        alo, ahi = fn.box.segment(self._x, self._j)
+        self._j = j = fn._index(j)
+        # the line's coordinate and bounds as floats, for label_sample's clamp
+        self._xj = float(self._x[j])
+        self._lo, self._hi = float(fn.box.lo[j]), float(fn.box.hi[j])
+        alo, ahi = fn.box.segment(self._x, j)
         self.degenerate = not ahi > alo
         self.sole_step = alo if self.degenerate else None
         self.interval = None if self.degenerate else Interval(alo, ahi)
 
     def label_sample(self, alpha: float) -> int:
-        box = self.base.fn.box
+        v = self._xj + alpha
         q = self._x.copy()
         # clamp against end-point roundoff; the adjustment is at ulp scale
-        q[self._j] = min(max(q[self._j] + alpha, box.lo[self._j]), box.hi[self._j])
+        q[self._j] = self._lo if v < self._lo else self._hi if v > self._hi else v
         return self.base.sign_sample(q, self._j)
 
     def label_sample_many(self, alphas) -> np.ndarray:
@@ -165,9 +168,8 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
     line_config = replace(config.line_search,
                           orientation=POSITIVE_RIGHT).for_budget(budget // epochs)
     x = fn._point(fn.box.center if isinstance(config.x0, str) else config.x0).copy()
-    coord_rng = coordinate_rng(config.seed)
-    for line_rng in line_search_streams(config.seed, epochs):
-        j = int(coord_rng.integers(fn.dim))
+    coords = coordinate_rng(config.seed).integers(fn.dim, size=epochs).tolist()
+    for j, line_rng in zip(coords, line_search_streams(config.seed, epochs)):
         line = line_label_oracle(sign_oracle, x, j)
         if line.degenerate:
             step = line.sole_step

@@ -246,11 +246,12 @@ class ExactSign:
 
 
 @dataclass(frozen=True)
-class QuantizedSign:
+class QuantizedSign(ExactSign):
     """Sign of the gradient rounded to a fixed number of decimals.
 
-    Rounding never flips a nonzero sign; a magnitude that rounds to zero
-    falls back to the true sign (truncating it to zero would lose the sign).
+    Rounding |g| to ``decimals`` places never flips a nonzero sign, and a
+    magnitude that rounds to zero falls back to the true sign, so the label
+    is the exact sign for every ``decimals``: the rounding is never computed.
     A gradient that is exactly zero resolves by a fair coin.
     """
 
@@ -260,17 +261,8 @@ class QuantizedSign:
     def __post_init__(self):
         if self.decimals < 0:
             raise ValueError("decimals: must be non-negative")
-
-    def probability_positive(self, g):
-        g = np.asarray(g, dtype=float)
-        return np.where(g > 0, 1.0, np.where(g < 0, 0.0, 0.5))
-
-    def draw_many(self, g: np.ndarray, rng) -> np.ndarray:
-        scale = 10.0 ** self.decimals
-        q = np.sign(g) * np.round(np.abs(g) * scale) / scale
-        rounded_out = q == 0.0
-        q[rounded_out] = g[rounded_out]
-        return _signs_with_fair_ties(q, rng)
+        if self.decimals > 308:  # the rounding scale 10.0 ** decimals overflows beyond
+            raise ValueError("decimals: must be at most 308")
 
 
 def _signs_with_fair_ties(s: np.ndarray, rng) -> np.ndarray:
@@ -303,7 +295,7 @@ class SignOracle(_CountingOracle):
 
     def sign_sample_line(self, x, j: int, alphas) -> np.ndarray:
         """Batch of sign queries at x + alpha * e_j for each alpha."""
-        x = self.fn._point(x)
+        x = self.fn._shaped(x)  # grad_coord_line checks that x lies in the box
         j = self.fn._index(j)
         alphas = np.asarray(alphas, dtype=float)
         alo, ahi = self.fn.box.segment(x, j)

@@ -197,7 +197,8 @@ class Box:
 
     def contains(self, x) -> bool:
         a = np.asarray(x, dtype=float)
-        return bool(((a >= self._lo_tol) & (a <= self._hi_tol)).all())
+        # logical_and.reduce is ndarray.all without its Python-level wrapper
+        return bool(np.logical_and.reduce((a >= self._lo_tol) & (a <= self._hi_tol), axis=None))
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
@@ -251,10 +252,15 @@ class UcFunction(abc.ABC):
     def dim(self) -> int:
         return self.box.dim
 
-    def _point(self, x) -> np.ndarray:
+    def _shaped(self, x) -> np.ndarray:
+        """``x`` as a float array of the point shape; its domain is not checked."""
         a = np.asarray(x, dtype=float)
         if a.shape != (self.dim,):
             raise DimensionMismatch(f"expected point of shape ({self.dim},), got {a.shape}")
+        return a
+
+    def _point(self, x) -> np.ndarray:
+        a = self._shaped(x)
         if not self.box.contains(a):
             raise OutOfDomain("point outside the domain box")
         return a
@@ -424,8 +430,16 @@ class Ridge(UcFunction):
         self._hess_diag = col_sq + 1.0
         self.f_min = self._value_unchecked(x_star)
 
+    def _residual(self, x) -> np.ndarray:
+        r = self.design @ x
+        r -= self.targets
+        return r
+
+    def _partial(self, x, j: int) -> float:
+        return float(self.design[:, j] @ self._residual(x) + x[j])
+
     def _value_unchecked(self, x) -> float:
-        r = self.design @ x - self.targets
+        r = self._residual(x)
         return float(0.5 * (r @ r) + 0.5 * (x @ x))
 
     def value(self, x) -> float:
@@ -433,25 +447,18 @@ class Ridge(UcFunction):
 
     def grad(self, x) -> np.ndarray:
         x = self._point(x)
-        return self.design.T @ (self.design @ x - self.targets) + x
+        return self.design.T @ self._residual(x) + x
 
     def grad_coord(self, x, j: int) -> float:
-        x = self._point(x)
-        j = self._index(j)
-        r = self.design @ x - self.targets
-        return float(self.design[:, j] @ r + x[j])
+        return self._partial(self._point(x), self._index(j))
 
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
         x = self._point(x)
         j = self._index(j)
-        r = self.design @ x - self.targets
-        g0 = float(self.design[:, j] @ r + x[j])
-        return g0 + self._hess_diag[j] * np.asarray(alphas, dtype=float)
+        return self._partial(x, j) + self._hess_diag[j] * np.asarray(alphas, dtype=float)
 
     def _directional_min_free(self, x, j: int) -> float:
-        r = self.design @ x - self.targets
-        g0 = float(self.design[:, j] @ r + x[j])
-        return -g0 / float(self._hess_diag[j])
+        return -self._partial(x, j) / float(self._hess_diag[j])
 
 
 class RidgeState:
@@ -466,7 +473,7 @@ class RidgeState:
     def __init__(self, fn: Ridge, x0):
         self.fn = fn
         self.x = fn._point(x0).copy()
-        self.residual = fn.design @ self.x - fn.targets
+        self.residual = fn._residual(self.x)
 
     def grad_coord(self, j: int) -> float:
         j = self.fn._index(j)

@@ -225,7 +225,14 @@ def test_bad_number_names_the_key(tmp_path):
                        "sweep.base_seed"),
                       (OPTIMIZE_CFG.replace("dim = 2", "dim = 0"), "problem.dim"),
                       (OPTIMIZE_CFG + "optimizer.x0 = 0.5\n", "optimizer.x0"),
-                      (OPTIMIZE_CFG + "optimizer.x0 = 0.5, 3.0\n", "optimizer.x0")):
+                      (OPTIMIZE_CFG + "optimizer.x0 = 0.5, 3.0\n", "optimizer.x0"),
+                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
+                                            "problem.a = 1 0; 0 x"), "problem.a"),
+                      (OPTIMIZE_CFG.replace("x_star = 0.3, -0.2", "x_star = 5"),
+                       "problem.x_star"),
+                      (OPTIMIZE_CFG.replace("additive-gaussian\noracle.sigma = 1.0",
+                                            "quantized\noracle.decimals = 400"),
+                       "oracle.decimals")):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             _load(tmp_path, text)
     with pytest.raises(ConfigError, match="learner.c_delta"):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from signopt import (BudgetExhausted, ExactSign, GaussianNoise, LearnerConfig,
-                     OptimizerConfig, Quadratic, SeparablePower, SignOracle,
-                     adaptive_learner, box_from_bounds, default_epoch_count,
-                     line_label_oracle, rssgd, seeded_rng)
+from signopt import (BudgetExhausted, DimensionMismatch, ExactSign, GaussianNoise,
+                     LearnerConfig, OptimizerConfig, OutOfDomain, Quadratic,
+                     SeparablePower, SignOracle, adaptive_learner, box_from_bounds,
+                     default_epoch_count, line_label_oracle, rssgd, seeded_rng)
 from signopt import optimizer
-from signopt.optimizer import line_search_rng, line_search_streams
+from signopt.optimizer import coordinate_rng, line_search_rng, line_search_streams
 
 from _checks import binomial_band
 
@@ -111,6 +111,45 @@ def test_line_adapter_shares_the_budget_counter():
     line.label_sample(0.4)
     with pytest.raises(BudgetExhausted):
         line.label_sample(0.4)
+
+
+@pytest.mark.parametrize("x, j, error", [
+    ([1.0 + 1e-9, 0.0], 0, OutOfDomain),      # beyond the box's 1e-12 tolerance
+    ([0.0, -1.0 - 1e-9], 0, OutOfDomain),
+    ([0.0, 0.0, 0.0], 0, DimensionMismatch),
+    ([[0.0], [0.0]], 0, DimensionMismatch),
+    (0.0, 0, DimensionMismatch),
+    ([0.0, 0.0], 2, IndexError),
+    ([0.0, 0.0], -1, IndexError),
+])
+def test_invalid_query_points_raise_and_charge_nothing(x, j, error):
+    fn = _quad((1.0, 1.0))
+    oracle = _oracle(fn)
+    state = _plain(oracle.rng.bit_generator.state)
+    for query in (lambda: oracle.sign_sample(x, j),
+                  lambda: oracle.sign_sample_line(x, j, [0.0, 0.5]),
+                  lambda: line_label_oracle(oracle, x, j)):
+        with pytest.raises(error):
+            query()
+    assert oracle.queries_used == 0
+    assert _plain(oracle.rng.bit_generator.state) == state
+
+
+def test_steps_beyond_the_segment_pad():
+    fn = _quad((1.0, 1.0))
+    oracle = _oracle(fn)
+    x = np.array([0.5, 1.0 + 1e-13])  # inside the tolerance; steps lie in [-1.5, 0.5]
+    line = line_label_oracle(oracle, x, 0)
+    for alphas in ([0.5 + 1e-9], [-1.5 - 1e-9], [0.0, 2.0]):
+        with pytest.raises(OutOfDomain):
+            oracle.sign_sample_line(x, 0, alphas)
+        with pytest.raises(OutOfDomain):
+            line.label_sample_many(alphas)
+    assert oracle.queries_used == 0
+    # steps within the pad are clipped onto the box; label_sample clamps any step
+    assert line.label_sample_many([0.5 + 1e-13, -1.5 - 1e-13]).tolist() == [1, -1]
+    assert [line.label_sample(a) for a in (2.0, -5.0)] == [1, -1]
+    assert oracle.queries_used == 4
 
 
 def test_degenerate_segment_reports_single_step():
@@ -290,6 +329,16 @@ def test_line_search_streams_match_line_search_rng(monkeypatch, seed):
         assert _draws(rng, odd) == _draws(line_search_rng(seed, epoch), odd)
         assert rng.bit_generator.state["has_uint32"] == int(odd)
     assert epoch == epochs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 1000])
+def test_coordinates_drawn_at_once_match_scalar_calls(dim):
+    # rssgd draws its E coordinates in one integers(d, size=E) call
+    epochs = 301
+    scalar, block = coordinate_rng(6), coordinate_rng(6)
+    singles = [int(scalar.integers(dim)) for _ in range(epochs)]
+    assert block.integers(dim, size=epochs).tolist() == singles
+    assert _plain(block.bit_generator.state) == _plain(scalar.bit_generator.state)
 
 
 def test_line_search_stream_ignores_what_the_last_epoch_left():

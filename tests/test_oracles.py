@@ -134,6 +134,40 @@ def test_quantized_rounding_to_zero_keeps_the_true_sign():
         assert oracle.sign_sample(np.array([-1e-4]), 0) == -1
 
 
+def _rounded_draw(decimals, g, rng):
+    """The quantized mode's draw as it once was: the sign of g rounded to
+    ``decimals`` places, or of g itself where that rounds to zero."""
+    scale = 10.0 ** decimals
+    with np.errstate(over="ignore"):
+        q = np.sign(g) * np.round(np.abs(g) * scale) / scale
+    rounded_out = q == 0.0
+    q[rounded_out] = g[rounded_out]
+    return ExactSign().draw_many(q, rng)
+
+
+@pytest.mark.parametrize("decimals", [0, 3, 308])
+def test_quantized_draws_match_the_rounding_formula(decimals):
+    # the quantized mode no longer rounds: the labels and the tie coins it
+    # draws are the rounded ones and the exact sign's, value for value
+    tiny = 5e-324
+    g = np.array([0.0, -0.0, 1.5, -2.0, tiny, -tiny, 2.5e-310, -1e-309,
+                  4e-4, -4e-4, 5e-4, 0.4, -0.49, 1e-300, 1e300, -1e308,
+                  np.inf, -np.inf, np.nan, 0.0, 123.456, -0.0, 0.0])
+    g = np.concatenate([g, np.random.default_rng(decimals).permutation(g)])
+    rngs = [seeded_rng(20, decimals, 0) for _ in range(3)]
+    rounded = _rounded_draw(decimals, g.copy(), rngs[0])
+    quantized = QuantizedSign(decimals).draw_many(g.copy(), rngs[1])
+    exact = ExactSign().draw_many(g.copy(), rngs[2])
+    assert quantized.tolist() == rounded.tolist() == exact.tolist()
+    assert len({repr(rng.bit_generator.state) for rng in rngs}) == 1
+
+
+def test_quantized_decimals_are_bounded():
+    QuantizedSign(308)
+    with pytest.raises(ValueError, match="^decimals: "):
+        QuantizedSign(309)
+
+
 def test_tnc_transfer_along_a_coordinate_line():
     # With gaussian sign noise on a k-uniformly-convex separable function,
     # the induced regression function along a line satisfies the two-sided
