@@ -2,8 +2,9 @@
 
 Configs are flat ``key = value`` text files with dotted section keys
 (``problem.*``, ``oracle.*``, ``learner.*``, ``optimizer.*``, ``sweep.*``).
-Every (budget, replication) cell derives its random streams from
-``(base_seed, replication, role)``, so tables are bit-reproducible and
+Every (budget, replication) cell derives all its random streams from
+``(base_seed, replication, role[, epoch])``, and its row's ``seed`` is
+``cell_seed(base_seed, replication)``, so tables are bit-reproducible and
 independent of execution order, worker count and how cells are blocked.
 A block of cells is one worker's unit of work; a threshold sweep's bz cells
 in a block run in lockstep through one batched learner.  Results are
@@ -60,7 +61,7 @@ class ConfigError(ValueError):
 # (learn-threshold) or optimizer.line_search (optimize).
 _KEY_TABLE = {
     None: {None: ("kind", "id", "budget", "report", "output", "slope.column",
-                  "slope.statistic", "oracle.seed", "oracle.budget", "sweep.budgets",
+                  "slope.statistic", "oracle.budget", "sweep.budgets",
                   "sweep.replications", "sweep.base_seed")},
     "kind": {
         KIND_THRESHOLD: ("problem.lo", "problem.hi", "problem.t", "problem.k", "problem.mu",
@@ -148,15 +149,13 @@ def _get(raw: dict, key: str, parse=str, default=_REQUIRED, word=None):
 
 @dataclass
 class OracleSpec:
-    """The sign mode of optimize cells, and optional overrides of every oracle.
+    """The sign mode of optimize cells, and an optional cap on every oracle.
 
-    ``seed`` re-keys the label stream independently of the sweep seed;
     ``budget`` caps oracle queries below the cell budget (cells that hit the
     cap record error rows).
     """
 
     mode: object = ExactSign()
-    seed: int | None = None
     budget: int | None = None
 
 
@@ -207,7 +206,6 @@ class ExperimentConfig:
             raise ConfigError(f"slope.column: expected one of {ERROR_COLUMNS}, "
                               f"got {self.slope_column!r}")
         for key, value in (("sweep.base_seed", self.base_seed),
-                           ("oracle.seed", self.oracle.seed),
                            ("oracle.budget", self.oracle.budget)):
             if value is not None and value < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {value}")
@@ -223,6 +221,16 @@ def _build_tnc_problem(raw: dict) -> TncProblem:
             threshold=_get(raw, "problem.t", float), exponent=_get(raw, "problem.k", float),
             mu=_get(raw, "problem.mu", float), cap=_get(raw, "problem.cap", float),
             orientation=raw.get("problem.orientation", POSITIVE_RIGHT))
+
+
+def _vector(raw: dict, key: str, dim: int) -> np.ndarray:
+    """``key``'s values as a ``dim``-vector; a single value stands for every entry."""
+    values = np.asarray(_get(raw, key, _floats))
+    if values.size == 1:
+        values = np.full(dim, values[0])
+    if values.shape != (dim,):
+        raise ConfigError(f"{key}: expected 1 or {dim} values, got {values.size}")
+    return values
 
 
 def _build_function(raw: dict, base_dir: Path) -> UcFunction:
@@ -241,26 +249,26 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
             raise ConfigError(f"problem.dim: must be at least 1, got {dim}")
         box = box_from_bounds(_get(raw, "problem.box_lo", _floats),
                               _get(raw, "problem.box_hi", _floats), dim=dim)
-        x_star = np.asarray(_get(raw, "problem.x_star", _floats))
-        if x_star.size == 1:
-            x_star = np.full(dim, x_star[0])
-        if x_star.shape == (box.dim,) and not box.contains(x_star):
+        x_star = _vector(raw, "problem.x_star", dim)
+        if not box.contains(x_star):
             raise ConfigError("problem.x_star: must lie inside the domain box")
         if family == "separable-power":
-            coeffs = np.asarray(_get(raw, "problem.coeffs", _floats))
-            if coeffs.size == 1:
-                coeffs = np.full(dim, coeffs[0])
-            return SeparablePower(coeffs, x_star, box,
-                                  exponent=_get(raw, "problem.k", float, 2.0))
+            coeffs = _vector(raw, "problem.coeffs", dim)
+            if not (coeffs > 0).all():
+                raise ConfigError("problem.coeffs: must be positive")
+            with _config_errors("problem.k: "):  # all it has left to check is k
+                return SeparablePower(coeffs, x_star, box,
+                                      exponent=_get(raw, "problem.k", float, 2.0))
         if family == "quadratic":
-            if "problem.a_diag" in raw:
-                diag = _get(raw, "problem.a_diag", _floats)
-                matrix = np.diag(np.full(dim, diag[0]) if len(diag) == 1 else diag)
-            elif "problem.a" in raw:
-                matrix = np.asarray(_get(raw, "problem.a", _rows))
-            else:
+            key = "problem.a_diag" if "problem.a_diag" in raw else "problem.a"
+            if key not in raw:
                 raise ConfigError("problem.a_diag or problem.a: required for quadratic")
-            return Quadratic(matrix, x_star, box)
+            with _config_errors(f"{key}: "):  # a ragged, asymmetric or indefinite matrix
+                matrix = (np.diag(_vector(raw, key, dim)) if key == "problem.a_diag"
+                          else np.asarray(_get(raw, key, _rows)))
+                if matrix.shape != (dim, dim):
+                    raise ValueError(f"expected {dim} rows of {dim} values")
+                return Quadratic(matrix, x_star, box)
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
 
@@ -300,21 +308,21 @@ def load_config(path) -> ExperimentConfig:
     name = raw.get(name_key, "adaptive")
     if kind == KIND_OPTIMIZE and name not in LEARNERS:
         raise ConfigError(f"optimizer.line_search: expected one of {LEARNERS}")
+    bz_param = _REQUIRED if name == "bz" else None
     with _config_errors("learner."):
         learner = LearnerConfig(
             name, c_delta=_get(raw, "learner.c_delta", float, 2.0),
             orientation=raw.get("learner.orientation", POSITIVE_RIGHT),
-            grid_size=_get(raw, "learner.grid_size", int, None, word=GRID_AUTO),
-            bz_k=_get(raw, "learner.bz_k", float, None),
-            bz_mu=_get(raw, "learner.bz_mu", float, None))
+            grid_size=_get(raw, "learner.grid_size", int, GRID_AUTO, word=GRID_AUTO),
+            bz_k=_get(raw, "learner.bz_k", float, bz_param),
+            bz_mu=_get(raw, "learner.bz_mu", float, bz_param))
     with _config_errors("optimizer."):
         optimizer = OptimizerConfig(
             epoch_rule=_get(raw, "optimizer.epoch_rule", int, PAPER_DEFAULT,
                             word=PAPER_DEFAULT),
             line_search=learner, x0=_get(raw, "optimizer.x0", _floats, "center", word="center"))
 
-    oracle = OracleSpec(mode=_build_mode(raw), seed=_get(raw, "oracle.seed", int, None),
-                        budget=_get(raw, "oracle.budget", int, None))
+    oracle = OracleSpec(mode=_build_mode(raw), budget=_get(raw, "oracle.budget", int, None))
     config = ExperimentConfig(
         kind=kind,
         problem=problem,
@@ -452,17 +460,6 @@ def cell_seed(base_seed: int, replication: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _oracle_stream(config: ExperimentConfig, replication: int):
-    seed = config.base_seed if config.oracle.seed is None else config.oracle.seed
-    return seeded_rng(seed, replication, ROLE_LABELS)
-
-
-def _oracle_budget(config: ExperimentConfig, budget: int) -> int:
-    if config.oracle.budget is None:
-        return budget
-    return min(budget, config.oracle.budget)
-
-
 def _row(config: ExperimentConfig, budget: int, replication: int, outcome,
          wall_ms: float) -> Row:
     """The table row of one cell from its run's outcome: (point, queries) or
@@ -486,28 +483,29 @@ def _row(config: ExperimentConfig, budget: int, replication: int, outcome,
                f_error=f_error, queries_used=queries, error=error, wall_time_ms=wall_ms)
 
 
-def _label_oracle(config: ExperimentConfig, budget: int, replication: int) -> LabelOracle:
-    return LabelOracle(config.problem, _oracle_stream(config, replication),
-                       budget=_oracle_budget(config, budget))
+def _oracle(config: ExperimentConfig, budget: int,
+            replication: int) -> LabelOracle | SignOracle:
+    """The cell's label or sign oracle, on its label stream and under its cap."""
+    rng = seeded_rng(config.base_seed, replication, ROLE_LABELS)
+    if config.oracle.budget is not None:
+        budget = min(budget, config.oracle.budget)
+    if config.kind == KIND_THRESHOLD:
+        return LabelOracle(config.problem, rng, budget=budget)
+    return SignOracle(config.problem, config.oracle.mode, rng, budget=budget)
 
 
 def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
     """Execute one (budget, replication) cell on its own; failures become error rows."""
     start = time.perf_counter()
     try:
-        problem = config.problem
+        oracle = _oracle(config, budget, replication)
         if config.kind == KIND_THRESHOLD:
-            oracle = _label_oracle(config, budget, replication)
-            point = run_learner(oracle, problem.interval,
+            point = run_learner(oracle, config.problem.interval,
                                 config.learner.for_budget(budget, dither=replication),
-                                seeded_rng(config.base_seed, replication,
-                                           ROLE_SAMPLING))
+                                seeded_rng(config.base_seed, replication, ROLE_SAMPLING))
         else:
-            oracle = SignOracle(problem, config.oracle.mode,
-                                _oracle_stream(config, replication),
-                                budget=_oracle_budget(config, budget))
-            point = rssgd(problem, oracle, replace(config.optimizer, budget=budget,
-                                                   seed=(config.base_seed, replication)))
+            point = rssgd(config.problem, oracle, replace(
+                config.optimizer, budget=budget, seed=(config.base_seed, replication)))
         outcome = (point, oracle.queries_used)
     except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
         outcome = exc
@@ -525,7 +523,7 @@ def _run_bz_cells(config: ExperimentConfig, cells) -> list[Row]:
     runs = []  # per cell: (oracle, learner config), or the exception that stopped it
     for budget, replication in cells:
         try:
-            runs.append((_label_oracle(config, budget, replication),
+            runs.append((_oracle(config, budget, replication),
                          config.learner.for_budget(budget, dither=replication)))
         except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
             runs.append(exc)

@@ -41,7 +41,7 @@ class LearnerConfig:
     sweep leaves it at 0 and ``for_budget`` sets it per run.  ``c_delta`` is
     the epoch-count constant of the adaptive learner and must exceed
     sqrt(2).  ``grid_size``, ``bz_k`` and ``bz_mu`` configure probabilistic
-    bisection only; an unset or ``"auto"`` grid scales with the budget.
+    bisection only; the ``"auto"`` grid scales with the budget.
     Only the adaptive and bz learners accept ``orientation="auto"``.
     """
 
@@ -49,7 +49,7 @@ class LearnerConfig:
     budget: int = 0
     c_delta: float = 2.0
     orientation: str = POSITIVE_RIGHT
-    grid_size: int | str | None = None
+    grid_size: int | str = GRID_AUTO
     bz_k: float | None = None
     bz_mu: float | None = None
 
@@ -65,7 +65,7 @@ class LearnerConfig:
         if self.orientation == ORIENTATION_AUTO and self.name in ("passive", "bisect"):
             raise ValueError("orientation: 'auto' is only supported by the "
                              "adaptive and bz learners")
-        if self.grid_size not in (None, GRID_AUTO) and self.grid_size < 2:
+        if self.grid_size != GRID_AUTO and self.grid_size < 2:
             raise ValueError("grid_size: must be at least 2")
         if self.bz_k is not None and not self.bz_k >= 1.0:
             raise ValueError(f"bz_k: must be at least 1, got {self.bz_k}")
@@ -75,11 +75,11 @@ class LearnerConfig:
     def for_budget(self, budget: int, dither: int = 0) -> LearnerConfig:
         """This config for one run of ``budget`` queries.
 
-        An unset or ``"auto"`` grid becomes ``auto_grid_size(budget, bz_k,
-        dither)`` once ``bz_k`` is known.
+        The ``"auto"`` grid becomes ``auto_grid_size(budget, bz_k, dither)``
+        once ``bz_k`` is known.
         """
         grid = self.grid_size
-        if grid in (None, GRID_AUTO) and self.bz_k is not None:
+        if grid == GRID_AUTO and self.bz_k is not None:
             grid = auto_grid_size(budget, self.bz_k, dither)
         return replace(self, budget=int(budget), grid_size=grid)
 
@@ -231,7 +231,7 @@ def bz_rows(oracles, search: Interval, configs) -> list:
     runs = []  # per row that queries: (row, cells, delta, ratio, positive-left?, steps)
     for r, (oracle, config) in enumerate(zip(oracles, configs)):
         try:
-            if config.grid_size is None or config.bz_k is None or config.bz_mu is None:
+            if config.grid_size == GRID_AUTO or config.bz_k is None or config.bz_mu is None:
                 raise ValueError("bz_learner needs grid_size, bz_k and bz_mu")
             cells = int(config.grid_size)
             if cells < 2:

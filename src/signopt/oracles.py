@@ -6,9 +6,10 @@ from independent streams and every run is replayable bit for bit.  Oracles
 count every query and enforce an optional hard budget; batch queries charge
 all-or-nothing.
 
-Each oracle instance owns a mutable generator and counter, so it belongs to
-one run at a time; the problem or function it references is immutable and
-freely shared.  Labels are the integers +1 and -1.
+Each oracle draws from the numpy ``Generator`` it is given and owns a
+counter, so it belongs to one run at a time; the problem or function it
+references is immutable and freely shared.  Labels are the integers +1
+and -1.
 """
 
 from __future__ import annotations
@@ -109,17 +110,11 @@ def philox_keys(prefix, last) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return seeded_rng(int(rng))
-
-
 class _CountingOracle:
     """Shared query counting and budget enforcement."""
 
-    def __init__(self, rng, budget: int | None):
-        self.rng = _as_rng(rng)
+    def __init__(self, rng: np.random.Generator, budget: int | None):
+        self.rng = rng
         if budget is not None:
             budget = int(budget)
             if budget < 0:
@@ -139,13 +134,10 @@ class _CountingOracle:
 class LabelOracle(_CountingOracle):
     """Draws noisy binary labels from a threshold problem's regression function."""
 
-    def __init__(self, problem: TncProblem, rng, budget: int | None = None):
+    def __init__(self, problem: TncProblem, rng: np.random.Generator,
+                 budget: int | None = None):
         super().__init__(rng, budget)
         self.problem = problem
-
-    @property
-    def interval(self):
-        return self.problem.interval
 
     def label_sample(self, x: float) -> int:
         p = self.problem.eta_at(x)  # validates the domain before any charge
@@ -281,7 +273,8 @@ SIGN_MODES = (GaussianNoise, UniformNoise, DirectBernoulli, ExactSign, Quantized
 class SignOracle(_CountingOracle):
     """Noisy sign of one gradient coordinate of a convex test function."""
 
-    def __init__(self, fn: UcFunction, mode, rng, budget: int | None = None):
+    def __init__(self, fn: UcFunction, mode, rng: np.random.Generator,
+                 budget: int | None = None):
         if not isinstance(mode, SIGN_MODES):
             raise TypeError(f"unknown sign-oracle mode {mode!r}")
         super().__init__(rng, budget)

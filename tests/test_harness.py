@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from signopt import ConfigError, RunTable, load_config, run_experiment, slope_re
 from signopt import GaussianNoise, LearnerConfig, OptimizerConfig
 from signopt.harness import (_KNOWN_KEYS, ExperimentConfig, OracleSpec, Row, cell_seed,
                              parse_config_text, run_cell)
-from signopt import make_tnc_problem
+from signopt import LabelOracle, SignOracle, make_tnc_problem, rssgd, run_learner, seeded_rng
+from signopt.oracles import ROLE_LABELS, ROLE_SAMPLING
 
 THRESHOLD_CFG = """
 # adaptive learner on a quadratic-margin problem
@@ -46,6 +48,11 @@ sweep.replications = 2
 sweep.base_seed = 9
 budget = 512
 """
+
+
+SEPARABLE_CFG = OPTIMIZE_CFG.replace(
+    "problem.family = quadratic", "problem.family = separable-power").replace(
+    "problem.a_diag =", "problem.coeffs =")
 
 
 def _load(tmp_path, text, name="exp.cfg"):
@@ -105,6 +112,9 @@ def test_unknown_key_is_an_error(tmp_path):
     # a parameter of another sign mode than the chosen one
     with pytest.raises(ConfigError, match="oracle.halfwidth"):
         _load(tmp_path, OPTIMIZE_CFG + "oracle.halfwidth = 5.0\n")
+    # every stream of a cell is keyed by sweep.base_seed; there is no override
+    with pytest.raises(ConfigError, match="^oracle.seed: unknown key$"):
+        _load(tmp_path, THRESHOLD_CFG + "oracle.seed = 3\n")
 
 
 def test_keys_the_kind_never_reads_are_errors(tmp_path):
@@ -126,10 +136,7 @@ def test_keys_the_kind_never_reads_are_errors(tmp_path):
         with pytest.raises(ConfigError, match=f"{key}: not read by kind = optimize"):
             _load(tmp_path, OPTIMIZE_CFG + line + "\n")
     # problem.k is the exponent of separable-power functions
-    text = OPTIMIZE_CFG.replace("problem.family = quadratic\n",
-                                "problem.family = separable-power\nproblem.k = 3.0\n")
-    text = text.replace("problem.a_diag =", "problem.coeffs =")
-    assert _load(tmp_path, text).problem.uc_exponent == 3.0
+    assert _load(tmp_path, SEPARABLE_CFG + "problem.k = 3.0\n").problem.uc_exponent == 3.0
     # rssgd runs every line search positive-right
     with pytest.raises(ConfigError,
                        match="learner.orientation: not read by kind = optimize configs"):
@@ -149,14 +156,11 @@ sweep.budgets = 400
 def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
     (tmp_path / "design.txt").write_text(
         "3 2\n1.0 0.0\n0.0 1.0\n1.0 1.0\n0.5 -0.5 0.25\n")
-    separable = OPTIMIZE_CFG.replace("problem.family = quadratic",
-                                     "problem.family = separable-power")
-    separable = separable.replace("problem.a_diag =", "problem.coeffs =")
     for base, line, key, reader in (
             (OPTIMIZE_CFG, "problem.coeffs = 9.0", "problem.coeffs",
              "problem.family = quadratic"),
             (OPTIMIZE_CFG, "problem.k = 5.0", "problem.k", "problem.family = quadratic"),
-            (separable, "problem.a = 1 0; 0 1", "problem.a",
+            (SEPARABLE_CFG, "problem.a = 1 0; 0 1", "problem.a",
              "problem.family = separable-power"),
             (RIDGE_CFG, "problem.a_diag = 1.0", "problem.a_diag", "problem.family = ridge"),
             (RIDGE_CFG, "problem.k = 2.0", "problem.k", "problem.family = ridge"),
@@ -185,7 +189,8 @@ def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
     ridge = _load(tmp_path, RIDGE_CFG + "problem.box_lo = -2.0\nproblem.box_hi = 2.0\n")
     assert ridge.problem.box.hi.tolist() == [2.0, 2.0]
     bz = _load(tmp_path, OPTIMIZE_CFG.replace("= adaptive", "= bz").replace(
-        "learner.c_delta = 3.0", "learner.grid_size = 7\nlearner.bz_k = 2.0"))
+        "learner.c_delta = 3.0",
+        "learner.grid_size = 7\nlearner.bz_k = 2.0\nlearner.bz_mu = 1.0"))
     assert bz.optimizer.line_search.grid_size == 7
 
 
@@ -216,7 +221,6 @@ def test_bad_number_names_the_key(tmp_path):
                        "oracle.halfwidth"),
                       ("slope.column = f_eror", "slope.column"),
                       ("optimizer.epoch_rule = 0", "optimizer.epoch_rule"),
-                      ("oracle.seed = -2", "oracle.seed"),
                       ("oracle.budget = -5", "oracle.budget")):
         with pytest.raises(ConfigError, match=key):
             _load(tmp_path, THRESHOLD_CFG + line + "\n")
@@ -230,6 +234,24 @@ def test_bad_number_names_the_key(tmp_path):
                                             "problem.a = 1 0; 0 x"), "problem.a"),
                       (OPTIMIZE_CFG.replace("x_star = 0.3, -0.2", "x_star = 5"),
                        "problem.x_star"),
+                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
+                                            "problem.a = 1 0; 0"), "problem.a"),
+                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
+                                            "problem.a = 1 0; 0 -1"), "problem.a"),
+                      (OPTIMIZE_CFG.replace("x_star = 0.3, -0.2", "x_star = 0.3, -0.2, 0"),
+                       "problem.x_star"),
+                      (OPTIMIZE_CFG.replace("a_diag = 1.0, 2.0", "a_diag = 1.0, 2.0, 3.0"),
+                       "problem.a_diag"),
+                      (SEPARABLE_CFG.replace("coeffs = 1.0, 2.0", "coeffs = -1"),
+                       "problem.coeffs"),
+                      (SEPARABLE_CFG.replace("coeffs = 1.0, 2.0", "coeffs = 1.0, 2.0, 3.0"),
+                       "problem.coeffs"),
+                      (SEPARABLE_CFG + "problem.k = 9\n", "problem.k"),
+                      # a bz learner without its noise parameters, in both kinds
+                      (THRESHOLD_CFG.replace("adaptive\nlearner.c_delta = 2.0",
+                                             "bz\nlearner.bz_mu = 1.0"), "learner.bz_k"),
+                      (OPTIMIZE_CFG.replace("adaptive\nlearner.c_delta = 3.0",
+                                            "bz\nlearner.bz_k = 2.0"), "learner.bz_mu"),
                       (OPTIMIZE_CFG.replace("additive-gaussian\noracle.sigma = 1.0",
                                             "quantized\noracle.decimals = 400"),
                        "oracle.decimals")):
@@ -417,6 +439,31 @@ def test_cell_seed_is_stable():
     assert cell_seed(6, 0) != cell_seed(5, 0)
 
 
+def test_a_row_is_rebuilt_from_its_seed_streams_alone(tmp_path):
+    # every stream of a cell is seeded_rng(base_seed, rep, role[, epoch]), so
+    # (base_seed, rep) and the config rebuild the row by hand
+    rep = 1
+    threshold = _load(tmp_path, THRESHOLD_CFG)
+    problem, seed = threshold.problem, threshold.base_seed
+    labels = LabelOracle(problem, seeded_rng(seed, rep, ROLE_LABELS), budget=128)
+    point = run_learner(labels, problem.interval,
+                        threshold.learner.for_budget(128, dither=rep),
+                        seeded_rng(seed, rep, ROLE_SAMPLING))
+    optimize = _load(tmp_path, OPTIMIZE_CFG)
+    fn, opt_seed = optimize.problem, optimize.base_seed
+    signs = SignOracle(fn, GaussianNoise(1.0), seeded_rng(opt_seed, rep, ROLE_LABELS),
+                       budget=512)
+    x = rssgd(fn, signs, replace(optimize.optimizer, budget=512, seed=(opt_seed, rep)))
+    for config, budget, estimate, oracle in (
+            (threshold, 128, repr(point), labels),
+            (optimize, 512, " ".join(f"{v:.17g}" for v in x), signs)):
+        row = next(r for r in run_experiment(config).rows
+                   if (r.budget, r.replication) == (budget, rep))
+        assert row.error == ""
+        assert (str(row.estimate), row.queries_used) == (estimate, oracle.queries_used)
+        assert row.seed == cell_seed(config.base_seed, rep)
+
+
 @pytest.mark.parametrize("name", ["passive", "bisect", "adaptive", "bz"])
 def test_every_learner_runs_through_the_harness(name):
     spec = LearnerConfig(name=name)
@@ -427,18 +474,6 @@ def test_every_learner_runs_through_the_harness(name):
     for row in table.rows:
         assert 0.0 <= float(row.estimate) <= 1.0
         assert row.queries_used <= 128
-
-
-def test_oracle_seed_override_fixes_the_label_stream():
-    # same oracle.seed, different sweep seeds: label streams coincide, so the
-    # only variation left is the learner's own sampling stream
-    a = _small_config(base_seed=1, oracle=OracleSpec(seed=42))
-    b = _small_config(base_seed=1)
-    rows_a = run_experiment(a).rows
-    rows_b = run_experiment(b).rows
-    assert [r.estimate for r in rows_a] != [r.estimate for r in rows_b]
-    again = run_experiment(_small_config(base_seed=1, oracle=OracleSpec(seed=42)))
-    assert [r.estimate for r in again.rows] == [r.estimate for r in rows_a]
 
 
 def test_oracle_budget_cap_records_error_rows():
