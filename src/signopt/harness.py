@@ -32,9 +32,8 @@ from .metrics import error_record, fit_rate_slope
 from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
 from .oracles import (ExactSign, LabelOracle, ROLE_LABELS, ROLE_SAMPLING,
                       SIGN_MODES, SignOracle, seeded_rng)
-from .problems import (Interval, POSITIVE_RIGHT, Quadratic, Ridge,
-                       SeparablePower, TncProblem, UcFunction, box_from_bounds,
-                       load_ridge_text)
+from .problems import (Box, Interval, POSITIVE_RIGHT, Quadratic, Ridge,
+                       SeparablePower, TncProblem, UcFunction, load_ridge_text)
 
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "SIGNOPT_JOBS"
@@ -214,13 +213,24 @@ class ExperimentConfig:
                 self.problem._point(self.optimizer.x0)
 
 
+# the key of each TncProblem field, which its load errors start with
+_TNC_KEYS = {"threshold": "problem.t", "exponent": "problem.k", "mu": "problem.mu",
+             "cap": "problem.cap", "orientation": "problem.orientation"}
+
+
 def _build_tnc_problem(raw: dict) -> TncProblem:
-    with _config_errors("problem: "):
-        return TncProblem(
-            interval=Interval(_get(raw, "problem.lo", float), _get(raw, "problem.hi", float)),
-            threshold=_get(raw, "problem.t", float), exponent=_get(raw, "problem.k", float),
-            mu=_get(raw, "problem.mu", float), cap=_get(raw, "problem.cap", float),
-            orientation=raw.get("problem.orientation", POSITIVE_RIGHT))
+    lo, hi = _get(raw, "problem.lo", float), _get(raw, "problem.hi", float)
+    with _config_errors("problem.hi: " if np.isfinite(lo) else "problem.lo: "):
+        interval = Interval(lo, hi)
+    values = dict(threshold=_get(raw, "problem.t", float),
+                  exponent=_get(raw, "problem.k", float),
+                  mu=_get(raw, "problem.mu", float), cap=_get(raw, "problem.cap", float),
+                  orientation=raw.get("problem.orientation", POSITIVE_RIGHT))
+    try:
+        return TncProblem(interval, **values)
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"{_TNC_KEYS[name]}: {reason}") from exc
 
 
 def _vector(raw: dict, key: str, dim: int) -> np.ndarray:
@@ -233,42 +243,49 @@ def _vector(raw: dict, key: str, dim: int) -> np.ndarray:
     return values
 
 
+def _box(raw: dict, dim: int) -> Box:
+    """The box of ``problem.box_lo`` and ``problem.box_hi``, each 1 or ``dim`` values."""
+    lo, hi = _vector(raw, "problem.box_lo", dim), _vector(raw, "problem.box_hi", dim)
+    with _config_errors("problem.box_hi: " if np.isfinite(lo).all() else "problem.box_lo: "):
+        return Box(lo, hi)
+
+
 def _build_function(raw: dict, base_dir: Path) -> UcFunction:
     family = _get(raw, "problem.family")
-    with _config_errors("problem: "):
-        if family == "ridge":
+    if family == "ridge":
+        with _config_errors("problem.matrix_file: "):
             design, targets = load_ridge_text(base_dir / _get(raw, "problem.matrix_file"))
-            lo, hi = (_get(raw, f"problem.box_{end}", _floats, None) for end in ("lo", "hi"))
-            if (lo is None) != (hi is None):
-                key, other = ("problem.box_lo", "problem.box_hi")[::1 if hi is None else -1]
-                raise ConfigError(f"{key}: not read by problem.family = ridge without {other}")
-            return Ridge(design, targets,
-                         None if lo is None else box_from_bounds(lo, hi, dim=design.shape[1]))
-        dim = _get(raw, "problem.dim", int)
-        if dim < 1:
-            raise ConfigError(f"problem.dim: must be at least 1, got {dim}")
-        box = box_from_bounds(_get(raw, "problem.box_lo", _floats),
-                              _get(raw, "problem.box_hi", _floats), dim=dim)
-        x_star = _vector(raw, "problem.x_star", dim)
-        if not box.contains(x_star):
-            raise ConfigError("problem.x_star: must lie inside the domain box")
-        if family == "separable-power":
-            coeffs = _vector(raw, "problem.coeffs", dim)
-            if not (coeffs > 0).all():
-                raise ConfigError("problem.coeffs: must be positive")
-            with _config_errors("problem.k: "):  # all it has left to check is k
-                return SeparablePower(coeffs, x_star, box,
-                                      exponent=_get(raw, "problem.k", float, 2.0))
-        if family == "quadratic":
-            key = "problem.a_diag" if "problem.a_diag" in raw else "problem.a"
-            if key not in raw:
-                raise ConfigError("problem.a_diag or problem.a: required for quadratic")
-            with _config_errors(f"{key}: "):  # a ragged, asymmetric or indefinite matrix
-                matrix = (np.diag(_vector(raw, key, dim)) if key == "problem.a_diag"
-                          else np.asarray(_get(raw, key, _rows)))
-                if matrix.shape != (dim, dim):
-                    raise ValueError(f"expected {dim} rows of {dim} values")
-                return Quadratic(matrix, x_star, box)
+        has_lo, has_hi = "problem.box_lo" in raw, "problem.box_hi" in raw
+        if has_lo != has_hi:
+            key, other = ("problem.box_lo", "problem.box_hi")[::1 if has_lo else -1]
+            raise ConfigError(f"{key}: not read by problem.family = ridge without {other}")
+        box = _box(raw, design.shape[1]) if has_lo else None
+        with _config_errors("problem: "):  # the minimizer lies outside the box
+            return Ridge(design, targets, box)
+    dim = _get(raw, "problem.dim", int)
+    if dim < 1:
+        raise ConfigError(f"problem.dim: must be at least 1, got {dim}")
+    box = _box(raw, dim)
+    x_star = _vector(raw, "problem.x_star", dim)
+    if not box.contains(x_star):
+        raise ConfigError("problem.x_star: must lie inside the domain box")
+    if family == "separable-power":
+        coeffs = _vector(raw, "problem.coeffs", dim)
+        if not (coeffs > 0).all():
+            raise ConfigError("problem.coeffs: must be positive")
+        with _config_errors("problem.k: "):  # all it has left to check is k
+            return SeparablePower(coeffs, x_star, box,
+                                  exponent=_get(raw, "problem.k", float, 2.0))
+    if family == "quadratic":
+        key = "problem.a_diag" if "problem.a_diag" in raw else "problem.a"
+        if key not in raw:
+            raise ConfigError("problem.a_diag or problem.a: required for quadratic")
+        with _config_errors(f"{key}: "):  # a ragged, asymmetric or indefinite matrix
+            matrix = (np.diag(_vector(raw, key, dim)) if key == "problem.a_diag"
+                      else np.asarray(_get(raw, key, _rows)))
+            if matrix.shape != (dim, dim):
+                raise ValueError(f"expected {dim} rows of {dim} values")
+            return Quadratic(matrix, x_star, box)
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
 

@@ -30,6 +30,11 @@ ROLE_LABELS = 0
 ROLE_SAMPLING = 1
 ROLE_COORDS = 2
 
+# LabelOracle draws its uniforms this many at a time, and keeps the eta of
+# at most this many distinct query points
+DRAW_CHUNK = 256
+ETA_TABLE_SIZE = 4096
+
 
 class BudgetExhausted(RuntimeError):
     """The oracle's query budget would be exceeded."""
@@ -132,23 +137,48 @@ class _CountingOracle:
 
 
 class LabelOracle(_CountingOracle):
-    """Draws noisy binary labels from a threshold problem's regression function."""
+    """Draws noisy binary labels from a threshold problem's regression function.
+
+    Uniforms are drawn ``DRAW_CHUNK`` at a time and both query paths take
+    them in stream order, so the labels are those of one ``rng.random()``
+    per query (a sized draw equals as many scalar draws); only the
+    generator's position after a run differs.  The eta of up to
+    ``ETA_TABLE_SIZE`` distinct float points is kept once ``eta_at`` has
+    answered it, so a repeated point skips the computation but never a
+    domain check, a charge or a draw.
+    """
 
     def __init__(self, problem: TncProblem, rng: np.random.Generator,
                  budget: int | None = None):
         super().__init__(rng, budget)
         self.problem = problem
+        self._eta: dict[float, float] = {}
+        self._uniforms: list[float] = []
+        self._next = 0  # the first unused entry of _uniforms
 
     def label_sample(self, x: float) -> int:
-        p = self.problem.eta_at(x)  # validates the domain before any charge
+        p = self._eta.get(x) if isinstance(x, float) else None
+        if p is None:
+            p = self.problem.eta_at(x)  # validates the domain before any charge
+            if isinstance(x, float) and len(self._eta) < ETA_TABLE_SIZE:
+                self._eta[x] = p
         self._charge(1)
-        return LABEL_POSITIVE if self.rng.random() < p else LABEL_NEGATIVE
+        if self._next == len(self._uniforms):
+            self._uniforms, self._next = self.rng.random(DRAW_CHUNK).tolist(), 0
+        u = self._uniforms[self._next]
+        self._next += 1
+        return LABEL_POSITIVE if u < p else LABEL_NEGATIVE
 
     def label_sample_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         p = self.problem.eta_at(xs)
         self._charge(xs.size)
-        u = self.rng.random(xs.size)
+        # the buffered uniforms come first in the stream, then fresh draws
+        buffered = self._uniforms[self._next:self._next + xs.size]
+        self._next += len(buffered)
+        u = self.rng.random(xs.size - len(buffered))
+        if buffered:
+            u = np.concatenate([buffered, u])
         return np.where(u < p, LABEL_POSITIVE, LABEL_NEGATIVE)
 
 
@@ -292,10 +322,16 @@ class SignOracle(_CountingOracle):
         j = self.fn._index(j)
         alphas = np.asarray(alphas, dtype=float)
         alo, ahi = self.fn.box.segment(x, j)
-        pad = 1e-12 * max(1.0, abs(alo), abs(ahi))
-        if (alphas < alo - pad).any() or (alphas > ahi + pad).any():
-            raise OutOfDomain("step leaves the domain box")
-        g = self.fn.grad_coord_line(x, j, alphas.clip(alo, ahi))
+        if alphas.size:
+            # NaN propagates through both reductions and fails both comparisons
+            amin = np.minimum.reduce(alphas, axis=None)
+            amax = np.maximum.reduce(alphas, axis=None)
+            pad = 1e-12 * max(1.0, abs(alo), abs(ahi))
+            if not (amin >= alo - pad and amax <= ahi + pad):
+                raise OutOfDomain("step leaves the domain box")
+            if amin < alo or amax > ahi:  # a step in the pad
+                alphas = alphas.clip(alo, ahi)
+        g = self.fn.grad_coord_line(x, j, alphas)
         self._charge(alphas.size)
         return self.mode.draw_many(g, self.rng)
 

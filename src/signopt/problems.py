@@ -44,7 +44,7 @@ def _tol(*values: float) -> float:
 
 def orientation_sign(orientation: str) -> float:
     if orientation not in ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
+        raise ValueError(f"orientation: must be one of {ORIENTATIONS}, got {orientation!r}")
     return 1.0 if orientation == POSITIVE_RIGHT else -1.0
 
 
@@ -100,18 +100,17 @@ class TncProblem:
     orientation: str = POSITIVE_RIGHT
 
     def __post_init__(self):
+        # each message starts with the field at fault
         if not self.interval.contains(self.threshold):
-            raise ValueError(
-                f"threshold {self.threshold} outside interval "
-                f"[{self.interval.lo}, {self.interval.hi}]"
-            )
+            raise ValueError(f"threshold: {self.threshold} outside interval "
+                             f"[{self.interval.lo}, {self.interval.hi}]")
         lo_k, hi_k = TNC_EXPONENT_RANGE
         if not lo_k <= self.exponent <= hi_k:
-            raise ValueError(f"noise exponent must lie in [{lo_k}, {hi_k}], got {self.exponent}")
+            raise ValueError(f"exponent: must lie in [{lo_k}, {hi_k}], got {self.exponent}")
         if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+            raise ValueError(f"mu: must be positive, got {self.mu}")
         if not 0.0 < self.cap <= 0.5:
-            raise ValueError(f"cap must lie in (0, 1/2], got {self.cap}")
+            raise ValueError(f"cap: must lie in (0, 1/2], got {self.cap}")
         # constants of eta_at's scalar path, which runs once per label query
         t = _tol(self.interval.lo, self.interval.hi)
         self.__dict__.update(_lo=self.interval.lo, _hi=self.interval.hi,

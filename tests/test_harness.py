@@ -254,16 +254,35 @@ def test_bad_number_names_the_key(tmp_path):
                                             "bz\nlearner.bz_k = 2.0"), "learner.bz_mu"),
                       (OPTIMIZE_CFG.replace("additive-gaussian\noracle.sigma = 1.0",
                                             "quantized\noracle.decimals = 400"),
-                       "oracle.decimals")):
+                       "oracle.decimals"),
+                      # each field of a threshold problem, and each bound of a box
+                      (THRESHOLD_CFG.replace("t = 0.37", "t = 1.37"), "problem.t"),
+                      (THRESHOLD_CFG.replace("k = 2.0", "k = 9"), "problem.k"),
+                      (THRESHOLD_CFG.replace("mu = 1.0", "mu = -1"), "problem.mu"),
+                      (THRESHOLD_CFG.replace("cap = 0.4", "cap = 0.6"), "problem.cap"),
+                      (THRESHOLD_CFG.replace("hi = 1.0", "hi = 0.0"), "problem.hi"),
+                      (THRESHOLD_CFG.replace("hi = 1.0", "hi = nan"), "problem.hi"),
+                      (THRESHOLD_CFG.replace("lo = 0.0", "lo = -inf"), "problem.lo"),
+                      (THRESHOLD_CFG + "problem.orientation = up\n", "problem.orientation"),
+                      (OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -1, 0, 1"),
+                       "problem.box_lo"),
+                      (OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = nan"),
+                       "problem.box_lo"),
+                      (OPTIMIZE_CFG.replace("box_hi = 1.0", "box_hi = 1, inf"),
+                       "problem.box_hi"),
+                      (OPTIMIZE_CFG.replace("box_hi = 1.0", "box_hi = 1, -2"),
+                       "problem.box_hi")):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             _load(tmp_path, text)
+    with pytest.raises(ConfigError, match="^problem.box_lo: expected 1 or 2 values, got 3$"):
+        _load(tmp_path, OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -1, 0, 1"))
     with pytest.raises(ConfigError, match="learner.c_delta"):
         _load(tmp_path, THRESHOLD_CFG.replace("learner.c_delta = 2.0",
                                               "learner.c_delta = 1.0"))
 
 
 def test_invalid_problem_is_reported(tmp_path):
-    with pytest.raises(ConfigError, match="problem"):
+    with pytest.raises(ConfigError, match=r"^problem.t: 1.37 outside interval \[0.0, 1.0\]$"):
         _load(tmp_path, THRESHOLD_CFG.replace("problem.t = 0.37",
                                               "problem.t = 1.37"))
 

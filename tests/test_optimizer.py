@@ -152,6 +152,24 @@ def test_steps_beyond_the_segment_pad():
     assert oracle.queries_used == 4
 
 
+def test_nan_steps_leave_the_domain_on_both_paths():
+    fn = _quad((1.0, 1.0))
+    oracle = _oracle(fn, mode=GaussianNoise(1.0))
+    x = np.array([0.5, 0.0])
+    line = line_label_oracle(oracle, x, 0)
+    state = _plain(oracle.rng.bit_generator.state)
+    for query in (lambda: oracle.sign_sample_line(x, 0, [np.nan]),
+                  lambda: oracle.sign_sample_line(x, 0, [0.1, np.nan, -0.2]),
+                  lambda: line.label_sample_many([np.nan, 0.0]),
+                  lambda: line.label_sample(np.nan)):
+        with pytest.raises(OutOfDomain):
+            query()
+    assert oracle.queries_used == 0
+    assert _plain(oracle.rng.bit_generator.state) == state
+    empty = oracle.sign_sample_line(x, 0, [])
+    assert empty.shape == (0,) and oracle.queries_used == 0
+
+
 def test_degenerate_segment_reports_single_step():
     box = box_from_bounds([0.0, -1.0], [0.0, 1.0])  # first coordinate pinned
     fn = Quadratic(np.eye(2), np.zeros(2), box)

@@ -6,9 +6,9 @@ from scipy.stats import norm
 
 from signopt import (BudgetExhausted, DirectBernoulli, ExactSign,
                      GaussianNoise, LabelOracle, OutOfDomain, Quadratic,
-                     QuantizedSign, SeparablePower, SignOracle, UniformNoise,
-                     box_from_bounds, make_tnc_problem, seeded_rng)
-from signopt.oracles import philox_keys
+                     QuantizedSign, SeparablePower, SignOracle, TncProblem,
+                     UniformNoise, box_from_bounds, make_tnc_problem, seeded_rng)
+from signopt.oracles import ETA_TABLE_SIZE, philox_keys
 
 from _checks import binomial_band
 
@@ -57,6 +57,124 @@ def test_label_oracle_rejects_outside_queries():
     with pytest.raises(OutOfDomain):
         oracle.label_sample(1.5)
     assert oracle.queries_used == 0  # failed queries are not charged
+
+
+class _ReferenceLabels:
+    """The label oracle's contract written plainly: one ``rng.random()`` per
+    query, drawn after the domain check and the charge."""
+
+    def __init__(self, problem, rng, budget=None):
+        self.problem, self.rng, self.budget, self.queries_used = problem, rng, budget, 0
+
+    def _charge(self, n):
+        if self.budget is not None and self.queries_used + n > self.budget:
+            raise BudgetExhausted("reference budget")
+        self.queries_used += n
+
+    def label_sample(self, x):
+        p = self.problem.eta_at(x)
+        self._charge(1)
+        return 1 if self.rng.random() < p else -1
+
+    def label_sample_many(self, xs):
+        ps = self.problem.eta_at(np.asarray(xs, dtype=float))
+        self._charge(ps.size)
+        return np.array([1 if self.rng.random() < p else -1 for p in ps], dtype=int)
+
+
+def _both(seed, budget=None):
+    problem = _problem(mu=4.0)
+    return (LabelOracle(problem, seeded_rng(seed, 0, 0), budget=budget),
+            _ReferenceLabels(problem, seeded_rng(seed, 0, 0), budget=budget))
+
+
+def _points(n, start=0):
+    # a few grid points, revisited in a shuffled order
+    return [0.05 + 0.1 * ((7 * i) % 10) for i in range(start, start + n)]
+
+
+@pytest.mark.parametrize("n_scalars", [255, 256, 257])
+def test_label_paths_interleave_across_chunk_boundaries(n_scalars):
+    oracle, reference = _both(30 + n_scalars)
+    got, want = [], []
+    for kind, n in (("one", n_scalars), ("many", 5), ("one", 3), ("many", 0),
+                    ("many", 600), ("one", 300), ("many", 1), ("one", 260)):
+        for labels, o in ((got, oracle), (want, reference)):
+            if kind == "one":
+                labels += [o.label_sample(x) for x in _points(n)]
+            else:
+                labels += o.label_sample_many(_points(n, start=3)).tolist()
+    assert got == want
+    assert len(got) == n_scalars + 1169 and {type(label) for label in got} == {int}
+    assert oracle.queries_used == reference.queries_used == len(got)
+
+
+def test_failed_label_queries_charge_nothing_and_shift_no_label():
+    oracle, reference = _both(40, budget=300)
+    got = [oracle.label_sample(x) for x in _points(100)]
+    failing = (lambda: oracle.label_sample(1.5), lambda: oracle.label_sample(-0.2),
+               lambda: oracle.label_sample(float("nan")),
+               lambda: oracle.label_sample_many([0.5, 1.5]),
+               lambda: oracle.label_sample_many([0.5, float("nan")]))
+    for query in failing:
+        with pytest.raises(OutOfDomain):
+            query()
+    assert oracle.queries_used == 100
+    got += oracle.label_sample_many(_points(150)).tolist()
+    with pytest.raises(BudgetExhausted):
+        oracle.label_sample_many(_points(51))
+    got += [oracle.label_sample(x) for x in _points(50)]
+    for query in (lambda: oracle.label_sample(0.5), lambda: oracle.label_sample(1.5),
+                  lambda: oracle.label_sample_many([0.5])):
+        with pytest.raises((BudgetExhausted, OutOfDomain)):
+            query()
+    assert oracle.queries_used == 300
+    want = [reference.label_sample(x) for x in _points(100)]
+    want += reference.label_sample_many(_points(150)).tolist()
+    want += [reference.label_sample(x) for x in _points(50)]
+    assert got == want
+
+
+def test_eta_runs_once_per_distinct_float_point(monkeypatch):
+    calls = []
+    eta_at = TncProblem.eta_at
+
+    def counting(problem, x):
+        calls.append(x)
+        return eta_at(problem, x)
+
+    monkeypatch.setattr(TncProblem, "eta_at", counting)
+    oracle = LabelOracle(_problem(), seeded_rng(50, 0, 0))
+    for _ in range(20):
+        for x in (0.1, 0.5, 0.9, np.float64(0.5)):
+            oracle.label_sample(x)
+    assert calls == [0.1, 0.5, 0.9]
+    with pytest.raises(OutOfDomain):  # a failed point is never kept
+        oracle.label_sample(1.5)
+    with pytest.raises(OutOfDomain):
+        oracle.label_sample(1.5)
+    calls.clear()
+    for x in (1, np.array(0.5), np.array(0.5)):  # not floats: no table
+        oracle.label_sample(x)
+    assert len(calls) == 3
+    # the table is bounded: points beyond its room are computed every time
+    calls.clear()
+    fresh = [0.001 + i / (2 * ETA_TABLE_SIZE) for i in range(ETA_TABLE_SIZE + 5)]
+    for x in fresh + fresh:
+        oracle.label_sample(x)
+    assert len(calls) == len(fresh) + 5 + 3  # 3 points were already kept
+
+
+@pytest.mark.parametrize("make", [float, np.float64, int, np.array],
+                         ids=["float", "float64", "int", "0-d array"])
+def test_scalar_point_types_answer_as_one_draw_each(make):
+    oracle, reference = _both(60)
+    points = [make(v) for v in ((0, 1) * 150 if make is int else _points(300))]
+    assert [oracle.label_sample(x) for x in points] == \
+        [reference.label_sample(x) for x in points]
+    with pytest.raises(OutOfDomain):
+        oracle.label_sample(make(2))
+    assert oracle.queries_used == 300
 
 
 # ---------------------------------------------------------------------------
