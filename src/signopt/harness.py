@@ -260,8 +260,13 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
             key, other = ("problem.box_lo", "problem.box_hi")[::1 if has_lo else -1]
             raise ConfigError(f"{key}: not read by problem.family = ridge without {other}")
         box = _box(raw, design.shape[1]) if has_lo else None
-        with _config_errors("problem: "):  # the minimizer lies outside the box
+        try:
             return Ridge(design, targets, box)
+        except ValueError as exc:  # a box that excludes the minimizer names its bound
+            key, _, reason = str(exc).partition(": ")
+            if key not in ("box_lo", "box_hi"):
+                key, reason = "matrix_file", str(exc)
+            raise ConfigError(f"problem.{key}: {reason}") from exc
     dim = _get(raw, "problem.dim", int)
     if dim < 1:
         raise ConfigError(f"problem.dim: must be at least 1, got {dim}")

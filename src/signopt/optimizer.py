@@ -119,6 +119,7 @@ class LineLabelOracle:
         fn = sign_oracle.fn
         self.base = sign_oracle
         self._x = fn._point(x).copy()
+        self._q = self._x.copy()  # label_sample's query point: x but for coordinate j
         self._j = j = fn._index(j)
         # the line's coordinate and bounds as floats, for label_sample's clamp
         self._xj = float(self._x[j])
@@ -130,10 +131,9 @@ class LineLabelOracle:
 
     def label_sample(self, alpha: float) -> int:
         v = self._xj + alpha
-        q = self._x.copy()
         # clamp against end-point roundoff; the adjustment is at ulp scale
-        q[self._j] = self._lo if v < self._lo else self._hi if v > self._hi else v
-        return self.base.sign_sample(q, self._j)
+        self._q[self._j] = self._lo if v < self._lo else self._hi if v > self._hi else v
+        return self.base.sign_sample(self._q, self._j)
 
     def label_sample_many(self, alphas) -> np.ndarray:
         return self.base.sign_sample_line(self._x, self._j, alphas)

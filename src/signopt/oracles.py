@@ -201,6 +201,9 @@ class GaussianNoise:
     def probability_positive(self, g):
         return np.vectorize(_phi)(np.asarray(g, dtype=float) / self.sigma)
 
+    def draw(self, g: float, rng) -> int:
+        return _sign_with_fair_tie(g + rng.normal(0.0, self.sigma), rng)
+
     def draw_many(self, g: np.ndarray, rng) -> np.ndarray:
         s = g + rng.normal(0.0, self.sigma, size=g.shape)
         return _signs_with_fair_ties(s, rng)
@@ -220,6 +223,9 @@ class UniformNoise:
     def probability_positive(self, g):
         g = np.asarray(g, dtype=float)
         return np.clip(0.5 + g / (2.0 * self.halfwidth), 0.0, 1.0)
+
+    def draw(self, g: float, rng) -> int:
+        return _sign_with_fair_tie(g + rng.uniform(-self.halfwidth, self.halfwidth), rng)
 
     def draw_many(self, g: np.ndarray, rng) -> np.ndarray:
         s = g + rng.uniform(-self.halfwidth, self.halfwidth, size=g.shape)
@@ -247,6 +253,13 @@ class DirectBernoulli:
         g = np.asarray(g, dtype=float)
         return np.clip(0.5 + self.slope * g, 0.5 - self.cap, 0.5 + self.cap)
 
+    def draw(self, g: float, rng) -> int:
+        # np.clip's floats: a NaN g gives a NaN p, which no uniform is below
+        p = 0.5 + self.slope * g
+        lo, hi = 0.5 - self.cap, 0.5 + self.cap
+        p = lo if p < lo else hi if p > hi else p
+        return LABEL_POSITIVE if rng.random() < p else LABEL_NEGATIVE
+
     def draw_many(self, g: np.ndarray, rng) -> np.ndarray:
         p = self.probability_positive(g)
         u = rng.random(g.shape)
@@ -262,6 +275,9 @@ class ExactSign:
     def probability_positive(self, g):
         g = np.asarray(g, dtype=float)
         return np.where(g > 0, 1.0, np.where(g < 0, 0.0, 0.5))
+
+    def draw(self, g: float, rng) -> int:
+        return _sign_with_fair_tie(g, rng)
 
     def draw_many(self, g: np.ndarray, rng) -> np.ndarray:
         return _signs_with_fair_ties(g, rng)
@@ -287,6 +303,15 @@ class QuantizedSign(ExactSign):
             raise ValueError("decimals: must be at most 308")
 
 
+def _sign_with_fair_tie(s: float, rng) -> int:
+    """One label of ``_signs_with_fair_ties``, drawing what its size-1 call draws."""
+    if s > 0:
+        return LABEL_POSITIVE
+    if s == 0.0:  # NaN is neither, and takes no coin
+        return LABEL_POSITIVE if rng.random() < 0.5 else LABEL_NEGATIVE
+    return LABEL_NEGATIVE
+
+
 def _signs_with_fair_ties(s: np.ndarray, rng) -> np.ndarray:
     labels = np.where(s > 0, LABEL_POSITIVE, LABEL_NEGATIVE)
     ties = s == 0.0
@@ -301,7 +326,12 @@ SIGN_MODES = (GaussianNoise, UniformNoise, DirectBernoulli, ExactSign, Quantized
 
 
 class SignOracle(_CountingOracle):
-    """Noisy sign of one gradient coordinate of a convex test function."""
+    """Noisy sign of one gradient coordinate of a convex test function.
+
+    A scalar query draws with its mode's ``draw``, a batch with
+    ``draw_many``; on one gradient the two give the same label and leave
+    the generator in the same state.
+    """
 
     def __init__(self, fn: UcFunction, mode, rng: np.random.Generator,
                  budget: int | None = None):
@@ -314,7 +344,7 @@ class SignOracle(_CountingOracle):
     def sign_sample(self, x, j: int) -> int:
         g = self.fn.grad_coord(x, j)  # validates point and index
         self._charge(1)
-        return int(self.mode.draw_many(np.asarray([g]), self.rng)[0])
+        return self.mode.draw(g, self.rng)
 
     def sign_sample_line(self, x, j: int, alphas) -> np.ndarray:
         """Batch of sign queries at x + alpha * e_j for each alpha."""

@@ -243,6 +243,7 @@ class UcFunction(abc.ABC):
         if not lkss_bound > uc_modulus / 2:
             raise ValueError("lkss_bound must exceed uc_modulus / 2")
         self.box = box
+        self._shape = (box.dim,)  # the shape of a point, which _shaped checks per query
         self.uc_exponent = float(uc_exponent)
         self.uc_modulus = float(uc_modulus)
         self.lkss_bound = float(lkss_bound)
@@ -254,8 +255,8 @@ class UcFunction(abc.ABC):
     def _shaped(self, x) -> np.ndarray:
         """``x`` as a float array of the point shape; its domain is not checked."""
         a = np.asarray(x, dtype=float)
-        if a.shape != (self.dim,):
-            raise DimensionMismatch(f"expected point of shape ({self.dim},), got {a.shape}")
+        if a.shape != self._shape:
+            raise DimensionMismatch(f"expected point of shape {self._shape}, got {a.shape}")
         return a
 
     def _point(self, x) -> np.ndarray:
@@ -266,7 +267,7 @@ class UcFunction(abc.ABC):
 
     def _index(self, j: int) -> int:
         j = int(j)
-        if not 0 <= j < self.dim:
+        if not 0 <= j < self._shape[0]:
             raise IndexError(f"coordinate index {j} out of range for dim {self.dim}")
         return j
 
@@ -411,7 +412,7 @@ class Ridge(UcFunction):
         rhs = A.T @ b
         x_star = np.linalg.solve(Q, rhs)
         resid = np.linalg.norm(Q @ x_star - rhs)
-        if resid > 1e-10 * max(1.0, np.linalg.norm(rhs)):
+        if not resid <= 1e-10 * max(1.0, np.linalg.norm(rhs)):  # NaN fails too
             raise ValueError(f"minimizer solve residual {resid:.3e} exceeds tolerance")
         if box is None:
             half = np.maximum(1.0, 2.0 * np.abs(x_star))
@@ -419,15 +420,27 @@ class Ridge(UcFunction):
         elif box.dim != d:
             raise DimensionMismatch("box dimension does not match the design matrix")
         elif not box.contains(x_star):
-            raise ValueError("the global minimizer must lie inside the domain box")
+            bound = "box_lo" if np.any(x_star < box.lo) else "box_hi"
+            raise ValueError(f"{bound}: the global minimizer must lie inside the domain box")
         eigs = np.linalg.eigvalsh(Q)
         col_sq = np.sum(A * A, axis=0)
         super().__init__(box, 2.0, float(eigs[0]), float(np.max(col_sq) + 1.0))
         self.design = A
+        self._columns = list(A.T)  # views of A's columns, taken once rather than per query
         self.targets = b
         self.x_star = x_star
         self._hess_diag = col_sq + 1.0
         self.f_min = self._value_unchecked(x_star)
+
+    def __getstate__(self):
+        # unpickled, the views would be copies of the design
+        state = self.__dict__.copy()
+        del state["_columns"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._columns = list(self.design.T)
 
     def _residual(self, x) -> np.ndarray:
         r = self.design @ x
@@ -435,7 +448,7 @@ class Ridge(UcFunction):
         return r
 
     def _partial(self, x, j: int) -> float:
-        return float(self.design[:, j] @ self._residual(x) + x[j])
+        return float(self._columns[j] @ self._residual(x) + x[j])
 
     def _value_unchecked(self, x) -> float:
         r = self._residual(x)
@@ -476,12 +489,12 @@ class RidgeState:
 
     def grad_coord(self, j: int) -> float:
         j = self.fn._index(j)
-        return float(self.fn.design[:, j] @ self.residual + self.x[j])
+        return float(self.fn._columns[j] @ self.residual + self.x[j])
 
     def update_coord(self, j: int, new_value: float) -> None:
         j = self.fn._index(j)
         delta = float(new_value) - self.x[j]
-        self.residual += delta * self.fn.design[:, j]
+        self.residual += delta * self.fn._columns[j]
         self.x[j] = float(new_value)
 
     def value(self) -> float:

@@ -276,6 +276,16 @@ def test_bad_number_names_the_key(tmp_path):
             _load(tmp_path, text)
     with pytest.raises(ConfigError, match="^problem.box_lo: expected 1 or 2 values, got 3$"):
         _load(tmp_path, OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -1, 0, 1"))
+    # a ridge box that excludes the minimizer names the bound on the far side
+    (tmp_path / "design.txt").write_text("3 2\n1.0 0.0\n0.0 1.0\n1.0 1.0\n0.5 -0.5 0.25\n")
+    ridge = ("kind = optimize\nproblem.family = ridge\nproblem.matrix_file = design.txt\n"
+             "optimizer.line_search = bisect\n")
+    for lo, hi, key in (("5.0", "6.0", "problem.box_lo"), ("-6.0", "-5.0", "problem.box_hi")):
+        with pytest.raises(ConfigError, match=f"^{key}: the global minimizer must lie inside"):
+            _load(tmp_path, ridge + f"problem.box_lo = {lo}\nproblem.box_hi = {hi}\n")
+    (tmp_path / "design.txt").write_text("2 1\n1.0\nnan\n0.5 -0.5\n")
+    with pytest.raises(ConfigError, match="^problem.matrix_file: minimizer solve residual nan"):
+        _load(tmp_path, ridge + "problem.box_lo = -1.0\nproblem.box_hi = 1.0\n")
     with pytest.raises(ConfigError, match="learner.c_delta"):
         _load(tmp_path, THRESHOLD_CFG.replace("learner.c_delta = 2.0",
                                               "learner.c_delta = 1.0"))

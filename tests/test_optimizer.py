@@ -170,6 +170,39 @@ def test_nan_steps_leave_the_domain_on_both_paths():
     assert empty.shape == (0,) and oracle.queries_used == 0
 
 
+def _copy_per_query_label(oracle, x, j, alpha):
+    """A scalar line label with a fresh copy of the base point per query."""
+    fn = oracle.fn
+    q = np.array(x, dtype=float)
+    lo, hi = float(fn.box.lo[j]), float(fn.box.hi[j])
+    v = float(q[j]) + alpha
+    q[j] = lo if v < lo else hi if v > hi else v
+    return oracle.sign_sample(q, j)
+
+
+def test_a_failed_line_query_leaves_later_answers_unchanged():
+    # label_sample writes each query into one buffer it owns; a NaN step
+    # leaves NaN there and fails its domain check, which must not leak
+    fn = _quad((1.0, 2.0))
+    x = np.array([0.5, -0.25])
+    steps = [-1.5, -0.3, 0.0, 0.2, 1e-13, 0.5, 3.0, -4.0, 0.1]
+    oracle = _oracle(fn, mode=GaussianNoise(0.3), seed=(4, 2))
+    reference = _oracle(fn, mode=GaussianNoise(0.3), seed=(4, 2))
+    line = line_label_oracle(oracle, x, 1)
+    got = [line.label_sample(a) for a in steps]
+    for bad in (np.nan, np.float64("nan")):
+        with pytest.raises(OutOfDomain):
+            line.label_sample(bad)
+    got += [line.label_sample(a) for a in steps]
+    got += line.label_sample_many(steps[1:5]).tolist()
+    want = [_copy_per_query_label(reference, x, 1, a) for a in steps + steps]
+    want += reference.sign_sample_line(x, 1, steps[1:5]).tolist()
+    assert got == want
+    assert oracle.queries_used == reference.queries_used == 2 * len(steps) + 4
+    assert _plain(oracle.rng.bit_generator.state) == _plain(reference.rng.bit_generator.state)
+    assert x.tolist() == [0.5, -0.25]  # the caller's point is never written
+
+
 def test_degenerate_segment_reports_single_step():
     box = box_from_bounds([0.0, -1.0], [0.0, 1.0])  # first coordinate pinned
     fn = Quadratic(np.eye(2), np.zeros(2), box)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -278,6 +279,39 @@ def test_quantized_draws_match_the_rounding_formula(decimals):
     exact = ExactSign().draw_many(g.copy(), rngs[2])
     assert quantized.tolist() == rounded.tolist() == exact.tolist()
     assert len({repr(rng.bit_generator.state) for rng in rngs}) == 1
+
+
+def _tie_for_next_draw(mode, rng):
+    """A gradient at which the mode's next draw lands exactly on its edge."""
+    peek = copy.deepcopy(rng)
+    if isinstance(mode, GaussianNoise):
+        return -peek.normal(0.0, mode.sigma)    # g + noise == 0.0: a fair coin
+    if isinstance(mode, UniformNoise):
+        return -peek.uniform(-mode.halfwidth, mode.halfwidth)
+    if isinstance(mode, DirectBernoulli):
+        return (peek.random() - 0.5) / mode.slope  # the uniform equals P(+), or nearly
+    return 0.0
+
+
+@pytest.mark.parametrize("mode", [
+    GaussianNoise(0.7), UniformNoise(0.3), DirectBernoulli(1.0, 0.5),
+    DirectBernoulli(slope=2.5, cap=0.2), ExactSign(), QuantizedSign(3)],
+    ids=lambda mode: repr(mode))
+def test_scalar_draw_matches_the_size_one_draw(mode):
+    # a sign query draws one label with draw(); it must be the label, and
+    # leave the generator where, a batch of one would
+    tiny = 5e-324
+    values = [0.0, -0.0, tiny, -tiny, 2.5e-310, -1e-309, np.inf, -np.inf, np.nan,
+              0.3, -1.7, 1e-9, -0.12, 1e300, -1e308, 0.5, -0.5]
+    rng, reference = seeded_rng(80, 0, 0), seeded_rng(80, 0, 0)
+    for i in range(600):
+        g = values[i % len(values)] if i % 4 else _tie_for_next_draw(mode, rng)
+        label = mode.draw(g, rng)
+        assert type(label) is int
+        with np.errstate(over="ignore"):  # slope * 1e300 overflows to inf
+            want = int(mode.draw_many(np.asarray([g]), reference)[0])
+        assert label == want, (i, g)
+        assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state), (i, g)
 
 
 def test_quantized_decimals_are_bounded():

@@ -340,5 +340,21 @@ def test_load_ridge_text_roundtrip(tmp_path):
 def test_ridge_rejects_outside_minimizer_box():
     A = np.eye(2)
     b = np.array([5.0, 5.0])  # minimizer at (2.5, 2.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^box_hi: the global minimizer"):
         Ridge(A, b, box_from_bounds(-1.0, 1.0, dim=2))
+    with pytest.raises(ValueError, match="^box_lo: the global minimizer"):
+        Ridge(A, b, box_from_bounds([-1.0, 3.0], [1.0, 4.0]))
+
+
+def test_ridge_partials_read_column_views_across_pickling():
+    rng = np.random.default_rng(25)
+    fn = Ridge(rng.normal(size=(300, 4)) / 17.0, rng.normal(size=300))
+    copy = pickle.loads(pickle.dumps(fn))
+    assert len(pickle.dumps(fn)) < fn.design.nbytes + fn.targets.nbytes + 2000
+    for f in (fn, copy):
+        assert all(np.shares_memory(column, f.design) for column in f._columns)
+        for _ in range(20):
+            x = rng.uniform(f.box.lo, f.box.hi)
+            j = int(rng.integers(4))
+            sliced = float(f.design[:, j] @ (f.design @ x - f.targets) + x[j])
+            assert f.grad_coord(x, j) == sliced
