@@ -31,6 +31,7 @@ ORIENTATION_AUTO = "auto"
 GRID_AUTO = "auto"
 
 _SQRT2 = math.sqrt(2.0)
+_PLUS_MINUS = np.array([-1, 1], dtype=np.intp)  # indexed by a bool: -1 if False, +1 if True
 
 
 @dataclass
@@ -102,18 +103,28 @@ def erm_cut(positions, labels, search: Interval,
     p = positions[order]
     y = labels[order]
     pos = (y > 0) if orientation_sign(orientation) > 0 else (y < 0)
-    left_pos = np.zeros(n + 1, dtype=np.intp)  # left_pos[s]: positives among p[:s]
-    pos.cumsum(out=left_pos[1:])
-    boundaries = (p[1:] > p[:-1]).nonzero()[0] + 1  # splits between distinct values
     # a cut c classifies x >= c as the positive side; at split s = #{p < c} its
-    # error is left_pos[s] + #{negatives in p[s:]} = 2 * left_pos[s] - s + const,
-    # and a midpoint between distinct values splits at their boundary
-    ends = p.searchsorted((search.lo, search.hi), side="left")
-    splits = np.concatenate((ends[:1], boundaries, ends[1:]))
-    best = int((2 * left_pos[splits] - splits).argmin())
-    if not 0 < best <= boundaries.size:
-        return float(search.hi if best else search.lo)
-    lower, upper = p[boundaries[best - 1] - 1], p[boundaries[best - 1]]
+    # error is #{positives in p[:s]} + #{negatives in p[s:]} = err[s] + const,
+    # where err[s] sums +1 per positive and -1 per negative in p[:s]
+    err = np.zeros(n + 1, dtype=np.intp)
+    np.add.accumulate(_PLUS_MINUS.take(pos), out=err[1:])
+    rising = p[1:] > p[:-1]  # the splits between distinct values
+    if p[0] >= search.lo and p[-1] < search.hi and rising.all():
+        # distinct positions in [lo, hi): every split 0..n is a candidate
+        best = int(err.argmin())
+        if not 0 < best < n:
+            return float(search.hi if best else search.lo)
+        lower, upper = p[best - 1], p[best]
+    else:
+        # a midpoint between distinct values splits at their boundary, and a
+        # search end splits off the positions below it
+        boundaries = rising.nonzero()[0] + 1
+        ends = p.searchsorted((search.lo, search.hi), side="left")
+        splits = np.concatenate((ends[:1], boundaries, ends[1:]))
+        best = int(err[splits].argmin())
+        if not 0 < best <= boundaries.size:
+            return float(search.hi if best else search.lo)
+        lower, upper = p[boundaries[best - 1] - 1], p[boundaries[best - 1]]
     mid = 0.5 * (lower + upper)
     # the midpoint of two adjacent floats can round onto the lower one
     return float(upper if mid == lower else mid)

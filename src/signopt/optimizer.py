@@ -122,9 +122,9 @@ class LineLabelOracle:
         self._q = self._x.copy()  # label_sample's query point: x but for coordinate j
         self._j = j = fn._index(j)
         # the line's coordinate and bounds as floats, for label_sample's clamp
-        self._xj = float(self._x[j])
-        self._lo, self._hi = float(fn.box.lo[j]), float(fn.box.hi[j])
-        alo, ahi = fn.box.segment(self._x, j)
+        self._xj = xj = float(self._x[j])
+        self._lo, self._hi = lo, hi = float(fn.box.lo[j]), float(fn.box.hi[j])
+        alo, ahi = lo - xj, hi - xj  # Box.segment's subtraction, on floats
         self.degenerate = not ahi > alo
         self.sole_step = alo if self.degenerate else None
         self.interval = None if self.degenerate else Interval(alo, ahi)
@@ -167,14 +167,22 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
         )
     line_config = replace(config.line_search,
                           orientation=POSITIVE_RIGHT).for_budget(budget // epochs)
-    x = fn._point(fn.box.center if isinstance(config.x0, str) else config.x0).copy()
+    base = fn._point(fn.box.center if isinstance(config.x0, str) else config.x0)
+    # each epoch clips its iterate to the box: all of it once, as the first
+    # epoch ends (the start may lie within the box's tolerance), and after
+    # that only the coordinate that moved, with np.clip's comparisons
+    x = np.clip(base, fn.box.lo, fn.box.hi)
+    lo, hi = fn.box.lo.tolist(), fn.box.hi.tolist()
     coords = coordinate_rng(config.seed).integers(fn.dim, size=epochs).tolist()
     for j, line_rng in zip(coords, line_search_streams(config.seed, epochs)):
-        line = line_label_oracle(sign_oracle, x, j)
+        line = line_label_oracle(sign_oracle, base, j)
         if line.degenerate:
             step = line.sole_step
         else:
             step = run_learner(line, line.interval, line_config, line_rng)
-        x[j] += step
-        x = fn.box.clip(x)  # absorbs end-point roundoff only
+        v = float(base[j]) + step
+        # a v equal to a bound takes the bound (its sign, for a zero); NaN stays
+        v = lo[j] if v <= lo[j] else v
+        x[j] = hi[j] if v >= hi[j] else v
+        base = x
     return x

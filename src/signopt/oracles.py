@@ -251,7 +251,8 @@ class DirectBernoulli:
 
     def probability_positive(self, g):
         g = np.asarray(g, dtype=float)
-        return np.clip(0.5 + self.slope * g, 0.5 - self.cap, 0.5 + self.cap)
+        with np.errstate(over="ignore"):  # slope * g may overflow to +-inf, which clips
+            return np.clip(0.5 + self.slope * g, 0.5 - self.cap, 0.5 + self.cap)
 
     def draw(self, g: float, rng) -> int:
         # np.clip's floats: a NaN g gives a NaN p, which no uniform is below
@@ -314,10 +315,9 @@ def _sign_with_fair_tie(s: float, rng) -> int:
 
 def _signs_with_fair_ties(s: np.ndarray, rng) -> np.ndarray:
     labels = np.where(s > 0, LABEL_POSITIVE, LABEL_NEGATIVE)
-    ties = s == 0.0
-    n_ties = int(np.count_nonzero(ties))
-    if n_ties:
-        coins = rng.random(n_ties) < 0.5
+    if not s.all():  # some s is 0.0 or -0.0; NaN is nonzero and takes no coin
+        ties = s == 0.0
+        coins = rng.random(int(np.count_nonzero(ties))) < 0.5
         labels[ties] = np.where(coins, LABEL_POSITIVE, LABEL_NEGATIVE)
     return labels
 

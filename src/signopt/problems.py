@@ -199,9 +199,6 @@ class Box:
         # logical_and.reduce is ndarray.all without its Python-level wrapper
         return bool(np.logical_and.reduce((a >= self._lo_tol) & (a <= self._hi_tol), axis=None))
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-
     def segment(self, x, j: int) -> tuple[float, float]:
         """Feasible step range along coordinate j from x: {a : x + a*e_j in box}."""
         return float(self.lo[j] - x[j]), float(self.hi[j] - x[j])

@@ -70,6 +70,69 @@ def test_erm_cut_minimizes_empirical_error(samples):
         assert best <= _brute_force_error(positions, labels, probe)
 
 
+def _erm_cut_reference(positions, labels, search, orientation="positive-right"):
+    """erm_cut as it was: two cumsums, scanned over the candidate splits."""
+    positions = np.asarray(positions, dtype=float)
+    labels = np.asarray(labels)
+    n = positions.size
+    if n == 0:
+        return search.midpoint
+    order = positions.argsort(kind="stable")
+    p = positions[order]
+    y = labels[order]
+    pos = (y > 0) if orientation == "positive-right" else (y < 0)
+    left_pos = np.zeros(n + 1, dtype=np.intp)
+    pos.cumsum(out=left_pos[1:])
+    boundaries = (p[1:] > p[:-1]).nonzero()[0] + 1
+    ends = p.searchsorted((search.lo, search.hi), side="left")
+    splits = np.concatenate((ends[:1], boundaries, ends[1:]))
+    best = int((2 * left_pos[splits] - splits).argmin())
+    if not 0 < best <= boundaries.size:
+        return float(search.hi if best else search.lo)
+    lower, upper = p[boundaries[best - 1] - 1], p[boundaries[best - 1]]
+    mid = 0.5 * (lower + upper)
+    return float(upper if mid == lower else mid)
+
+
+# few values, so that ties, positions on or beyond the search ends and
+# adjacent floats are common
+_FEW_FLOATS = [-0.5, -0.0, 0.0, 5e-324, 1e-10, 0.25, 0.5, float(np.nextafter(0.5, 1.0)),
+               0.75, 1.0, 1.5, np.nan]
+
+
+def _assert_same_cut(positions, labels, search, orientation):
+    got = erm_cut(positions, labels, search, orientation)
+    want = _erm_cut_reference(positions, labels, search, orientation)
+    assert type(got) is float and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 11, 34, 106])
+@pytest.mark.parametrize("orientation", ["positive-right", POSITIVE_LEFT])
+def test_erm_cut_is_bit_identical_on_uniform_samples(n, orientation):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        lo = rng.uniform(-2.0, 1.0)
+        search = Interval(lo, lo + rng.uniform(1e-6, 3.0))
+        positions = rng.uniform(search.lo, search.hi, size=n)
+        labels = rng.choice([-1, 1], size=n)
+        _assert_same_cut(positions, labels, search, orientation)
+    # adjacent floats, whose midpoint rounds onto the lower one
+    _assert_same_cut([0.0, 5e-324], [-1, 1], UNIT, orientation)
+    _assert_same_cut([5e-324, 0.0], [1, -1], UNIT, orientation)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FEW_FLOATS), st.sampled_from([-1, 0, 1])),
+                max_size=12),
+       st.sampled_from([(0.0, 1.0), (-0.0, 0.5), (0.25, 0.75), (5e-324, 1e-10),
+                        (-0.5, 1.5), (0.5, float(np.nextafter(0.5, 1.0)))]),
+       st.sampled_from(["positive-right", POSITIVE_LEFT]))
+def test_erm_cut_is_bit_identical_with_ties_and_outliers(samples, ends, orientation):
+    positions = [p for p, _ in samples]
+    labels = [y for _, y in samples]
+    _assert_same_cut(positions, labels, Interval(*ends), orientation)
+
+
 def test_passive_erm_localizes_noiseless_threshold():
     problem = _noiseless(0.7)
     oracle = LabelOracle(problem, seeded_rng(0, 0, 0))

@@ -214,6 +214,84 @@ def test_degenerate_segment_reports_single_step():
     assert x[0] == 0.0
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _edge_box():
+    # zero bounds of both signs, a zero-width coordinate of each kind and a
+    # coordinate whose roundoff at the ends is visible
+    lo = [0.0, -0.0, -1.0, 0.0, 0.0, -0.1, -0.0]
+    hi = [1.0, 0.0, -0.0, 0.0, -0.0, 0.3, 0.5]
+    box = box_from_bounds(lo, hi)
+    return Quadratic(np.eye(7), np.array([0.5, 0.0, -0.5, 0.0, 0.0, 0.1, 0.25]), box)
+
+
+def test_line_view_matches_box_segment():
+    fn = _edge_box()
+    rng = np.random.default_rng(21)
+    lo, hi = fn.box.lo, fn.box.hi
+    points = [fn.box.center, lo, hi, np.full(fn.dim, -0.0), lo - 1e-13, hi + 1e-13]
+    points += [lo + (hi - lo) * rng.random(fn.dim) for _ in range(20)]
+    for x in points:
+        for j in range(fn.dim):
+            line = line_label_oracle(_oracle(fn), x, j)
+            alo, ahi = fn.box.segment(x, j)
+            assert line.degenerate == (not ahi > alo)
+            if line.degenerate:
+                assert line.interval is None and _bits(line.sole_step) == _bits(alo)
+            else:
+                assert line.sole_step is None
+                assert _bits([line.interval.lo, line.interval.hi]) == _bits([alo, ahi])
+
+
+def _step_rules(seed):
+    """A stand-in learner: each call steps to an end of the line, one ulp
+    past it, a zero of either sign or a point inside."""
+    rng = np.random.default_rng(seed)
+
+    def step(line, search, config, line_rng):
+        lo, hi = search.lo, search.hi
+        steps = (lo, hi, float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf)),
+                 0.0, -0.0, float(rng.uniform(lo, hi)))
+        return steps[rng.integers(len(steps))]
+
+    return step
+
+
+@pytest.mark.parametrize("nan_last", [False, True])
+@pytest.mark.parametrize("start", ["center", "hi + 1e-13", "lo - 1e-13", "-0.0"])
+def test_one_coordinate_clamp_is_bit_identical_to_np_clip(monkeypatch, start, nan_last):
+    # rssgd clamps only the coordinate it moved; it used to clip the whole
+    # iterate with np.clip after each step.  Both must give the same bits,
+    # -0.0 and NaN included, also from a start inside the box's tolerance.
+    fn = _edge_box()
+    x0 = {"center": fn.box.center, "hi + 1e-13": fn.box.hi + 1e-13,
+          "lo - 1e-13": fn.box.lo - 1e-13, "-0.0": np.full(fn.dim, -0.0)}[start]
+    seed = len(start)
+    coords = coordinate_rng(seed).integers(fn.dim, size=200).tolist()
+    # end on a line of nonzero width, whose step may be the NaN
+    epochs = max(e for e, j in enumerate(coords, start=1) if j in (0, 2, 5, 6))
+    iterates, steps = _record_iterates(monkeypatch), []
+    rules = _step_rules(seed)
+
+    def learner(*args):
+        steps.append(np.nan if nan_last and len(iterates) == epochs else rules(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(optimizer, "run_learner", learner)
+    x = rssgd(fn, _oracle(fn), OptimizerConfig(budget=epochs, epoch_rule=epochs,
+                                               seed=seed, x0=x0))
+    ref, steps = x0.copy(), iter(steps)
+    for j, iterate in zip(coords, iterates):
+        assert _bits(iterate) == _bits(ref)
+        line = line_label_oracle(_oracle(fn), ref, j)
+        ref[j] += line.sole_step if line.degenerate else next(steps)
+        ref = np.clip(ref, fn.box.lo, fn.box.hi)
+    assert _bits(x) == _bits(ref)
+    assert np.isnan(x).any() == nan_last  # NaN stays NaN
+
+
 # ---------------------------------------------------------------------------
 # descent runs
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -308,9 +309,57 @@ def test_scalar_draw_matches_the_size_one_draw(mode):
         g = values[i % len(values)] if i % 4 else _tie_for_next_draw(mode, rng)
         label = mode.draw(g, rng)
         assert type(label) is int
-        with np.errstate(over="ignore"):  # slope * 1e300 overflows to inf
-            want = int(mode.draw_many(np.asarray([g]), reference)[0])
+        want = int(mode.draw_many(np.asarray([g]), reference)[0])
         assert label == want, (i, g)
+        assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state), (i, g)
+
+
+def test_direct_bernoulli_overflow_is_silent_on_both_paths():
+    # slope * g overflows to +-inf, which the cap clamps: no warning, one label
+    mode = DirectBernoulli(slope=2.5, cap=0.2)
+    rng, reference = seeded_rng(81, 0, 0), seeded_rng(81, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (1e308, -1e308) * 20:
+            assert mode.draw(g, rng) == int(mode.draw_many(np.asarray([g]), reference)[0])
+    assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state)
+
+
+def _ties_by_count(mode, g, rng):
+    """A batch of sign draws as they used to be drawn: the tie coins were
+    counted with count_nonzero whatever the batch held."""
+    if isinstance(mode, GaussianNoise):
+        s = g + rng.normal(0.0, mode.sigma, size=g.shape)
+    elif isinstance(mode, UniformNoise):
+        s = g + rng.uniform(-mode.halfwidth, mode.halfwidth, size=g.shape)
+    else:
+        s = g
+    labels = np.where(s > 0, 1, -1)
+    ties = s == 0.0
+    n_ties = int(np.count_nonzero(ties))
+    if n_ties:
+        coins = rng.random(n_ties) < 0.5
+        labels[ties] = np.where(coins, 1, -1)
+    return labels
+
+
+@pytest.mark.parametrize("mode", [GaussianNoise(0.7), UniformNoise(0.3), ExactSign()],
+                         ids=lambda mode: repr(mode))
+def test_batched_ties_are_bit_identical_to_count_nonzero(mode):
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.3, -1.7, 5e-324, -2.5e-310])
+    pick = np.random.default_rng(3)
+    rng, reference = seeded_rng(82, 0, 0), seeded_rng(82, 0, 0)
+    for i in range(300):
+        g = pick.choice(values, size=int(pick.integers(0, 9)))
+        if i % 3 == 0 and g.size and not isinstance(mode, ExactSign):
+            # g cancels the noise the next batch draws: an exact zero
+            peek = copy.deepcopy(rng)
+            noise = (peek.normal(0.0, mode.sigma, g.size) if isinstance(mode, GaussianNoise)
+                     else peek.uniform(-mode.halfwidth, mode.halfwidth, g.size))
+            g[0] = -noise[0]
+        got = mode.draw_many(g.copy(), rng)
+        want = _ties_by_count(mode, g.copy(), reference)
+        assert got.tolist() == want.tolist(), (i, g)
         assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state), (i, g)
 
 
