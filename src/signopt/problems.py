@@ -389,13 +389,16 @@ class Quadratic(UcFunction):
         return -float(self.matrix[j] @ (x - self.x_star)) / float(self.matrix[j, j])
 
 
-class Ridge(UcFunction):
+class Ridge(Quadratic):
     """f(x) = ||A x - b||^2 / 2 + ||x||^2 / 2 for an n x d design matrix A.
 
-    The global minimizer solves (A'A + I) x = A'b; it is computed once at
+    This is the quadratic (x - x*)' Q (x - x*) / 2 + f_min with Q = A'A + I.
+    The global minimizer solves Q x = A'b; it is computed once at
     construction by a direct solve and checked to residual 1e-10.  The
-    j-th gradient coordinate is A_j'(Ax - b) + x_j; use :class:`RidgeState`
-    to evaluate it in O(n) across single-coordinate updates.
+    gradient comes from Q, so a partial costs O(d) plus the domain check; it
+    equals the least-squares form A_j'(Ax - b) + x_j up to roundoff, so a
+    sign can differ only where the partial is itself at roundoff scale.
+    ``value`` and ``f_min`` keep the least-squares form.
     """
 
     def __init__(self, design, targets, box: Box | None = None):
@@ -419,79 +422,41 @@ class Ridge(UcFunction):
         elif not box.contains(x_star):
             bound = "box_lo" if np.any(x_star < box.lo) else "box_hi"
             raise ValueError(f"{bound}: the global minimizer must lie inside the domain box")
-        eigs = np.linalg.eigvalsh(Q)
-        col_sq = np.sum(A * A, axis=0)
-        super().__init__(box, 2.0, float(eigs[0]), float(np.max(col_sq) + 1.0))
+        super().__init__(Q, x_star, box)
         self.design = A
-        self._columns = list(A.T)  # views of A's columns, taken once rather than per query
         self.targets = b
-        self.x_star = x_star
-        self._hess_diag = col_sq + 1.0
-        self.f_min = self._value_unchecked(x_star)
-
-    def __getstate__(self):
-        # unpickled, the views would be copies of the design
-        state = self.__dict__.copy()
-        del state["_columns"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._columns = list(self.design.T)
-
-    def _residual(self, x) -> np.ndarray:
-        r = self.design @ x
-        r -= self.targets
-        return r
-
-    def _partial(self, x, j: int) -> float:
-        return float(self._columns[j] @ self._residual(x) + x[j])
-
-    def _value_unchecked(self, x) -> float:
-        r = self._residual(x)
-        return float(0.5 * (r @ r) + 0.5 * (x @ x))
+        self.f_min = self.value(x_star)
 
     def value(self, x) -> float:
-        return self._value_unchecked(self._point(x))
-
-    def grad(self, x) -> np.ndarray:
         x = self._point(x)
-        return self.design.T @ self._residual(x) + x
-
-    def grad_coord(self, x, j: int) -> float:
-        return self._partial(self._point(x), self._index(j))
-
-    def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        x = self._point(x)
-        j = self._index(j)
-        return self._partial(x, j) + self._hess_diag[j] * np.asarray(alphas, dtype=float)
-
-    def _directional_min_free(self, x, j: int) -> float:
-        return -self._partial(x, j) / float(self._hess_diag[j])
+        r = self.design @ x
+        r -= self.targets
+        return float(0.5 * (r @ r) + 0.5 * (x @ x))
 
 
 class RidgeState:
-    """Residual cache for cheap coordinate gradients of a Ridge function.
+    """Residual cache for least-squares coordinate gradients of a Ridge function.
 
-    Owns a mutable iterate; after each single-coordinate update the cached
-    residual r = Ax - b changes by delta * A_j, an O(n) refresh, so
-    ``grad_coord`` costs O(n) instead of O(n d).  Single-owner: never share
-    one state across concurrent runs.
+    The reference for ``Ridge.grad_coord``: it evaluates A_j'(Ax - b) + x_j
+    from the residual, not from Q.  Owns a mutable iterate; after each
+    single-coordinate update the cached residual r = Ax - b changes by
+    delta * A_j, an O(n) refresh, so ``grad_coord`` costs O(n) instead of
+    O(n d).  Single-owner: never share one state across concurrent runs.
     """
 
     def __init__(self, fn: Ridge, x0):
         self.fn = fn
         self.x = fn._point(x0).copy()
-        self.residual = fn._residual(self.x)
+        self.residual = fn.design @ self.x - fn.targets
 
     def grad_coord(self, j: int) -> float:
         j = self.fn._index(j)
-        return float(self.fn._columns[j] @ self.residual + self.x[j])
+        return float(self.fn.design[:, j] @ self.residual + self.x[j])
 
     def update_coord(self, j: int, new_value: float) -> None:
         j = self.fn._index(j)
         delta = float(new_value) - self.x[j]
-        self.residual += delta * self.fn._columns[j]
+        self.residual += delta * self.fn.design[:, j]
         self.x[j] = float(new_value)
 
     def value(self) -> float:

@@ -3,7 +3,7 @@ import pytest
 
 from signopt import (BudgetExhausted, DimensionMismatch, ExactSign, GaussianNoise,
                      LearnerConfig, OptimizerConfig, OutOfDomain, Quadratic,
-                     SeparablePower, SignOracle, adaptive_learner, box_from_bounds,
+                     Ridge, SeparablePower, SignOracle, adaptive_learner, box_from_bounds,
                      default_epoch_count, line_label_oracle, rssgd, seeded_rng)
 from signopt import optimizer
 from signopt.optimizer import coordinate_rng, line_search_rng, line_search_streams
@@ -425,6 +425,83 @@ def test_separable_power_descent_improves():
               OptimizerConfig(budget=6000, epoch_rule=60,
                               line_search=LearnerConfig("bisect"), seed=13, x0=x0))
     assert _f_error(fn, x) <= 1e-6 * (fn.value(x0) - fn.f_min)
+
+
+# ---------------------------------------------------------------------------
+# Ridge's partials from Q = A'A + I against the least-squares form
+
+class _LeastSquaresRidge(Ridge):
+    """Ridge with its partials in the least-squares form A_j'(Ax - b) + x_j."""
+
+    def __init__(self, design, targets, box):
+        super().__init__(design, targets, box)
+        self._hess_diag = np.sum(self.design * self.design, axis=0) + 1.0
+
+    def _partial(self, x, j):
+        r = self.design @ x
+        r -= self.targets
+        return float(self.design[:, j] @ r + x[j])
+
+    def grad_coord(self, x, j):
+        return self._partial(self._point(x), self._index(j))
+
+    def grad_coord_line(self, x, j, alphas):
+        x = self._point(x)
+        j = self._index(j)
+        return self._partial(x, j) + self._hess_diag[j] * np.asarray(alphas, dtype=float)
+
+
+def _bench_ridge(cls, n=4000, d=8):
+    """The benchmark's recipe: a Gaussian design scaled by 1/sqrt(n), box [-4, 4]."""
+    rng = np.random.default_rng([0, 7])
+    design = rng.standard_normal((n, d)) / np.sqrt(n)
+    targets = design @ rng.uniform(-1.5, 1.5, size=d) + 0.1 * rng.standard_normal(n)
+    return cls(design, targets, box_from_bounds(-4.0, 4.0, dim=d))
+
+
+def _ridge_pair_runs(mode, line_search, budget, rep, epoch_rule="paper-default"):
+    """(function, final iterate, queries used) of one run on each form of the partials."""
+    runs = []
+    for cls in (Ridge, _LeastSquaresRidge):
+        fn = _bench_ridge(cls)
+        oracle = _oracle(fn, mode=mode, seed=(rep, 0))
+        x = rssgd(fn, oracle, OptimizerConfig(budget=budget, epoch_rule=epoch_rule,
+                                              line_search=LearnerConfig(line_search),
+                                              seed=(rep, 1)))
+        runs.append((fn, x, oracle.queries_used))
+    return runs
+
+
+@pytest.mark.parametrize("mode, line_search, budget", [
+    (ExactSign(), "bisect", 2048),          # N = 4 queries per line
+    (ExactSign(), "bisect", 4096),          # N = 7
+    (GaussianNoise(1.0), "adaptive", 4096),
+])
+def test_ridge_labels_match_the_least_squares_partials(mode, line_search, budget):
+    # Away from roundoff-scale partials both forms give every label alike.
+    for rep in range(2):
+        (_, x, used), (_, ref, ref_used) = _ridge_pair_runs(mode, line_search,
+                                                            budget, rep)
+        assert x.tobytes() == ref.tobytes()
+        assert used == ref_used
+
+
+def test_ridge_deep_bisection_differs_only_at_roundoff():
+    # At N = 100 queries per line, bisection drives partials to roundoff
+    # scale, where the two forms' signs are noise: the iterates part in
+    # their last bits, and their errors agree far below any rate a sweep
+    # measures.
+    parted = 0
+    for rep in range(3):
+        (fn, x, used), (ref_fn, ref, ref_used) = _ridge_pair_runs(
+            ExactSign(), "bisect", 4000, rep, epoch_rule=40)
+        parted += x.tobytes() != ref.tobytes()
+        assert np.max(np.abs(x - ref)) <= 1e-12
+        err, ref_err = fn.value(x) - fn.f_min, ref_fn.value(ref) - ref_fn.f_min
+        gap0 = ref_fn.value(ref_fn.box.center) - ref_fn.f_min
+        assert abs(err - ref_err) <= 1e-9 * gap0
+        assert used == ref_used == 4000
+    assert parted > 0
 
 
 def test_requires_matching_oracle():

@@ -294,7 +294,9 @@ def test_directional_min_is_stationary(name):
 def test_ridge_minimizer_solves_normal_equation():
     rng = np.random.default_rng(21)
     fn = Ridge(rng.normal(size=(10, 4)), rng.normal(size=10))
-    assert np.linalg.norm(fn.grad(fn.x_star)) <= 1e-9
+    # the least-squares gradient, not fn.grad: that one is Q (x* - x*) = 0
+    A, b = fn.design, fn.targets
+    assert np.linalg.norm(A.T @ (A @ fn.x_star - b) + fn.x_star) <= 1e-9
     assert fn.f_min == pytest.approx(fn.value(fn.x_star))
     # any perturbation inside the box increases the value
     for _ in range(20):
@@ -346,15 +348,25 @@ def test_ridge_rejects_outside_minimizer_box():
         Ridge(A, b, box_from_bounds([-1.0, 3.0], [1.0, 4.0]))
 
 
-def test_ridge_partials_read_column_views_across_pickling():
+def test_ridge_partials_survive_pickling():
     rng = np.random.default_rng(25)
-    fn = Ridge(rng.normal(size=(300, 4)) / 17.0, rng.normal(size=300))
+    n, d = 4000, 8
+    A = rng.standard_normal((n, d)) / np.sqrt(n)
+    fn = Ridge(A, A @ rng.uniform(-1.5, 1.5, d) + 0.1 * rng.standard_normal(n),
+               box_from_bounds(-4.0, 4.0, dim=d))
     copy = pickle.loads(pickle.dumps(fn))
     assert len(pickle.dumps(fn)) < fn.design.nbytes + fn.targets.nbytes + 2000
-    for f in (fn, copy):
-        assert all(np.shares_memory(column, f.design) for column in f._columns)
-        for _ in range(20):
-            x = rng.uniform(f.box.lo, f.box.hi)
-            j = int(rng.integers(4))
-            sliced = float(f.design[:, j] @ (f.design @ x - f.targets) + x[j])
-            assert f.grad_coord(x, j) == sliced
+    b = fn.targets
+    alphas = rng.uniform(-1.0, 1.0, size=5)
+    for _ in range(20):
+        x = rng.uniform(-3.0, 3.0, size=d)
+        j = int(rng.integers(d))
+        line = fn.grad_coord_line(x, j, alphas)
+        assert copy.grad_coord(x, j) == fn.grad_coord(x, j)
+        assert np.array_equal(copy.grad_coord_line(x, j, alphas), line)
+        # the least-squares form A_j'(Ax - b) + x_j, within roundoff of its terms
+        points = [x] + [x + a * np.eye(d)[j] for a in alphas]
+        for y, g in zip(points, [fn.grad_coord(x, j), *line]):
+            r = A @ y - b
+            terms = np.abs(A[:, j]) @ np.abs(r) + abs(y[j])
+            assert abs(g - (A[:, j] @ r + y[j])) <= 1e-12 * (1.0 + terms)
