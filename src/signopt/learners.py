@@ -27,6 +27,7 @@ from .problems import (Interval, POSITIVE_LEFT, POSITIVE_RIGHT,
                        orientation_sign)
 
 LEARNERS = ("adaptive", "bisect", "passive", "bz")
+DRAWING_LEARNERS = ("adaptive", "passive")  # those that read run_learner's Generator
 ORIENTATION_AUTO = "auto"
 GRID_AUTO = "auto"
 
@@ -349,8 +350,10 @@ def bisect_noiseless(oracle, search: Interval, budget: int,
 
 
 def run_learner(oracle, search: Interval, config: LearnerConfig,
-                rng: np.random.Generator) -> float:
+                rng: np.random.Generator | None) -> float:
     """Run the learner that ``config.name`` names on ``search``; return its estimate.
+
+    Only the ``DRAWING_LEARNERS`` read ``rng``; the others may be given None.
 
     The learners are looked up by name in this module at call time, so a
     wrapper installed on the module (a tracer, say) sees every run.

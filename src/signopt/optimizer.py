@@ -13,12 +13,13 @@ iterate); independent replications parallelize with independent oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .learners import LearnerConfig, POSITIVE_RIGHT, run_learner
+from .learners import DRAWING_LEARNERS, LearnerConfig, POSITIVE_RIGHT, run_learner
 from .oracles import ROLE_COORDS, ROLE_SAMPLING, SignOracle, philox_keys, seeded_rng
 from .problems import Interval, UcFunction
 
@@ -174,7 +175,10 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
     x = np.clip(base, fn.box.lo, fn.box.hi)
     lo, hi = fn.box.lo.tolist(), fn.box.hi.tolist()
     coords = coordinate_rng(config.seed).integers(fn.dim, size=epochs).tolist()
-    for j, line_rng in zip(coords, line_search_streams(config.seed, epochs)):
+    # a learner that never draws gets no stream, and no per-epoch re-key
+    streams = (line_search_streams(config.seed, epochs)
+               if line_config.name in DRAWING_LEARNERS else itertools.repeat(None))
+    for j, line_rng in zip(coords, streams):
         line = line_label_oracle(sign_oracle, base, j)
         if line.degenerate:
             step = line.sole_step

@@ -176,11 +176,12 @@ class Box:
             raise ValueError("box bounds must be finite")
         if np.any(hi < lo):
             raise ValueError("box needs hi >= lo in every coordinate")
-        # the bounds are read-only, so the tolerance-widened ones never go stale
+        # the bounds are read-only, so the tolerance-widened ones never go stale;
+        # contains compares against those as lists of Python floats
         t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        for name, value in (("lo", lo), ("hi", hi), ("_lo_tol", lo - t), ("_hi_tol", hi + t)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        lo.flags.writeable = hi.flags.writeable = False
+        self.__dict__.update(lo=lo, hi=hi, _shape=lo.shape,
+                             _lo_tol=(lo - t).tolist(), _hi_tol=(hi + t).tolist())
 
     def __reduce__(self):
         # rebuild through __post_init__: unpickled arrays would be writeable
@@ -195,9 +196,23 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x) -> bool:
+        """Whether the point ``x``, of shape (d,), lies in the box up to tolerance.
+
+        Each coordinate is compared as a Python float with the bounds
+        widened by 1e-12 * max(1, |lo_j|, |hi_j|), by the IEEE comparisons
+        that numpy makes on float64 arrays, so NaN lies outside and -0.0
+        equals 0.0.  This is O(d) interpreter work, which beats comparing
+        numpy arrays (four numpy calls) only below d of about 40 (two runs
+        put the crossover between 32 and 48); every shipped config, golden
+        table and workload has d <= 8.
+        """
         a = np.asarray(x, dtype=float)
-        # logical_and.reduce is ndarray.all without its Python-level wrapper
-        return bool(np.logical_and.reduce((a >= self._lo_tol) & (a <= self._hi_tol), axis=None))
+        if a.shape != self._shape:
+            raise DimensionMismatch(f"expected point of shape {self._shape}, got {a.shape}")
+        for v, lo, hi in zip(a.tolist(), self._lo_tol, self._hi_tol):
+            if not lo <= v <= hi:
+                return False
+        return True
 
     def segment(self, x, j: int) -> tuple[float, float]:
         """Feasible step range along coordinate j from x: {a : x + a*e_j in box}."""
@@ -257,8 +272,8 @@ class UcFunction(abc.ABC):
         return a
 
     def _point(self, x) -> np.ndarray:
-        a = self._shaped(x)
-        if not self.box.contains(a):
+        a = np.asarray(x, dtype=float)
+        if not self.box.contains(a):  # which checks the shape as well
             raise OutOfDomain("point outside the domain box")
         return a
 
@@ -377,16 +392,17 @@ class Quadratic(UcFunction):
 
     def grad_coord(self, x, j: int) -> float:
         u = self._point(x) - self.x_star
-        return float(self.matrix[self._index(j)] @ u)
+        # for two vectors ndarray.dot is matmul's kernel without its dispatch
+        return float(self.matrix[self._index(j)].dot(u))
 
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
         x = self._point(x)
         j = self._index(j)
-        g0 = float(self.matrix[j] @ (x - self.x_star))
+        g0 = float(self.matrix[j].dot(x - self.x_star))
         return g0 + self.matrix[j, j] * np.asarray(alphas, dtype=float)
 
     def _directional_min_free(self, x, j: int) -> float:
-        return -float(self.matrix[j] @ (x - self.x_star)) / float(self.matrix[j, j])
+        return -float(self.matrix[j].dot(x - self.x_star)) / float(self.matrix[j, j])
 
 
 class Ridge(Quadratic):

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from signopt import RidgeState, Ridge
+from signopt import RidgeState, Ridge, box_from_bounds
+
+
+def bench_ridge(cls=Ridge, seed=0, n=4000, d=8):
+    """The benchmark's recipe: a Gaussian design scaled by 1/sqrt(n), box [-4, 4]."""
+    rng = np.random.default_rng([seed, 7])
+    design = rng.standard_normal((n, d)) / np.sqrt(n)
+    targets = design @ rng.uniform(-1.5, 1.5, size=d) + 0.1 * rng.standard_normal(n)
+    return cls(design, targets, box_from_bounds(-4.0, 4.0, dim=d))
 
 
 def sample_interior_points(fn, rng, n, margin=0.0):

@@ -6,9 +6,10 @@ from signopt import (BudgetExhausted, DimensionMismatch, ExactSign, GaussianNois
                      Ridge, SeparablePower, SignOracle, adaptive_learner, box_from_bounds,
                      default_epoch_count, line_label_oracle, rssgd, seeded_rng)
 from signopt import optimizer
+from signopt.learners import DRAWING_LEARNERS, LEARNERS
 from signopt.optimizer import coordinate_rng, line_search_rng, line_search_streams
 
-from _checks import binomial_band
+from _checks import bench_ridge, binomial_band
 
 
 def _quad(diag=(1.0, 2.0), half=1.0, x_star=None):
@@ -451,19 +452,11 @@ class _LeastSquaresRidge(Ridge):
         return self._partial(x, j) + self._hess_diag[j] * np.asarray(alphas, dtype=float)
 
 
-def _bench_ridge(cls, n=4000, d=8):
-    """The benchmark's recipe: a Gaussian design scaled by 1/sqrt(n), box [-4, 4]."""
-    rng = np.random.default_rng([0, 7])
-    design = rng.standard_normal((n, d)) / np.sqrt(n)
-    targets = design @ rng.uniform(-1.5, 1.5, size=d) + 0.1 * rng.standard_normal(n)
-    return cls(design, targets, box_from_bounds(-4.0, 4.0, dim=d))
-
-
 def _ridge_pair_runs(mode, line_search, budget, rep, epoch_rule="paper-default"):
     """(function, final iterate, queries used) of one run on each form of the partials."""
     runs = []
     for cls in (Ridge, _LeastSquaresRidge):
-        fn = _bench_ridge(cls)
+        fn = bench_ridge(cls)
         oracle = _oracle(fn, mode=mode, seed=(rep, 0))
         x = rssgd(fn, oracle, OptimizerConfig(budget=budget, epoch_rule=epoch_rule,
                                               line_search=LearnerConfig(line_search),
@@ -535,6 +528,36 @@ def test_line_search_streams_match_line_search_rng(monkeypatch, seed):
         assert _draws(rng, odd) == _draws(line_search_rng(seed, epoch), odd)
         assert rng.bit_generator.state["has_uint32"] == int(odd)
     assert epoch == epochs
+
+
+@pytest.mark.parametrize("mode, line_search", [
+    (ExactSign(), LearnerConfig("bisect")),
+    (GaussianNoise(1.0), LearnerConfig("bz", grid_size=64, bz_k=2.0, bz_mu=1.0)),
+])
+def test_a_line_search_that_never_draws_gets_no_stream(monkeypatch, mode, line_search):
+    def run():
+        fn = _quad((1.0, 2.0, 3.0), half=2.0, x_star=(0.3, -0.7, 1.1))
+        oracle = _oracle(fn, mode=mode, seed=(3, 0))
+        x = rssgd(fn, oracle, OptimizerConfig(budget=3000, line_search=line_search,
+                                              seed=(3, 1)))
+        return x.tobytes(), oracle.queries_used
+
+    # as every learner did before, draw a stream per epoch and ignore it
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "DRAWING_LEARNERS", LEARNERS)
+        reference = run()
+
+    def no_streams(seed, epochs):
+        raise AssertionError("a learner that never draws was given streams")
+
+    monkeypatch.setattr(optimizer, "line_search_streams", no_streams)
+    assert run() == reference
+    assert line_search.name not in DRAWING_LEARNERS
+    fn = _quad()
+    for name in DRAWING_LEARNERS:  # the learners that draw still get their streams
+        with pytest.raises(AssertionError, match="never draws"):
+            rssgd(fn, _oracle(fn), OptimizerConfig(
+                budget=2000, line_search=LearnerConfig(name), seed=0))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 1000])

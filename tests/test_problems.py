@@ -1,16 +1,19 @@
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signopt import (Box, DimensionMismatch, Interval, OutOfDomain,
                      POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge, RidgeState,
                      SeparablePower, box_from_bounds, load_ridge_text,
                      make_tnc_problem)
 
-from _checks import (check_gradient_finite_differences, check_lkss_inequality,
+from _checks import (bench_ridge, check_gradient_finite_differences, check_lkss_inequality,
                      check_ridge_residual_cache,
                      check_stationary_directional_min, check_uc_inequality)
 
@@ -60,6 +63,98 @@ def test_box_survives_pickle():
 def test_box_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         Box(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+def _contains_by_arrays(box, x):
+    """Box.contains in its numpy form, the reference of the float comparisons."""
+    t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(box.lo), np.abs(box.hi)))
+    a = np.asarray(x, dtype=float)
+    return bool(np.logical_and.reduce((a >= box.lo - t) & (a <= box.hi + t), axis=None))
+
+
+def _edges(box, j):
+    """The tolerance bounds of coordinate j, each between its two neighbouring floats."""
+    edges = []
+    for e in (box._lo_tol[j], box._hi_tol[j]):
+        edges += [float(np.nextafter(e, -math.inf)), e, float(np.nextafter(e, math.inf))]
+    return edges
+
+
+_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+@st.composite
+def _box_and_point(draw):
+    d = draw(st.integers(1, 9))
+    lo = draw(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d))
+    widths = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                           min_size=d, max_size=d))
+    box = Box(np.array(lo), np.array(lo) + np.array(widths))
+    # a point inside, with up to two coordinates moved to an edge, a special
+    # value or a float near the box
+    point = [draw(st.floats(box.lo[j], box.hi[j])) for j in range(d)]
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, d - 1))
+        point[j] = draw(st.one_of(st.sampled_from(_SPECIALS + _edges(box, j)),
+                                  st.floats(box.lo[j] - 1.0, box.hi[j] + 1.0)))
+    return box, point
+
+
+@settings(max_examples=500, deadline=None)
+@given(_box_and_point())
+def test_box_contains_matches_the_array_comparisons(case):
+    box, point = case
+    expected = _contains_by_arrays(box, point)
+    copy = pickle.loads(pickle.dumps(box))
+    for x in (np.array(point), point, tuple(point)):
+        assert box.contains(x) is expected
+        assert copy.contains(x) is expected
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([-5.0, 2.0, 0.0], [4.0, 10.0, 0.0]),   # the last coordinate has zero width
+    ([-0.0, -1e300, 3.5], [0.0, 1e300, 3.5]),
+    ([1e-300, -7.25, -2.0 ** 60], [2e-300, 7.25, 2.0 ** 60]),
+])
+def test_box_contains_one_ulp_from_each_tolerance_bound(lo, hi):
+    box = box_from_bounds(lo, hi)
+    t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(box.lo), np.abs(box.hi)))
+    assert box._lo_tol == (box.lo - t).tolist()
+    assert box._hi_tol == (box.hi + t).tolist()
+    copy = pickle.loads(pickle.dumps(box))
+    inside = box.center
+    for j in range(box.dim):
+        for v in _edges(box, j) + _SPECIALS:
+            x = inside.copy()
+            x[j] = v
+            expected = _contains_by_arrays(box, x)
+            assert box.contains(x) is expected
+            assert copy.contains(x) is expected
+        below, at_lo, _, _, at_hi, above = _edges(box, j)
+        moved = np.arange(box.dim) == j
+        assert box.contains(np.where(moved, at_lo, inside))
+        assert box.contains(np.where(moved, at_hi, inside))
+        assert not box.contains(np.where(moved, below, inside))
+        assert not box.contains(np.where(moved, above, inside))
+
+
+def test_box_contains_int_and_list_points():
+    box = box_from_bounds([-2, 0, 5], [3, 5, 5])
+    for x in ([3, 5, 5], [-2, 0, 5], [3, 6, 5], [0, 0, 4], (1, 2, 5),
+              np.array([3, 5, 5]), np.array([-3, 0, 5], dtype=np.int32),
+              [2 ** 53 + 1, 0, 5], [0.5, 1, 5]):
+        assert box.contains(x) is _contains_by_arrays(box, x)
+    assert box.contains(np.array([3, 5, 5])) and not box.contains([3, 6, 5])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_box_contains_rejects_other_shapes(d):
+    box = box_from_bounds(-1.0, 1.0, dim=d)
+    # a scalar is not broadcast either, not even on a one-coordinate box
+    for x in (np.zeros(d + 1), np.zeros((d, 1)), np.zeros((1, d)), np.zeros(0),
+              0.0, np.float64(0.0), [0.0] * (d + 1)):
+        with pytest.raises(DimensionMismatch):
+            box.contains(x)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +343,44 @@ def test_grad_coord_line_matches_pointwise():
                 y = x.copy()
                 y[j] += a
                 assert g == pytest.approx(fn.grad_coord(y, j), rel=1e-12, abs=1e-12)
+
+
+def _assert_partials_match_matmul(fn, x, j, alphas):
+    """Quadratic's partials, which use ndarray.dot, equal their ``@`` forms bit for bit."""
+    row, u = fn.matrix[j], x - fn.x_star
+    g0 = float(row @ u)
+    assert fn.grad_coord(x, j).hex() == g0.hex()
+    assert fn.grad_coord_line(x, j, alphas).tobytes() == (
+        g0 + fn.matrix[j, j] * alphas).tobytes()
+    assert fn._directional_min_free(x, j).hex() == (-g0 / float(fn.matrix[j, j])).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quadratic_partials_from_dot_equal_matmul(data):
+    d = data.draw(st.integers(1, 9))
+    floats = st.floats(-3.0, 3.0)
+    m = np.array(data.draw(st.lists(floats, min_size=d * d, max_size=d * d)))
+    matrix = m.reshape(d, d).T @ m.reshape(d, d) + np.eye(d)
+    matrix = 0.5 * (matrix + matrix.T)
+    box = box_from_bounds(-4.0, 4.0, dim=d)
+    x_star = np.array(data.draw(st.lists(floats, min_size=d, max_size=d)))
+    fn = Quadratic(matrix, x_star, box)
+    x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
+    j = data.draw(st.integers(0, d - 1))
+    alo, ahi = box.segment(x, j)
+    alphas = np.array(data.draw(st.lists(st.floats(alo, ahi), max_size=8)))
+    _assert_partials_match_matmul(fn, x, j, alphas)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_ridge_partials_from_dot_equal_matmul(seed):
+    fn = bench_ridge(seed=seed)
+    rng = np.random.default_rng([seed, 41])
+    for x in rng.uniform(-4.0, 4.0, size=(50, fn.dim)):
+        for j in range(fn.dim):
+            alo, ahi = fn.box.segment(x, j)
+            _assert_partials_match_matmul(fn, x, j, rng.uniform(alo, ahi, size=4))
 
 
 # ---------------------------------------------------------------------------
