@@ -9,18 +9,18 @@ randomized coordinate descent.
 
 from .problems import (Box, DimensionMismatch, Interval, OutOfDomain,
                        POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
-                       RidgeState, SeparablePower, TncProblem, UcFunction,
-                       box_from_bounds, load_ridge_text, make_tnc_problem)
+                       SeparablePower, TncProblem, UcFunction, box_from_bounds,
+                       load_ridge_text, make_tnc_problem)
 from .oracles import (BudgetExhausted, DirectBernoulli, ExactSign,
-                      GaussianNoise, LabelOracle, QuantizedSign, SignOracle,
-                      UniformNoise, seeded_rng)
+                      GaussianNoise, LabelOracle, SignOracle, UniformNoise,
+                      seeded_rng)
 from .learners import (LearnerConfig, adaptive_epoch_schedule,
                        adaptive_learner, auto_grid_size, bisect_noiseless,
                        bz_learner, erm_cut, passive_erm, run_learner)
 from .optimizer import (LineLabelOracle, OptimizerConfig,
                         default_epoch_count, line_label_oracle, rssgd)
 from .metrics import (ErrorRecord, RateFit, error_record, excess_risk,
-                      excess_risk_quadrature, fit_rate_slope)
+                      fit_rate_slope)
 from .harness import (ConfigError, ExperimentConfig, RunTable, load_config,
                       run_experiment, slope_report)
 
@@ -31,12 +31,11 @@ __all__ = [
     "DirectBernoulli", "ErrorRecord", "ExactSign", "ExperimentConfig",
     "GaussianNoise", "Interval", "LabelOracle", "LearnerConfig",
     "LineLabelOracle", "OptimizerConfig", "OutOfDomain", "POSITIVE_LEFT",
-    "POSITIVE_RIGHT", "Quadratic", "QuantizedSign", "RateFit", "Ridge",
-    "RidgeState", "RunTable", "SeparablePower", "SignOracle", "TncProblem",
-    "UcFunction", "UniformNoise", "adaptive_epoch_schedule", "adaptive_learner",
-    "auto_grid_size", "bisect_noiseless", "box_from_bounds", "bz_learner",
-    "default_epoch_count", "erm_cut", "error_record", "excess_risk",
-    "excess_risk_quadrature", "fit_rate_slope", "line_label_oracle",
+    "POSITIVE_RIGHT", "Quadratic", "RateFit", "Ridge", "RunTable",
+    "SeparablePower", "SignOracle", "TncProblem", "UcFunction", "UniformNoise",
+    "adaptive_epoch_schedule", "adaptive_learner", "auto_grid_size",
+    "bisect_noiseless", "box_from_bounds", "bz_learner", "default_epoch_count",
+    "erm_cut", "error_record", "excess_risk", "fit_rate_slope", "line_label_oracle",
     "load_config", "load_ridge_text", "make_tnc_problem", "passive_erm",
     "rssgd", "run_experiment", "run_learner", "seeded_rng", "slope_report",
 ]

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .learners import GRID_AUTO, LEARNERS, LearnerConfig, bz_rows, run_learner
+from .learners import (DRAWING_LEARNERS, GRID_AUTO, LEARNERS, LearnerConfig, bz_rows,
+                       run_learner)
 from .metrics import error_record, fit_rate_slope
 from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
 from .oracles import (ExactSign, LabelOracle, ROLE_LABELS, ROLE_SAMPLING,
@@ -40,6 +41,9 @@ JOBS_ENV_VAR = "SIGNOPT_JOBS"
 
 KIND_THRESHOLD = "learn-threshold"
 KIND_OPTIMIZE = "optimize"
+# oracle.mode = quantized, the sign rounded to oracle.decimals places, loads
+# ExactSign: rounding never flips a nonzero sign, and a zero keeps the true sign
+QUANTIZED = "quantized"
 
 CSV_COLUMNS = ("experiment_id", "kind", "budget", "replication", "seed",
                "estimate", "point_error", "excess_risk", "f_error",
@@ -74,8 +78,8 @@ _KEY_TABLE = {
         "quadratic": ("problem.dim", "problem.x_star", "problem.a_diag", "problem.a"),
         "ridge": ("problem.matrix_file",),
     },
-    "oracle.mode": {mode.name: tuple(f"oracle.{f.name}" for f in fields(mode))
-                    for mode in SIGN_MODES},
+    "oracle.mode": {**{mode.name: tuple(f"oracle.{f.name}" for f in fields(mode))
+                       for mode in SIGN_MODES}, QUANTIZED: ("oracle.decimals",)},
     "learner": {"adaptive": ("learner.c_delta",),
                 "bz": ("learner.grid_size", "learner.bz_k", "learner.bz_mu")},
 }
@@ -297,6 +301,10 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
 def _build_mode(raw: dict):
     """The sign mode ``oracle.mode`` names, from the ``oracle.*`` keys it declares."""
     name = raw.get("oracle.mode", ExactSign.name)
+    if name == QUANTIZED:  # 10.0 ** decimals, the rounding scale, overflows beyond 308
+        if not 0 <= _get(raw, "oracle.decimals", int, 3) <= 308:
+            raise ConfigError("oracle.decimals: must lie in [0, 308]")
+        return ExactSign()
     mode = next((m for m in SIGN_MODES if m.name == name), None)
     if mode is None:
         raise ConfigError(f"oracle.mode: unknown mode {name!r}")
@@ -365,7 +373,7 @@ def load_config(path) -> ExperimentConfig:
                 ("learner", name): f"{name_key} = {name}"}
     if kind == KIND_OPTIMIZE:
         for selector, value in (("problem.family", raw["problem.family"]),
-                                ("oracle.mode", oracle.mode.name)):
+                                ("oracle.mode", raw.get("oracle.mode", ExactSign.name))):
             selected[selector, value] = f"{selector} = {value}"
     _reject_unread_keys(raw, selected)
     return config
@@ -522,9 +530,10 @@ def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
     try:
         oracle = _oracle(config, budget, replication)
         if config.kind == KIND_THRESHOLD:
+            rng = (seeded_rng(config.base_seed, replication, ROLE_SAMPLING)
+                   if config.learner.name in DRAWING_LEARNERS else None)
             point = run_learner(oracle, config.problem.interval,
-                                config.learner.for_budget(budget, dither=replication),
-                                seeded_rng(config.base_seed, replication, ROLE_SAMPLING))
+                                config.learner.for_budget(budget, dither=replication), rng)
         else:
             point = rssgd(config.problem, oracle, replace(
                 config.optimizer, budget=budget, seed=(config.base_seed, replication)))

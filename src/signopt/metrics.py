@@ -1,9 +1,7 @@
 """Ground-truth error functionals and log-log rate-slope estimation.
 
 ``excess_risk`` integrates |2 eta - 1| between the estimate and the true
-threshold in closed form (the regression family is piecewise a power law);
-``excess_risk_quadrature`` recomputes it by adaptive Simpson integration of
-the regression function itself as an independent cross-check.
+threshold in closed form (the regression family is piecewise a power law).
 ``fit_rate_slope`` regresses log error on log budget to estimate empirical
 convergence rates.
 """
@@ -45,48 +43,6 @@ def excess_risk(problem: TncProblem, estimate: float) -> float:
     if d <= clamp_dist:
         return (2.0 * mu / k) * d ** k
     return (2.0 * mu / k) * clamp_dist ** k + 2.0 * cap * (d - clamp_dist)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return (recurse(x0, x1, f0, flm, f1, left, tol / 2.0, depth - 1)
-                + recurse(x1, x2, f1, frm, f2, right, tol / 2.0, depth - 1))
-
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def excess_risk_quadrature(problem: TncProblem, estimate: float,
-                           tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Numeric cross-check of :func:`excess_risk` via adaptive Simpson."""
-    if not problem.interval.contains(estimate):
-        raise OutOfDomain("estimate outside the problem interval")
-    a = min(float(estimate), problem.threshold)
-    b = max(float(estimate), problem.threshold)
-
-    def gap(x: float) -> float:
-        return abs(2.0 * problem.eta_at(x) - 1.0)
-
-    return _adaptive_simpson(gap, a, b, tol, max_depth)
 
 
 def error_record(target, estimate) -> ErrorRecord:

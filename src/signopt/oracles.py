@@ -284,26 +284,6 @@ class ExactSign:
         return _signs_with_fair_ties(g, rng)
 
 
-@dataclass(frozen=True)
-class QuantizedSign(ExactSign):
-    """Sign of the gradient rounded to a fixed number of decimals.
-
-    Rounding |g| to ``decimals`` places never flips a nonzero sign, and a
-    magnitude that rounds to zero falls back to the true sign, so the label
-    is the exact sign for every ``decimals``: the rounding is never computed.
-    A gradient that is exactly zero resolves by a fair coin.
-    """
-
-    decimals: int = 3
-    name = "quantized"
-
-    def __post_init__(self):
-        if self.decimals < 0:
-            raise ValueError("decimals: must be non-negative")
-        if self.decimals > 308:  # the rounding scale 10.0 ** decimals overflows beyond
-            raise ValueError("decimals: must be at most 308")
-
-
 def _sign_with_fair_tie(s: float, rng) -> int:
     """One label of ``_signs_with_fair_ties``, drawing what its size-1 call draws."""
     if s > 0:
@@ -322,7 +302,7 @@ def _signs_with_fair_ties(s: np.ndarray, rng) -> np.ndarray:
     return labels
 
 
-SIGN_MODES = (GaussianNoise, UniformNoise, DirectBernoulli, ExactSign, QuantizedSign)
+SIGN_MODES = (GaussianNoise, UniformNoise, DirectBernoulli, ExactSign)
 
 
 class SignOracle(_CountingOracle):
@@ -364,9 +344,3 @@ class SignOracle(_CountingOracle):
         g = self.fn.grad_coord_line(x, j, alphas)
         self._charge(alphas.size)
         return self.mode.draw_many(g, self.rng)
-
-    def probability_positive(self, x, j: int):
-        """Analytic P(+) at a point; used for calibration checks, free of charge."""
-        return float(np.asarray(
-            self.mode.probability_positive(self.fn.grad_coord(x, j))))
-

@@ -288,10 +288,6 @@ class UcFunction(abc.ABC):
         """Exact function value."""
 
     @abc.abstractmethod
-    def grad(self, x) -> np.ndarray:
-        """Exact full gradient."""
-
-    @abc.abstractmethod
     def grad_coord(self, x, j: int) -> float:
         """Exact j-th partial derivative."""
 
@@ -341,11 +337,6 @@ class SeparablePower(UcFunction):
         u = self._point(x) - self.x_star
         return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
 
-    def grad(self, x) -> np.ndarray:
-        u = self._point(x) - self.x_star
-        k = self.uc_exponent
-        return self.coeffs * k * np.abs(u) ** (k - 1.0) * np.sign(u)
-
     def grad_coord(self, x, j: int) -> float:
         u = float(self._point(x)[self._index(j)] - self.x_star[j])
         k = self.uc_exponent
@@ -387,22 +378,20 @@ class Quadratic(UcFunction):
         u = self._point(x) - self.x_star
         return float(0.5 * u @ self.matrix @ u)
 
-    def grad(self, x) -> np.ndarray:
-        return self.matrix @ (self._point(x) - self.x_star)
-
     def grad_coord(self, x, j: int) -> float:
         u = self._point(x) - self.x_star
-        # for two vectors ndarray.dot is matmul's kernel without its dispatch
-        return float(self.matrix[self._index(j)].dot(u))
+        # for two vectors ndarray.dot is matmul's kernel without its dispatch; each
+        # partial adds 0.0 to make a -0.0 (d = 1) the 0.0 that matmul's sum gives
+        return float(self.matrix[self._index(j)].dot(u)) + 0.0
 
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
         x = self._point(x)
         j = self._index(j)
-        g0 = float(self.matrix[j].dot(x - self.x_star))
+        g0 = float(self.matrix[j].dot(x - self.x_star)) + 0.0
         return g0 + self.matrix[j, j] * np.asarray(alphas, dtype=float)
 
     def _directional_min_free(self, x, j: int) -> float:
-        return -float(self.matrix[j].dot(x - self.x_star)) / float(self.matrix[j, j])
+        return -(float(self.matrix[j].dot(x - self.x_star)) + 0.0) / float(self.matrix[j, j])
 
 
 class Ridge(Quadratic):
@@ -448,35 +437,6 @@ class Ridge(Quadratic):
         r = self.design @ x
         r -= self.targets
         return float(0.5 * (r @ r) + 0.5 * (x @ x))
-
-
-class RidgeState:
-    """Residual cache for least-squares coordinate gradients of a Ridge function.
-
-    The reference for ``Ridge.grad_coord``: it evaluates A_j'(Ax - b) + x_j
-    from the residual, not from Q.  Owns a mutable iterate; after each
-    single-coordinate update the cached residual r = Ax - b changes by
-    delta * A_j, an O(n) refresh, so ``grad_coord`` costs O(n) instead of
-    O(n d).  Single-owner: never share one state across concurrent runs.
-    """
-
-    def __init__(self, fn: Ridge, x0):
-        self.fn = fn
-        self.x = fn._point(x0).copy()
-        self.residual = fn.design @ self.x - fn.targets
-
-    def grad_coord(self, j: int) -> float:
-        j = self.fn._index(j)
-        return float(self.fn.design[:, j] @ self.residual + self.x[j])
-
-    def update_coord(self, j: int, new_value: float) -> None:
-        j = self.fn._index(j)
-        delta = float(new_value) - self.x[j]
-        self.residual += delta * self.fn.design[:, j]
-        self.x[j] = float(new_value)
-
-    def value(self) -> float:
-        return float(0.5 * (self.residual @ self.residual) + 0.5 * (self.x @ self.x))
 
 
 def load_ridge_text(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,11 @@
-"""Shared numeric validators used by both the module tests and the acceptance suite."""
+"""Shared numeric validators and reference implementations used by both the
+module tests and the acceptance suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from signopt import RidgeState, Ridge, box_from_bounds
+from signopt import OutOfDomain, Ridge, TncProblem, box_from_bounds
 
 
 def bench_ridge(cls=Ridge, seed=0, n=4000, d=8):
@@ -45,7 +46,8 @@ def check_uc_inequality(fn, rng, n=1000, slack=1e-9):
     k, lam = fn.uc_exponent, fn.uc_modulus
     for x, y in zip(xs, ys):
         lhs = fn.value(y)
-        rhs = fn.value(x) + fn.grad(x) @ (y - x) + 0.5 * lam * np.linalg.norm(y - x) ** k
+        grad = np.array([fn.grad_coord(x, j) for j in range(fn.dim)])
+        rhs = fn.value(x) + grad @ (y - x) + 0.5 * lam * np.linalg.norm(y - x) ** k
         assert lhs >= rhs - slack * max(1.0, abs(lhs)), \
             f"uniform convexity violated: {lhs} < {rhs}"
 
@@ -71,6 +73,35 @@ def check_lkss_inequality(fn, rng, n=1000, slack=1e-9):
     assert skipped <= n // 10, f"too many clipped line minima ({skipped}) for a fair check"
 
 
+class RidgeState:
+    """Residual cache for least-squares coordinate gradients of a Ridge function.
+
+    The reference for ``Ridge.grad_coord``: it evaluates A_j'(Ax - b) + x_j
+    from the residual, not from Q.  Owns a mutable iterate; after each
+    single-coordinate update the cached residual r = Ax - b changes by
+    delta * A_j, an O(n) refresh, so ``grad_coord`` costs O(n) instead of
+    O(n d).  Single-owner: never share one state across concurrent runs.
+    """
+
+    def __init__(self, fn: Ridge, x0):
+        self.fn = fn
+        self.x = fn._point(x0).copy()
+        self.residual = fn.design @ self.x - fn.targets
+
+    def grad_coord(self, j: int) -> float:
+        j = self.fn._index(j)
+        return float(self.fn.design[:, j] @ self.residual + self.x[j])
+
+    def update_coord(self, j: int, new_value: float) -> None:
+        j = self.fn._index(j)
+        delta = float(new_value) - self.x[j]
+        self.residual += delta * self.fn.design[:, j]
+        self.x[j] = float(new_value)
+
+    def value(self) -> float:
+        return float(0.5 * (self.residual @ self.residual) + 0.5 * (self.x @ self.x))
+
+
 def check_ridge_residual_cache(fn: Ridge, rng, n_updates=100, rtol=1e-10):
     """The cached residual must track Ax - b through random coordinate updates."""
     state = RidgeState(fn, fn.box.center)
@@ -94,6 +125,49 @@ def check_stationary_directional_min(fn, rng, n=200, atol=1e-8):
         y = x.copy()
         y[j] += a
         assert abs(fn.grad_coord(y, j)) <= atol
+
+
+def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
+    """Adaptive Simpson quadrature with absolute tolerance."""
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+        x1 = 0.5 * (x0 + x2)
+        lm = 0.5 * (x0 + x1)
+        rm = 0.5 * (x1 + x2)
+        flm, frm = f(lm), f(rm)
+        left = simpson(x0, x1, f0, flm, f1)
+        right = simpson(x1, x2, f1, frm, f2)
+        delta = left + right - whole
+        if depth <= 0 or abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        return (recurse(x0, x1, f0, flm, f1, left, tol / 2.0, depth - 1)
+                + recurse(x1, x2, f1, frm, f2, right, tol / 2.0, depth - 1))
+
+    if a == b:
+        return 0.0
+    fa, fb = f(a), f(b)
+    mid = 0.5 * (a + b)
+    fm = f(mid)
+    whole = simpson(a, b, fa, fm, fb)
+    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+
+
+def excess_risk_quadrature(problem: TncProblem, estimate: float,
+                           tol: float = 1e-10, max_depth: int = 50) -> float:
+    """Numeric cross-check of ``signopt.excess_risk``: adaptive Simpson
+    integration of |2 eta - 1| between the estimate and the threshold."""
+    if not problem.interval.contains(estimate):
+        raise OutOfDomain("estimate outside the problem interval")
+    a = min(float(estimate), problem.threshold)
+    b = max(float(estimate), problem.threshold)
+
+    def gap(x: float) -> float:
+        return abs(2.0 * problem.eta_at(x) - 1.0)
+
+    return _adaptive_simpson(gap, a, b, tol, max_depth)
 
 
 def empirical_positive_fraction(draw, n):

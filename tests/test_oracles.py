@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from signopt import (BudgetExhausted, DirectBernoulli, ExactSign,
+from signopt import (BudgetExhausted, ConfigError, DirectBernoulli, ExactSign,
                      GaussianNoise, LabelOracle, OutOfDomain, Quadratic,
-                     QuantizedSign, SeparablePower, SignOracle, TncProblem,
-                     UniformNoise, box_from_bounds, make_tnc_problem, seeded_rng)
+                     SeparablePower, SignOracle, TncProblem, UniformNoise,
+                     box_from_bounds, make_tnc_problem, seeded_rng)
+from signopt.harness import _build_mode
 from signopt.oracles import ETA_TABLE_SIZE, philox_keys
 
 from _checks import binomial_band
@@ -201,7 +202,8 @@ def test_gaussian_sign_frequency_matches_normal_cdf():
     oracle = SignOracle(fn, GaussianNoise(1.0), seeded_rng(6, 0, 0))
     x = np.array([0.5, 0.0])
     expected = norm.cdf(0.5)
-    assert oracle.probability_positive(x, 0) == pytest.approx(expected, abs=1e-12)
+    p = float(oracle.mode.probability_positive(fn.grad_coord(x, 0)))
+    assert p == pytest.approx(expected, abs=1e-12)
     labels = oracle.sign_sample_line(x, 0, np.zeros(N_DRAWS))
     assert abs(np.mean(labels == 1) - expected) <= binomial_band(N_DRAWS)
 
@@ -211,7 +213,6 @@ def test_gaussian_sign_frequency_matches_normal_cdf():
     (UniformNoise(2.0), lambda g: np.clip(0.5 + g / 4.0, 0.0, 1.0)),
     (DirectBernoulli(slope=0.8, cap=0.3), lambda g: np.clip(0.5 + 0.8 * g, 0.2, 0.8)),
     (ExactSign(), lambda g: 1.0 if g > 0 else (0.0 if g < 0 else 0.5)),
-    (QuantizedSign(3), lambda g: 1.0 if g > 0 else (0.0 if g < 0 else 0.5)),
 ])
 def test_calibration_of_every_mode(mode, analytic):
     fn = _quad_fn()
@@ -225,10 +226,15 @@ def test_calibration_of_every_mode(mode, analytic):
             f"{mode} at g={g}"
 
 
+# oracle.mode = quantized, the sign of the gradient rounded to oracle.decimals
+# places, loads ExactSign: the next three tests check that it gives what the
+# rounding gave
+
+
 def test_quantized_mode_never_flips_a_nonzero_sign():
     box = box_from_bounds(-1.0, 1.0, dim=3)
     fn = SeparablePower([1.0, 0.5, 2.0], [0.0, 0.1, -0.2], box, exponent=2.0)
-    oracle = SignOracle(fn, QuantizedSign(3), seeded_rng(8, 0, 0))
+    oracle = SignOracle(fn, ExactSign(), seeded_rng(8, 0, 0))
     rng = np.random.default_rng(9)
     total = 0
     for _ in range(200):
@@ -248,7 +254,7 @@ def test_quantized_rounding_to_zero_keeps_the_true_sign():
     # gradient 2e-4 rounds to zero at 3 decimals; the sign must survive
     box = box_from_bounds(-1.0, 1.0, dim=1)
     fn = SeparablePower([1.0], [0.0], box, exponent=2.0)
-    oracle = SignOracle(fn, QuantizedSign(3), seeded_rng(10, 0, 0))
+    oracle = SignOracle(fn, ExactSign(), seeded_rng(10, 0, 0))
     for _ in range(50):
         assert oracle.sign_sample(np.array([1e-4]), 0) == 1
         assert oracle.sign_sample(np.array([-1e-4]), 0) == -1
@@ -267,16 +273,17 @@ def _rounded_draw(decimals, g, rng):
 
 @pytest.mark.parametrize("decimals", [0, 3, 308])
 def test_quantized_draws_match_the_rounding_formula(decimals):
-    # the quantized mode no longer rounds: the labels and the tie coins it
-    # draws are the rounded ones and the exact sign's, value for value
+    # the quantized mode loads ExactSign, which never rounds: the labels and
+    # the tie coins it draws are the rounded ones, value for value
     tiny = 5e-324
     g = np.array([0.0, -0.0, 1.5, -2.0, tiny, -tiny, 2.5e-310, -1e-309,
                   4e-4, -4e-4, 5e-4, 0.4, -0.49, 1e-300, 1e300, -1e308,
                   np.inf, -np.inf, np.nan, 0.0, 123.456, -0.0, 0.0])
     g = np.concatenate([g, np.random.default_rng(decimals).permutation(g)])
+    mode = _build_mode({"oracle.mode": "quantized", "oracle.decimals": str(decimals)})
     rngs = [seeded_rng(20, decimals, 0) for _ in range(3)]
     rounded = _rounded_draw(decimals, g.copy(), rngs[0])
-    quantized = QuantizedSign(decimals).draw_many(g.copy(), rngs[1])
+    quantized = mode.draw_many(g.copy(), rngs[1])
     exact = ExactSign().draw_many(g.copy(), rngs[2])
     assert quantized.tolist() == rounded.tolist() == exact.tolist()
     assert len({repr(rng.bit_generator.state) for rng in rngs}) == 1
@@ -296,7 +303,7 @@ def _tie_for_next_draw(mode, rng):
 
 @pytest.mark.parametrize("mode", [
     GaussianNoise(0.7), UniformNoise(0.3), DirectBernoulli(1.0, 0.5),
-    DirectBernoulli(slope=2.5, cap=0.2), ExactSign(), QuantizedSign(3)],
+    DirectBernoulli(slope=2.5, cap=0.2), ExactSign()],
     ids=lambda mode: repr(mode))
 def test_scalar_draw_matches_the_size_one_draw(mode):
     # a sign query draws one label with draw(); it must be the label, and
@@ -364,9 +371,9 @@ def test_batched_ties_are_bit_identical_to_count_nonzero(mode):
 
 
 def test_quantized_decimals_are_bounded():
-    QuantizedSign(308)
-    with pytest.raises(ValueError, match="^decimals: "):
-        QuantizedSign(309)
+    assert _build_mode({"oracle.mode": "quantized", "oracle.decimals": "308"}) == ExactSign()
+    with pytest.raises(ConfigError, match="^oracle.decimals: "):
+        _build_mode({"oracle.mode": "quantized", "oracle.decimals": "309"})
 
 
 def test_tnc_transfer_along_a_coordinate_line():

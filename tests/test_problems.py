@@ -5,16 +5,16 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signopt import (Box, DimensionMismatch, Interval, OutOfDomain,
-                     POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge, RidgeState,
+                     POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
                      SeparablePower, box_from_bounds, load_ridge_text,
                      make_tnc_problem)
 
-from _checks import (bench_ridge, check_gradient_finite_differences, check_lkss_inequality,
-                     check_ridge_residual_cache,
+from _checks import (RidgeState, bench_ridge, check_gradient_finite_differences,
+                     check_lkss_inequality, check_ridge_residual_cache,
                      check_stationary_directional_min, check_uc_inequality)
 
 
@@ -355,22 +355,31 @@ def _assert_partials_match_matmul(fn, x, j, alphas):
     assert fn._directional_min_free(x, j).hex() == (-g0 / float(fn.matrix[j, j])).hex()
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_quadratic_partials_from_dot_equal_matmul(data):
-    d = data.draw(st.integers(1, 9))
+@st.composite
+def _quadratic_partial_case(draw):
+    """(m, x_star, x, j, alphas): Quadratic(m'm + I, x_star) on [-4, 4]^d and a line."""
+    d = draw(st.integers(1, 9))
     floats = st.floats(-3.0, 3.0)
-    m = np.array(data.draw(st.lists(floats, min_size=d * d, max_size=d * d)))
-    matrix = m.reshape(d, d).T @ m.reshape(d, d) + np.eye(d)
+    m = draw(st.lists(floats, min_size=d * d, max_size=d * d))
+    x_star = draw(st.lists(floats, min_size=d, max_size=d))
+    x = draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d))
+    j = draw(st.integers(0, d - 1))
+    alphas = draw(st.lists(st.floats(-4.0 - x[j], 4.0 - x[j]), max_size=8))
+    return m, x_star, x, j, alphas
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratic_partial_case())
+# at d = 1, u = x - x_star = [-0.0]: ndarray.dot gives -0.0 and matmul 0.0
+@example(([0.0], [0.0], [-0.0], 0, [-0.0, 0.0]))
+def test_quadratic_partials_from_dot_equal_matmul(case):
+    m, x_star, x, j, alphas = case
+    d = len(x)
+    m = np.array(m).reshape(d, d)
+    matrix = m.T @ m + np.eye(d)
     matrix = 0.5 * (matrix + matrix.T)
-    box = box_from_bounds(-4.0, 4.0, dim=d)
-    x_star = np.array(data.draw(st.lists(floats, min_size=d, max_size=d)))
-    fn = Quadratic(matrix, x_star, box)
-    x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
-    j = data.draw(st.integers(0, d - 1))
-    alo, ahi = box.segment(x, j)
-    alphas = np.array(data.draw(st.lists(st.floats(alo, ahi), max_size=8)))
-    _assert_partials_match_matmul(fn, x, j, alphas)
+    fn = Quadratic(matrix, np.array(x_star), box_from_bounds(-4.0, 4.0, dim=d))
+    _assert_partials_match_matmul(fn, np.array(x), j, np.array(alphas))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -427,7 +436,7 @@ def test_directional_min_is_stationary(name):
 def test_ridge_minimizer_solves_normal_equation():
     rng = np.random.default_rng(21)
     fn = Ridge(rng.normal(size=(10, 4)), rng.normal(size=10))
-    # the least-squares gradient, not fn.grad: that one is Q (x* - x*) = 0
+    # the least-squares gradient, not fn.grad_coord: that one is Q (x* - x*) = 0
     A, b = fn.design, fn.targets
     assert np.linalg.norm(A.T @ (A @ fn.x_star - b) + fn.x_star) <= 1e-9
     assert fn.f_min == pytest.approx(fn.value(fn.x_star))
