@@ -17,6 +17,7 @@ lockstep; ``bz_learner`` is its one-row call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -94,15 +95,22 @@ def erm_cut(positions, labels, search: Interval,
     consecutive sorted positions.  For positive-right orientation the
     empirical error of a cut c is #{+ samples left of c} + #{- samples
     right of c}; ties resolve to the leftmost minimizing candidate.
+
+    The sort need not be stable: every candidate split is a search end or
+    a boundary between distinct values, so neither its error nor the
+    values read there depend on the order within a group of equal
+    positions.  That holds for a {-0.0, 0.0} group too (``lower + upper``
+    and ``mid == lower`` cannot tell the zeros apart), and NaN sorts last
+    under every kind.
     """
     positions = np.asarray(positions, dtype=float)
     labels = np.asarray(labels)
     n = positions.size
     if n == 0:
         return search.midpoint
-    order = positions.argsort(kind="stable")
-    p = positions[order]
-    y = labels[order]
+    order = positions.argsort()  # the default kind, much faster than a stable sort
+    p = positions.take(order)
+    y = labels.take(order)
     pos = (y > 0) if orientation_sign(orientation) > 0 else (y < 0)
     # a cut c classifies x >= c as the positive side; at split s = #{p < c} its
     # error is #{positives in p[:s]} + #{negatives in p[s:]} = err[s] + const,
@@ -110,7 +118,7 @@ def erm_cut(positions, labels, search: Interval,
     err = np.zeros(n + 1, dtype=np.intp)
     np.add.accumulate(_PLUS_MINUS.take(pos), out=err[1:])
     rising = p[1:] > p[:-1]  # the splits between distinct values
-    if p[0] >= search.lo and p[-1] < search.hi and rising.all():
+    if p[0] >= search.lo and p[-1] < search.hi and np.count_nonzero(rising) == n - 1:
         # distinct positions in [lo, hi): every split 0..n is a candidate
         best = int(err.argmin())
         if not 0 < best < n:
@@ -143,6 +151,7 @@ def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,
     return erm_cut(xs, labels, search, orientation)
 
 
+@functools.lru_cache(maxsize=256)  # one line search per epoch asks again
 def adaptive_epoch_schedule(budget: int, c_delta: float) -> tuple[int, int]:
     """Epoch count and per-epoch budget of the adaptive learner.
 

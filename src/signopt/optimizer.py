@@ -123,8 +123,8 @@ class LineLabelOracle:
         self._q = self._x.copy()  # label_sample's query point: x but for coordinate j
         self._j = j = fn._index(j)
         # the line's coordinate and bounds as floats, for label_sample's clamp
-        self._xj = xj = float(self._x[j])
-        self._lo, self._hi = lo, hi = float(fn.box.lo[j]), float(fn.box.hi[j])
+        self._xj = xj = self._x.item(j)
+        self._lo, self._hi = lo, hi = fn.box._lo_list[j], fn.box._hi_list[j]
         alo, ahi = lo - xj, hi - xj  # Box.segment's subtraction, on floats
         self.degenerate = not ahi > alo
         self.sole_step = alo if self.degenerate else None

@@ -23,6 +23,7 @@ from .problems import OutOfDomain, TncProblem, UcFunction
 
 LABEL_POSITIVE = 1
 LABEL_NEGATIVE = -1
+_LABEL_OF = np.array([LABEL_NEGATIVE, LABEL_POSITIVE], dtype=np.intp)  # indexed by a bool
 
 # Stream roles: keep these distinct so label noise, sample placement and
 # coordinate choices never share a generator.
@@ -294,11 +295,11 @@ def _sign_with_fair_tie(s: float, rng) -> int:
 
 
 def _signs_with_fair_ties(s: np.ndarray, rng) -> np.ndarray:
-    labels = np.where(s > 0, LABEL_POSITIVE, LABEL_NEGATIVE)
-    if not s.all():  # some s is 0.0 or -0.0; NaN is nonzero and takes no coin
+    labels = np.asarray(_LABEL_OF.take(s > 0))  # a 0-d s takes a scalar: make it 0-d
+    if np.count_nonzero(s) < s.size:  # some s is 0.0 or -0.0; NaN is nonzero, no coin
         ties = s == 0.0
         coins = rng.random(int(np.count_nonzero(ties))) < 0.5
-        labels[ties] = np.where(coins, LABEL_POSITIVE, LABEL_NEGATIVE)
+        labels[ties] = _LABEL_OF.take(coins)
     return labels
 
 

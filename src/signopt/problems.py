@@ -176,11 +176,13 @@ class Box:
             raise ValueError("box bounds must be finite")
         if np.any(hi < lo):
             raise ValueError("box needs hi >= lo in every coordinate")
-        # the bounds are read-only, so the tolerance-widened ones never go stale;
-        # contains compares against those as lists of Python floats
+        # the bounds are read-only, so their float lists never go stale: contains
+        # compares against the tolerance-widened ones, and segment subtracts
+        # from the others
         t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo.flags.writeable = hi.flags.writeable = False
         self.__dict__.update(lo=lo, hi=hi, _shape=lo.shape,
+                             _lo_list=lo.tolist(), _hi_list=hi.tolist(),
                              _lo_tol=(lo - t).tolist(), _hi_tol=(hi + t).tolist())
 
     def __reduce__(self):
@@ -216,7 +218,8 @@ class Box:
 
     def segment(self, x, j: int) -> tuple[float, float]:
         """Feasible step range along coordinate j from x: {a : x + a*e_j in box}."""
-        return float(self.lo[j] - x[j]), float(self.hi[j] - x[j])
+        xj = float(x[j])  # the IEEE subtraction of the bound arrays, on floats
+        return self._lo_list[j] - xj, self._hi_list[j] - xj
 
 
 def box_from_bounds(lo, hi, dim: int | None = None) -> Box:
@@ -388,7 +391,9 @@ class Quadratic(UcFunction):
         x = self._point(x)
         j = self._index(j)
         g0 = float(self.matrix[j].dot(x - self.x_star)) + 0.0
-        return g0 + self.matrix[j, j] * np.asarray(alphas, dtype=float)
+        g = np.asarray(alphas, dtype=float) * self.matrix[j, j]
+        g += g0  # float addition commutes: g0 + Q_jj * alpha, in place
+        return g
 
     def _directional_min_free(self, x, j: int) -> float:
         return -(float(self.matrix[j].dot(x - self.x_star)) + 0.0) / float(self.matrix[j, j])

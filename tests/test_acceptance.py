@@ -231,8 +231,7 @@ def test_criterion_09_property_suites():
     assert abs(np.mean(labels == 1) - problem.eta_at(0.6)) <= binomial_band(n)
     quad = Quadratic(np.eye(2), np.zeros(2), box_from_bounds(-2.0, 2.0, dim=2))
     x = np.array([0.5, 0.0])
-    for mode in (GaussianNoise(1.0), UniformNoise(2.0), ExactSign(),
-                 ExactSign()):
+    for mode in (GaussianNoise(1.0), UniformNoise(2.0), ExactSign()):
         oracle = SignOracle(quad, mode, seeded_rng(97, 1, 0))
         frac = np.mean(oracle.sign_sample_line(x, 0, np.zeros(n)) == 1)
         p = float(mode.probability_positive(quad.grad_coord(x, 0)))

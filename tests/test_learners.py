@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +133,41 @@ def test_erm_cut_is_bit_identical_with_ties_and_outliers(samples, ends, orientat
     positions = [p for p, _ in samples]
     labels = [y for _, y in samples]
     _assert_same_cut(positions, labels, Interval(*ends), orientation)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_erm_cut_does_not_depend_on_the_order_within_ties(data):
+    samples = data.draw(st.lists(st.tuples(st.sampled_from(_FEW_FLOATS),
+                                           st.sampled_from([-1, 0, 1])), max_size=12))
+    ends = data.draw(st.sampled_from([(0.0, 1.0), (-0.0, 0.5), (-0.5, 1.5),
+                                      (5e-324, 1e-10)]))
+    orientation = data.draw(st.sampled_from(["positive-right", POSITIVE_LEFT]))
+    shuffled = data.draw(st.permutations(samples))
+    search = Interval(*ends)
+    want = repr(_erm_cut_reference([p for p, _ in samples], [y for _, y in samples],
+                                   search, orientation))
+    for case in (samples, shuffled):
+        cut = erm_cut([p for p, _ in case], [y for _, y in case], search, orientation)
+        assert repr(cut) == want
+
+
+@pytest.mark.parametrize("samples, search, want", [
+    # the {-0.0, 0.0} group is the lower side of the best split
+    ([(-0.0, -1), (0.0, -1), (0.0, 1), (0.5, 1)], (-1.0, 1.0), 0.25),
+    ([(-0.0, -1), (0.0, -1), (-0.0, 1), (5e-324, 1)], (-1.0, 1.0), 5e-324),
+    # ... and the upper side
+    ([(-0.5, -1), (-0.0, 1), (0.0, 1), (0.0, -1)], (-1.0, 1.0), -0.25),
+    ([(-5e-324, -1), (0.0, 1), (-0.0, 1), (0.0, -1)], (-1.0, 1.0), -0.0),
+])
+def test_erm_cut_at_a_group_of_signed_zeros(samples, search, want):
+    search = Interval(*search)
+    for case in itertools.permutations(samples):
+        positions = [p for p, _ in case]
+        labels = [y for _, y in case]
+        cut = erm_cut(positions, labels, search)
+        assert repr(cut) == repr(want)
+        assert repr(cut) == repr(_erm_cut_reference(positions, labels, search))
 
 
 def test_passive_erm_localizes_noiseless_threshold():

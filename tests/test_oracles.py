@@ -367,7 +367,21 @@ def test_batched_ties_are_bit_identical_to_count_nonzero(mode):
         got = mode.draw_many(g.copy(), rng)
         want = _ties_by_count(mode, g.copy(), reference)
         assert got.tolist() == want.tolist(), (i, g)
+        assert got.dtype == want.dtype, (i, g)  # intp labels, as np.where gives
         assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state), (i, g)
+
+
+@pytest.mark.parametrize("mode", [GaussianNoise(0.7), ExactSign()], ids=repr)
+def test_a_scalar_step_gives_a_0d_label_array(mode):
+    # what np.where gave for a 0-d batch; at x = 0 the step 0.0 is a tie
+    fn = _quad_fn()
+    for alpha in (0.0, 0.5, -1.25):
+        got_rng, want_rng = seeded_rng(83, 0, 0), seeded_rng(83, 0, 0)
+        got = SignOracle(fn, mode, got_rng).sign_sample_line(np.zeros(2), 0, alpha)
+        want = SignOracle(fn, mode, want_rng).sign_sample_line(np.zeros(2), 0, [alpha])
+        assert type(got) is np.ndarray and got.shape == () and got.dtype == want.dtype
+        assert got.item() == want.item(0)
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
 
 def test_quantized_decimals_are_bounded():

@@ -60,6 +60,25 @@ def test_box_survives_pickle():
     assert not copy.contains([-5.0 - 6e-12, 5.0])
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([-5.0, 2.0, 0.0], [4.0, 10.0, 0.0]),
+    ([-0.0, -1e300, 3.5], [0.0, 1e300, 3.5]),
+    ([1e-300, -7.25, -2.0 ** 60], [2e-300, 7.25, 2.0 ** 60]),
+])
+def test_box_float_bounds_are_the_bound_arrays_as_lists(lo, hi):
+    # segment and a line view subtract from these lists: they must hold the
+    # bounds' own floats, the sign of a zero included, also in a rebuilt box
+    box = box_from_bounds(lo, hi)
+    cls, args = box.__reduce__()
+    for b in (box, pickle.loads(pickle.dumps(box)), cls(*args)):
+        assert repr(b._lo_list) == repr(box.lo.tolist())
+        assert repr(b._hi_list) == repr(box.hi.tolist())
+        for x in (box.center, box.lo, box.hi):
+            for j in range(box.dim):
+                want = (float(box.lo[j] - x[j]), float(box.hi[j] - x[j]))
+                assert repr(b.segment(x, j)) == repr(want)
+
+
 def test_box_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         Box(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
