@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", default=None, help="output directory")
     sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default $SIGNOPT_JOBS or 1)")
+                       help="processes that run cells, the caller included "
+                            "(default $SIGNOPT_JOBS or 1)")
 
     slope = sub.add_parser("slope", help="fit a log-log rate slope from a table")
     slope.add_argument("--table", required=True, help="CSV table path")

@@ -6,10 +6,11 @@ Every (budget, replication) cell derives all its random streams from
 ``(base_seed, replication, role[, epoch])``, and its row's ``seed`` is
 ``cell_seed(base_seed, replication)``, so tables are bit-reproducible and
 independent of execution order, worker count and how cells are blocked.
-A block of cells is one worker's unit of work; a threshold sweep's bz cells
-in a block run in lockstep through one batched learner.  Results are
-emitted as versioned CSV (17 significant digits) or JSON mirroring the same
-rows.
+A block of cells is one process's unit of work: the caller runs the first
+block and pool workers, each given the config once, run the rest.  A
+threshold sweep's bz cells in a block run in lockstep through one batched
+learner.  Results are emitted as versioned CSV (17 significant digits) or
+JSON mirroring the same rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -588,7 +588,7 @@ def run_block(config: ExperimentConfig, cells) -> list[Row]:
 
 
 def resolve_jobs(n_jobs: int | None) -> int:
-    """Worker count: ``n_jobs`` (the --jobs flag), else $SIGNOPT_JOBS, else 1."""
+    """Process count, caller included: ``n_jobs`` (--jobs), else $SIGNOPT_JOBS, else 1."""
     source, value = "--jobs", n_jobs
     if value is None:
         source, value = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR) or 1
@@ -601,13 +601,29 @@ def resolve_jobs(n_jobs: int | None) -> int:
     return jobs
 
 
+# a pool worker's config, set once by the pool's initializer
+_worker_config: ExperimentConfig | None = None
+
+
+def _init_worker(config: ExperimentConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _run_worker_block(cells) -> list[Row]:
+    return run_block(_worker_config, cells)
+
+
 def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RunTable:
     """Run every (budget, replication) cell of the sweep.
 
-    The cells are split round robin into at most ``n_jobs`` blocks, each
-    run by ``run_block`` in its own worker, with the config pickled once per
-    block.  Identical configs produce identical tables regardless of worker
-    count or split; rows are assembled in (budget, replication) order.
+    The cells are split round robin into at most ``n_jobs`` blocks.  The
+    caller runs the first block with ``run_block`` while a pool of one worker
+    per other block runs the rest; each worker receives the config once, at
+    start (inherited, not pickled, under the ``fork`` start method), and each
+    task carries only its cells.  Identical configs produce identical tables
+    regardless of worker count or split; rows are assembled in (budget,
+    replication) order.
     """
     if config.budgets is None:
         raise ConfigError("sweep.budgets: required to run a sweep")
@@ -620,9 +636,11 @@ def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RunTa
     if len(blocks) == 1:
         rows = run_block(config, blocks[0])
     else:
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            rows = [row for block in pool.map(run_block, repeat(config), blocks)
-                    for row in block]
+        with ProcessPoolExecutor(max_workers=len(blocks) - 1, initializer=_init_worker,
+                                 initargs=(config,)) as pool:
+            others = pool.map(_run_worker_block, blocks[1:])  # submits every block now
+            rows = run_block(config, blocks[0])
+            rows += [row for block in others for row in block]
     rows.sort(key=lambda r: (r.budget, r.replication))
     return RunTable(rows)
 

@@ -14,7 +14,6 @@ and -1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +182,6 @@ class LabelOracle(_CountingOracle):
         return np.where(u < p, LABEL_POSITIVE, LABEL_NEGATIVE)
 
 
-def _phi(t: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
-
-
 @dataclass(frozen=True)
 class GaussianNoise:
     """Additive centered gaussian noise on the gradient before taking the sign."""
@@ -198,9 +192,6 @@ class GaussianNoise:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma: must be positive")
-
-    def probability_positive(self, g):
-        return np.vectorize(_phi)(np.asarray(g, dtype=float) / self.sigma)
 
     def draw(self, g: float, rng) -> int:
         return _sign_with_fair_tie(g + rng.normal(0.0, self.sigma), rng)
@@ -220,10 +211,6 @@ class UniformNoise:
     def __post_init__(self):
         if not self.halfwidth > 0:
             raise ValueError("halfwidth: must be positive")
-
-    def probability_positive(self, g):
-        g = np.asarray(g, dtype=float)
-        return np.clip(0.5 + g / (2.0 * self.halfwidth), 0.0, 1.0)
 
     def draw(self, g: float, rng) -> int:
         return _sign_with_fair_tie(g + rng.uniform(-self.halfwidth, self.halfwidth), rng)
@@ -273,10 +260,6 @@ class ExactSign:
     """True gradient sign; an exactly zero gradient resolves by a fair coin."""
 
     name = "exact"
-
-    def probability_positive(self, g):
-        g = np.asarray(g, dtype=float)
-        return np.where(g > 0, 1.0, np.where(g < 0, 0.0, 0.5))
 
     def draw(self, g: float, rng) -> int:
         return _sign_with_fair_tie(g, rng)

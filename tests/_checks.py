@@ -3,9 +3,12 @@ module tests and the acceptance suite."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from signopt import OutOfDomain, Ridge, TncProblem, box_from_bounds
+from signopt import (ExactSign, GaussianNoise, OutOfDomain, Ridge, TncProblem, UniformNoise,
+                     box_from_bounds)
 
 
 def bench_ridge(cls=Ridge, seed=0, n=4000, d=8):
@@ -168,6 +171,26 @@ def excess_risk_quadrature(problem: TncProblem, estimate: float,
         return abs(2.0 * problem.eta_at(x) - 1.0)
 
     return _adaptive_simpson(gap, a, b, tol, max_depth)
+
+
+def _phi(t: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
+
+
+def probability_positive(mode, g):
+    """Analytic P(label = +1) of a sign mode at gradient ``g``.
+
+    ``DirectBernoulli`` answers for itself, since its ``draw_many`` reads it.
+    """
+    g = np.asarray(g, dtype=float)
+    if isinstance(mode, GaussianNoise):
+        return np.vectorize(_phi)(g / mode.sigma)
+    if isinstance(mode, UniformNoise):
+        return np.clip(0.5 + g / (2.0 * mode.halfwidth), 0.0, 1.0)
+    if isinstance(mode, ExactSign):
+        return np.where(g > 0, 1.0, np.where(g < 0, 0.0, 0.5))
+    return mode.probability_positive(g)
 
 
 def empirical_positive_fraction(draw, n):

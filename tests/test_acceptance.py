@@ -22,7 +22,7 @@ from signopt.harness import ExperimentConfig, OracleSpec, run_experiment
 
 from _checks import (binomial_band, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
-                     check_uc_inequality)
+                     check_uc_inequality, probability_positive)
 
 BUDGETS_1D = [2 ** e for e in range(8, 16)]
 BUDGETS_OPT = [2 ** e for e in range(12, 19)]
@@ -234,7 +234,7 @@ def test_criterion_09_property_suites():
     for mode in (GaussianNoise(1.0), UniformNoise(2.0), ExactSign()):
         oracle = SignOracle(quad, mode, seeded_rng(97, 1, 0))
         frac = np.mean(oracle.sign_sample_line(x, 0, np.zeros(n)) == 1)
-        p = float(mode.probability_positive(quad.grad_coord(x, 0)))
+        p = float(probability_positive(mode, quad.grad_coord(x, 0)))
         assert abs(frac - p) <= binomial_band(n)
 
     # budget exactness across the learners

@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -414,8 +419,9 @@ def test_pool_never_starts_more_workers_than_blocks(monkeypatch):
     class Serial:
         """Stands in for the process pool; runs the blocks in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -427,13 +433,70 @@ def test_pool_never_starts_more_workers_than_blocks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Serial)
+    monkeypatch.setattr(harness, "_worker_config", None)
     config = _small_config()  # 4 cells
     table = run_experiment(config, n_jobs=9)
-    assert started == [4]
+    assert started == [3]  # the caller runs the fourth block
     assert table.csv_text(include_timing=False) == \
         run_experiment(config, n_jobs=1).csv_text(include_timing=False)
     run_experiment(_small_config(budgets=[32]), n_jobs=9)
-    assert started == [4, 2]
+    assert started == [3, 1]
+    run_experiment(_small_config(budgets=[32], replications=1), n_jobs=9)
+    assert started == [3, 1]  # one block: no pool
+
+
+def test_the_caller_runs_exactly_one_block(monkeypatch):
+    ran = []
+    run_block = harness.run_block
+
+    def recording(config, cells):
+        ran.append(list(cells))  # a forked worker appends to its own copy
+        return run_block(config, cells)
+
+    monkeypatch.setattr(harness, "run_block", recording)
+    table = run_experiment(_small_config(), n_jobs=3)  # 4 cells in 3 blocks
+    assert ran == [[(32, 0), (64, 1)]]
+    assert [(r.budget, r.replication) for r in table.rows] == \
+        [(32, 0), (32, 1), (64, 0), (64, 1)]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked worker inherits the config")
+def test_a_forked_worker_never_pickles_the_config(monkeypatch):
+    def refuse(self, protocol):
+        raise pickle.PicklingError("the config was pickled")
+
+    config = _small_config()
+    serial = run_experiment(config, n_jobs=1).csv_text(include_timing=False)
+    monkeypatch.setattr(ExperimentConfig, "__reduce_ex__", refuse)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(config)
+    assert run_experiment(config, n_jobs=2).csv_text(include_timing=False) == serial
+
+
+SPAWNED_SWEEP = """
+import multiprocessing, sys
+from signopt import load_config, run_experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    table = run_experiment(load_config(sys.argv[1]), n_jobs=2)
+    sys.stdout.write(table.csv_text(include_timing=False))
+"""
+
+
+def test_spawned_workers_unpickle_the_config_to_the_same_table(tmp_path):
+    # under spawn the config, Box included, reaches each worker pickled once
+    path = tmp_path / "exp.cfg"
+    path.write_text(OPTIMIZE_CFG)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SPAWNED_SWEEP, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    expected = run_experiment(load_config(path), n_jobs=1).csv_text(include_timing=False)
+    assert done.stdout == expected
 
 
 def test_budget_honesty_column():

@@ -7,7 +7,7 @@ from signopt import (OutOfDomain, Quadratic, SeparablePower, UniformNoise,
                      box_from_bounds, error_record, excess_risk, fit_rate_slope,
                      make_tnc_problem)
 
-from _checks import excess_risk_quadrature
+from _checks import excess_risk_quadrature, probability_positive
 
 
 def _problem(**kw):
@@ -75,7 +75,7 @@ def test_risk_equals_scaled_function_error_under_uniform_noise():
         f_err = fn.value(np.array([est])) - fn.f_min
         assert excess_risk(induced, est) == pytest.approx(f_err / h, rel=1e-10)
         g = fn.grad_coord(np.array([est]), 0)
-        assert float(np.asarray(noise.probability_positive(g))) == \
+        assert float(np.asarray(probability_positive(noise, g))) == \
             pytest.approx(induced.eta_at(est), abs=1e-12)
 
 
