@@ -255,19 +255,6 @@ class DirectBernoulli:
         return np.where(u < p, LABEL_POSITIVE, LABEL_NEGATIVE)
 
 
-@dataclass(frozen=True)
-class ExactSign:
-    """True gradient sign; an exactly zero gradient resolves by a fair coin."""
-
-    name = "exact"
-
-    def draw(self, g: float, rng) -> int:
-        return _sign_with_fair_tie(g, rng)
-
-    def draw_many(self, g: np.ndarray, rng) -> np.ndarray:
-        return _signs_with_fair_ties(g, rng)
-
-
 def _sign_with_fair_tie(s: float, rng) -> int:
     """One label of ``_signs_with_fair_ties``, drawing what its size-1 call draws."""
     if s > 0:
@@ -284,6 +271,17 @@ def _signs_with_fair_ties(s: np.ndarray, rng) -> np.ndarray:
         coins = rng.random(int(np.count_nonzero(ties))) < 0.5
         labels[ties] = _LABEL_OF.take(coins)
     return labels
+
+
+@dataclass(frozen=True)
+class ExactSign:
+    """True gradient sign; an exactly zero gradient resolves by a fair coin."""
+
+    name = "exact"
+    draw = staticmethod(_sign_with_fair_tie)  # the function itself: no frame of its own
+
+    def draw_many(self, g: np.ndarray, rng) -> np.ndarray:
+        return _signs_with_fair_ties(g, rng)
 
 
 SIGN_MODES = (GaussianNoise, UniformNoise, DirectBernoulli, ExactSign)
@@ -307,7 +305,9 @@ class SignOracle(_CountingOracle):
 
     def sign_sample(self, x, j: int) -> int:
         g = self.fn.grad_coord(x, j)  # validates point and index
-        self._charge(1)
+        if self.budget is not None and self.queries_used >= self.budget:
+            self._charge(1)  # raises BudgetExhausted, before any draw
+        self.queries_used += 1
         return self.mode.draw(g, self.rng)
 
     def sign_sample_line(self, x, j: int, alphas) -> np.ndarray:

@@ -286,6 +286,16 @@ class UcFunction(abc.ABC):
             raise IndexError(f"coordinate index {j} out of range for dim {self.dim}")
         return j
 
+    def _point_and_index(self, x, j: int) -> tuple[np.ndarray, int]:
+        """``(_point(x), _index(j))`` in one frame: the checks of every scalar query."""
+        a = np.asarray(x, dtype=float)
+        if not self.box.contains(a):  # which checks the shape as well
+            raise OutOfDomain("point outside the domain box")
+        j = int(j)
+        if not 0 <= j < self._shape[0]:
+            raise IndexError(f"coordinate index {j} out of range for dim {self.dim}")
+        return a, j
+
     @abc.abstractmethod
     def value(self, x) -> float:
         """Exact function value."""
@@ -304,8 +314,7 @@ class UcFunction(abc.ABC):
 
     def directional_min(self, x, j: int, clip: bool = True) -> float:
         """Step a* minimizing f(x + a*e_j), clipped to the box by default."""
-        x = self._point(x)
-        j = self._index(j)
+        x, j = self._point_and_index(x, j)
         a = self._directional_min_free(x, j)
         if clip:
             alo, ahi = self.box.segment(x, j)
@@ -341,14 +350,14 @@ class SeparablePower(UcFunction):
         return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
 
     def grad_coord(self, x, j: int) -> float:
-        u = float(self._point(x)[self._index(j)] - self.x_star[j])
+        x, j = self._point_and_index(x, j)
+        u = float(x[j] - self.x_star[j])
         k = self.uc_exponent
         return float(self.coeffs[j] * k * abs(u) ** (k - 1.0) * math.copysign(1.0, u)) \
             if u != 0.0 else 0.0
 
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        x = self._point(x)
-        j = self._index(j)
+        x, j = self._point_and_index(x, j)
         v = (x[j] - self.x_star[j]) + np.asarray(alphas, dtype=float)
         k = self.uc_exponent
         return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
@@ -376,20 +385,26 @@ class Quadratic(UcFunction):
         self.matrix = A
         self.x_star = x_star
         self.f_min = 0.0
+        self._rows = list(A)  # grad_coord's row views, made once
+
+    def __getstate__(self):  # the row views are rebuilt on unpickling, never pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_rows"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _rows=list(state["matrix"]))
 
     def value(self, x) -> float:
         u = self._point(x) - self.x_star
         return float(0.5 * u @ self.matrix @ u)
 
     def grad_coord(self, x, j: int) -> float:
-        u = self._point(x) - self.x_star
+        x, j = self._point_and_index(x, j)
         # for two vectors ndarray.dot is matmul's kernel without its dispatch; each
         # partial adds 0.0 to make a -0.0 (d = 1) the 0.0 that matmul's sum gives
-        return float(self.matrix[self._index(j)].dot(u)) + 0.0
+        return float(self._rows[j].dot(x - self.x_star)) + 0.0
 
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        x = self._point(x)
-        j = self._index(j)
+        x, j = self._point_and_index(x, j)
         g0 = float(self.matrix[j].dot(x - self.x_star)) + 0.0
         g = np.asarray(alphas, dtype=float) * self.matrix[j, j]
         g += g0  # float addition commutes: g0 + Q_jj * alpha, in place

@@ -122,17 +122,66 @@ def test_line_adapter_shares_the_budget_counter():
     (0.0, 0, DimensionMismatch),
     ([0.0, 0.0], 2, IndexError),
     ([0.0, 0.0], -1, IndexError),
+    ([np.nan, 0.0], 0, OutOfDomain),
+    ([0.0, np.nan], 1, OutOfDomain),
+    ([0.0, 5.0], 1, OutOfDomain),
+    ([-np.inf, 0.0], 1, OutOfDomain),
+    ([0.0, 0.0, 0.0], 5, DimensionMismatch),
 ])
 def test_invalid_query_points_raise_and_charge_nothing(x, j, error):
+    for fn in _functions_on_the_unit_square():
+        oracle = _oracle(fn, mode=GaussianNoise(1.0))
+        state = _plain(oracle.rng.bit_generator.state)
+        for query in (lambda: oracle.sign_sample(x, j),
+                      lambda: oracle.sign_sample_line(x, j, [0.0, 0.5]),
+                      lambda: line_label_oracle(oracle, x, j)):
+            with pytest.raises(error):
+                query()
+        assert oracle.queries_used == 0
+        assert _plain(oracle.rng.bit_generator.state) == state
+
+
+def _functions_on_the_unit_square():
+    """A Quadratic, a Ridge and a SeparablePower on [-1, 1]^2."""
+    box = box_from_bounds(-1.0, 1.0, dim=2)
+    return (_quad((1.0, 1.0)),
+            Ridge(np.eye(2), [0.2, -0.4], box),  # x* = [0.1, -0.2]
+            SeparablePower([1.0, 2.0], [0.3, 0.0], box, 3.0))
+
+
+@pytest.mark.parametrize("x, error", [
+    ([2.0, 0.0], OutOfDomain),
+    ([np.nan, 0.0], OutOfDomain),
+    ([0.0, 0.0, 0.0], DimensionMismatch),
+])
+def test_a_scalar_query_checks_its_point_before_its_index(x, error):
+    for fn in _functions_on_the_unit_square():
+        oracle = _oracle(fn)
+        for query in (lambda: fn.grad_coord(x, 2),
+                      lambda: oracle.sign_sample(x, -1),
+                      lambda: line_label_oracle(oracle, x, 2)):
+            with pytest.raises(error):
+                query()
+        assert oracle.queries_used == 0
+
+
+def test_line_budget_boundary_and_counter():
     fn = _quad((1.0, 1.0))
-    oracle = _oracle(fn)
+    oracle = _oracle(fn, budget=5)
+    reference = seeded_rng(0, 0, 0)
+    line = line_label_oracle(oracle, np.zeros(2), 0)
+    # step 0 is the minimizer, where the partial is 0.0: each label is a tie coin
+    for _ in range(5):
+        assert line.label_sample(0.0) == (1 if reference.random() < 0.5 else -1)
     state = _plain(oracle.rng.bit_generator.state)
-    for query in (lambda: oracle.sign_sample(x, j),
-                  lambda: oracle.sign_sample_line(x, j, [0.0, 0.5]),
-                  lambda: line_label_oracle(oracle, x, j)):
-        with pytest.raises(error):
-            query()
-    assert oracle.queries_used == 0
+    assert state == _plain(reference.bit_generator.state)
+    # over budget, a NaN step still fails its domain check first
+    with pytest.raises(OutOfDomain):
+        line.label_sample(np.nan)
+    with pytest.raises(BudgetExhausted) as info:
+        line.label_sample(0.0)
+    assert str(info.value) == "budget 5 exhausted (5 used, 1 more requested)"
+    assert oracle.queries_used == 5
     assert _plain(oracle.rng.bit_generator.state) == state
 
 

@@ -432,6 +432,26 @@ def test_budget_boundary_and_counter():
     assert oracle.queries_used == 5
 
 
+def test_sign_budget_boundary_and_counter():
+    fn = _quad_fn()
+    oracle = SignOracle(fn, ExactSign(), seeded_rng(12, 0, 0), budget=5)
+    reference = seeded_rng(12, 0, 0)
+    # x* = 0, where every partial is 0.0: each exact sign is a tie coin
+    for _ in range(5):
+        assert oracle.sign_sample(np.zeros(2), 1) == (1 if reference.random() < 0.5 else -1)
+    assert oracle.queries_used == 5
+    state = repr(oracle.rng.bit_generator.state)
+    assert state == repr(reference.bit_generator.state)
+    # over budget, a point outside the box still fails its domain check first
+    with pytest.raises(OutOfDomain):
+        oracle.sign_sample(np.array([3.0, 0.0]), 1)
+    with pytest.raises(BudgetExhausted) as info:
+        oracle.sign_sample(np.zeros(2), 1)
+    assert str(info.value) == "budget 5 exhausted (5 used, 1 more requested)"
+    assert oracle.queries_used == 5
+    assert repr(oracle.rng.bit_generator.state) == state
+
+
 def test_batch_overflow_charges_nothing():
     oracle = LabelOracle(_problem(), seeded_rng(13, 0, 0), budget=10)
     oracle.label_sample_many(np.full(8, 0.5))

@@ -411,6 +411,53 @@ def test_ridge_partials_from_dot_equal_matmul(seed):
             _assert_partials_match_matmul(fn, x, j, rng.uniform(alo, ahi, size=4))
 
 
+def _quadratic_partial(fn, x, j):
+    """Quadratic.grad_coord's formula, on a fresh row view per call."""
+    return float(fn.matrix[j].dot(x - fn.x_star)) + 0.0
+
+
+def _separable_partial(fn, x, j):
+    """SeparablePower.grad_coord's formula."""
+    u = float(x[j] - fn.x_star[j])
+    k = fn.uc_exponent
+    return float(fn.coeffs[j] * k * abs(u) ** (k - 1.0) * math.copysign(1.0, u)) \
+        if u != 0.0 else 0.0
+
+
+_TINY = 5e-324  # the least subnormal
+_EDGE_COORDINATES = (0.0, -0.0, _TINY, -_TINY, 2.5e-310, -1e-308, 0.3, -1.25)
+
+
+def _functions_for_partials():
+    """(function, formula) pairs at d = 1, with x* at 0, -0 and subnormals, and d = 8."""
+    box1 = box_from_bounds(-2.0, 2.0, dim=1)
+    pairs = [(Quadratic([[q]], [s], box1), _quadratic_partial)
+             for q in (1.0, 3.7) for s in (0.0, -0.0, _TINY, 0.3)]
+    pairs += [(SeparablePower([c], [s], box1, k), _separable_partial)
+              for c, k in ((1.0, 2.0), (0.5, 3.0), (2.0, 4.5)) for s in (0.0, -0.0, -_TINY)]
+    pairs += [(Ridge([[0.6], [-0.8]], [0.1, -0.2], box1), _quadratic_partial),
+              (bench_ridge(d=1), _quadratic_partial),
+              (bench_ridge(), _quadratic_partial),
+              (SeparablePower(np.linspace(0.5, 2.0, 8), np.linspace(-0.7, 0.7, 8),
+                              box_from_bounds(-2.0, 2.0, dim=8), 3.0), _separable_partial)]
+    return pairs
+
+
+def test_scalar_partials_equal_their_formulas_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for fn, formula in _functions_for_partials():
+        copy = pickle.loads(pickle.dumps(fn))
+        d = fn.dim
+        points = [np.full(d, v) for v in _EDGE_COORDINATES]
+        points += list(rng.uniform(fn.box.lo, fn.box.hi, size=(20, d)))
+        for x in points:
+            for j in range(d):
+                want = formula(fn, x, j).hex()
+                assert fn.grad_coord(x, j).hex() == want, (fn, x, j)
+                assert copy.grad_coord(x, j).hex() == want, (fn, x, j)
+                assert type(fn.grad_coord(x, j)) is float
+
+
 # ---------------------------------------------------------------------------
 # sampled certificates
 
