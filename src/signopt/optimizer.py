@@ -119,9 +119,9 @@ class LineLabelOracle:
     def __init__(self, sign_oracle: SignOracle, x, j: int):
         fn = sign_oracle.fn
         self.base = sign_oracle
-        self._x = fn._point(x).copy()
-        self._q = self._x.copy()  # label_sample's query point: x but for coordinate j
-        self._j = j = fn._index(j)
+        x, j = fn._point_and_index(x, j)
+        self._x, self._j = x.copy(), j
+        self._q = x.copy()  # label_sample's query point: x but for coordinate j
         # the line's coordinate and bounds as floats, for label_sample's clamp
         self._xj = xj = self._x.item(j)
         self._lo, self._hi = lo, hi = fn.box._lo_list[j], fn.box._hi_list[j]

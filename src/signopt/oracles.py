@@ -4,7 +4,8 @@ All randomness flows through counter-based Philox generators keyed by tuples
 of integers, so distinct replications and distinct roles inside one run draw
 from independent streams and every run is replayable bit for bit.  Oracles
 count every query and enforce an optional hard budget; batch queries charge
-all-or-nothing.
+all-or-nothing.  No oracle checks a query: the problem or function that it
+queries checks the point (and index and steps) before any charge or draw.
 
 Each oracle draws from the numpy ``Generator`` it is given and owns a
 counter, so it belongs to one run at a time; the problem or function it
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import OutOfDomain, TncProblem, UcFunction
+from .problems import TncProblem, UcFunction
 
 LABEL_POSITIVE = 1
 LABEL_NEGATIVE = -1
@@ -312,19 +313,6 @@ class SignOracle(_CountingOracle):
 
     def sign_sample_line(self, x, j: int, alphas) -> np.ndarray:
         """Batch of sign queries at x + alpha * e_j for each alpha."""
-        x = self.fn._shaped(x)  # grad_coord_line checks that x lies in the box
-        j = self.fn._index(j)
-        alphas = np.asarray(alphas, dtype=float)
-        alo, ahi = self.fn.box.segment(x, j)
-        if alphas.size:
-            # NaN propagates through both reductions and fails both comparisons
-            amin = np.minimum.reduce(alphas, axis=None)
-            amax = np.maximum.reduce(alphas, axis=None)
-            pad = 1e-12 * max(1.0, abs(alo), abs(ahi))
-            if not (amin >= alo - pad and amax <= ahi + pad):
-                raise OutOfDomain("step leaves the domain box")
-            if amin < alo or amax > ahi:  # a step in the pad
-                alphas = alphas.clip(alo, ahi)
-        g = self.fn.grad_coord_line(x, j, alphas)
-        self._charge(alphas.size)
+        g = self.fn.grad_coord_line(x, j, alphas)  # validates point, index and steps
+        self._charge(g.size)
         return self.mode.draw_many(g, self.rng)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,8 +39,8 @@ class DimensionMismatch(ValueError):
     """A point or coordinate index does not match the declared dimension."""
 
 
-def _tol(*values: float) -> float:
-    return 1e-12 * max(1.0, *(abs(v) for v in values))
+def _tol(lo: float, hi: float) -> float:
+    return 1e-12 * max(1.0, abs(lo), abs(hi))
 
 
 def orientation_sign(orientation: str) -> float:
@@ -258,7 +259,7 @@ class UcFunction(abc.ABC):
         if not lkss_bound > uc_modulus / 2:
             raise ValueError("lkss_bound must exceed uc_modulus / 2")
         self.box = box
-        self._shape = (box.dim,)  # the shape of a point, which _shaped checks per query
+        self._dim = box.dim  # the bound of a coordinate index, read per query
         self.uc_exponent = float(uc_exponent)
         self.uc_modulus = float(uc_modulus)
         self.lkss_bound = float(lkss_bound)
@@ -267,34 +268,38 @@ class UcFunction(abc.ABC):
     def dim(self) -> int:
         return self.box.dim
 
-    def _shaped(self, x) -> np.ndarray:
-        """``x`` as a float array of the point shape; its domain is not checked."""
-        a = np.asarray(x, dtype=float)
-        if a.shape != self._shape:
-            raise DimensionMismatch(f"expected point of shape {self._shape}, got {a.shape}")
-        return a
-
     def _point(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=float)
         if not self.box.contains(a):  # which checks the shape as well
             raise OutOfDomain("point outside the domain box")
         return a
 
-    def _index(self, j: int) -> int:
-        j = int(j)
-        if not 0 <= j < self._shape[0]:
-            raise IndexError(f"coordinate index {j} out of range for dim {self.dim}")
-        return j
-
     def _point_and_index(self, x, j: int) -> tuple[np.ndarray, int]:
-        """``(_point(x), _index(j))`` in one frame: the checks of every scalar query."""
+        """The checks of every query, in one frame: the point (shape, then box), then j."""
         a = np.asarray(x, dtype=float)
         if not self.box.contains(a):  # which checks the shape as well
             raise OutOfDomain("point outside the domain box")
-        j = int(j)
-        if not 0 <= j < self._shape[0]:
-            raise IndexError(f"coordinate index {j} out of range for dim {self.dim}")
+        j = operator.index(j)  # a float index raises TypeError; int() would truncate it
+        if not 0 <= j < self._dim:
+            raise IndexError(f"coordinate index {j} out of range for dim {self._dim}")
         return a, j
+
+    def _line(self, x, j: int, alphas) -> tuple[np.ndarray, int, np.ndarray]:
+        """``_point_and_index``, then the steps: a NaN step or one beyond the segment by
+        more than its tolerance leaves the domain, one within it is clipped onto it."""
+        x, j = self._point_and_index(x, j)
+        alphas = np.asarray(alphas, dtype=float)
+        if alphas.size:
+            alo, ahi = self.box.segment(x, j)
+            # NaN propagates through both reductions and fails both comparisons
+            amin = np.minimum.reduce(alphas, axis=None)
+            amax = np.maximum.reduce(alphas, axis=None)
+            pad = _tol(alo, ahi)
+            if not (amin >= alo - pad and amax <= ahi + pad):
+                raise OutOfDomain("step leaves the domain box")
+            if amin < alo or amax > ahi:  # a step in the pad
+                alphas = alphas.clip(alo, ahi)
+        return x, j, alphas
 
     @abc.abstractmethod
     def value(self, x) -> float:
@@ -306,7 +311,7 @@ class UcFunction(abc.ABC):
 
     @abc.abstractmethod
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        """j-th partial derivative at x + alpha * e_j for a vector of alphas."""
+        """j-th partial derivative at x + alpha * e_j for alphas that ``_line`` checks."""
 
     @abc.abstractmethod
     def _directional_min_free(self, x, j: int) -> float:
@@ -357,8 +362,8 @@ class SeparablePower(UcFunction):
             if u != 0.0 else 0.0
 
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        x, j = self._point_and_index(x, j)
-        v = (x[j] - self.x_star[j]) + np.asarray(alphas, dtype=float)
+        x, j, alphas = self._line(x, j, alphas)
+        v = (x[j] - self.x_star[j]) + alphas
         k = self.uc_exponent
         return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
 
@@ -385,7 +390,7 @@ class Quadratic(UcFunction):
         self.matrix = A
         self.x_star = x_star
         self.f_min = 0.0
-        self._rows = list(A)  # grad_coord's row views, made once
+        self._rows = list(A)  # the partials' row views, made once
 
     def __getstate__(self):  # the row views are rebuilt on unpickling, never pickled
         return {k: v for k, v in self.__dict__.items() if k != "_rows"}
@@ -404,14 +409,16 @@ class Quadratic(UcFunction):
         return float(self._rows[j].dot(x - self.x_star)) + 0.0
 
     def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        x, j = self._point_and_index(x, j)
-        g0 = float(self.matrix[j].dot(x - self.x_star)) + 0.0
-        g = np.asarray(alphas, dtype=float) * self.matrix[j, j]
+        x, j, alphas = self._line(x, j, alphas)
+        row = self._rows[j]
+        g0 = float(row.dot(x - self.x_star)) + 0.0
+        g = alphas * row[j]
         g += g0  # float addition commutes: g0 + Q_jj * alpha, in place
         return g
 
     def _directional_min_free(self, x, j: int) -> float:
-        return -(float(self.matrix[j].dot(x - self.x_star)) + 0.0) / float(self.matrix[j, j])
+        row = self._rows[j]
+        return -(float(row.dot(x - self.x_star)) + 0.0) / float(row[j])
 
 
 class Ridge(Quadratic):

@@ -4,6 +4,7 @@ module tests and the acceptance suite."""
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -91,12 +92,18 @@ class RidgeState:
         self.x = fn._point(x0).copy()
         self.residual = fn.design @ self.x - fn.targets
 
+    def _index(self, j: int) -> int:
+        j = operator.index(j)
+        if not 0 <= j < self.fn.dim:
+            raise IndexError(f"coordinate index {j} out of range for dim {self.fn.dim}")
+        return j
+
     def grad_coord(self, j: int) -> float:
-        j = self.fn._index(j)
+        j = self._index(j)
         return float(self.fn.design[:, j] @ self.residual + self.x[j])
 
     def update_coord(self, j: int, new_value: float) -> None:
-        j = self.fn._index(j)
+        j = self._index(j)
         delta = float(new_value) - self.x[j]
         self.residual += delta * self.fn.design[:, j]
         self.x[j] = float(new_value)

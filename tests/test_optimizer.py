@@ -149,18 +149,54 @@ def _functions_on_the_unit_square():
             SeparablePower([1.0, 2.0], [0.3, 0.0], box, 3.0))
 
 
+@pytest.mark.parametrize("j", [1.5, 0.9, np.float64(1.0)], ids=["1.5", "0.9", "float64"])
+def test_a_non_integral_index_raises_and_charges_nothing(j):
+    x = np.array([0.25, -0.5])
+    for fn in _functions_on_the_unit_square():
+        oracle = _oracle(fn, mode=GaussianNoise(1.0))
+        state = _plain(oracle.rng.bit_generator.state)
+        for query in (lambda: fn.grad_coord(x, j),
+                      lambda: fn.grad_coord_line(x, j, [0.0, 0.5]),
+                      lambda: fn.directional_min(x, j),
+                      lambda: oracle.sign_sample(x, j),
+                      lambda: oracle.sign_sample_line(x, j, [0.0, 0.5]),
+                      lambda: line_label_oracle(oracle, x, j)):
+            with pytest.raises(TypeError):
+                query()
+        assert oracle.queries_used == 0
+        assert _plain(oracle.rng.bit_generator.state) == state
+        # a numpy integer is an index
+        j1 = np.int64(1)
+        assert fn.grad_coord(x, j1) == fn.grad_coord(x, 1)
+        assert fn.directional_min(x, j1) == fn.directional_min(x, 1)
+        assert np.array_equal(fn.grad_coord_line(x, j1, [0.5]), fn.grad_coord_line(x, 1, [0.5]))
+        assert line_label_oracle(oracle, x, j1).interval == line_label_oracle(oracle, x, 1).interval
+        oracle.sign_sample(x, j1)
+        oracle.sign_sample_line(x, j1, [0.0, 0.5])
+        assert oracle.queries_used == 3
+
+
 @pytest.mark.parametrize("x, error", [
     ([2.0, 0.0], OutOfDomain),
     ([np.nan, 0.0], OutOfDomain),
     ([0.0, 0.0, 0.0], DimensionMismatch),
 ])
-def test_a_scalar_query_checks_its_point_before_its_index(x, error):
+def test_a_query_checks_its_point_before_its_index(x, error):
+    # a scalar and a batched query check in one order: the point (its shape,
+    # then its domain), then the index, then the steps
+    message = "^point outside" if error is OutOfDomain else "^expected point of shape"
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn)
         for query in (lambda: fn.grad_coord(x, 2),
+                      lambda: fn.grad_coord_line(x, 2, [0.0]),
                       lambda: oracle.sign_sample(x, -1),
-                      lambda: line_label_oracle(oracle, x, 2)):
-            with pytest.raises(error):
+                      lambda: oracle.sign_sample_line(x, -1, [0.0]),
+                      lambda: oracle.sign_sample(x, 1.5),
+                      lambda: line_label_oracle(oracle, x, 2),
+                      # a step outside the segment as well: the point's error
+                      lambda: fn.grad_coord_line(x, 0, [5.0]),
+                      lambda: oracle.sign_sample_line(x, 0, [np.nan, 5.0])):
+            with pytest.raises(error, match=message):
                 query()
         assert oracle.queries_used == 0
 
@@ -186,38 +222,43 @@ def test_line_budget_boundary_and_counter():
 
 
 def test_steps_beyond_the_segment_pad():
-    fn = _quad((1.0, 1.0))
-    oracle = _oracle(fn)
     x = np.array([0.5, 1.0 + 1e-13])  # inside the tolerance; steps lie in [-1.5, 0.5]
-    line = line_label_oracle(oracle, x, 0)
-    for alphas in ([0.5 + 1e-9], [-1.5 - 1e-9], [0.0, 2.0]):
-        with pytest.raises(OutOfDomain):
-            oracle.sign_sample_line(x, 0, alphas)
-        with pytest.raises(OutOfDomain):
-            line.label_sample_many(alphas)
-    assert oracle.queries_used == 0
-    # steps within the pad are clipped onto the box; label_sample clamps any step
-    assert line.label_sample_many([0.5 + 1e-13, -1.5 - 1e-13]).tolist() == [1, -1]
-    assert [line.label_sample(a) for a in (2.0, -5.0)] == [1, -1]
-    assert oracle.queries_used == 4
+    for fn in _functions_on_the_unit_square():
+        oracle = _oracle(fn)
+        line = line_label_oracle(oracle, x, 0)
+        for alphas in ([0.5 + 1e-9], [-1.5 - 1e-9], [0.0, 2.0]):
+            for query in (fn.grad_coord_line, oracle.sign_sample_line):
+                with pytest.raises(OutOfDomain, match="^step leaves the domain box$"):
+                    query(x, 0, alphas)
+            with pytest.raises(OutOfDomain):
+                line.label_sample_many(alphas)
+        assert oracle.queries_used == 0
+        # steps within the pad are clipped onto the box; label_sample clamps any step
+        assert fn.grad_coord_line(x, 0, [0.5 + 1e-13, -1.5 - 1e-13]).tobytes() == \
+            fn.grad_coord_line(x, 0, [0.5, -1.5]).tobytes()
+        assert line.label_sample_many([0.5 + 1e-13, -1.5 - 1e-13]).tolist() == [1, -1]
+        assert [line.label_sample(a) for a in (2.0, -5.0)] == [1, -1]
+        assert oracle.queries_used == 4
 
 
 def test_nan_steps_leave_the_domain_on_both_paths():
-    fn = _quad((1.0, 1.0))
-    oracle = _oracle(fn, mode=GaussianNoise(1.0))
     x = np.array([0.5, 0.0])
-    line = line_label_oracle(oracle, x, 0)
-    state = _plain(oracle.rng.bit_generator.state)
-    for query in (lambda: oracle.sign_sample_line(x, 0, [np.nan]),
-                  lambda: oracle.sign_sample_line(x, 0, [0.1, np.nan, -0.2]),
-                  lambda: line.label_sample_many([np.nan, 0.0]),
-                  lambda: line.label_sample(np.nan)):
-        with pytest.raises(OutOfDomain):
-            query()
-    assert oracle.queries_used == 0
-    assert _plain(oracle.rng.bit_generator.state) == state
-    empty = oracle.sign_sample_line(x, 0, [])
-    assert empty.shape == (0,) and oracle.queries_used == 0
+    for fn in _functions_on_the_unit_square():
+        oracle = _oracle(fn, mode=GaussianNoise(1.0))
+        line = line_label_oracle(oracle, x, 0)
+        state = _plain(oracle.rng.bit_generator.state)
+        for query in (lambda: fn.grad_coord_line(x, 0, [np.nan]),
+                      lambda: fn.grad_coord_line(x, 0, [0.1, np.nan, -0.2]),
+                      lambda: oracle.sign_sample_line(x, 0, [np.nan]),
+                      lambda: oracle.sign_sample_line(x, 0, [0.1, np.nan, -0.2]),
+                      lambda: line.label_sample_many([np.nan, 0.0]),
+                      lambda: line.label_sample(np.nan)):
+            with pytest.raises(OutOfDomain):
+                query()
+        assert oracle.queries_used == 0
+        assert _plain(oracle.rng.bit_generator.state) == state
+        empty = oracle.sign_sample_line(x, 0, [])
+        assert empty.shape == (0,) and oracle.queries_used == 0
 
 
 def _copy_per_query_label(oracle, x, j, alpha):
@@ -493,12 +534,11 @@ class _LeastSquaresRidge(Ridge):
         return float(self.design[:, j] @ r + x[j])
 
     def grad_coord(self, x, j):
-        return self._partial(self._point(x), self._index(j))
+        return self._partial(*self._point_and_index(x, j))
 
     def grad_coord_line(self, x, j, alphas):
-        x = self._point(x)
-        j = self._index(j)
-        return self._partial(x, j) + self._hess_diag[j] * np.asarray(alphas, dtype=float)
+        x, j, alphas = self._line(x, j, alphas)
+        return self._partial(x, j) + self._hess_diag[j] * alphas
 
 
 def _ridge_pair_runs(mode, line_search, budget, rep, epoch_rule="paper-default"):
