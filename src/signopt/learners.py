@@ -203,9 +203,10 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
         orientation = _auto_orientation(oracle, search, n_probe)
         per_epoch = (budget - n_probe) // epochs
 
-    x = search.midpoint
-    radius = search.width
-    for _ in range(epochs):
+    # the first ball, the width around the midpoint within the search, is the search
+    x = passive_erm(oracle, search, per_epoch, orientation, rng)
+    radius = 0.5 * search.width
+    for _ in range(epochs - 1):
         ball = Interval(max(search.lo, x - radius), min(search.hi, x + radius))
         x = passive_erm(oracle, ball, per_epoch, orientation, rng)
         radius *= 0.5

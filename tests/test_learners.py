@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signopt import (Interval, LabelOracle, LearnerConfig, OutOfDomain, POSITIVE_LEFT,
@@ -236,6 +236,32 @@ def test_adaptive_learner_radii_halve_exactly(monkeypatch):
                              seeded_rng(0, 3, 1))
     assert len(calls) == adaptive_epoch_schedule(2048, 2.0)[0] >= 2
     _assert_halving_searches(calls, UNIT, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+@example(1.0, float(np.nextafter(1.0, 2.0)))
+@example(-0.0, 5e-324)
+def test_adaptive_first_round_ball_is_the_search(a, b):
+    assume(a != b)
+    search = Interval(min(a, b), max(a, b))
+    x, radius = search.midpoint, search.width
+    assert Interval(max(search.lo, x - radius), min(search.hi, x + radius)) == search
+    assert 0.5 * search.width == search.width * 0.5 == search.width / 2
+
+
+def test_adaptive_first_round_searches_the_interval_itself(monkeypatch):
+    calls = _record_passive_searches(monkeypatch)
+    for lo, hi, budget in ((0.0, 1.0, 2048), (-16.5, 15.5, 4096),
+                           (1.0, float(np.nextafter(1.0, 2.0)), 300)):
+        calls.clear()
+        search = Interval(lo, hi)
+        problem = make_tnc_problem((lo, hi), 0.5 * (lo + hi), 2.0, 1.0, 0.4)
+        point = adaptive_learner(LabelOracle(problem, seeded_rng(0, 5, 0)), search,
+                                 LearnerConfig(budget=budget), seeded_rng(0, 5, 1))
+        assert len(calls) == adaptive_epoch_schedule(budget, 2.0)[0] >= 2
+        assert calls[0][0] is search
+        _assert_halving_searches(calls, search, point)
 
 
 def test_adaptive_learner_tiny_budget_is_one_passive_epoch(monkeypatch):

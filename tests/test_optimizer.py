@@ -3,8 +3,9 @@ import pytest
 
 from signopt import (BudgetExhausted, DimensionMismatch, ExactSign, GaussianNoise,
                      LearnerConfig, OptimizerConfig, OutOfDomain, Quadratic,
-                     Ridge, SeparablePower, SignOracle, adaptive_learner, box_from_bounds,
-                     default_epoch_count, line_label_oracle, rssgd, seeded_rng)
+                     Ridge, SeparablePower, SignOracle, adaptive_epoch_schedule,
+                     adaptive_learner, box_from_bounds, default_epoch_count,
+                     line_label_oracle, passive_erm, rssgd, seeded_rng)
 from signopt import optimizer
 from signopt.learners import DRAWING_LEARNERS, LEARNERS
 from signopt.optimizer import coordinate_rng, line_search_rng, line_search_streams
@@ -495,6 +496,36 @@ def test_one_dimensional_reduction_matches_adaptive_learner():
                               line_search_rng(seed, 1))
     assert x[0] == direct
     assert oracle.queries_used == direct_oracle.queries_used
+
+
+def test_one_epoch_adaptive_line_search_is_passive_on_the_segment():
+    # criterion 05's line budgets N = floor(T / E) for T = 2^12..2^18 run one
+    # inner epoch at c_delta = 3, whose search is the whole segment
+    assert all(adaptive_epoch_schedule(n, 3.0) == (1, n) for n in range(11, 337))
+    fn = Quadratic(np.diag([1.0, 1.75, 2.5, 3.25, 4.0]), [0.3, -0.2, 0.5, -0.4, 0.1],
+                   box_from_bounds(-16.0, 16.0, dim=5))
+    x = np.array([2.0, -3.0, 0.5, 16.0, -16.0])  # the last two segments end at 0.0
+    for n in (11, 34, 106, 336):
+        for j in range(fn.dim):
+            oracles = [_oracle(fn, mode=GaussianNoise(1.0), seed=(n, j)) for _ in range(2)]
+            lines = [line_label_oracle(oracle, x, j) for oracle in oracles]
+            adaptive = adaptive_learner(lines[0], lines[0].interval,
+                                        LearnerConfig(budget=n, c_delta=3.0),
+                                        seeded_rng(n, j, 1))
+            passive = passive_erm(lines[1], lines[1].interval, n, "positive-right",
+                                  seeded_rng(n, j, 1))
+            assert adaptive.hex() == passive.hex()
+            assert oracles[0].queries_used == oracles[1].queries_used == n
+            assert _plain(oracles[0].rng.bit_generator.state) == \
+                _plain(oracles[1].rng.bit_generator.state)
+    # so rssgd on criterion 05's instance runs the same descent with either search
+    for budget in (2 ** 12, 2 ** 14):
+        runs = []
+        for search in (LearnerConfig("adaptive", c_delta=3.0), LearnerConfig("passive")):
+            oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(3, budget))
+            runs.append(rssgd(fn, oracle, OptimizerConfig(budget=budget, line_search=search,
+                                                          seed=(3, budget))).tobytes())
+        assert runs[0] == runs[1]
 
 
 def test_oracle_budget_is_never_tripped_by_the_schedule():

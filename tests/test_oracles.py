@@ -11,7 +11,7 @@ from signopt import (BudgetExhausted, ConfigError, DirectBernoulli, ExactSign,
                      SeparablePower, SignOracle, TncProblem, UniformNoise,
                      box_from_bounds, make_tnc_problem, seeded_rng)
 from signopt.harness import _build_mode
-from signopt.oracles import ETA_TABLE_SIZE, philox_keys
+from signopt.oracles import DRAW_CHUNK, ETA_TABLE_SIZE, philox_keys
 
 from _checks import binomial_band, probability_positive
 
@@ -427,9 +427,22 @@ def test_budget_boundary_and_counter():
     assert oracle.queries_used == 3
     oracle.label_sample(0.5)
     oracle.label_sample(0.5)
+    drawn = (repr(oracle.rng.bit_generator.state), oracle._next)
+    # over budget, a point outside the interval still fails its domain check first
+    with pytest.raises(OutOfDomain):
+        oracle.label_sample(1.5)
+    with pytest.raises(BudgetExhausted) as info:
+        oracle.label_sample(0.5)
+    assert str(info.value) == "budget 5 exhausted (5 used, 1 more requested)"
+    assert oracle.queries_used == 5
+    assert (repr(oracle.rng.bit_generator.state), oracle._next) == drawn
+    # a query over budget at a chunk boundary draws no new chunk
+    oracle = LabelOracle(_problem(), seeded_rng(12, 1, 0), budget=DRAW_CHUNK)
+    oracle.label_sample_many(np.full(DRAW_CHUNK, 0.5))
+    drawn = repr(oracle.rng.bit_generator.state)
     with pytest.raises(BudgetExhausted):
         oracle.label_sample(0.5)
-    assert oracle.queries_used == 5
+    assert repr(oracle.rng.bit_generator.state) == drawn
 
 
 def test_sign_budget_boundary_and_counter():

@@ -1,5 +1,7 @@
 
+import copy
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -12,6 +14,7 @@ from signopt import (Box, DimensionMismatch, Interval, OutOfDomain,
                      POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
                      SeparablePower, box_from_bounds, load_ridge_text,
                      make_tnc_problem)
+from signopt.problems import _tol, orientation_sign
 
 from _checks import (RidgeState, bench_ridge, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
@@ -362,6 +365,121 @@ def test_grad_coord_line_matches_pointwise():
                 y = x.copy()
                 y[j] += a
                 assert g == pytest.approx(fn.grad_coord(y, j), rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched domain checks: a batch's extremes by argmin/argmax, against the
+# np.minimum.reduce/np.maximum.reduce (and clip-always) forms they replaced
+
+def _interval_contains_by_reductions(interval, x):
+    a = np.asarray(x, dtype=float)
+    if not a.size:
+        return True
+    t = _tol(interval.lo, interval.hi)
+    return bool(np.minimum.reduce(a, axis=None) >= interval.lo - t
+                and np.maximum.reduce(a, axis=None) <= interval.hi + t)
+
+
+def _eta_by_reductions(problem, x):
+    """eta_at's batched path that checks by reductions and always clips."""
+    iv = problem.interval
+    arr = np.asarray(x, dtype=float)
+    if not _interval_contains_by_reductions(iv, arr):
+        raise OutOfDomain(f"query outside [{iv.lo}, {iv.hi}]")
+    d = np.clip(arr, iv.lo, iv.hi) - problem.threshold
+    margin = np.minimum(problem.mu * np.abs(d) ** (problem.exponent - 1.0), problem.cap)
+    return 0.5 + orientation_sign(problem.orientation) * np.sign(d) * margin
+
+
+def _line_by_reductions(fn, x, j, alphas):
+    """UcFunction._line with the step check by reductions."""
+    x, j = fn._point_and_index(x, j)
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.size:
+        alo, ahi = fn.box.segment(x, j)
+        amin = np.minimum.reduce(alphas, axis=None)
+        amax = np.maximum.reduce(alphas, axis=None)
+        pad = _tol(alo, ahi)
+        if not (amin >= alo - pad and amax <= ahi + pad):
+            raise OutOfDomain("step leaves the domain box")
+        if amin < alo or amax > ahi:
+            alphas = alphas.clip(alo, ahi)
+    return x, j, alphas
+
+
+def _outcome(call):
+    """The error a call raises, or the shape, dtype and bytes of what it answers."""
+    try:
+        out = np.asarray(call())
+    except OutOfDomain as exc:
+        return "OutOfDomain", str(exc)
+    return out.shape, out.dtype.str, out.tobytes()
+
+
+def _batches(lo, hi):
+    """Batches around [lo, hi]: NaN first, in the middle, last and everywhere, +-inf,
+    +-0.0, points in the tolerance pad and beyond it, and 0-d, 2-d and empty shapes."""
+    nan, inf = np.nan, np.inf
+    pad = _tol(lo, hi)
+    mid = 0.5 * (lo + hi)
+    return [[nan, mid, lo], [mid, nan, hi], [lo, mid, nan], [nan, nan, nan],
+            [nan, inf], [-inf, nan], [inf], [-inf], [mid, inf], [-inf, mid], [inf, -inf],
+            [0.0, -0.0], [-0.0, 0.0], [-0.0], [0.0], [-0.0, lo, hi, 0.0],
+            [hi + 0.5 * pad], [lo - 0.5 * pad, mid], [lo - 0.5 * pad, hi + 0.5 * pad],
+            [-0.0, lo - 0.5 * pad], [hi + 2 * pad], [lo - 2 * pad, mid],
+            np.float64(mid), np.array(nan), np.array(hi + 0.5 * pad), np.array(-0.0),
+            np.array(lo - 2 * pad),
+            [[mid, lo], [hi + 0.5 * pad, mid]], [[mid, nan]], [[-0.0, 0.0], [0.0, -0.0]],
+            [[lo - 2 * pad], [mid]], [], np.empty((0, 3)), np.empty((2, 0))]
+
+
+def _lines():
+    """(function, point, coordinate) with segments inside the box and at its ends,
+    +0.0 and -0.0 among them."""
+    box = box_from_bounds(-1.0, 1.0, dim=2)
+    zero_lo = Box(np.array([-0.0, -1.0]), np.array([1.0, 1.0]))
+    fns = (Quadratic(np.diag([1.0, 2.0]), [0.1, -0.3], box),
+           Ridge(np.eye(2), [0.2, -0.4], box),
+           SeparablePower([1.0, 2.0], [0.3, 0.0], box, 3.0))
+    for fn in fns:
+        for x in ([0.5, 0.0], [1.0, 0.0], [-1.0, 0.25]):  # a_hi = 0.0, then a_lo = 0.0
+            yield fn, np.array(x), 0
+    yield SeparablePower([1.0, 2.0], [0.3, 0.0], zero_lo), np.array([0.0, 0.5]), 0
+
+
+def test_step_check_by_extremes_matches_the_reductions():
+    for fn, x, j in _lines():
+        reference = copy.copy(fn)
+        reference._line = functools.partial(_line_by_reductions, reference)
+        for alphas in _batches(*fn.box.segment(x, j)):
+            want = _outcome(lambda: _line_by_reductions(fn, x, j, alphas)[2])
+            assert _outcome(lambda: fn._line(x, j, alphas)[2]) == want
+            assert _outcome(lambda: fn.grad_coord_line(x, j, alphas)) == \
+                _outcome(lambda: reference.grad_coord_line(x, j, alphas))
+
+
+_INTERVALS = ((0.0, 1.0, 0.0), (-1.0, -0.0, -0.0), (-0.0, 2.0, 0.7), (-2.0, 3.0, 0.37))
+
+
+def test_interval_contains_by_extremes_matches_the_reductions():
+    for lo, hi, _ in _INTERVALS:
+        iv = Interval(lo, hi)
+        t = _tol(lo, hi)
+        for x in _batches(lo, hi):
+            a = np.asarray(x, dtype=float)
+            want = _interval_contains_by_reductions(iv, x)
+            assert want is bool(np.all((a >= lo - t) & (a <= hi + t)))
+            assert iv.contains(x) is want
+
+
+@pytest.mark.parametrize("k", [1.0, 2.5])
+@pytest.mark.parametrize("orientation", [POSITIVE_RIGHT, POSITIVE_LEFT])
+def test_eta_at_by_extremes_matches_clip_always(k, orientation):
+    for lo, hi, threshold in _INTERVALS:
+        p = make_tnc_problem((lo, hi), threshold, k, 1.5, 0.4, orientation)
+        # a 0-d point takes the scalar path, whose check this test does not cover
+        for x in [b for b in _batches(lo, hi) if np.ndim(b)]:
+            assert _outcome(lambda: p.eta_at(x)) == _outcome(lambda: _eta_by_reductions(p, x))
 
 
 def _assert_partials_match_matmul(fn, x, j, alphas):
