@@ -203,7 +203,8 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
         orientation = _auto_orientation(oracle, search, n_probe)
         per_epoch = (budget - n_probe) // epochs
 
-    # the first ball, the width around the midpoint within the search, is the search
+    # the first ball, the width around the midpoint clipped to the search, is the
+    # search itself (if lo + hi overflows, that ball could not even be built)
     x = passive_erm(oracle, search, per_epoch, orientation, rng)
     radius = 0.5 * search.width
     for _ in range(epochs - 1):

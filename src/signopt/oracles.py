@@ -163,9 +163,7 @@ class LabelOracle(_CountingOracle):
             p = self.problem.eta_at(x)  # validates the domain before any charge
             if isinstance(x, float) and len(self._eta) < ETA_TABLE_SIZE:
                 self._eta[x] = p
-        if self.budget is not None and self.queries_used >= self.budget:
-            self._charge(1)  # raises BudgetExhausted, before any draw
-        self.queries_used += 1
+        self._charge(1)
         if self._next == len(self._uniforms):
             self._uniforms, self._next = self.rng.random(DRAW_CHUNK).tolist(), 0
         u = self._uniforms[self._next]

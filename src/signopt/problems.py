@@ -71,13 +71,12 @@ class Interval:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x) -> bool:
-        """Whether all of ``x`` (any shape; empty is True) lies within ``_tol``; NaN does not."""
-        a = np.asarray(x, dtype=float)
-        if not a.size:
-            return True
         t = _tol(self.lo, self.hi)
-        # argmin and argmax return the first NaN, which fails both comparisons
-        return a.item(a.argmin()) >= self.lo - t and a.item(a.argmax()) <= self.hi + t
+        a = np.asarray(x, dtype=float)
+        return bool(np.all((a >= self.lo - t) & (a <= self.hi + t)))
+
+    def clip(self, x):
+        return np.clip(x, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class TncProblem:
             raise ValueError(f"mu: must be positive, got {self.mu}")
         if not 0.0 < self.cap <= 0.5:
             raise ValueError(f"cap: must lie in (0, 1/2], got {self.cap}")
-        # constants of eta_at's checks and clamp, which run on every label query
+        # constants of eta_at's scalar path, which runs once per label query
         t = _tol(self.interval.lo, self.interval.hi)
         self.__dict__.update(_lo=self.interval.lo, _hi=self.interval.hi,
                              _lo_tol=self.interval.lo - t, _hi_tol=self.interval.hi + t,
@@ -137,12 +136,11 @@ class TncProblem:
                 margin = self.cap
             return 0.5 + margin if (d > 0) == (self._osign > 0) else 0.5 - margin
         arr = np.asarray(x, dtype=float)
-        if arr.size:  # Interval.contains's check; its extremes also decide the clip
-            amin, amax = arr.item(arr.argmin()), arr.item(arr.argmax())
-            if not (amin >= self._lo_tol and amax <= self._hi_tol):  # NaN fails both
-                raise OutOfDomain(f"query outside [{self.interval.lo}, {self.interval.hi}]")
-            if amin < self._lo or amax > self._hi:  # a point in the pad
-                arr = arr.clip(self._lo, self._hi)
+        if not self.interval.contains(arr):
+            raise OutOfDomain(
+                f"query outside [{self.interval.lo}, {self.interval.hi}]"
+            )
+        arr = self.interval.clip(arr)
         d = arr - self.threshold
         margin = np.minimum(self.mu * np.abs(d) ** (self.exponent - 1.0), self.cap)
         return 0.5 + self._osign * np.sign(d) * margin

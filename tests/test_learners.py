@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signopt import (Interval, LabelOracle, LearnerConfig, OutOfDomain, POSITIVE_LEFT,
@@ -236,18 +236,6 @@ def test_adaptive_learner_radii_halve_exactly(monkeypatch):
                              seeded_rng(0, 3, 1))
     assert len(calls) == adaptive_epoch_schedule(2048, 2.0)[0] >= 2
     _assert_halving_searches(calls, UNIT, point)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
-@example(1.0, float(np.nextafter(1.0, 2.0)))
-@example(-0.0, 5e-324)
-def test_adaptive_first_round_ball_is_the_search(a, b):
-    assume(a != b)
-    search = Interval(min(a, b), max(a, b))
-    x, radius = search.midpoint, search.width
-    assert Interval(max(search.lo, x - radius), min(search.hi, x + radius)) == search
-    assert 0.5 * search.width == search.width * 0.5 == search.width / 2
 
 
 def test_adaptive_first_round_searches_the_interval_itself(monkeypatch):

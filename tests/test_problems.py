@@ -14,7 +14,7 @@ from signopt import (Box, DimensionMismatch, Interval, OutOfDomain,
                      POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
                      SeparablePower, box_from_bounds, load_ridge_text,
                      make_tnc_problem)
-from signopt.problems import _tol, orientation_sign
+from signopt.problems import _tol
 
 from _checks import (RidgeState, bench_ridge, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
@@ -368,28 +368,8 @@ def test_grad_coord_line_matches_pointwise():
 
 
 # ---------------------------------------------------------------------------
-# batched domain checks: a batch's extremes by argmin/argmax, against the
-# np.minimum.reduce/np.maximum.reduce (and clip-always) forms they replaced
-
-def _interval_contains_by_reductions(interval, x):
-    a = np.asarray(x, dtype=float)
-    if not a.size:
-        return True
-    t = _tol(interval.lo, interval.hi)
-    return bool(np.minimum.reduce(a, axis=None) >= interval.lo - t
-                and np.maximum.reduce(a, axis=None) <= interval.hi + t)
-
-
-def _eta_by_reductions(problem, x):
-    """eta_at's batched path that checks by reductions and always clips."""
-    iv = problem.interval
-    arr = np.asarray(x, dtype=float)
-    if not _interval_contains_by_reductions(iv, arr):
-        raise OutOfDomain(f"query outside [{iv.lo}, {iv.hi}]")
-    d = np.clip(arr, iv.lo, iv.hi) - problem.threshold
-    margin = np.minimum(problem.mu * np.abs(d) ** (problem.exponent - 1.0), problem.cap)
-    return 0.5 + orientation_sign(problem.orientation) * np.sign(d) * margin
-
+# the batched step check: a batch's extremes by argmin/argmax, against the
+# np.minimum.reduce/np.maximum.reduce form they replaced
 
 def _line_by_reductions(fn, x, j, alphas):
     """UcFunction._line with the step check by reductions."""
@@ -456,30 +436,6 @@ def test_step_check_by_extremes_matches_the_reductions():
             assert _outcome(lambda: fn._line(x, j, alphas)[2]) == want
             assert _outcome(lambda: fn.grad_coord_line(x, j, alphas)) == \
                 _outcome(lambda: reference.grad_coord_line(x, j, alphas))
-
-
-_INTERVALS = ((0.0, 1.0, 0.0), (-1.0, -0.0, -0.0), (-0.0, 2.0, 0.7), (-2.0, 3.0, 0.37))
-
-
-def test_interval_contains_by_extremes_matches_the_reductions():
-    for lo, hi, _ in _INTERVALS:
-        iv = Interval(lo, hi)
-        t = _tol(lo, hi)
-        for x in _batches(lo, hi):
-            a = np.asarray(x, dtype=float)
-            want = _interval_contains_by_reductions(iv, x)
-            assert want is bool(np.all((a >= lo - t) & (a <= hi + t)))
-            assert iv.contains(x) is want
-
-
-@pytest.mark.parametrize("k", [1.0, 2.5])
-@pytest.mark.parametrize("orientation", [POSITIVE_RIGHT, POSITIVE_LEFT])
-def test_eta_at_by_extremes_matches_clip_always(k, orientation):
-    for lo, hi, threshold in _INTERVALS:
-        p = make_tnc_problem((lo, hi), threshold, k, 1.5, 0.4, orientation)
-        # a 0-d point takes the scalar path, whose check this test does not cover
-        for x in [b for b in _batches(lo, hi) if np.ndim(b)]:
-            assert _outcome(lambda: p.eta_at(x)) == _outcome(lambda: _eta_by_reductions(p, x))
 
 
 def _assert_partials_match_matmul(fn, x, j, alphas):
