@@ -7,7 +7,7 @@ only noisy gradient signs, by running a 1-D learner as the line search of
 randomized coordinate descent.
 """
 
-from .problems import (Box, DimensionMismatch, Interval, OutOfDomain,
+from .problems import (Box, DimensionMismatch, Interval, Line, OutOfDomain,
                        POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
                        SeparablePower, TncProblem, UcFunction, box_from_bounds,
                        load_ridge_text, make_tnc_problem)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Box", "BudgetExhausted", "ConfigError", "DimensionMismatch",
     "DirectBernoulli", "ErrorRecord", "ExactSign", "ExperimentConfig",
-    "GaussianNoise", "Interval", "LabelOracle", "LearnerConfig",
+    "GaussianNoise", "Interval", "LabelOracle", "LearnerConfig", "Line",
     "LineLabelOracle", "OptimizerConfig", "OutOfDomain", "POSITIVE_LEFT",
     "POSITIVE_RIGHT", "Quadratic", "RateFit", "Ridge", "RunTable",
     "SeparablePower", "SignOracle", "TncProblem", "UcFunction", "UniformNoise",

@@ -214,7 +214,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: must be non-negative, got {value}")
         if self.kind == KIND_OPTIMIZE and not isinstance(self.optimizer.x0, str):
             with _config_errors("optimizer.x0: "):
-                self.problem._point(self.optimizer.x0)
+                self.problem.point(self.optimizer.x0)
 
 
 # the key of each TncProblem field, which its load errors start with

@@ -21,7 +21,7 @@ import numpy as np
 
 from .learners import DRAWING_LEARNERS, LearnerConfig, POSITIVE_RIGHT, run_learner
 from .oracles import ROLE_COORDS, ROLE_SAMPLING, SignOracle, philox_keys, seeded_rng
-from .problems import Interval, UcFunction
+from .problems import Interval, Line, UcFunction
 
 PAPER_DEFAULT = "paper-default"
 KEY_BLOCK = 4096  # epochs whose line-search keys are derived in one pass
@@ -106,38 +106,24 @@ class OptimizerConfig:
 
 
 class LineLabelOracle:
-    """Label oracle over the step range of one coordinate line.
+    """A sign oracle bound to one coordinate line, as a 1-D label oracle.
 
-    Adapts a gradient-sign oracle at a fixed base point and coordinate to
-    the 1-D learner interface: the label at step ``a`` is the noisy sign of
-    the gradient coordinate at ``x + a * e_j``.  Convexity makes that sign
-    switch from - to + at the directional minimum, so the induced threshold
-    problem is always positive-right.  Queries share the sign oracle's
-    budget and counter.
+    The label at step ``a`` is the noisy sign of the gradient coordinate at
+    ``x + a * e_j``, asked of the sign oracle on ``line``, a ``Line`` of
+    its function.  Convexity makes that sign switch from - to + at the
+    directional minimum, so the induced threshold problem is always
+    positive-right.  Queries share the sign oracle's budget and counter.
     """
 
     def __init__(self, sign_oracle: SignOracle, x, j: int):
-        fn = sign_oracle.fn
         self.base = sign_oracle
-        x, j = fn._point_and_index(x, j)
-        self._x, self._j = x.copy(), j
-        self._q = x.copy()  # label_sample's query point: x but for coordinate j
-        # the line's coordinate and bounds as floats, for label_sample's clamp
-        self._xj = xj = self._x.item(j)
-        self._lo, self._hi = lo, hi = fn.box._lo_list[j], fn.box._hi_list[j]
-        alo, ahi = lo - xj, hi - xj  # Box.segment's subtraction, on floats
-        self.degenerate = not ahi > alo
-        self.sole_step = alo if self.degenerate else None
-        self.interval = None if self.degenerate else Interval(alo, ahi)
+        self.line = Line(sign_oracle.fn, x, j)
 
     def label_sample(self, alpha: float) -> int:
-        v = self._xj + alpha
-        # clamp against end-point roundoff; the adjustment is at ulp scale
-        self._q[self._j] = self._lo if v < self._lo else self._hi if v > self._hi else v
-        return self.base.sign_sample(self._q, self._j)
+        return self.base.sign_sample(self.line, alpha)
 
     def label_sample_many(self, alphas) -> np.ndarray:
-        return self.base.sign_sample_line(self._x, self._j, alphas)
+        return self.base.sign_sample_line(self.line, alphas=alphas)
 
 
 def line_label_oracle(sign_oracle: SignOracle, x, j: int) -> LineLabelOracle:
@@ -168,7 +154,7 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
         )
     line_config = replace(config.line_search,
                           orientation=POSITIVE_RIGHT).for_budget(budget // epochs)
-    base = fn._point(fn.box.center if isinstance(config.x0, str) else config.x0)
+    base = fn.point(fn.box.center if isinstance(config.x0, str) else config.x0)
     # each epoch clips its iterate to the box: all of it once, as the first
     # epoch ends (the start may lie within the box's tolerance), and after
     # that only the coordinate that moved, with np.clip's comparisons
@@ -179,11 +165,11 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
     streams = (line_search_streams(config.seed, epochs)
                if line_config.name in DRAWING_LEARNERS else itertools.repeat(None))
     for j, line_rng in zip(coords, streams):
-        line = line_label_oracle(sign_oracle, base, j)
-        if line.degenerate:
-            step = line.sole_step
-        else:
-            step = run_learner(line, line.interval, line_config, line_rng)
+        view = line_label_oracle(sign_oracle, base, j)
+        alo, ahi = view.line.lo, view.line.hi
+        step = alo  # the one step of a zero-width segment
+        if ahi > alo:
+            step = run_learner(view, Interval(alo, ahi), line_config, line_rng)
         v = float(base[j]) + step
         # a v equal to a bound takes the bound (its sign, for a zero); NaN stays
         v = lo[j] if v <= lo[j] else v

@@ -4,8 +4,9 @@ All randomness flows through counter-based Philox generators keyed by tuples
 of integers, so distinct replications and distinct roles inside one run draw
 from independent streams and every run is replayable bit for bit.  Oracles
 count every query and enforce an optional hard budget; batch queries charge
-all-or-nothing.  No oracle checks a query: the problem or function that it
-queries checks the point (and index and steps) before any charge or draw.
+all-or-nothing.  No oracle checks a query, it only charges and draws: the
+problem checks each label query's point, and the ``Line`` that a sign query
+names checked its point and index once and checks every step.
 
 Each oracle draws from the numpy ``Generator`` it is given and owns a
 counter, so it belongs to one run at a time; the problem or function it
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import TncProblem, UcFunction
+from .problems import Line, TncProblem, UcFunction
 
 LABEL_POSITIVE = 1
 LABEL_NEGATIVE = -1
@@ -304,15 +305,15 @@ class SignOracle(_CountingOracle):
         self.fn = fn
         self.mode = mode
 
-    def sign_sample(self, x, j: int) -> int:
-        g = self.fn.grad_coord(x, j)  # validates point and index
+    def sign_sample(self, line: Line, a: float) -> int:
+        g = line.partial(a)  # checks the step
         if self.budget is not None and self.queries_used >= self.budget:
             self._charge(1)  # raises BudgetExhausted, before any draw
         self.queries_used += 1
         return self.mode.draw(g, self.rng)
 
-    def sign_sample_line(self, x, j: int, alphas) -> np.ndarray:
-        """Batch of sign queries at x + alpha * e_j for each alpha."""
-        g = self.fn.grad_coord_line(x, j, alphas)  # validates point, index and steps
+    # alphas is keyword-only: bench/spans.py counts a batch by its alphas= keyword
+    def sign_sample_line(self, line: Line, *, alphas) -> np.ndarray:
+        g = line.partials(alphas)  # checks the steps
         self._charge(g.size)
         return self.mode.draw_many(g, self.rng)

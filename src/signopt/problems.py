@@ -68,7 +68,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi  # halves first: lo + hi may overflow
 
     def contains(self, x) -> bool:
         t = _tol(self.lo, self.hi)
@@ -177,9 +177,8 @@ class Box:
             raise ValueError("box bounds must be finite")
         if np.any(hi < lo):
             raise ValueError("box needs hi >= lo in every coordinate")
-        # the bounds are read-only, so their float lists never go stale: contains
-        # compares against the tolerance-widened ones, and segment subtracts
-        # from the others
+        # read-only bounds keep their float lists fresh: contains compares against
+        # the tolerance-widened ones, and a Line subtracts from the others
         t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo.flags.writeable = hi.flags.writeable = False
         self.__dict__.update(lo=lo, hi=hi, _shape=lo.shape,
@@ -216,11 +215,6 @@ class Box:
             if not lo <= v <= hi:
                 return False
         return True
-
-    def segment(self, x, j: int) -> tuple[float, float]:
-        """Feasible step range along coordinate j from x: {a : x + a*e_j in box}."""
-        xj = float(x[j])  # the IEEE subtraction of the bound arrays, on floats
-        return self._lo_list[j] - xj, self._hi_list[j] - xj
 
 
 def box_from_bounds(lo, hi, dim: int | None = None) -> Box:
@@ -259,7 +253,6 @@ class UcFunction(abc.ABC):
         if not lkss_bound > uc_modulus / 2:
             raise ValueError("lkss_bound must exceed uc_modulus / 2")
         self.box = box
-        self._dim = box.dim  # the bound of a coordinate index, read per query
         self.uc_exponent = float(uc_exponent)
         self.uc_modulus = float(uc_modulus)
         self.lkss_bound = float(lkss_bound)
@@ -268,51 +261,29 @@ class UcFunction(abc.ABC):
     def dim(self) -> int:
         return self.box.dim
 
-    def _point(self, x) -> np.ndarray:
+    def point(self, x) -> np.ndarray:
+        """``x`` as a float array, checked to have shape (d,) and to lie in the box."""
         a = np.asarray(x, dtype=float)
         if not self.box.contains(a):  # which checks the shape as well
             raise OutOfDomain("point outside the domain box")
         return a
-
-    def _point_and_index(self, x, j: int) -> tuple[np.ndarray, int]:
-        """The checks of every query, in one frame: the point (shape, then box), then j."""
-        a = np.asarray(x, dtype=float)
-        if not self.box.contains(a):  # which checks the shape as well
-            raise OutOfDomain("point outside the domain box")
-        j = operator.index(j)  # a float index raises TypeError; int() would truncate it
-        if not 0 <= j < self._dim:
-            raise IndexError(f"coordinate index {j} out of range for dim {self._dim}")
-        return a, j
-
-    def _line(self, x, j: int, alphas) -> tuple[np.ndarray, int, np.ndarray]:
-        """``_point_and_index``, then the steps: a NaN step or one beyond the segment by
-        more than its tolerance leaves the domain, one within it is clipped onto it."""
-        x, j = self._point_and_index(x, j)
-        alphas = np.asarray(alphas, dtype=float)
-        if alphas.size:
-            alo, ahi = self.box.segment(x, j)
-            # argmin and argmax return the first NaN, which fails both comparisons;
-            # they find the extremes faster than np.minimum.reduce and maximum.reduce
-            amin = alphas.item(alphas.argmin())
-            amax = alphas.item(alphas.argmax())
-            pad = _tol(alo, ahi)
-            if not (amin >= alo - pad and amax <= ahi + pad):
-                raise OutOfDomain("step leaves the domain box")
-            if amin < alo or amax > ahi:  # a step in the pad
-                alphas = alphas.clip(alo, ahi)
-        return x, j, alphas
 
     @abc.abstractmethod
     def value(self, x) -> float:
         """Exact function value."""
 
     @abc.abstractmethod
-    def grad_coord(self, x, j: int) -> float:
-        """Exact j-th partial derivative."""
+    def _partial(self, x, j: int) -> float:
+        """The j-th partial derivative at a point and index that a ``Line`` checked."""
 
     @abc.abstractmethod
-    def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        """j-th partial derivative at x + alpha * e_j for alphas that ``_line`` checks."""
+    def _partials(self, x, j: int, alphas) -> np.ndarray:
+        """The j-th partial derivative at x + alpha * e_j for steps a ``Line`` checked."""
+
+    def grad_coord(self, x, j: int) -> float:
+        """Exact j-th partial derivative at x."""
+        line = Line(self, x, j)
+        return self._partial(line.x, line.j)
 
     @abc.abstractmethod
     def _directional_min_free(self, x, j: int) -> float:
@@ -320,12 +291,57 @@ class UcFunction(abc.ABC):
 
     def directional_min(self, x, j: int, clip: bool = True) -> float:
         """Step a* minimizing f(x + a*e_j), clipped to the box by default."""
-        x, j = self._point_and_index(x, j)
-        a = self._directional_min_free(x, j)
+        line = Line(self, x, j)
+        a = self._directional_min_free(line.x, line.j)
         if clip:
-            alo, ahi = self.box.segment(x, j)
-            a = min(max(a, alo), ahi)
+            a = min(max(a, line.lo), line.hi)
         return float(a)
+
+
+class Line:
+    """The function ``fn`` along the coordinate line x + a * e_j, a in [lo, hi].
+
+    Built once, it checks the point (its shape, then the box) and the index, and
+    keeps its own copy ``x`` of the point.  Every step is checked by one rule: a
+    NaN step, or one beyond the segment by more than ``_tol(lo, hi)``, leaves the
+    domain, and one within that tolerance is clipped onto the segment.
+    """
+
+    def __init__(self, fn: UcFunction, x, j: int):
+        x = fn.point(x)
+        j = operator.index(j)  # a float index raises TypeError; int() would truncate it
+        if not 0 <= j < len(x):
+            raise IndexError(f"coordinate index {j} out of range for dim {len(x)}")
+        self.fn, self.x, self.j = fn, x.copy(), j
+        self._q = x.copy()  # partial's query point: x but for coordinate j
+        self._xj = xj = x.item(j)
+        # the bounds as floats: the same IEEE subtraction as on the bound arrays
+        self._blo, self._bhi = blo, bhi = fn.box._lo_list[j], fn.box._hi_list[j]
+        self.lo, self.hi = lo, hi = blo - xj, bhi - xj
+        pad = _tol(lo, hi)
+        self._lo_pad, self._hi_pad = lo - pad, hi + pad
+
+    def partial(self, a: float) -> float:
+        """The partial at x + a * e_j, its coordinate j clamped onto the box."""
+        if not self._lo_pad <= a <= self._hi_pad:  # NaN fails too
+            raise OutOfDomain("step leaves the domain box")
+        v = self._xj + a
+        self._q[self.j] = self._blo if v < self._blo else self._bhi if v > self._bhi else v
+        return self.fn._partial(self._q, self.j)
+
+    def partials(self, alphas) -> np.ndarray:
+        """The partials at x + a * e_j for each step a, clipped onto the segment."""
+        alphas = np.asarray(alphas, dtype=float)
+        if alphas.size:
+            # argmin and argmax return the first NaN, which fails both comparisons;
+            # they find the extremes faster than np.minimum.reduce and maximum.reduce
+            amin = alphas.item(alphas.argmin())
+            amax = alphas.item(alphas.argmax())
+            if not (amin >= self._lo_pad and amax <= self._hi_pad):
+                raise OutOfDomain("step leaves the domain box")
+            if amin < self.lo or amax > self.hi:  # a step in the pad
+                alphas = alphas.clip(self.lo, self.hi)
+        return self.fn._partials(self.x, self.j, alphas)
 
 
 class SeparablePower(UcFunction):
@@ -352,18 +368,16 @@ class SeparablePower(UcFunction):
         self.f_min = 0.0
 
     def value(self, x) -> float:
-        u = self._point(x) - self.x_star
+        u = self.point(x) - self.x_star
         return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
 
-    def grad_coord(self, x, j: int) -> float:
-        x, j = self._point_and_index(x, j)
+    def _partial(self, x, j: int) -> float:
         u = float(x[j] - self.x_star[j])
         k = self.uc_exponent
         return float(self.coeffs[j] * k * abs(u) ** (k - 1.0) * math.copysign(1.0, u)) \
             if u != 0.0 else 0.0
 
-    def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        x, j, alphas = self._line(x, j, alphas)
+    def _partials(self, x, j: int, alphas) -> np.ndarray:
         v = (x[j] - self.x_star[j]) + alphas
         k = self.uc_exponent
         return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
@@ -400,17 +414,15 @@ class Quadratic(UcFunction):
         self.__dict__.update(state, _rows=list(state["matrix"]))
 
     def value(self, x) -> float:
-        u = self._point(x) - self.x_star
+        u = self.point(x) - self.x_star
         return float(0.5 * u @ self.matrix @ u)
 
-    def grad_coord(self, x, j: int) -> float:
-        x, j = self._point_and_index(x, j)
+    def _partial(self, x, j: int) -> float:
         # for two vectors ndarray.dot is matmul's kernel without its dispatch; each
         # partial adds 0.0 to make a -0.0 (d = 1) the 0.0 that matmul's sum gives
         return float(self._rows[j].dot(x - self.x_star)) + 0.0
 
-    def grad_coord_line(self, x, j: int, alphas) -> np.ndarray:
-        x, j, alphas = self._line(x, j, alphas)
+    def _partials(self, x, j: int, alphas) -> np.ndarray:
         row = self._rows[j]
         g0 = float(row.dot(x - self.x_star)) + 0.0
         g = alphas * row[j]
@@ -427,11 +439,10 @@ class Ridge(Quadratic):
 
     This is the quadratic (x - x*)' Q (x - x*) / 2 + f_min with Q = A'A + I.
     The global minimizer solves Q x = A'b; it is computed once at
-    construction by a direct solve and checked to residual 1e-10.  The
-    gradient comes from Q, so a partial costs O(d) plus the domain check; it
-    equals the least-squares form A_j'(Ax - b) + x_j up to roundoff, so a
-    sign can differ only where the partial is itself at roundoff scale.
-    ``value`` and ``f_min`` keep the least-squares form.
+    construction by a direct solve and checked to residual 1e-10.  A partial
+    comes from Q in O(d); it equals the least-squares form A_j'(Ax - b) + x_j
+    up to roundoff, so a sign can differ only where the partial is itself at
+    roundoff scale.  ``value`` and ``f_min`` keep the least-squares form.
     """
 
     def __init__(self, design, targets, box: Box | None = None):
@@ -461,7 +472,7 @@ class Ridge(Quadratic):
         self.f_min = self.value(x_star)
 
     def value(self, x) -> float:
-        x = self._point(x)
+        x = self.point(x)
         r = self.design @ x
         r -= self.targets
         return float(0.5 * (r @ r) + 0.5 * (x @ x))

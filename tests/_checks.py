@@ -89,7 +89,7 @@ class RidgeState:
 
     def __init__(self, fn: Ridge, x0):
         self.fn = fn
-        self.x = fn._point(x0).copy()
+        self.x = fn.point(x0).copy()
         self.residual = fn.design @ self.x - fn.targets
 
     def _index(self, j: int) -> int:

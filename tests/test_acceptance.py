@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from signopt import (ExactSign, GaussianNoise, LabelOracle, LearnerConfig,
+from signopt import (ExactSign, GaussianNoise, LabelOracle, LearnerConfig, Line,
                      OptimizerConfig, Quadratic, Ridge,
                      SeparablePower, SignOracle, UniformNoise,
                      adaptive_epoch_schedule, adaptive_learner, bisect_noiseless,
@@ -233,7 +233,7 @@ def test_criterion_09_property_suites():
     x = np.array([0.5, 0.0])
     for mode in (GaussianNoise(1.0), UniformNoise(2.0), ExactSign()):
         oracle = SignOracle(quad, mode, seeded_rng(97, 1, 0))
-        frac = np.mean(oracle.sign_sample_line(x, 0, np.zeros(n)) == 1)
+        frac = np.mean(oracle.sign_sample_line(Line(quad, x, 0), alphas=np.zeros(n)) == 1)
         p = float(probability_positive(mode, quad.grad_coord(x, 0)))
         assert abs(frac - p) <= binomial_band(n)
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from signopt import (BudgetExhausted, DimensionMismatch, ExactSign, GaussianNoise,
-                     LearnerConfig, OptimizerConfig, OutOfDomain, Quadratic,
-                     Ridge, SeparablePower, SignOracle, adaptive_epoch_schedule,
+from signopt import (Box, BudgetExhausted, DimensionMismatch, ExactSign, GaussianNoise,
+                     Interval, LearnerConfig, Line, OptimizerConfig, OutOfDomain,
+                     Quadratic, Ridge, SeparablePower, SignOracle, adaptive_epoch_schedule,
                      adaptive_learner, box_from_bounds, default_epoch_count,
                      line_label_oracle, passive_erm, rssgd, seeded_rng)
 from signopt import optimizer
 from signopt.learners import DRAWING_LEARNERS, LEARNERS
 from signopt.optimizer import coordinate_rng, line_search_rng, line_search_streams
+from signopt.problems import _tol
 
 from _checks import bench_ridge, binomial_band
 
@@ -98,9 +99,9 @@ def test_line_label_at_the_directional_minimum_is_a_fair_coin():
 
 def test_line_segment_is_clipped_by_the_box():
     fn = _quad((1.0, 1.0))
-    line = line_label_oracle(_oracle(fn), np.array([0.9, 0.0]), 0)
-    assert line.interval.lo == pytest.approx(-1.9)
-    assert line.interval.hi == pytest.approx(0.1)
+    line = line_label_oracle(_oracle(fn), np.array([0.9, 0.0]), 0).line
+    assert line.lo == pytest.approx(-1.9)
+    assert line.hi == pytest.approx(0.1)
 
 
 def test_line_adapter_shares_the_budget_counter():
@@ -133,8 +134,8 @@ def test_invalid_query_points_raise_and_charge_nothing(x, j, error):
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn, mode=GaussianNoise(1.0))
         state = _plain(oracle.rng.bit_generator.state)
-        for query in (lambda: oracle.sign_sample(x, j),
-                      lambda: oracle.sign_sample_line(x, j, [0.0, 0.5]),
+        for query in (lambda: oracle.sign_sample(Line(fn, x, j), 0.0),
+                      lambda: oracle.sign_sample_line(Line(fn, x, j), alphas=[0.0, 0.5]),
                       lambda: line_label_oracle(oracle, x, j)):
             with pytest.raises(error):
                 query()
@@ -157,10 +158,10 @@ def test_a_non_integral_index_raises_and_charges_nothing(j):
         oracle = _oracle(fn, mode=GaussianNoise(1.0))
         state = _plain(oracle.rng.bit_generator.state)
         for query in (lambda: fn.grad_coord(x, j),
-                      lambda: fn.grad_coord_line(x, j, [0.0, 0.5]),
+                      lambda: Line(fn, x, j).partials([0.0, 0.5]),
                       lambda: fn.directional_min(x, j),
-                      lambda: oracle.sign_sample(x, j),
-                      lambda: oracle.sign_sample_line(x, j, [0.0, 0.5]),
+                      lambda: oracle.sign_sample(Line(fn, x, j), 0.0),
+                      lambda: oracle.sign_sample_line(Line(fn, x, j), alphas=[0.0, 0.5]),
                       lambda: line_label_oracle(oracle, x, j)):
             with pytest.raises(TypeError):
                 query()
@@ -170,10 +171,11 @@ def test_a_non_integral_index_raises_and_charges_nothing(j):
         j1 = np.int64(1)
         assert fn.grad_coord(x, j1) == fn.grad_coord(x, 1)
         assert fn.directional_min(x, j1) == fn.directional_min(x, 1)
-        assert np.array_equal(fn.grad_coord_line(x, j1, [0.5]), fn.grad_coord_line(x, 1, [0.5]))
-        assert line_label_oracle(oracle, x, j1).interval == line_label_oracle(oracle, x, 1).interval
-        oracle.sign_sample(x, j1)
-        oracle.sign_sample_line(x, j1, [0.0, 0.5])
+        assert np.array_equal(Line(fn, x, j1).partials([0.5]), Line(fn, x, 1).partials([0.5]))
+        line, ref = line_label_oracle(oracle, x, j1).line, Line(fn, x, 1)
+        assert (line.lo, line.hi, line.j) == (ref.lo, ref.hi, 1) and type(line.j) is int
+        oracle.sign_sample(Line(fn, x, j1), 0.0)
+        oracle.sign_sample_line(Line(fn, x, j1), alphas=[0.0, 0.5])
         assert oracle.queries_used == 3
 
 
@@ -189,14 +191,14 @@ def test_a_query_checks_its_point_before_its_index(x, error):
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn)
         for query in (lambda: fn.grad_coord(x, 2),
-                      lambda: fn.grad_coord_line(x, 2, [0.0]),
-                      lambda: oracle.sign_sample(x, -1),
-                      lambda: oracle.sign_sample_line(x, -1, [0.0]),
-                      lambda: oracle.sign_sample(x, 1.5),
+                      lambda: fn.directional_min(x, 2),
+                      lambda: Line(fn, x, 2),
+                      lambda: Line(fn, x, -1),
+                      lambda: Line(fn, x, 1.5),
                       lambda: line_label_oracle(oracle, x, 2),
                       # a step outside the segment as well: the point's error
-                      lambda: fn.grad_coord_line(x, 0, [5.0]),
-                      lambda: oracle.sign_sample_line(x, 0, [np.nan, 5.0])):
+                      lambda: Line(fn, x, 0).partials([5.0]),
+                      lambda: oracle.sign_sample_line(Line(fn, x, 0), alphas=[np.nan, 5.0])):
             with pytest.raises(error, match=message):
                 query()
         assert oracle.queries_used == 0
@@ -226,40 +228,105 @@ def test_steps_beyond_the_segment_pad():
     x = np.array([0.5, 1.0 + 1e-13])  # inside the tolerance; steps lie in [-1.5, 0.5]
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn)
-        line = line_label_oracle(oracle, x, 0)
+        view = line_label_oracle(oracle, x, 0)
+        line = view.line
         for alphas in ([0.5 + 1e-9], [-1.5 - 1e-9], [0.0, 2.0]):
-            for query in (fn.grad_coord_line, oracle.sign_sample_line):
+            for query in (line.partials, lambda a: oracle.sign_sample_line(line, alphas=a)):
                 with pytest.raises(OutOfDomain, match="^step leaves the domain box$"):
-                    query(x, 0, alphas)
+                    query(alphas)
             with pytest.raises(OutOfDomain):
-                line.label_sample_many(alphas)
+                view.label_sample_many(alphas)
         assert oracle.queries_used == 0
-        # steps within the pad are clipped onto the box; label_sample clamps any step
-        assert fn.grad_coord_line(x, 0, [0.5 + 1e-13, -1.5 - 1e-13]).tobytes() == \
-            fn.grad_coord_line(x, 0, [0.5, -1.5]).tobytes()
-        assert line.label_sample_many([0.5 + 1e-13, -1.5 - 1e-13]).tolist() == [1, -1]
-        assert [line.label_sample(a) for a in (2.0, -5.0)] == [1, -1]
-        assert oracle.queries_used == 4
+        # steps within the pad are clipped onto the box
+        assert line.partials([0.5 + 1e-13, -1.5 - 1e-13]).tobytes() == \
+            line.partials([0.5, -1.5]).tobytes()
+        assert view.label_sample_many([0.5 + 1e-13, -1.5 - 1e-13]).tolist() == [1, -1]
+        # a scalar step beyond the pad raises as a batched one does, and charges nothing
+        state = _plain(oracle.rng.bit_generator.state)
+        for a in (2.0, -5.0):
+            with pytest.raises(OutOfDomain, match="^step leaves the domain box$"):
+                view.label_sample(a)
+        assert oracle.queries_used == 2
+        assert _plain(oracle.rng.bit_generator.state) == state
 
 
 def test_nan_steps_leave_the_domain_on_both_paths():
     x = np.array([0.5, 0.0])
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn, mode=GaussianNoise(1.0))
-        line = line_label_oracle(oracle, x, 0)
+        view = line_label_oracle(oracle, x, 0)
+        line = view.line
         state = _plain(oracle.rng.bit_generator.state)
-        for query in (lambda: fn.grad_coord_line(x, 0, [np.nan]),
-                      lambda: fn.grad_coord_line(x, 0, [0.1, np.nan, -0.2]),
-                      lambda: oracle.sign_sample_line(x, 0, [np.nan]),
-                      lambda: oracle.sign_sample_line(x, 0, [0.1, np.nan, -0.2]),
-                      lambda: line.label_sample_many([np.nan, 0.0]),
-                      lambda: line.label_sample(np.nan)):
+        for query in (lambda: line.partials([np.nan]),
+                      lambda: line.partials([0.1, np.nan, -0.2]),
+                      lambda: line.partial(np.nan),
+                      lambda: oracle.sign_sample_line(line, alphas=[np.nan]),
+                      lambda: oracle.sign_sample_line(line, alphas=[0.1, np.nan, -0.2]),
+                      lambda: view.label_sample_many([np.nan, 0.0]),
+                      lambda: view.label_sample(np.nan)):
             with pytest.raises(OutOfDomain):
                 query()
         assert oracle.queries_used == 0
         assert _plain(oracle.rng.bit_generator.state) == state
-        empty = oracle.sign_sample_line(x, 0, [])
+        empty = oracle.sign_sample_line(line, alphas=[])
         assert empty.shape == (0,) and oracle.queries_used == 0
+
+
+def test_scalar_and_batched_steps_share_one_domain_rule():
+    # each step gets one decision on both paths: an answer, or OutOfDomain with
+    # nothing charged or drawn.  The scalar and batched formulas round
+    # differently, so only the decisions are compared.
+    x = np.array([0.5, 1.0 + 1e-13])  # steps along coordinate 0 lie in [-1.5, 0.5]
+    for fn in _functions_on_the_unit_square():
+        line = Line(fn, x, 0)
+        pad = _tol(line.lo, line.hi)
+        inside = [0.0, -0.7, line.lo, line.hi, line.lo - 0.5 * pad, line.hi + 0.5 * pad,
+                  line.lo - pad, line.hi + pad]
+        beyond = [float(np.nextafter(line.lo - pad, -np.inf)),
+                  float(np.nextafter(line.hi + pad, np.inf)), np.inf, -np.inf, np.nan]
+        for a, answers in [(a, True) for a in inside] + [(a, False) for a in beyond]:
+            for query in (lambda o: o.sign_sample(line, a),
+                          lambda o: o.sign_sample_line(line, alphas=[a])):
+                oracle = _oracle(fn, mode=GaussianNoise(1.0))
+                state = _plain(oracle.rng.bit_generator.state)
+                if answers:
+                    query(oracle)
+                    assert oracle.queries_used == 1, (fn, a)
+                    continue
+                with pytest.raises(OutOfDomain, match="^step leaves the domain box$"):
+                    query(oracle)
+                assert oracle.queries_used == 0, (fn, a)
+                assert _plain(oracle.rng.bit_generator.state) == state
+
+
+def test_line_queries_never_recheck_the_point(monkeypatch):
+    calls = []
+    contains = Box.contains
+
+    def counting(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(Box, "contains", counting)
+    for fn in _functions_on_the_unit_square():
+        oracle = _oracle(fn, mode=GaussianNoise(1.0))
+        calls.clear()
+        view = line_label_oracle(oracle, np.array([0.5, -0.25]), 1)
+        line = view.line
+        assert len(calls) == 1
+        line.partial(0.3)
+        line.partials([0.3, -0.5, 1.25])
+        oracle.sign_sample(line, 0.3)
+        oracle.sign_sample_line(line, alphas=[0.3, -0.5])
+        view.label_sample(-0.75)
+        view.label_sample_many([0.1, 1.25 + 1e-13])
+        for bad in (np.nan, 5.0):
+            with pytest.raises(OutOfDomain):
+                view.label_sample(bad)
+            with pytest.raises(OutOfDomain):
+                view.label_sample_many([0.0, bad])
+        assert len(calls) == 1
+        assert oracle.queries_used == 6
 
 
 def _copy_per_query_label(oracle, x, j, alpha):
@@ -269,26 +336,26 @@ def _copy_per_query_label(oracle, x, j, alpha):
     lo, hi = float(fn.box.lo[j]), float(fn.box.hi[j])
     v = float(q[j]) + alpha
     q[j] = lo if v < lo else hi if v > hi else v
-    return oracle.sign_sample(q, j)
+    return oracle.sign_sample(Line(fn, q, j), 0.0)
 
 
 def test_a_failed_line_query_leaves_later_answers_unchanged():
-    # label_sample writes each query into one buffer it owns; a NaN step
-    # leaves NaN there and fails its domain check, which must not leak
+    # label_sample writes each query into one buffer its line owns; a failed
+    # step check must not leak into later answers
     fn = _quad((1.0, 2.0))
-    x = np.array([0.5, -0.25])
-    steps = [-1.5, -0.3, 0.0, 0.2, 1e-13, 0.5, 3.0, -4.0, 0.1]
+    x = np.array([0.5, -0.25])  # steps along coordinate 1 lie in [-0.75, 1.25]
+    steps = [-0.75, -0.3, 0.0, 0.2, 1e-13, 0.5, 1.25 + 1e-13, -0.75 - 1e-13, 0.1]
     oracle = _oracle(fn, mode=GaussianNoise(0.3), seed=(4, 2))
     reference = _oracle(fn, mode=GaussianNoise(0.3), seed=(4, 2))
     line = line_label_oracle(oracle, x, 1)
     got = [line.label_sample(a) for a in steps]
-    for bad in (np.nan, np.float64("nan")):
+    for bad in (np.nan, np.float64("nan"), 3.0, -4.0):
         with pytest.raises(OutOfDomain):
             line.label_sample(bad)
     got += [line.label_sample(a) for a in steps]
     got += line.label_sample_many(steps[1:5]).tolist()
     want = [_copy_per_query_label(reference, x, 1, a) for a in steps + steps]
-    want += reference.sign_sample_line(x, 1, steps[1:5]).tolist()
+    want += reference.sign_sample_line(Line(fn, x, 1), alphas=steps[1:5]).tolist()
     assert got == want
     assert oracle.queries_used == reference.queries_used == 2 * len(steps) + 4
     assert _plain(oracle.rng.bit_generator.state) == _plain(reference.rng.bit_generator.state)
@@ -298,8 +365,8 @@ def test_a_failed_line_query_leaves_later_answers_unchanged():
 def test_degenerate_segment_reports_single_step():
     box = box_from_bounds([0.0, -1.0], [0.0, 1.0])  # first coordinate pinned
     fn = Quadratic(np.eye(2), np.zeros(2), box)
-    line = line_label_oracle(_oracle(fn), np.array([0.0, 0.5]), 0)
-    assert line.degenerate and line.sole_step == 0.0
+    line = line_label_oracle(_oracle(fn), np.array([0.0, 0.5]), 0).line
+    assert not line.hi > line.lo and line.lo == 0.0
     x = rssgd(fn, _oracle(fn, seed=(1, 1)),
               OptimizerConfig(budget=200, epoch_rule=10,
                               line_search=LearnerConfig("bisect"), seed=2))
@@ -327,14 +394,11 @@ def test_line_view_matches_box_segment():
     points += [lo + (hi - lo) * rng.random(fn.dim) for _ in range(20)]
     for x in points:
         for j in range(fn.dim):
-            line = line_label_oracle(_oracle(fn), x, j)
-            alo, ahi = fn.box.segment(x, j)
-            assert line.degenerate == (not ahi > alo)
-            if line.degenerate:
-                assert line.interval is None and _bits(line.sole_step) == _bits(alo)
-            else:
-                assert line.sole_step is None
-                assert _bits([line.interval.lo, line.interval.hi]) == _bits([alo, ahi])
+            line = line_label_oracle(_oracle(fn), x, j).line
+            # the subtraction on the bound arrays, the sign of a zero included
+            want = [fn.box.lo[j] - x[j], fn.box.hi[j] - x[j]]
+            assert _bits([line.lo, line.hi]) == _bits(want)
+            assert _bits(line.x) == _bits(x) and line.x is not x
 
 
 def _step_rules(seed):
@@ -377,8 +441,8 @@ def test_one_coordinate_clamp_is_bit_identical_to_np_clip(monkeypatch, start, na
     ref, steps = x0.copy(), iter(steps)
     for j, iterate in zip(coords, iterates):
         assert _bits(iterate) == _bits(ref)
-        line = line_label_oracle(_oracle(fn), ref, j)
-        ref[j] += line.sole_step if line.degenerate else next(steps)
+        line = Line(fn, ref, j)
+        ref[j] += next(steps) if line.hi > line.lo else line.lo
         ref = np.clip(ref, fn.box.lo, fn.box.hi)
     assert _bits(x) == _bits(ref)
     assert np.isnan(x).any() == nan_last  # NaN stays NaN
@@ -491,9 +555,9 @@ def test_one_dimensional_reduction_matches_adaptive_learner():
                                           line_search=LearnerConfig("adaptive"),
                                           seed=seed, x0=np.array([0.0])))
     direct_oracle = _oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0))
-    line = line_label_oracle(direct_oracle, np.array([0.0]), 0)
-    direct = adaptive_learner(line, line.interval, LearnerConfig(budget=budget),
-                              line_search_rng(seed, 1))
+    view = line_label_oracle(direct_oracle, np.array([0.0]), 0)
+    direct = adaptive_learner(view, Interval(view.line.lo, view.line.hi),
+                              LearnerConfig(budget=budget), line_search_rng(seed, 1))
     assert x[0] == direct
     assert oracle.queries_used == direct_oracle.queries_used
 
@@ -509,10 +573,11 @@ def test_one_epoch_adaptive_line_search_is_passive_on_the_segment():
         for j in range(fn.dim):
             oracles = [_oracle(fn, mode=GaussianNoise(1.0), seed=(n, j)) for _ in range(2)]
             lines = [line_label_oracle(oracle, x, j) for oracle in oracles]
-            adaptive = adaptive_learner(lines[0], lines[0].interval,
+            search = Interval(lines[0].line.lo, lines[0].line.hi)
+            adaptive = adaptive_learner(lines[0], search,
                                         LearnerConfig(budget=n, c_delta=3.0),
                                         seeded_rng(n, j, 1))
-            passive = passive_erm(lines[1], lines[1].interval, n, "positive-right",
+            passive = passive_erm(lines[1], search, n, "positive-right",
                                   seeded_rng(n, j, 1))
             assert adaptive.hex() == passive.hex()
             assert oracles[0].queries_used == oracles[1].queries_used == n
@@ -564,11 +629,7 @@ class _LeastSquaresRidge(Ridge):
         r -= self.targets
         return float(self.design[:, j] @ r + x[j])
 
-    def grad_coord(self, x, j):
-        return self._partial(*self._point_and_index(x, j))
-
-    def grad_coord_line(self, x, j, alphas):
-        x, j, alphas = self._line(x, j, alphas)
+    def _partials(self, x, j, alphas):
         return self._partial(x, j) + self._hess_diag[j] * alphas
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import norm
 
 from signopt import (BudgetExhausted, ConfigError, DirectBernoulli, ExactSign,
-                     GaussianNoise, LabelOracle, OutOfDomain, Quadratic,
+                     GaussianNoise, LabelOracle, Line, OutOfDomain, Quadratic,
                      SeparablePower, SignOracle, TncProblem, UniformNoise,
                      box_from_bounds, make_tnc_problem, seeded_rng)
 from signopt.harness import _build_mode
@@ -184,14 +184,16 @@ def test_scalar_point_types_answer_as_one_draw_each(make):
 # sign oracles
 
 def test_exact_sign_of_positive_gradient():
-    oracle = SignOracle(_quad_fn(), ExactSign(), seeded_rng(4, 0, 0))
-    assert oracle.sign_sample(np.array([1.0, 0.0]), 0) == 1
-    assert oracle.sign_sample(np.array([-1.0, 0.0]), 0) == -1
+    fn = _quad_fn()
+    oracle = SignOracle(fn, ExactSign(), seeded_rng(4, 0, 0))
+    assert oracle.sign_sample(Line(fn, np.array([1.0, 0.0]), 0), 0.0) == 1
+    assert oracle.sign_sample(Line(fn, np.array([0.0, 0.0]), 0), -1.0) == -1
 
 
 def test_gaussian_sign_is_fair_at_a_zero_gradient():
-    oracle = SignOracle(_quad_fn(), GaussianNoise(1.0), seeded_rng(5, 0, 0))
-    labels = oracle.sign_sample_line(np.zeros(2), 0, np.zeros(N_DRAWS))
+    fn = _quad_fn()
+    oracle = SignOracle(fn, GaussianNoise(1.0), seeded_rng(5, 0, 0))
+    labels = oracle.sign_sample_line(Line(fn, np.zeros(2), 0), alphas=np.zeros(N_DRAWS))
     assert abs(np.mean(labels == 1) - 0.5) <= binomial_band(N_DRAWS)
 
 
@@ -204,7 +206,7 @@ def test_gaussian_sign_frequency_matches_normal_cdf():
     expected = norm.cdf(0.5)
     p = float(probability_positive(oracle.mode, fn.grad_coord(x, 0)))
     assert p == pytest.approx(expected, abs=1e-12)
-    labels = oracle.sign_sample_line(x, 0, np.zeros(N_DRAWS))
+    labels = oracle.sign_sample_line(Line(fn, x, 0), alphas=np.zeros(N_DRAWS))
     assert abs(np.mean(labels == 1) - expected) <= binomial_band(N_DRAWS)
 
 
@@ -220,7 +222,7 @@ def test_calibration_of_every_mode(mode, analytic):
     for point in ([0.3, 0.0], [0.0, 0.0], [-0.9, 0.0]):
         x = np.asarray(point)
         g = fn.grad_coord(x, 0)
-        labels = oracle.sign_sample_line(x, 0, np.zeros(N_DRAWS))
+        labels = oracle.sign_sample_line(Line(fn, x, 0), alphas=np.zeros(N_DRAWS))
         frac = np.mean(labels == 1)
         assert abs(frac - float(analytic(g))) <= binomial_band(N_DRAWS), \
             f"{mode} at g={g}"
@@ -240,10 +242,10 @@ def test_quantized_mode_never_flips_a_nonzero_sign():
     for _ in range(200):
         x = rng.uniform(fn.box.lo, fn.box.hi)
         j = int(rng.integers(3))
-        alo, ahi = fn.box.segment(x, j)
-        alphas = rng.uniform(alo, ahi, size=500)
-        true_signs = np.sign(fn.grad_coord_line(x, j, alphas))
-        labels = oracle.sign_sample_line(x, j, alphas)
+        line = Line(fn, x, j)
+        alphas = rng.uniform(line.lo, line.hi, size=500)
+        true_signs = np.sign(line.partials(alphas))
+        labels = oracle.sign_sample_line(line, alphas=alphas)
         nonzero = true_signs != 0
         assert np.array_equal(labels[nonzero], true_signs[nonzero])
         total += int(nonzero.sum())
@@ -255,9 +257,10 @@ def test_quantized_rounding_to_zero_keeps_the_true_sign():
     box = box_from_bounds(-1.0, 1.0, dim=1)
     fn = SeparablePower([1.0], [0.0], box, exponent=2.0)
     oracle = SignOracle(fn, ExactSign(), seeded_rng(10, 0, 0))
+    line = Line(fn, np.zeros(1), 0)
     for _ in range(50):
-        assert oracle.sign_sample(np.array([1e-4]), 0) == 1
-        assert oracle.sign_sample(np.array([-1e-4]), 0) == -1
+        assert oracle.sign_sample(line, 1e-4) == 1
+        assert oracle.sign_sample(line, -1e-4) == -1
 
 
 def _rounded_draw(decimals, g, rng):
@@ -377,8 +380,9 @@ def test_a_scalar_step_gives_a_0d_label_array(mode):
     fn = _quad_fn()
     for alpha in (0.0, 0.5, -1.25):
         got_rng, want_rng = seeded_rng(83, 0, 0), seeded_rng(83, 0, 0)
-        got = SignOracle(fn, mode, got_rng).sign_sample_line(np.zeros(2), 0, alpha)
-        want = SignOracle(fn, mode, want_rng).sign_sample_line(np.zeros(2), 0, [alpha])
+        line = Line(fn, np.zeros(2), 0)
+        got = SignOracle(fn, mode, got_rng).sign_sample_line(line, alphas=alpha)
+        want = SignOracle(fn, mode, want_rng).sign_sample_line(line, alphas=[alpha])
         assert type(got) is np.ndarray and got.shape == () and got.dtype == want.dtype
         assert got.item() == want.item(0)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
@@ -404,7 +408,7 @@ def test_tnc_transfer_along_a_coordinate_line():
         a_star = fn.directional_min(x, j)
         offsets = np.linspace(-0.2, 0.2, 401)
         offsets = offsets[np.abs(offsets) > 1e-3]
-        g = fn.grad_coord_line(x, j, a_star + offsets)
+        g = Line(fn, x, j).partials(a_star + offsets)
         eta = norm.cdf(g / sigma)
         ratio = np.abs(eta - 0.5) / np.abs(offsets) ** (k - 1.0)
         assert ratio.min() > 0.0
@@ -449,17 +453,18 @@ def test_sign_budget_boundary_and_counter():
     fn = _quad_fn()
     oracle = SignOracle(fn, ExactSign(), seeded_rng(12, 0, 0), budget=5)
     reference = seeded_rng(12, 0, 0)
+    line = Line(fn, np.zeros(2), 1)
     # x* = 0, where every partial is 0.0: each exact sign is a tie coin
     for _ in range(5):
-        assert oracle.sign_sample(np.zeros(2), 1) == (1 if reference.random() < 0.5 else -1)
+        assert oracle.sign_sample(line, 0.0) == (1 if reference.random() < 0.5 else -1)
     assert oracle.queries_used == 5
     state = repr(oracle.rng.bit_generator.state)
     assert state == repr(reference.bit_generator.state)
-    # over budget, a point outside the box still fails its domain check first
+    # over budget, a step outside the segment still fails its domain check first
     with pytest.raises(OutOfDomain):
-        oracle.sign_sample(np.array([3.0, 0.0]), 1)
+        oracle.sign_sample(line, 3.0)
     with pytest.raises(BudgetExhausted) as info:
-        oracle.sign_sample(np.zeros(2), 1)
+        oracle.sign_sample(line, 0.0)
     assert str(info.value) == "budget 5 exhausted (5 used, 1 more requested)"
     assert oracle.queries_used == 5
     assert repr(oracle.rng.bit_generator.state) == state
@@ -490,10 +495,11 @@ def test_identical_seeds_give_identical_streams():
             seq_b += list(b.label_sample_many(np.linspace(0.1, 0.9, 40)))
         else:
             x = np.array([0.2, -0.1])
-            seq_a = [a.sign_sample(x, 0) for _ in range(50)]
-            seq_a += list(a.sign_sample_line(x, 1, np.linspace(-0.5, 0.5, 40)))
-            seq_b = [b.sign_sample(x, 0) for _ in range(50)]
-            seq_b += list(b.sign_sample_line(x, 1, np.linspace(-0.5, 0.5, 40)))
+            line0, line1 = Line(a.fn, x, 0), Line(a.fn, x, 1)
+            seq_a = [a.sign_sample(line0, 0.0) for _ in range(50)]
+            seq_a += list(a.sign_sample_line(line1, alphas=np.linspace(-0.5, 0.5, 40)))
+            seq_b = [b.sign_sample(line0, 0.0) for _ in range(50)]
+            seq_b += list(b.sign_sample_line(line1, alphas=np.linspace(-0.5, 0.5, 40)))
         assert seq_a == seq_b
 
 

@@ -1,19 +1,18 @@
 
 import copy
 import dataclasses
-import functools
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from signopt import (Box, DimensionMismatch, Interval, OutOfDomain,
-                     POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
-                     SeparablePower, box_from_bounds, load_ridge_text,
-                     make_tnc_problem)
+from signopt import (Box, DimensionMismatch, Interval, LabelOracle, LearnerConfig, Line,
+                     OutOfDomain, POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
+                     SeparablePower, box_from_bounds, bz_learner, erm_cut,
+                     load_ridge_text, make_tnc_problem, seeded_rng)
 from signopt.problems import _tol
 
 from _checks import (RidgeState, bench_ridge, check_gradient_finite_differences,
@@ -35,10 +34,38 @@ def test_interval_requires_positive_width():
     assert iv.contains(0.0) and iv.contains(2.0) and not iv.contains(2.1)
 
 
+def test_interval_midpoint_does_not_overflow():
+    iv = Interval(1e308, 1.7e308)  # lo + hi overflows
+    assert math.isfinite(iv.midpoint) and iv.lo < iv.midpoint < iv.hi
+    problem = make_tnc_problem(iv, 1.3e308, 2.0, 1.0, 0.4)
+    oracle = LabelOracle(problem, seeded_rng(3, 0, 0))
+    config = LearnerConfig("bz", budget=0, grid_size=64, bz_k=2.0, bz_mu=1.0)
+    for point in (erm_cut([], [], iv), bz_learner(oracle, iv, config)):
+        assert point == iv.midpoint
+    assert oracle.queries_used == 0
+
+
+_NORMAL_OR_ZERO = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: v == 0.0 or abs(v) >= 2.0 ** -1021)  # halves are normal or zero
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NORMAL_OR_ZERO, _NORMAL_OR_ZERO)
+@example(-1.0, 1.0 + 2.0 ** -52)
+@example(2.0 ** -1021, 3 * 2.0 ** -1021)
+def test_interval_midpoint_keeps_the_bits_of_the_halved_sum(lo, hi):
+    # halving is exact for normal floats, so the halves' sum rounds what the
+    # sum's half rounds; with subnormal halves the two can differ
+    lo, hi = min(lo, hi), max(lo, hi)
+    assume(hi > lo and math.isfinite(lo + hi))
+    assert Interval(lo, hi).midpoint.hex() == (0.5 * (lo + hi)).hex()
+
+
 def test_box_segment_arithmetic():
     box = box_from_bounds([-1.0, -1.0], [1.0, 1.0])
     x = np.array([0.9, 0.0])
-    assert box.segment(x, 0) == (-1.9, pytest.approx(0.1))
+    line = Line(Quadratic(np.eye(2), np.zeros(2), box), x, 0)
+    assert (line.lo, line.hi) == (-1.9, pytest.approx(0.1))
     assert box.contains([1.0, -1.0])
     assert not box.contains([1.1, 0.0])
 
@@ -69,17 +96,19 @@ def test_box_survives_pickle():
     ([1e-300, -7.25, -2.0 ** 60], [2e-300, 7.25, 2.0 ** 60]),
 ])
 def test_box_float_bounds_are_the_bound_arrays_as_lists(lo, hi):
-    # segment and a line view subtract from these lists: they must hold the
-    # bounds' own floats, the sign of a zero included, also in a rebuilt box
+    # a Line subtracts from these lists: they must hold the bounds' own
+    # floats, the sign of a zero included, also in a rebuilt box
     box = box_from_bounds(lo, hi)
     cls, args = box.__reduce__()
     for b in (box, pickle.loads(pickle.dumps(box)), cls(*args)):
         assert repr(b._lo_list) == repr(box.lo.tolist())
         assert repr(b._hi_list) == repr(box.hi.tolist())
+        fn = SeparablePower(np.ones(box.dim), box.center, b)
         for x in (box.center, box.lo, box.hi):
             for j in range(box.dim):
                 want = (float(box.lo[j] - x[j]), float(box.hi[j] - x[j]))
-                assert repr(b.segment(x, j)) == repr(want)
+                line = Line(fn, x, j)
+                assert repr((line.lo, line.hi)) == repr(want)
 
 
 def test_box_rejects_inverted_bounds():
@@ -358,9 +387,9 @@ def test_grad_coord_line_matches_pointwise():
     for fn in (_sep2(), _quad_coupled(), _ridge_identity()):
         x = fn.box.center + 0.1
         for j in range(fn.dim):
-            alo, ahi = fn.box.segment(x, j)
-            alphas = rng.uniform(alo, ahi, size=16)
-            batch = fn.grad_coord_line(x, j, alphas)
+            line = Line(fn, x, j)
+            alphas = rng.uniform(line.lo, line.hi, size=16)
+            batch = line.partials(alphas)
             for a, g in zip(alphas, batch):
                 y = x.copy()
                 y[j] += a
@@ -371,12 +400,11 @@ def test_grad_coord_line_matches_pointwise():
 # the batched step check: a batch's extremes by argmin/argmax, against the
 # np.minimum.reduce/np.maximum.reduce form they replaced
 
-def _line_by_reductions(fn, x, j, alphas):
-    """UcFunction._line with the step check by reductions."""
-    x, j = fn._point_and_index(x, j)
+def _steps_by_reductions(line, alphas):
+    """The steps that Line.partials checks and clips, with its check by reductions."""
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size:
-        alo, ahi = fn.box.segment(x, j)
+        alo, ahi = line.lo, line.hi
         amin = np.minimum.reduce(alphas, axis=None)
         amax = np.maximum.reduce(alphas, axis=None)
         pad = _tol(alo, ahi)
@@ -384,7 +412,7 @@ def _line_by_reductions(fn, x, j, alphas):
             raise OutOfDomain("step leaves the domain box")
         if amin < alo or amax > ahi:
             alphas = alphas.clip(alo, ahi)
-    return x, j, alphas
+    return alphas
 
 
 def _outcome(call):
@@ -429,13 +457,14 @@ def _lines():
 
 def test_step_check_by_extremes_matches_the_reductions():
     for fn, x, j in _lines():
-        reference = copy.copy(fn)
-        reference._line = functools.partial(_line_by_reductions, reference)
-        for alphas in _batches(*fn.box.segment(x, j)):
-            want = _outcome(lambda: _line_by_reductions(fn, x, j, alphas)[2])
-            assert _outcome(lambda: fn._line(x, j, alphas)[2]) == want
-            assert _outcome(lambda: fn.grad_coord_line(x, j, alphas)) == \
-                _outcome(lambda: reference.grad_coord_line(x, j, alphas))
+        echo = copy.copy(fn)  # its partials are the checked, clipped steps themselves
+        echo._partials = lambda x, j, alphas: alphas
+        line = Line(fn, x, j)
+        for alphas in _batches(line.lo, line.hi):
+            want = _outcome(lambda: _steps_by_reductions(line, alphas))
+            assert _outcome(lambda: Line(echo, x, j).partials(alphas)) == want
+            assert _outcome(lambda: line.partials(alphas)) == _outcome(
+                lambda: fn._partials(line.x, j, _steps_by_reductions(line, alphas)))
 
 
 def _assert_partials_match_matmul(fn, x, j, alphas):
@@ -443,7 +472,7 @@ def _assert_partials_match_matmul(fn, x, j, alphas):
     row, u = fn.matrix[j], x - fn.x_star
     g0 = float(row @ u)
     assert fn.grad_coord(x, j).hex() == g0.hex()
-    assert fn.grad_coord_line(x, j, alphas).tobytes() == (
+    assert Line(fn, x, j).partials(alphas).tobytes() == (
         g0 + fn.matrix[j, j] * alphas).tobytes()
     assert fn._directional_min_free(x, j).hex() == (-g0 / float(fn.matrix[j, j])).hex()
 
@@ -481,8 +510,8 @@ def test_ridge_partials_from_dot_equal_matmul(seed):
     rng = np.random.default_rng([seed, 41])
     for x in rng.uniform(-4.0, 4.0, size=(50, fn.dim)):
         for j in range(fn.dim):
-            alo, ahi = fn.box.segment(x, j)
-            _assert_partials_match_matmul(fn, x, j, rng.uniform(alo, ahi, size=4))
+            line = Line(fn, x, j)
+            _assert_partials_match_matmul(fn, x, j, rng.uniform(line.lo, line.hi, size=4))
 
 
 def _quadratic_partial(fn, x, j):
@@ -530,6 +559,9 @@ def test_scalar_partials_equal_their_formulas_bit_for_bit():
                 assert fn.grad_coord(x, j).hex() == want, (fn, x, j)
                 assert copy.grad_coord(x, j).hex() == want, (fn, x, j)
                 assert type(fn.grad_coord(x, j)) is float
+                # the scalar line query at step 0: a -0.0 coordinate becomes 0.0,
+                # whose +-0 terms the formulas' own zero handling settles
+                assert Line(fn, x, j).partial(0.0).hex() == want, (fn, x, j)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +675,9 @@ def test_ridge_partials_survive_pickling():
     for _ in range(20):
         x = rng.uniform(-3.0, 3.0, size=d)
         j = int(rng.integers(d))
-        line = fn.grad_coord_line(x, j, alphas)
+        line = Line(fn, x, j).partials(alphas)
         assert copy.grad_coord(x, j) == fn.grad_coord(x, j)
-        assert np.array_equal(copy.grad_coord_line(x, j, alphas), line)
+        assert np.array_equal(Line(copy, x, j).partials(alphas), line)
         # the least-squares form A_j'(Ax - b) + x_j, within roundoff of its terms
         points = [x] + [x + a * np.eye(d)[j] for a in alphas]
         for y, g in zip(points, [fn.grad_coord(x, j), *line]):
