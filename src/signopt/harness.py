@@ -7,7 +7,8 @@ Every (budget, replication) cell derives all its random streams from
 ``cell_seed(base_seed, replication)``, so tables are bit-reproducible and
 independent of execution order, worker count and how cells are blocked.
 A block of cells is one process's unit of work: the caller runs the first
-block and pool workers, each given the config once, run the rest.  A
+block, and one worker process per other block, given the config and its
+cells at start, sends its rows back through a pipe.  A
 threshold sweep's bz cells in a block run in lockstep through one batched
 learner.  Results are emitted as versioned CSV (17 significant digits) or
 JSON mirroring the same rows.
@@ -18,9 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -601,29 +602,22 @@ def resolve_jobs(n_jobs: int | None) -> int:
     return jobs
 
 
-# a pool worker's config, set once by the pool's initializer
-_worker_config: ExperimentConfig | None = None
-
-
-def _init_worker(config: ExperimentConfig) -> None:
-    global _worker_config
-    _worker_config = config
-
-
-def _run_worker_block(cells) -> list[Row]:
-    return run_block(_worker_config, cells)
+def _run_worker_block(conn, config: ExperimentConfig, cells) -> None:
+    with conn:
+        conn.send(run_block(config, cells))
 
 
 def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RunTable:
     """Run every (budget, replication) cell of the sweep.
 
     The cells are split round robin into at most ``n_jobs`` blocks.  The
-    caller runs the first block with ``run_block`` while a pool of one worker
-    per other block runs the rest; each worker receives the config once, at
-    start (inherited, not pickled, under the ``fork`` start method), and each
-    task carries only its cells.  Identical configs produce identical tables
-    regardless of worker count or split; rows are assembled in (budget,
-    replication) order.
+    caller runs the first block with ``run_block`` while one worker process
+    per other block runs the rest.  A worker receives the config and its
+    cells when it starts (inherited, not pickled, under the ``fork`` start
+    method) and sends its rows back through a one-way pipe; every worker has
+    exited and been reaped when this returns.  Identical configs produce
+    identical tables regardless of worker count or split; rows are assembled
+    in (budget, replication) order.
     """
     if config.budgets is None:
         raise ConfigError("sweep.budgets: required to run a sweep")
@@ -633,14 +627,31 @@ def run_experiment(config: ExperimentConfig, n_jobs: int | None = None) -> RunTa
     n_jobs = resolve_jobs(n_jobs)
     # round robin: every block gets a share of each budget
     blocks = [cells[i::n_jobs] for i in range(min(n_jobs, len(cells)))]
-    if len(blocks) == 1:
+    workers = []  # (process, receive end) of every started worker
+    try:
+        for block in blocks[1:]:
+            conn, sender = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(target=_run_worker_block,
+                                             args=(sender, config, block))
+            with sender:  # once started, the worker holds the only send end
+                worker.start()
+            workers.append((worker, conn))
         rows = run_block(config, blocks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=len(blocks) - 1, initializer=_init_worker,
-                                 initargs=(config,)) as pool:
-            others = pool.map(_run_worker_block, blocks[1:])  # submits every block now
-            rows = run_block(config, blocks[0])
-            rows += [row for block in others for row in block]
+        for worker, conn in workers:  # read before join: a large send blocks until read
+            try:
+                rows += conn.recv()
+            except EOFError:  # the worker exited unsent: it raised or was killed
+                worker.join()
+                raise RuntimeError(f"a sweep worker exited with code {worker.exitcode} "
+                                   "before sending its rows") from None
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()  # it may be blocked sending rows that no one will read
+        raise
+    finally:
+        for worker, conn in workers:
+            worker.join()
+            conn.close()
     rows.sort(key=lambda r: (r.budget, r.replication))
     return RunTable(rows)
 

@@ -87,6 +87,13 @@ class LearnerConfig:
         return replace(self, budget=int(budget), grid_size=grid)
 
 
+def _halfway(a: float, b: float) -> float:
+    """0.5 * (a + b) for finite Python floats, halving first only where a + b
+    overflows: subnormal halves would round, and move the midpoint."""
+    mid = 0.5 * (a + b)
+    return mid if mid - mid == 0.0 else 0.5 * a + 0.5 * b  # inf - inf is NaN
+
+
 def erm_cut(positions, labels, search: Interval,
             orientation: str = POSITIVE_RIGHT) -> float:
     """Empirical-risk-minimizing threshold cut for labelled sample positions.
@@ -134,7 +141,7 @@ def erm_cut(positions, labels, search: Interval,
         if not 0 < best <= boundaries.size:
             return float(search.hi if best else search.lo)
         lower, upper = p[boundaries[best - 1] - 1], p[boundaries[best - 1]]
-    mid = 0.5 * (lower + upper)
+    mid = _halfway(float(lower), float(upper))
     # the midpoint of two adjacent floats can round onto the lower one
     return float(upper if mid == lower else mid)
 
@@ -353,11 +360,13 @@ def bisect_noiseless(oracle, search: Interval, budget: int,
     lo, hi = search.lo, search.hi
     for _ in range(int(budget)):
         mid = 0.5 * (lo + hi)
+        if mid - mid != 0.0:  # _halfway, inlined as it runs once per query
+            mid = 0.5 * lo + 0.5 * hi
         if osign * oracle.label_sample(mid) > 0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return _halfway(lo, hi)
 
 
 def run_learner(oracle, search: Interval, config: LearnerConfig,

@@ -2,10 +2,13 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -413,36 +416,116 @@ def test_bz_block_rows_share_the_block_time():
 
 
 def test_pool_never_starts_more_workers_than_blocks(monkeypatch):
-    import signopt.harness as harness
-    started = []
+    started = []  # the block of each worker started
 
     class Serial:
-        """Stands in for the process pool; runs the blocks in this process."""
+        """Stands in for a worker process; runs its target in this process when started."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+        def __init__(self, target, args):
+            self.target, self.args = target, args
 
-        def __enter__(self):
-            return self
+        def start(self):
+            started.append(self.args[2])
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def terminate(self):
+            pass
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Serial)
-    monkeypatch.setattr(harness, "_worker_config", None)
+    monkeypatch.setattr(harness, "multiprocessing",
+                        SimpleNamespace(Process=Serial, Pipe=multiprocessing.Pipe))
+    workers = []  # the count of workers each sweep started
+
+    def sweep(config):
+        before = len(started)
+        table = run_experiment(config, n_jobs=9)
+        workers.append(len(started) - before)
+        return table
+
     config = _small_config()  # 4 cells
-    table = run_experiment(config, n_jobs=9)
-    assert started == [3]  # the caller runs the fourth block
-    assert table.csv_text(include_timing=False) == \
-        run_experiment(config, n_jobs=1).csv_text(include_timing=False)
-    run_experiment(_small_config(budgets=[32]), n_jobs=9)
-    assert started == [3, 1]
-    run_experiment(_small_config(budgets=[32], replications=1), n_jobs=9)
-    assert started == [3, 1]  # one block: no pool
+    serial = run_experiment(config, n_jobs=1).csv_text(include_timing=False)
+    assert started == []  # one job: no worker
+    table = sweep(config)
+    assert workers == [3]  # the caller runs the first block
+    assert started == [[(32, 1)], [(64, 0)], [(64, 1)]]
+    assert table.csv_text(include_timing=False) == serial
+    sweep(_small_config(budgets=[32]))
+    assert workers == [3, 1]
+    sweep(_small_config(budgets=[32], replications=1))
+    assert workers == [3, 1, 0]  # one block: no worker
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        # not an OSError, which multiprocessing's waitpid would swallow
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _many_cells():
+    # cheap noiseless bisection cells, so many that a worker's rows at 2 or 3
+    # jobs outgrow a 64 KiB pipe buffer
+    return _small_config(learner=LearnerConfig(name="bisect"), budgets=[8, 16],
+                         replications=1500)
+
+
+def _fail_in(where, fail, monkeypatch):
+    """Make ``run_block`` call ``fail()`` in the caller or in a (forked) worker."""
+    caller, run_block = os.getpid(), harness.run_block
+
+    def failing(config, cells):
+        if (os.getpid() == caller) == (where == "caller"):
+            fail()
+        return run_block(config, cells)
+
+    monkeypatch.setattr(harness, "run_block", failing)
+
+
+def test_rows_larger_than_a_pipe_buffer_arrive_whole():
+    config = _many_cells()
+    serial = run_experiment(config, n_jobs=1)
+    for jobs in (2, 3):
+        assert len(pickle.dumps(serial.rows[1::jobs])) > 64 * 1024  # a worker's rows
+        with _deadline(60):
+            table = run_experiment(config, n_jobs=jobs)
+        assert table.csv_text(include_timing=False) == serial.csv_text(include_timing=False)
+    assert multiprocessing.active_children() == []
+
+
+def _raise_zero_division():
+    raise ZeroDivisionError("outside any cell")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked worker runs the patched run_block")
+@pytest.mark.parametrize("fail, code", [
+    (_raise_zero_division, 1),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+], ids=["raises", "killed"])
+def test_a_worker_that_exits_unsent_names_its_exit_code(monkeypatch, fail, code):
+    _fail_in("worker", fail, monkeypatch)
+    with _deadline(60), pytest.raises(RuntimeError, match=rf"exited with code {code} before"):
+        run_experiment(_many_cells(), n_jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_caller_leaves_no_worker_behind(monkeypatch):
+    # the workers' rows outgrow the pipe, so no worker can exit until it is read
+    _fail_in("caller", _raise_zero_division, monkeypatch)
+    with _deadline(60), pytest.raises(ZeroDivisionError):
+        run_experiment(_many_cells(), n_jobs=3)
+    assert multiprocessing.active_children() == []
 
 
 def test_the_caller_runs_exactly_one_block(monkeypatch):
@@ -479,21 +562,24 @@ import multiprocessing, sys
 from signopt import load_config, run_experiment
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
-    table = run_experiment(load_config(sys.argv[1]), n_jobs=2)
+    multiprocessing.set_start_method(sys.argv[2])
+    table = run_experiment(load_config(sys.argv[1]), n_jobs=int(sys.argv[3]))
     sys.stdout.write(table.csv_text(include_timing=False))
 """
 
 
-def test_spawned_workers_unpickle_the_config_to_the_same_table(tmp_path):
-    # under spawn the config, Box included, reaches each worker pickled once
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_spawned_workers_unpickle_the_config_to_the_same_table(tmp_path, method, jobs):
+    # under spawn and forkserver the config, Box included, reaches each
+    # worker pickled once
     path = tmp_path / "exp.cfg"
     path.write_text(OPTIMIZE_CFG)
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SPAWNED_SWEEP, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", SPAWNED_SWEEP, str(path), method, str(jobs)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     expected = run_experiment(load_config(path), n_jobs=1).csv_text(include_timing=False)
     assert done.stdout == expected

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -543,6 +545,29 @@ def test_bisect_positive_left():
     oracle = LabelOracle(problem, seeded_rng(5, 3, 0))
     est = bisect_noiseless(oracle, UNIT, 12, POSITIVE_LEFT)
     assert abs(est - 0.3) <= 2.0 ** -13
+
+
+def test_erm_cut_midpoint_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on an overflowing add
+        cut = erm_cut([1.6e308, 1.65e308], [-1, 1], Interval(1e308, 1.7e308))
+    assert math.isfinite(cut) and 1.6e308 < cut < 1.65e308
+
+
+@pytest.mark.parametrize("lo, hi, t", [
+    (1e308, 1.7e308, 1.3e308),  # every lo + hi overflows
+    (-1.7e308, 1.7e308, 1.69e308),  # the sums overflow once lo passes about 0.1e308
+    (-1.7e308, 1.7e308, -1.69e308),
+])
+def test_bisect_midpoints_do_not_overflow(lo, hi, t):
+    search = Interval(lo, hi)
+    oracle = LabelOracle(make_tnc_problem(search, t, 2.0, 1e12, 0.5), seeded_rng(5, 4, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = bisect_noiseless(oracle, search, 60)
+    assert math.isfinite(est) and lo < est < hi
+    assert abs(est - t) <= (0.5 * hi - 0.5 * lo) * 2.0 ** -60
+    assert oracle.queries_used == 60
 
 
 # ---------------------------------------------------------------------------
