@@ -8,11 +8,14 @@ epochs with halving search radii and needs no noise parameters at all;
 ``run_learner`` runs whichever of them a ``LearnerConfig`` names, for the
 harness and for every line search of the optimizer alike.
 
-Every learner takes an oracle (anything exposing ``label_sample`` /
-``label_sample_many``), an explicit search interval and, where it places
-its own queries, an explicit numpy Generator, so runs are replayable.
-``bz_rows`` runs probabilistic bisection for many independent rows in
-lockstep; ``bz_learner`` is its one-row call.
+Every learner takes an oracle, an explicit search interval and, where it
+places its own queries, an explicit numpy Generator, so runs are
+replayable.  An oracle answers ``label_sample(x)`` (one label, +1 or -1),
+``label_sample_many(xs)`` (an array of them) and ``grid_labeler(points)``
+(a function of a grid index b that tells whether the label at
+``points[b]`` is positive, one query per call).  ``bz_rows`` runs
+probabilistic bisection for many independent rows in lockstep, querying
+through grid labelers; ``bz_learner`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -237,9 +240,9 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> float:
     return result
 
 
-def _ended(x: float) -> int:
-    """Stands in for the oracle of a row that has ended: no query, no label."""
-    return 0
+def _ended(b: int) -> bool:
+    """Stands in for the grid labeler of a row that has ended: no query, no label."""
+    return False
 
 
 def bz_rows(oracles, search: Interval, configs) -> list:
@@ -247,18 +250,22 @@ def bz_rows(oracles, search: Interval, configs) -> list:
 
     Row r runs on ``oracles[r]`` with ``configs[r]``; rows may differ in
     budget, grid and orientation.  The posteriors form a zero-padded
-    (R, max M) weight matrix whose padding stays 0 under ``cumsum`` and
-    the reweighting, and every per-row operation is the one ``bz_learner``
-    makes on its own row, so each row's result is bit-identical to its
-    one-row call.  Each query is its row's oracle's own ``label_sample``
-    at a grid point, so the oracle validates, charges and draws it as it
-    would any query.  The rows run longest first, so the live rows are a
-    shrinking prefix.  Returns, per row, the estimate or the exception
-    that ended the row (a budget cap, a query outside the domain, ...);
-    the other rows run on.
+    (R, max M) weight matrix whose padding stays 0 under the running sums
+    and the reweighting, and every per-row operation is the one
+    ``bz_learner`` makes on its own row, so each row's result is
+    bit-identical to its one-row call.  Each row asks its oracle once for
+    a ``grid_labeler`` over the row's grid points, and each query is a call
+    of it, which checks, charges and draws as ``label_sample`` would at
+    that point.  A search whose width overflows is taken at half scale,
+    grid points and all, and scaled back by 2 without rounding.  The rows
+    run longest first, so the live rows are a shrinking prefix.  Returns,
+    per row, the estimate or the exception that ended the row (a budget
+    cap, a query outside the domain, ...); the other rows run on.
     """
     results: list = [None] * len(oracles)
-    runs = []  # per row that queries: (row, cells, delta, ratio, positive-left?, steps)
+    scale = 1.0 if math.isfinite(search.width) else 2.0
+    lo = search.lo / scale
+    runs = []  # per row that queries: (row, cells, delta, ratio, positive-left?, labeler, steps)
     for r, (oracle, config) in enumerate(zip(oracles, configs)):
         try:
             if config.grid_size == GRID_AUTO or config.bz_k is None or config.bz_mu is None:
@@ -275,33 +282,30 @@ def bz_rows(oracles, search: Interval, configs) -> list:
             if orientation == ORIENTATION_AUTO:
                 n_probe = min(20, budget)
                 orientation = _auto_orientation(oracle, search, n_probe)
+            delta = (search.hi / scale - lo) / cells
+            gamma = min(0.5, config.bz_mu * (scale * delta) ** (config.bz_k - 1.0))
+            labeler = oracle.grid_labeler([scale * (lo + b * delta) for b in range(cells)])
         except Exception as exc:  # noqa: BLE001 - ends this row only
             results[r] = exc
             continue
-        delta = search.width / cells
-        gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
         # Work with unnormalized weights and rescale one side only: the
         # posterior is proportional either way.
         ratio = (1.0 + gamma) / (1.0 - gamma)
         runs.append((r, cells, delta, ratio, orientation_sign(orientation) < 0,
-                     budget - n_probe))
+                     labeler, budget - n_probe))
     if not runs:
         return results
 
     # longest first (a stable sort): the live rows of a step are a prefix
     runs.sort(key=lambda run: -run[-1])
-    row_of, sizes, deltas, ratios, negs, steps = zip(*runs)
+    row_of, sizes, deltas, ratios, negs, labelers, steps = map(list, zip(*runs))
     n, width = len(runs), max(sizes)
     weights = np.zeros((n, width))
     for i, m in enumerate(sizes):
         weights[i, :m] = 1.0 / m
     ratio_col = np.array(ratios)[:, None]
     base = np.arange(n) * width
-    samplers = [oracles[r].label_sample for r in row_of]
     tops = [m - 1 for m in sizes]
-    # points[i][b] is row i's grid boundary b, as the one-row loop computed it
-    points = [[search.lo + b * delta for b in range(m)]
-              for m, delta in zip(sizes, deltas)]
     errors: list[Exception | None] = [None] * n
     # sides[2 * width - b] are the cells left of boundary b, sides[width - b]
     # the others: windows of one strip, so O(width) memory.  A label that
@@ -316,7 +320,7 @@ def bz_rows(oracles, search: Interval, configs) -> list:
     for live in range(n, 0, -1):  # rows [0, live) take steps [done, steps[live - 1])
         w_live, base_l, ratio_l = weights[:live], base[:live], ratio_col[:live]
         for _ in range(steps[live - 1] - done):
-            cum = w_live.cumsum(axis=1)
+            cum = np.add.accumulate(w_live, axis=1)
             total = cum[:, -1]
             half = 0.5 * total
             # cum is nondecreasing: its first entry >= half is at searchsorted(half)
@@ -330,10 +334,10 @@ def bz_rows(oracles, search: Interval, configs) -> list:
                 b = round(k + (h - (c - w)) / w)
                 b = 1 if b < 1 else tops[i] if b > tops[i] else b
                 try:
-                    label = samplers[i](points[i][b])
+                    positive = labelers[i](b)
                 except Exception as exc:  # noqa: BLE001 - ends this row only
-                    errors[i], samplers[i], label = exc, _ended, 0
-                windows.append((on_plus[i] if label > 0 else on_minus[i]) - b)
+                    errors[i], labelers[i], positive = exc, _ended, False
+                windows.append((on_plus[i] if positive else on_minus[i]) - b)
                 if h > 5e249:  # total > 1e250: h is half of it, exactly
                     big.append(i)
             np.multiply(w_live, ratio_l, out=w_live, where=sides[windows])
@@ -341,11 +345,11 @@ def bz_rows(oracles, search: Interval, configs) -> list:
                 w_live[big] /= total[big, None]
         done = steps[live - 1]
 
-    cum = weights.cumsum(axis=1)
+    cum = np.add.accumulate(weights, axis=1)
     idx = (cum >= 0.5 * cum[:, -1:]).argmax(axis=1)
     for i, (r, delta) in enumerate(zip(row_of, deltas)):
         results[r] = errors[i] if errors[i] is not None else float(
-            search.lo + (int(idx[i]) + 0.5) * delta)
+            scale * (lo + (int(idx[i]) + 0.5) * delta))
     return results
 
 

@@ -125,6 +125,11 @@ class LineLabelOracle:
     def label_sample_many(self, alphas) -> np.ndarray:
         return self.base.sign_sample_line(self.line, alphas=alphas)
 
+    def grid_labeler(self, steps):
+        """Whether the label at ``steps[b]`` is positive, as a function of ``b``:
+        one ``label_sample`` per call, as a tie's coin depends on the gradient."""
+        return lambda b: self.label_sample(steps[b]) > 0
+
 
 def line_label_oracle(sign_oracle: SignOracle, x, j: int) -> LineLabelOracle:
     """View one coordinate line of a sign oracle as a 1-D label oracle."""

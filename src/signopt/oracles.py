@@ -32,10 +32,8 @@ ROLE_LABELS = 0
 ROLE_SAMPLING = 1
 ROLE_COORDS = 2
 
-# LabelOracle draws its uniforms this many at a time, and keeps the eta of
-# at most this many distinct query points
+# LabelOracle draws its uniforms this many at a time
 DRAW_CHUNK = 256
-ETA_TABLE_SIZE = 4096
 
 
 class BudgetExhausted(RuntimeError):
@@ -141,35 +139,57 @@ class _CountingOracle:
 class LabelOracle(_CountingOracle):
     """Draws noisy binary labels from a threshold problem's regression function.
 
-    Uniforms are drawn ``DRAW_CHUNK`` at a time and both query paths take
-    them in stream order, so the labels are those of one ``rng.random()``
-    per query (a sized draw equals as many scalar draws); only the
-    generator's position after a run differs.  The eta of up to
-    ``ETA_TABLE_SIZE`` distinct float points is kept once ``eta_at`` has
-    answered it, so a repeated point skips the computation but never a
-    domain check, a charge or a draw.
+    Uniforms are drawn ``DRAW_CHUNK`` at a time into one buffer, and all
+    three query paths (``label_sample``, ``label_sample_many`` and the calls
+    of a ``grid_labeler``) take them in stream order, so the labels are
+    those of one ``rng.random()`` per query (a sized draw equals as many
+    scalar draws); only the generator's position after a run differs.
     """
 
     def __init__(self, problem: TncProblem, rng: np.random.Generator,
                  budget: int | None = None):
         super().__init__(rng, budget)
         self.problem = problem
-        self._eta: dict[float, float] = {}
         self._uniforms: list[float] = []
         self._next = 0  # the first unused entry of _uniforms
 
     def label_sample(self, x: float) -> int:
-        p = self._eta.get(x) if isinstance(x, float) else None
-        if p is None:
-            p = self.problem.eta_at(x)  # validates the domain before any charge
-            if isinstance(x, float) and len(self._eta) < ETA_TABLE_SIZE:
-                self._eta[x] = p
+        p = self.problem.eta_at(x)  # validates the domain before any charge
         self._charge(1)
         if self._next == len(self._uniforms):
             self._uniforms, self._next = self.rng.random(DRAW_CHUNK).tolist(), 0
         u = self._uniforms[self._next]
         self._next += 1
         return LABEL_POSITIVE if u < p else LABEL_NEGATIVE
+
+    def grid_labeler(self, points):
+        """Whether the label at ``points[b]`` is positive, as a function of ``b``.
+
+        A call is ``label_sample(points[b]) > 0``: the same domain check,
+        charge and uniform.  Each point's eta is computed here, once; a
+        point whose ``eta_at`` raises keeps the exception, which a query of
+        that point raises before any charge.
+        """
+        etas = []
+        for x in points:
+            try:
+                etas.append(float(self.problem.eta_at(x)))
+            except Exception as exc:  # noqa: BLE001 - raised if the point is queried
+                etas.append(exc)
+
+        def positive(b: int) -> bool:
+            p = etas[b]
+            if p.__class__ is not float:
+                raise p
+            if self.budget is not None and self.queries_used >= self.budget:
+                self._charge(1)  # raises BudgetExhausted, before any draw
+            self.queries_used += 1
+            i = self._next  # label_sample's draw, inlined: this runs once per query
+            if i == len(self._uniforms):
+                self._uniforms, i = self.rng.random(DRAW_CHUNK).tolist(), 0
+            self._next = i + 1
+            return self._uniforms[i] < p
+        return positive
 
     def label_sample_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -490,6 +490,84 @@ def test_bz_rows_match_the_sequential_reference(seed):
         assert got == (want, oracle.queries_used)
 
 
+def test_a_query_leaving_the_domain_mid_run_ends_its_row_after_its_charged_queries():
+    # the grid's boundary 1 lies at -0.2, outside the problem's [0, 1]: rows that
+    # reach it stop there, having been charged for every query before it
+    wide, config = Interval(-0.4, 1.0), _bz_config(60, grid=7, mu=1.0)
+    oracles = [LabelOracle(_noiseless(0.0), seeded_rng(4, 9, s)) for s in range(3)]
+    got = [(repr(r) if isinstance(r, Exception) else r, o.queries_used)
+           for r, o in zip(learners.bz_rows(oracles, wide, [config] * 3), oracles)]
+    want = []
+    for s in range(3):
+        oracle = LabelOracle(_noiseless(0.0), seeded_rng(4, 9, s))
+        try:
+            want.append((_bz_reference(oracle, wide, config), oracle.queries_used))
+        except OutOfDomain as exc:
+            want.append((repr(exc), oracle.queries_used))
+    assert got == want
+    assert [q for _, q in got] == [60, 11, 25]
+    assert got[1][0] == got[2][0] == "OutOfDomain('query outside [0.0, 1.0]')"
+
+
+class _ReplayedBySampleAlone:
+    """An oracle that answers every query, batched or not, through ``label_sample``."""
+
+    def __init__(self, oracle):
+        self.label_sample = oracle.label_sample
+
+    def label_sample_many(self, xs):
+        return np.array([self.label_sample(x) for x in xs])
+
+
+@pytest.mark.parametrize("queries", [255, 256, 257])
+def test_queries_after_a_bz_run_continue_its_stream(queries):
+    # the run's last query falls one before, on, or one after a chunk edge
+    config = _bz_config(queries, grid=17, mu=1.0, orientation="auto")
+    oracle = LabelOracle(_noisy(), seeded_rng(9, queries, 0))
+    fresh = LabelOracle(_noisy(), seeded_rng(9, queries, 0))
+    assert bz_learner(oracle, UNIT, config) == \
+        _bz_reference(_ReplayedBySampleAlone(fresh), UNIT, config)
+    assert oracle.queries_used == fresh.queries_used == queries
+    xs = [0.03 + 0.94 * ((37 * i) % 101) / 100 for i in range(600)]
+    got = [oracle.label_sample(x) for x in xs[:3]]
+    got += oracle.label_sample_many(xs[3:300]).tolist()
+    got += [oracle.label_sample(x) for x in xs[300:]]
+    assert got == [fresh.label_sample(x) for x in xs]
+
+
+class _GridRecording(LabelOracle):
+    def grid_labeler(self, points):
+        self.points = points
+        return super().grid_labeler(points)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.7, 11.3), (1e308, 1.7e308),
+                                    (3 * 2.0 ** -1074, 1001 * 2.0 ** -1074)])
+def test_bz_grid_points_keep_the_bits_of_the_one_row_formula(lo, hi):
+    # halving first would round the subnormal bounds
+    search, config = Interval(lo, hi), _bz_config(150, grid=13, mu=1e12)
+    problem = make_tnc_problem((lo, hi), lo + 0.3 * (hi - lo), 2.0, 1e12, 0.5)
+    oracle = _GridRecording(problem, seeded_rng(4, 10, 0))
+    point = bz_learner(oracle, search, config)
+    delta = search.width / 13
+    assert [x.hex() for x in oracle.points] == [(lo + b * delta).hex() for b in range(13)]
+    assert point == _bz_reference(LabelOracle(problem, seeded_rng(4, 10, 0)), search, config)
+
+
+def test_bz_on_an_interval_whose_width_overflows():
+    wide = Interval(-1.7e308, 1.7e308)
+    config = _bz_config(200, grid=64, mu=1.0)
+    problem = make_tnc_problem((wide.lo, wide.hi), 1e308, 2.0, 1.0, 0.4)
+    point = bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), wide, config)
+    assert math.isfinite(point) and wide.lo <= point <= wide.hi
+    # the same search scaled down by 2**-10, where the width is finite and the
+    # labels the same (the margin is at its cap), gives the same point scaled
+    small = Interval(wide.lo * 2.0 ** -10, wide.hi * 2.0 ** -10)
+    problem = make_tnc_problem((small.lo, small.hi), 1e308 * 2.0 ** -10, 2.0, 1.0, 0.4)
+    assert bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), small, config) == \
+        point * 2.0 ** -10
+
+
 class _ScalarOnly(type(_noisy())):
     """A threshold problem whose array path is refused."""
 

@@ -7,11 +7,12 @@ import pytest
 from scipy.stats import norm
 
 from signopt import (BudgetExhausted, ConfigError, DirectBernoulli, ExactSign,
-                     GaussianNoise, LabelOracle, Line, OutOfDomain, Quadratic,
-                     SeparablePower, SignOracle, TncProblem, UniformNoise,
-                     box_from_bounds, make_tnc_problem, seeded_rng)
+                     GaussianNoise, Interval, LabelOracle, LearnerConfig, Line,
+                     OutOfDomain, Quadratic, SeparablePower, SignOracle, TncProblem,
+                     UniformNoise, box_from_bounds, learners, make_tnc_problem,
+                     seeded_rng)
 from signopt.harness import _build_mode
-from signopt.oracles import DRAW_CHUNK, ETA_TABLE_SIZE, philox_keys
+from signopt.oracles import DRAW_CHUNK, philox_keys
 
 from _checks import binomial_band, probability_positive
 
@@ -138,7 +139,7 @@ def test_failed_label_queries_charge_nothing_and_shift_no_label():
     assert got == want
 
 
-def test_eta_runs_once_per_distinct_float_point(monkeypatch):
+def _counting_eta(monkeypatch):
     calls = []
     eta_at = TncProblem.eta_at
 
@@ -147,25 +148,41 @@ def test_eta_runs_once_per_distinct_float_point(monkeypatch):
         return eta_at(problem, x)
 
     monkeypatch.setattr(TncProblem, "eta_at", counting)
-    oracle = LabelOracle(_problem(), seeded_rng(50, 0, 0))
-    for _ in range(20):
-        for x in (0.1, 0.5, 0.9, np.float64(0.5)):
-            oracle.label_sample(x)
-    assert calls == [0.1, 0.5, 0.9]
-    with pytest.raises(OutOfDomain):  # a failed point is never kept
-        oracle.label_sample(1.5)
-    with pytest.raises(OutOfDomain):
-        oracle.label_sample(1.5)
+    return calls
+
+
+def test_a_grid_labeler_answers_as_label_sample_with_one_eta_per_point(monkeypatch):
+    calls = _counting_eta(monkeypatch)
+    oracle, reference = _both(50, budget=301)
+    points = [0.1, 0.5, 0.9, 1.5, float("nan"), 0.3]
+    positive = oracle.grid_labeler(points)
+    assert [repr(x) for x in calls] == [repr(x) for x in points]  # NaN included
     calls.clear()
-    for x in (1, np.array(0.5), np.array(0.5)):  # not floats: no table
-        oracle.label_sample(x)
-    assert len(calls) == 3
-    # the table is bounded: points beyond its room are computed every time
-    calls.clear()
-    fresh = [0.001 + i / (2 * ETA_TABLE_SIZE) for i in range(ETA_TABLE_SIZE + 5)]
-    for x in fresh + fresh:
-        oracle.label_sample(x)
-    assert len(calls) == len(fresh) + 5 + 3  # 3 points were already kept
+    order = [0, 1, 2, 5, 1, 1, 0, 2] * 25
+    got = [positive(b) for b in order]
+    for b in (3, 4, 3):  # a failed point is never charged, and draws nothing
+        with pytest.raises(OutOfDomain):
+            positive(b)
+    got += [oracle.label_sample(x) > 0 for x in _points(100)]
+    got.append(positive(2))
+    with pytest.raises(BudgetExhausted):
+        positive(0)
+    assert calls == _points(100) and oracle.queries_used == 301
+    want = [reference.label_sample(points[b]) > 0 for b in order]
+    want += [reference.label_sample(x) > 0 for x in _points(100)]
+    want.append(reference.label_sample(points[2]) > 0)
+    assert got == want and {type(label) for label in got} == {bool}
+
+
+def test_bz_computes_each_eta_once_per_grid_point_and_row(monkeypatch):
+    calls = _counting_eta(monkeypatch)
+    problem = _problem(mu=4.0)
+    configs = [LearnerConfig(name="bz", budget=b, grid_size=g, bz_k=2.0, bz_mu=4.0)
+               for b, g in ((400, 11), (90, 30), (250, 11))]
+    oracles = [LabelOracle(problem, seeded_rng(51, i, 0)) for i in range(3)]
+    learners.bz_rows(oracles, Interval(0.0, 1.0), configs)
+    assert len(calls) == 11 + 30 + 11
+    assert [o.queries_used for o in oracles] == [400, 90, 250]
 
 
 @pytest.mark.parametrize("make", [float, np.float64, int, np.array],
