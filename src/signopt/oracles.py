@@ -156,6 +156,7 @@ class LabelOracle(_CountingOracle):
     def label_sample(self, x: float) -> int:
         p = self.problem.eta_at(x)  # validates the domain before any charge
         self._charge(1)
+        # grid_labeler's calls repeat this charge and draw inline: keep them in step
         if self._next == len(self._uniforms):
             self._uniforms, self._next = self.rng.random(DRAW_CHUNK).tolist(), 0
         u = self._uniforms[self._next]
@@ -166,21 +167,21 @@ class LabelOracle(_CountingOracle):
         """Whether the label at ``points[b]`` is positive, as a function of ``b``.
 
         A call is ``label_sample(points[b]) > 0``: the same domain check,
-        charge and uniform.  Each point's eta is computed here, once; a
-        point whose ``eta_at`` raises keeps the exception, which a query of
-        that point raises before any charge.
+        charge and uniform.  A point's eta is computed on its first query
+        and kept; a point whose ``eta_at`` raises raises on every query,
+        before any charge.  Where ``label_sample`` has been replaced (by a
+        subclass, or by a wrapper set on the class), every call goes
+        through the replacement, so it still sees each query.
         """
-        etas = []
-        for x in points:
-            try:
-                etas.append(float(self.problem.eta_at(x)))
-            except Exception as exc:  # noqa: BLE001 - raised if the point is queried
-                etas.append(exc)
+        if type(self).label_sample is not _LABEL_SAMPLE:
+            label_sample = self.label_sample
+            return lambda b: label_sample(points[b]) > 0
+        etas = [None] * len(points)
 
         def positive(b: int) -> bool:
             p = etas[b]
-            if p.__class__ is not float:
-                raise p
+            if p is None:
+                p = etas[b] = float(self.problem.eta_at(points[b]))
             if self.budget is not None and self.queries_used >= self.budget:
                 self._charge(1)  # raises BudgetExhausted, before any draw
             self.queries_used += 1
@@ -202,6 +203,9 @@ class LabelOracle(_CountingOracle):
         if buffered:
             u = np.concatenate([buffered, u])
         return np.where(u < p, LABEL_POSITIVE, LABEL_NEGATIVE)
+
+
+_LABEL_SAMPLE = LabelOracle.label_sample  # the method grid_labeler's table stands in for
 
 
 @dataclass(frozen=True)

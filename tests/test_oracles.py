@@ -140,11 +140,11 @@ def test_failed_label_queries_charge_nothing_and_shift_no_label():
 
 
 def _counting_eta(monkeypatch):
-    calls = []
+    calls = []  # (problem, x) per eta_at call
     eta_at = TncProblem.eta_at
 
     def counting(problem, x):
-        calls.append(x)
+        calls.append((problem, x))
         return eta_at(problem, x)
 
     monkeypatch.setattr(TncProblem, "eta_at", counting)
@@ -156,33 +156,60 @@ def test_a_grid_labeler_answers_as_label_sample_with_one_eta_per_point(monkeypat
     oracle, reference = _both(50, budget=301)
     points = [0.1, 0.5, 0.9, 1.5, float("nan"), 0.3]
     positive = oracle.grid_labeler(points)
-    assert [repr(x) for x in calls] == [repr(x) for x in points]  # NaN included
-    calls.clear()
+    assert calls == []  # a point's eta waits for its first query
     order = [0, 1, 2, 5, 1, 1, 0, 2] * 25
     got = [positive(b) for b in order]
+    assert [x for _, x in calls] == [0.1, 0.5, 0.9, 0.3]
+    calls.clear()
     for b in (3, 4, 3):  # a failed point is never charged, and draws nothing
         with pytest.raises(OutOfDomain):
             positive(b)
+    assert [repr(x) for _, x in calls] == ["1.5", "nan", "1.5"]
+    calls.clear()
     got += [oracle.label_sample(x) > 0 for x in _points(100)]
     got.append(positive(2))
     with pytest.raises(BudgetExhausted):
         positive(0)
-    assert calls == _points(100) and oracle.queries_used == 301
+    assert [x for _, x in calls] == _points(100) and oracle.queries_used == 301
     want = [reference.label_sample(points[b]) > 0 for b in order]
     want += [reference.label_sample(x) > 0 for x in _points(100)]
     want.append(reference.label_sample(points[2]) > 0)
     assert got == want and {type(label) for label in got} == {bool}
 
 
-def test_bz_computes_each_eta_once_per_grid_point_and_row(monkeypatch):
+def test_a_grid_labeler_goes_through_a_replaced_label_sample(monkeypatch):
+    seen = []
+    label_sample = LabelOracle.label_sample
+
+    def wrapped(self, x):
+        seen.append(x)
+        return label_sample(self, x)
+
+    oracle, reference = _both(52, budget=40)
+    monkeypatch.setattr(LabelOracle, "label_sample", wrapped)
+    points = [0.1, 0.5, 0.9]
+    positive = oracle.grid_labeler(points)
+    order = [0, 2, 1, 1] * 10
+    assert [positive(b) for b in order] == \
+        [reference.label_sample(points[b]) > 0 for b in order]
+    assert seen == [points[b] for b in order] and oracle.queries_used == 40
+    with pytest.raises(BudgetExhausted):
+        positive(0)
+
+
+def test_bz_computes_each_eta_at_most_once_per_grid_point_and_row(monkeypatch):
     calls = _counting_eta(monkeypatch)
-    problem = _problem(mu=4.0)
     configs = [LearnerConfig(name="bz", budget=b, grid_size=g, bz_k=2.0, bz_mu=4.0)
                for b, g in ((400, 11), (90, 30), (250, 11))]
-    oracles = [LabelOracle(problem, seeded_rng(51, i, 0)) for i in range(3)]
+    problems = [_problem(mu=4.0) for _ in configs]
+    oracles = [LabelOracle(p, seeded_rng(51, i, 0)) for i, p in enumerate(problems)]
     learners.bz_rows(oracles, Interval(0.0, 1.0), configs)
-    assert len(calls) == 11 + 30 + 11
     assert [o.queries_used for o in oracles] == [400, 90, 250]
+    for problem, config in zip(problems, configs):
+        grid = [b / config.grid_size for b in range(config.grid_size)]
+        xs = [x for p, x in calls if p is problem]
+        assert xs and len(set(xs)) == len(xs)
+        assert all(min(abs(x - g) for g in grid) < 1e-12 for x in xs)
 
 
 @pytest.mark.parametrize("make", [float, np.float64, int, np.array],
