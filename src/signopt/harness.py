@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .learners import (DRAWING_LEARNERS, GRID_AUTO, LEARNERS, LearnerConfig, bz_rows,
-                       run_learner)
+from .learners import DRAWING_LEARNERS, GRID_AUTO, LearnerConfig, bz_rows, run_learner
 from .metrics import error_record, fit_rate_slope
 from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
 from .oracles import (ExactSign, LabelOracle, ROLE_LABELS, ROLE_SAMPLING,
@@ -46,9 +45,6 @@ KIND_OPTIMIZE = "optimize"
 # ExactSign: rounding never flips a nonzero sign, and a zero keeps the true sign
 QUANTIZED = "quantized"
 
-CSV_COLUMNS = ("experiment_id", "kind", "budget", "replication", "seed",
-               "estimate", "point_error", "excess_risk", "f_error",
-               "queries_used", "error", "wall_time_ms")
 ERROR_COLUMNS = ("excess_risk", "f_error", "point_error")
 
 
@@ -118,14 +114,19 @@ def _rows(text: str) -> list[list[float]]:
 
 
 @contextmanager
-def _config_errors(prefix: str):
-    """Raise a ValueError of the enclosed build as a ConfigError, ``prefix`` first."""
+def _config_errors(prefix: str, keys: dict | None = None):
+    """Raise a ValueError of the enclosed build as a ConfigError naming its key.
+
+    A library error starts with the parameter at fault, ``field: reason``;
+    its key is ``keys[field]``, else ``prefix + field``.
+    """
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
+        field, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"{(keys or {}).get(field, prefix + field)}: {reason}") from exc
 
 
 _EXPECTED = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers",
@@ -214,28 +215,20 @@ class ExperimentConfig:
             if value is not None and value < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {value}")
         if self.kind == KIND_OPTIMIZE and not isinstance(self.optimizer.x0, str):
-            with _config_errors("optimizer.x0: "):
+            try:
                 self.problem.point(self.optimizer.x0)
-
-
-# the key of each TncProblem field, which its load errors start with
-_TNC_KEYS = {"threshold": "problem.t", "exponent": "problem.k", "mu": "problem.mu",
-             "cap": "problem.cap", "orientation": "problem.orientation"}
+            except ValueError as exc:  # its messages name no field
+                raise ConfigError(f"optimizer.x0: {exc}") from exc
 
 
 def _build_tnc_problem(raw: dict) -> TncProblem:
     lo, hi = _get(raw, "problem.lo", float), _get(raw, "problem.hi", float)
-    with _config_errors("problem.hi: " if np.isfinite(lo) else "problem.lo: "):
-        interval = Interval(lo, hi)
-    values = dict(threshold=_get(raw, "problem.t", float),
-                  exponent=_get(raw, "problem.k", float),
-                  mu=_get(raw, "problem.mu", float), cap=_get(raw, "problem.cap", float),
-                  orientation=raw.get("problem.orientation", POSITIVE_RIGHT))
-    try:
-        return TncProblem(interval, **values)
-    except ValueError as exc:
-        name, _, reason = str(exc).partition(": ")
-        raise ConfigError(f"{_TNC_KEYS[name]}: {reason}") from exc
+    with _config_errors("problem.", {"threshold": "problem.t", "exponent": "problem.k"}):
+        return TncProblem(Interval(lo, hi), threshold=_get(raw, "problem.t", float),
+                          exponent=_get(raw, "problem.k", float),
+                          mu=_get(raw, "problem.mu", float),
+                          cap=_get(raw, "problem.cap", float),
+                          orientation=raw.get("problem.orientation", POSITIVE_RIGHT))
 
 
 def _vector(raw: dict, key: str, dim: int) -> np.ndarray:
@@ -251,50 +244,44 @@ def _vector(raw: dict, key: str, dim: int) -> np.ndarray:
 def _box(raw: dict, dim: int) -> Box:
     """The box of ``problem.box_lo`` and ``problem.box_hi``, each 1 or ``dim`` values."""
     lo, hi = _vector(raw, "problem.box_lo", dim), _vector(raw, "problem.box_hi", dim)
-    with _config_errors("problem.box_hi: " if np.isfinite(lo).all() else "problem.box_lo: "):
+    with _config_errors("problem.box_"):
         return Box(lo, hi)
 
 
 def _build_function(raw: dict, base_dir: Path) -> UcFunction:
     family = _get(raw, "problem.family")
     if family == "ridge":
-        with _config_errors("problem.matrix_file: "):
-            design, targets = load_ridge_text(base_dir / _get(raw, "problem.matrix_file"))
+        path = base_dir / _get(raw, "problem.matrix_file")
+        try:
+            design, targets = load_ridge_text(path)
+        except ValueError as exc:  # its messages start with the path
+            raise ConfigError(f"problem.matrix_file: {exc}") from exc
         has_lo, has_hi = "problem.box_lo" in raw, "problem.box_hi" in raw
         if has_lo != has_hi:
             key, other = ("problem.box_lo", "problem.box_hi")[::1 if has_lo else -1]
             raise ConfigError(f"{key}: not read by problem.family = ridge without {other}")
         box = _box(raw, design.shape[1]) if has_lo else None
-        try:
+        with _config_errors("problem.", {"design": "problem.matrix_file"}):
             return Ridge(design, targets, box)
-        except ValueError as exc:  # a box that excludes the minimizer names its bound
-            key, _, reason = str(exc).partition(": ")
-            if key not in ("box_lo", "box_hi"):
-                key, reason = "matrix_file", str(exc)
-            raise ConfigError(f"problem.{key}: {reason}") from exc
     dim = _get(raw, "problem.dim", int)
     if dim < 1:
         raise ConfigError(f"problem.dim: must be at least 1, got {dim}")
     box = _box(raw, dim)
     x_star = _vector(raw, "problem.x_star", dim)
-    if not box.contains(x_star):
-        raise ConfigError("problem.x_star: must lie inside the domain box")
     if family == "separable-power":
         coeffs = _vector(raw, "problem.coeffs", dim)
-        if not (coeffs > 0).all():
-            raise ConfigError("problem.coeffs: must be positive")
-        with _config_errors("problem.k: "):  # all it has left to check is k
+        with _config_errors("problem.", {"exponent": "problem.k"}):
             return SeparablePower(coeffs, x_star, box,
                                   exponent=_get(raw, "problem.k", float, 2.0))
     if family == "quadratic":
         key = "problem.a_diag" if "problem.a_diag" in raw else "problem.a"
         if key not in raw:
             raise ConfigError("problem.a_diag or problem.a: required for quadratic")
-        with _config_errors(f"{key}: "):  # a ragged, asymmetric or indefinite matrix
-            matrix = (np.diag(_vector(raw, key, dim)) if key == "problem.a_diag"
-                      else np.asarray(_get(raw, key, _rows)))
-            if matrix.shape != (dim, dim):
-                raise ValueError(f"expected {dim} rows of {dim} values")
+        matrix = (np.diag(_vector(raw, key, dim)) if key == "problem.a_diag"
+                  else _get(raw, key, _rows))
+        if [len(row) for row in matrix] != [dim] * dim:  # numpy's ragged error names no field
+            raise ConfigError(f"{key}: expected {dim} rows of {dim} values")
+        with _config_errors("problem.", {"matrix": key}):
             return Quadratic(matrix, x_star, box)
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
@@ -337,10 +324,8 @@ def load_config(path) -> ExperimentConfig:
     # the one learner: the threshold learner, or the optimizer's line search
     name_key = "learner.name" if kind == KIND_THRESHOLD else "optimizer.line_search"
     name = raw.get(name_key, "adaptive")
-    if kind == KIND_OPTIMIZE and name not in LEARNERS:
-        raise ConfigError(f"optimizer.line_search: expected one of {LEARNERS}")
     bz_param = _REQUIRED if name == "bz" else None
-    with _config_errors("learner."):
+    with _config_errors("learner.", {"name": name_key}):
         learner = LearnerConfig(
             name, c_delta=_get(raw, "learner.c_delta", float, 2.0),
             orientation=raw.get("learner.orientation", POSITIVE_RIGHT),
@@ -414,6 +399,9 @@ class Row:
     queries_used: int | None
     error: str
     wall_time_ms: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(Row))
 
 
 def _fmt(value) -> str:

@@ -61,7 +61,7 @@ class LearnerConfig:
 
     def __post_init__(self):
         if self.name not in LEARNERS:
-            raise ValueError(f"name: unknown learner {self.name!r}")
+            raise ValueError(f"name: expected one of {LEARNERS}, got {self.name!r}")
         if self.budget < 0:
             raise ValueError("budget: must be non-negative")
         if not self.c_delta > _SQRT2:
@@ -154,8 +154,6 @@ def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,
     """Query labels at n uniform positions on the search interval, return the ERM cut."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if search.width <= 0:
-        raise ValueError("search interval has zero length")
     xs = rng.uniform(search.lo, search.hi, size=n_samples)
     labels = oracle.label_sample_many(xs)
     return erm_cut(xs, labels, search, orientation)
@@ -270,9 +268,7 @@ def bz_rows(oracles, search: Interval, configs) -> list:
         try:
             if config.grid_size == GRID_AUTO or config.bz_k is None or config.bz_mu is None:
                 raise ValueError("bz_learner needs grid_size, bz_k and bz_mu")
-            cells = int(config.grid_size)
-            if cells < 2:
-                raise ValueError("grid_size must be at least 2")
+            cells = int(config.grid_size)  # at least 2, by LearnerConfig and auto_grid_size
             budget = int(config.budget)
             if budget == 0:
                 results[r] = search.midpoint
@@ -283,7 +279,10 @@ def bz_rows(oracles, search: Interval, configs) -> list:
                 n_probe = min(20, budget)
                 orientation = _auto_orientation(oracle, search, n_probe)
             delta = (search.hi / scale - lo) / cells
-            gamma = min(0.5, config.bz_mu * (scale * delta) ** (config.bz_k - 1.0))
+            try:
+                gamma = min(0.5, config.bz_mu * (scale * delta) ** (config.bz_k - 1.0))
+            except OverflowError:  # a power beyond the float range caps as well
+                gamma = 0.5
             labeler = oracle.grid_labeler([scale * (lo + b * delta) for b in range(cells)])
         except Exception as exc:  # noqa: BLE001 - ends this row only
             results[r] = exc

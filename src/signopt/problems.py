@@ -8,9 +8,11 @@ quadratics, ridge least squares) provide exact values, per-coordinate
 gradients, directional minimizers and certified convexity constants, so
 learner and optimizer errors are measurable without estimation.
 
-Exponents are restricted to moderate ranges (``k in [1, 8]`` for threshold
-problems, ``k in [2, 8]`` for test functions): the powers ``|u|**(k - 1)``
-underflow near the threshold for much larger exponents.
+Every constructor check raises ``ValueError("<parameter>: <reason>")``,
+naming the parameter at fault.  Exponents are restricted to moderate
+ranges (``k in [1, 8]`` for threshold problems, ``k in [2, 8]`` for test
+functions): the powers ``|u|**(k - 1)`` underflow near the threshold for
+much larger exponents.
 """
 
 from __future__ import annotations
@@ -57,10 +59,12 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.lo):
+            raise ValueError(f"lo: must be finite, got {self.lo}")
+        if not math.isfinite(self.hi):
+            raise ValueError(f"hi: must be finite, got {self.hi}")
         if not self.hi > self.lo:
-            raise ValueError(f"interval needs hi > lo, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"hi: must exceed lo = {self.lo}, got {self.hi}")
 
     @property
     def width(self) -> float:
@@ -101,7 +105,6 @@ class TncProblem:
     orientation: str = POSITIVE_RIGHT
 
     def __post_init__(self):
-        # each message starts with the field at fault
         if not self.interval.contains(self.threshold):
             raise ValueError(f"threshold: {self.threshold} outside interval "
                              f"[{self.interval.lo}, {self.interval.hi}]")
@@ -131,7 +134,10 @@ class TncProblem:
             d = (lo if x < lo else hi if x > hi else x) - self.threshold
             if d == 0.0:
                 return 0.5
-            margin = self.mu * abs(d) ** self._k1
+            try:
+                margin = self.mu * abs(d) ** self._k1
+            except OverflowError:  # the array path's power is inf, which it caps
+                margin = self.cap
             if margin > self.cap:
                 margin = self.cap
             return 0.5 + margin if (d > 0) == (self._osign > 0) else 0.5 - margin
@@ -170,13 +176,15 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float)).copy()
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float)).copy()
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch(f"box bounds must be 1-d arrays of equal length, "
-                                    f"got shapes {lo.shape} and {hi.shape}")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("box bounds must be finite")
+        if lo.ndim != 1:
+            raise DimensionMismatch(f"lo: expected a 1-d array, got shape {lo.shape}")
+        if hi.shape != lo.shape:
+            raise DimensionMismatch(f"hi: expected shape {lo.shape}, got {hi.shape}")
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if not np.isfinite(bound).all():
+                raise ValueError(f"{name}: must be finite")
         if np.any(hi < lo):
-            raise ValueError("box needs hi >= lo in every coordinate")
+            raise ValueError("hi: must be at least lo in every coordinate")
         # read-only bounds keep their float lists fresh: contains compares against
         # the tolerance-widened ones, and a Line subtracts from the others
         t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
@@ -246,12 +254,11 @@ class UcFunction(abc.ABC):
                  lkss_bound: float):
         lo_k, hi_k = UC_EXPONENT_RANGE
         if not lo_k <= uc_exponent <= hi_k:
-            raise ValueError(f"convexity exponent must lie in [{lo_k}, {hi_k}], "
-                             f"got {uc_exponent}")
-        if uc_modulus <= 0:
-            raise ValueError("uc_modulus must be positive")
+            raise ValueError(f"exponent: must lie in [{lo_k}, {hi_k}], got {uc_exponent}")
+        if not uc_modulus > 0:
+            raise ValueError(f"uc_modulus: must be positive, got {uc_modulus}")
         if not lkss_bound > uc_modulus / 2:
-            raise ValueError("lkss_bound must exceed uc_modulus / 2")
+            raise ValueError("lkss_bound: must exceed uc_modulus / 2")
         self.box = box
         self.uc_exponent = float(uc_exponent)
         self.uc_modulus = float(uc_modulus)
@@ -350,12 +357,13 @@ class SeparablePower(UcFunction):
     def __init__(self, coeffs, x_star, box: Box, exponent: float = 2.0):
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-        if coeffs.shape != x_star.shape or coeffs.shape[0] != box.dim:
-            raise DimensionMismatch("coeffs, x_star and box must share one dimension")
-        if np.any(coeffs <= 0):
-            raise ValueError("all coefficients must be positive")
+        for name, v in (("coeffs", coeffs), ("x_star", x_star)):
+            if v.shape != (box.dim,):
+                raise DimensionMismatch(f"{name}: expected shape ({box.dim},), got {v.shape}")
+        if not (coeffs > 0).all():  # NaN fails too
+            raise ValueError("coeffs: must be positive")
         if not box.contains(x_star):
-            raise ValueError("x_star must lie inside the domain box")
+            raise ValueError("x_star: must lie inside the domain box")
         k = float(exponent)
         d = box.dim
         # Conservative certified constants: per-coordinate growth of |u|^k
@@ -392,15 +400,17 @@ class Quadratic(UcFunction):
     def __init__(self, matrix, x_star, box: Box):
         A = np.asarray(matrix, dtype=float)
         x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-        if A.shape != (box.dim, box.dim) or x_star.shape[0] != box.dim:
-            raise DimensionMismatch("matrix, x_star and box must share one dimension")
+        for name, v, shape in (("matrix", A, (box.dim, box.dim)),
+                               ("x_star", x_star, (box.dim,))):
+            if v.shape != shape:
+                raise DimensionMismatch(f"{name}: expected shape {shape}, got {v.shape}")
         if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
-            raise ValueError("matrix must be symmetric")
+            raise ValueError("matrix: must be symmetric")
         eigs = np.linalg.eigvalsh(A)
         if eigs[0] <= 0:
-            raise ValueError(f"matrix must be positive definite, min eigenvalue {eigs[0]}")
+            raise ValueError(f"matrix: must be positive definite, min eigenvalue {eigs[0]}")
         if not box.contains(x_star):
-            raise ValueError("x_star must lie inside the domain box")
+            raise ValueError("x_star: must lie inside the domain box")
         super().__init__(box, 2.0, float(eigs[0]), float(np.max(np.diag(A))))
         self.matrix = A
         self.x_star = x_star
@@ -448,21 +458,22 @@ class Ridge(Quadratic):
     def __init__(self, design, targets, box: Box | None = None):
         A = np.asarray(design, dtype=float)
         b = np.atleast_1d(np.asarray(targets, dtype=float))
-        if A.ndim != 2 or b.shape[0] != A.shape[0]:
-            raise DimensionMismatch(f"need design (n, d) and targets (n,), "
-                                    f"got {A.shape} and {b.shape}")
+        if A.ndim != 2:
+            raise DimensionMismatch(f"design: expected an (n, d) matrix, got shape {A.shape}")
+        if b.shape[0] != A.shape[0]:
+            raise DimensionMismatch(f"targets: expected shape ({A.shape[0]},), got {b.shape}")
         d = A.shape[1]
         Q = A.T @ A + np.eye(d)
         rhs = A.T @ b
         x_star = np.linalg.solve(Q, rhs)
         resid = np.linalg.norm(Q @ x_star - rhs)
         if not resid <= 1e-10 * max(1.0, np.linalg.norm(rhs)):  # NaN fails too
-            raise ValueError(f"minimizer solve residual {resid:.3e} exceeds tolerance")
+            raise ValueError(f"design: minimizer solve residual {resid:.3e} exceeds tolerance")
         if box is None:
             half = np.maximum(1.0, 2.0 * np.abs(x_star))
             box = Box(x_star - half, x_star + half)
         elif box.dim != d:
-            raise DimensionMismatch("box dimension does not match the design matrix")
+            raise DimensionMismatch(f"box: expected dimension {d}, got {box.dim}")
         elif not box.contains(x_star):
             bound = "box_lo" if np.any(x_star < box.lo) else "box_hi"
             raise ValueError(f"{bound}: the global minimizer must lie inside the domain box")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import multiprocessing
 import os
@@ -15,6 +16,8 @@ import pytest
 
 from signopt import ConfigError, RunTable, harness, load_config, run_experiment, slope_report
 from signopt import ExactSign, GaussianNoise, LearnerConfig, OptimizerConfig
+from signopt import (Box, DirectBernoulli, Interval, Quadratic, Ridge, SeparablePower,
+                     TncProblem, UniformNoise, box_from_bounds)
 from signopt.harness import (_KNOWN_KEYS, ExperimentConfig, OracleSpec, Row, cell_seed,
                              parse_config_text, run_cell)
 from signopt import LabelOracle, SignOracle, make_tnc_problem, rssgd, run_learner, seeded_rng
@@ -319,6 +322,56 @@ def test_bad_number_names_the_key(tmp_path):
     with pytest.raises(ConfigError, match="learner.c_delta"):
         _load(tmp_path, THRESHOLD_CFG.replace("learner.c_delta = 2.0",
                                               "learner.c_delta = 1.0"))
+
+
+_UNIT, _SQUARE = Interval(0.0, 1.0), box_from_bounds(-1.0, 1.0, dim=2)
+
+
+@pytest.mark.parametrize("build, args, field", [
+    (Interval, (np.nan, 1.0), "lo"),
+    (Interval, (0.0, np.inf), "hi"),
+    (Interval, (1.0, 0.0), "hi"),
+    (Box, ([0.0, -np.inf], [1.0, 1.0]), "lo"),
+    (Box, ([0.0, 0.0], [1.0]), "hi"),
+    (Box, ([0.0, 0.0], [1.0, -1.0]), "hi"),
+    (TncProblem, (_UNIT, 1.5, 2.0, 1.0, 0.4), "threshold"),
+    (TncProblem, (_UNIT, 0.5, 9.0, 1.0, 0.4), "exponent"),
+    (TncProblem, (_UNIT, 0.5, 2.0, 0.0, 0.4), "mu"),
+    (TncProblem, (_UNIT, 0.5, 2.0, 1.0, 0.6), "cap"),
+    (TncProblem, (_UNIT, 0.5, 2.0, 1.0, 0.4, "up"), "orientation"),
+    (SeparablePower, ([1.0], [0.0, 0.0], _SQUARE), "coeffs"),
+    (SeparablePower, ([1.0, np.nan], [0.0, 0.0], _SQUARE), "coeffs"),
+    (SeparablePower, ([1.0, 1.0], [0.0, 2.0], _SQUARE), "x_star"),
+    (SeparablePower, ([1.0, 1.0], [0.0, 0.0], _SQUARE, 1.5), "exponent"),
+    (Quadratic, (np.eye(3), [0.0, 0.0], _SQUARE), "matrix"),
+    (Quadratic, ([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0], _SQUARE), "matrix"),
+    (Quadratic, (-np.eye(2), [0.0, 0.0], _SQUARE), "matrix"),
+    (Quadratic, (np.eye(2), [0.0], _SQUARE), "x_star"),
+    (Quadratic, (np.eye(2), [0.0, 2.0], _SQUARE), "x_star"),
+    (Ridge, ([1.0, 2.0], [1.0, 2.0]), "design"),
+    (Ridge, ([[1.0], [np.nan]], [0.5, -0.5]), "design"),
+    (Ridge, (np.eye(2), [1.0, 2.0, 3.0]), "targets"),
+    (Ridge, (np.eye(2), [1.0, 2.0], box_from_bounds(-1.0, 1.0, dim=3)), "box"),
+    (LearnerConfig, ("foo",), "name"),
+    (LearnerConfig, ("adaptive", -1), "budget"),
+    (LearnerConfig, ("adaptive", 0, 1.0), "c_delta"),
+    (LearnerConfig, ("bisect", 0, 2.0, "auto"), "orientation"),
+    (LearnerConfig, ("bz", 0, 2.0, "positive-right", 1), "grid_size"),
+    (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 0.5), "bz_k"),
+    (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 2.0, 0.0), "bz_mu"),
+    (OptimizerConfig, (-1,), "budget"),
+    (OptimizerConfig, (0, 0), "epoch_rule"),
+    (OptimizerConfig, (0, "paper-default", LearnerConfig(), 0, "corner"), "x0"),
+    (GaussianNoise, (0.0,), "sigma"),
+    (UniformNoise, (np.nan,), "halfwidth"),
+    (DirectBernoulli, (0.0,), "slope"),
+    (DirectBernoulli, (1.0, 0.6), "cap"),
+])
+def test_each_constructor_error_starts_with_its_parameter(build, args, field):
+    # load_config maps a build error to its key by this leading field alone
+    assert field in inspect.signature(build).parameters
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        build(*args)
 
 
 def test_invalid_problem_is_reported(tmp_path):

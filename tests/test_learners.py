@@ -648,6 +648,22 @@ def test_bisect_midpoints_do_not_overflow(lo, hi, t):
     assert oracle.queries_used == 60
 
 
+def test_a_margin_power_beyond_the_float_range_takes_the_cap():
+    # |x - t| ** 7 overflows a float here: the scalar path takes the cap, as the
+    # array path's np.minimum does with the inf it gets, and so does bz's gamma
+    search = Interval(0.0, 1e50)
+    problem = make_tnc_problem(search, 0.0, 8.0, 1.0, 0.4)
+    with np.errstate(over="ignore"):
+        assert problem.eta_at(np.array([1e50])).tolist() == [problem.eta_at(1e50)] == [0.9]
+    oracle = LabelOracle(problem, seeded_rng(5, 5, 0))
+    assert oracle.label_sample(1e50) in (-1, 1)
+    for learn in (lambda: bisect_noiseless(oracle, search, 60),
+                  lambda: bz_learner(oracle, search, _bz_config(200, grid=16, k=8.0, mu=1.0))):
+        point = learn()
+        assert math.isfinite(point) and search.lo <= point <= search.hi
+    assert oracle.queries_used == 261
+
+
 # ---------------------------------------------------------------------------
 # learner configuration validation
 
