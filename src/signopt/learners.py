@@ -154,7 +154,10 @@ def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,
     """Query labels at n uniform positions on the search interval, return the ERM cut."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    xs = rng.uniform(search.lo, search.hi, size=n_samples)
+    try:
+        xs = rng.uniform(search.lo, search.hi, size=n_samples)
+    except OverflowError:  # the width overflows: draw at half scale, then double
+        xs = 2.0 * rng.uniform(search.lo / 2, search.hi / 2, size=n_samples)
     labels = oracle.label_sample_many(xs)
     return erm_cut(xs, labels, search, orientation)
 
@@ -179,10 +182,12 @@ def _auto_orientation(oracle, search: Interval, n_probe: int) -> str:
 
     The side with the higher mean label is the positive one.  The probe
     points are fixed, so no sampling stream is needed; zero probes give
-    positive-right.
+    positive-right.  A search whose width overflows is probed at half scale.
     """
-    x_left = search.lo + 0.25 * search.width
-    x_right = search.lo + 0.75 * search.width
+    scale = 1.0 if math.isfinite(search.width) else 2.0
+    lo, width = search.lo / scale, search.hi / scale - search.lo / scale
+    x_left = scale * (lo + 0.25 * width)
+    x_right = scale * (lo + 0.75 * width)
     labels = oracle.label_sample_many(np.resize([x_right, x_left], n_probe))
     right, left = labels[0::2], labels[1::2]
     mean_right = right.mean() if right.size else 0.0
@@ -215,6 +220,8 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
     # search itself (if lo + hi overflows, that ball could not even be built)
     x = passive_erm(oracle, search, per_epoch, orientation, rng)
     radius = 0.5 * search.width
+    if radius == math.inf:  # the width overflows; half of it does not
+        radius = search.hi / 2 - search.lo / 2
     for _ in range(epochs - 1):
         ball = Interval(max(search.lo, x - radius), min(search.hi, x + radius))
         x = passive_erm(oracle, ball, per_epoch, orientation, rng)

@@ -247,7 +247,9 @@ class UcFunction(abc.ABC):
     on the box, and ``lkss_bound`` certifies that the magnitude of each
     gradient coordinate is at most ``lkss_bound * |a*|**(k - 1)`` where a*
     is the step to the minimizer along that coordinate line.  Coordinate
-    indices are 0-based.
+    indices are 0-based.  A subclass sets ``x_star``, its minimizer, then
+    calls ``_derive``; its private partials take the offset u = x - x_star
+    of a point that a ``Line`` checked, not the point.
     """
 
     def __init__(self, box: Box, uc_exponent: float, uc_modulus: float,
@@ -263,6 +265,19 @@ class UcFunction(abc.ABC):
         self.uc_exponent = float(uc_exponent)
         self.uc_modulus = float(uc_modulus)
         self.lkss_bound = float(lkss_bound)
+
+    _DERIVED = ("_x_star_list",)  # what _derive makes: rebuilt on unpickling, never pickled
+
+    def _derive(self):
+        """Make the float list of x_star that each ``Line`` reads its x*_j from."""
+        self._x_star_list = self.x_star.tolist()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._derive()
 
     @property
     def dim(self) -> int:
@@ -280,26 +295,26 @@ class UcFunction(abc.ABC):
         """Exact function value."""
 
     @abc.abstractmethod
-    def _partial(self, x, j: int) -> float:
-        """The j-th partial derivative at a point and index that a ``Line`` checked."""
+    def _partial(self, u, j: int) -> float:
+        """The j-th partial derivative at the offset u = x - x_star."""
 
     @abc.abstractmethod
-    def _partials(self, x, j: int, alphas) -> np.ndarray:
-        """The j-th partial derivative at x + alpha * e_j for steps a ``Line`` checked."""
+    def _partials(self, u, j: int, alphas) -> np.ndarray:
+        """The j-th partial derivative at u + alpha * e_j for each step alpha."""
 
     def grad_coord(self, x, j: int) -> float:
         """Exact j-th partial derivative at x."""
         line = Line(self, x, j)
-        return self._partial(line.x, line.j)
+        return self._partial(line._u, line.j)
 
     @abc.abstractmethod
-    def _directional_min_free(self, x, j: int) -> float:
-        """Unconstrained minimizer step along coordinate j."""
+    def _directional_min_free(self, u, j: int) -> float:
+        """Unconstrained minimizer step along coordinate j from the offset u."""
 
     def directional_min(self, x, j: int, clip: bool = True) -> float:
         """Step a* minimizing f(x + a*e_j), clipped to the box by default."""
         line = Line(self, x, j)
-        a = self._directional_min_free(line.x, line.j)
+        a = self._directional_min_free(line._u, line.j)
         if clip:
             a = min(max(a, line.lo), line.hi)
         return float(a)
@@ -309,9 +324,10 @@ class Line:
     """The function ``fn`` along the coordinate line x + a * e_j, a in [lo, hi].
 
     Built once, it checks the point (its shape, then the box) and the index, and
-    keeps its own copy ``x`` of the point.  Every step is checked by one rule: a
-    NaN step, or one beyond the segment by more than ``_tol(lo, hi)``, leaves the
-    domain, and one within that tolerance is clipped onto the segment.
+    keeps its own copy ``x`` of the point and the offset u = x - x* that the
+    partials read.  Every step is checked by one rule: a NaN step, or one beyond
+    the segment by more than ``_tol(lo, hi)``, leaves the domain, and one within
+    that tolerance is clipped onto the segment.
     """
 
     def __init__(self, fn: UcFunction, x, j: int):
@@ -320,8 +336,11 @@ class Line:
         if not 0 <= j < len(x):
             raise IndexError(f"coordinate index {j} out of range for dim {len(x)}")
         self.fn, self.x, self.j = fn, x.copy(), j
-        self._q = x.copy()  # partial's query point: x but for coordinate j
+        # a query moves only coordinate j of the offset, by the Python-float
+        # subtraction that numpy makes elementwise: u is y - x* for the queried y
+        self._u = x - fn.x_star
         self._xj = xj = x.item(j)
+        self._sj = fn._x_star_list[j]
         # the bounds as floats: the same IEEE subtraction as on the bound arrays
         self._blo, self._bhi = blo, bhi = fn.box._lo_list[j], fn.box._hi_list[j]
         self.lo, self.hi = lo, hi = blo - xj, bhi - xj
@@ -333,8 +352,9 @@ class Line:
         if not self._lo_pad <= a <= self._hi_pad:  # NaN fails too
             raise OutOfDomain("step leaves the domain box")
         v = self._xj + a
-        self._q[self.j] = self._blo if v < self._blo else self._bhi if v > self._bhi else v
-        return self.fn._partial(self._q, self.j)
+        v = self._blo if v < self._blo else self._bhi if v > self._bhi else v
+        self._u[self.j] = v - self._sj
+        return self.fn._partial(self._u, self.j)
 
     def partials(self, alphas) -> np.ndarray:
         """The partials at x + a * e_j for each step a, clipped onto the segment."""
@@ -348,7 +368,8 @@ class Line:
                 raise OutOfDomain("step leaves the domain box")
             if amin < self.lo or amax > self.hi:  # a step in the pad
                 alphas = alphas.clip(self.lo, self.hi)
-        return self.fn._partials(self.x, self.j, alphas)
+        self._u[self.j] = self._xj - self._sj  # the offset at step 0, after any partial
+        return self.fn._partials(self._u, self.j, alphas)
 
 
 class SeparablePower(UcFunction):
@@ -374,24 +395,25 @@ class SeparablePower(UcFunction):
         self.coeffs = coeffs
         self.x_star = x_star
         self.f_min = 0.0
+        self._derive()
 
     def value(self, x) -> float:
         u = self.point(x) - self.x_star
         return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
 
-    def _partial(self, x, j: int) -> float:
-        u = float(x[j] - self.x_star[j])
+    def _partial(self, u, j: int) -> float:
+        v = u.item(j)
         k = self.uc_exponent
-        return float(self.coeffs[j] * k * abs(u) ** (k - 1.0) * math.copysign(1.0, u)) \
-            if u != 0.0 else 0.0
+        return float(self.coeffs[j] * k * abs(v) ** (k - 1.0) * math.copysign(1.0, v)) \
+            if v != 0.0 else 0.0
 
-    def _partials(self, x, j: int, alphas) -> np.ndarray:
-        v = (x[j] - self.x_star[j]) + alphas
+    def _partials(self, u, j: int, alphas) -> np.ndarray:
+        v = u[j] + alphas
         k = self.uc_exponent
         return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
 
-    def _directional_min_free(self, x, j: int) -> float:
-        return float(self.x_star[j] - x[j])
+    def _directional_min_free(self, u, j: int) -> float:
+        return 0.0 - u.item(j)  # x*_j - x_j, but a zero step is +0.0
 
 
 class Quadratic(UcFunction):
@@ -415,33 +437,31 @@ class Quadratic(UcFunction):
         self.matrix = A
         self.x_star = x_star
         self.f_min = 0.0
-        self._rows = list(A)  # the partials' row views, made once
+        self._derive()
 
-    def __getstate__(self):  # the row views are rebuilt on unpickling, never pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_rows"}
+    _DERIVED = UcFunction._DERIVED + ("_rows",)
 
-    def __setstate__(self, state):
-        self.__dict__.update(state, _rows=list(state["matrix"]))
+    def _derive(self):
+        super()._derive()
+        self._rows = list(self.matrix)  # the partials' row views
 
     def value(self, x) -> float:
         u = self.point(x) - self.x_star
         return float(0.5 * u @ self.matrix @ u)
 
-    def _partial(self, x, j: int) -> float:
+    def _partial(self, u, j: int) -> float:
         # for two vectors ndarray.dot is matmul's kernel without its dispatch; each
         # partial adds 0.0 to make a -0.0 (d = 1) the 0.0 that matmul's sum gives
-        return float(self._rows[j].dot(x - self.x_star)) + 0.0
+        return float(self._rows[j].dot(u)) + 0.0
 
-    def _partials(self, x, j: int, alphas) -> np.ndarray:
+    def _partials(self, u, j: int, alphas) -> np.ndarray:
         row = self._rows[j]
-        g0 = float(row.dot(x - self.x_star)) + 0.0
         g = alphas * row[j]
-        g += g0  # float addition commutes: g0 + Q_jj * alpha, in place
+        g += float(row.dot(u)) + 0.0  # float addition commutes: g0 + Q_jj * alpha, in place
         return g
 
-    def _directional_min_free(self, x, j: int) -> float:
-        row = self._rows[j]
-        return -(float(row.dot(x - self.x_star)) + 0.0) / float(row[j])
+    def _directional_min_free(self, u, j: int) -> float:
+        return -self._partial(u, j) / float(self._rows[j][j])
 
 
 class Ridge(Quadratic):

@@ -568,6 +568,31 @@ def test_bz_on_an_interval_whose_width_overflows():
         point * 2.0 ** -10
 
 
+def _run_on_scaled_interval(name, orientation, scale):
+    """(point, queries) of one run on [-1.7e308, 1.7e308] scaled by ``scale``."""
+    search = Interval(-1.7e308 * scale, 1.7e308 * scale)
+    config = _bz_config(2000, grid=64, mu=1.0, name=name, orientation=orientation)
+    problem = make_tnc_problem((search.lo, search.hi), 1e308 * scale, 2.0, 1.0, 0.4)
+    oracle = LabelOracle(problem, seeded_rng(4, 9, 0))
+    with np.errstate(over="ignore"):  # eta_at's array path overflows x - t to inf
+        point = learners.run_learner(oracle, search, config, seeded_rng(4, 9, 1))
+    return point, oracle.queries_used
+
+
+@pytest.mark.parametrize("name, orientation", [
+    (name, orientation) for name in learners.LEARNERS
+    for orientation in (learners.POSITIVE_RIGHT, learners.ORIENTATION_AUTO)
+    if orientation == learners.POSITIVE_RIGHT or name in ("adaptive", "bz")])
+def test_every_learner_runs_on_an_interval_whose_width_overflows(name, orientation):
+    point, used = _run_on_scaled_interval(name, orientation, 1.0)
+    assert math.isfinite(point) and -1.7e308 <= point <= 1.7e308
+    assert 0 < used <= 2000
+    # draws, probes and radii are taken at half scale and doubled, without
+    # rounding: the search scaled down by 2**-10, whose width is finite and
+    # whose labels are the same (the margin is at its cap), gives the point scaled
+    assert _run_on_scaled_interval(name, orientation, 2.0 ** -10) == (point * 2.0 ** -10, used)
+
+
 class _ScalarOnly(type(_noisy())):
     """A threshold problem whose array path is refused."""
 

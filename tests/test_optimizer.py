@@ -624,13 +624,14 @@ class _LeastSquaresRidge(Ridge):
         super().__init__(design, targets, box)
         self._hess_diag = np.sum(self.design * self.design, axis=0) + 1.0
 
-    def _partial(self, x, j):
+    def _partial(self, u, j):
+        x = self.x_star + u  # the queried point, from its offset
         r = self.design @ x
         r -= self.targets
         return float(self.design[:, j] @ r + x[j])
 
-    def _partials(self, x, j, alphas):
-        return self._partial(x, j) + self._hess_diag[j] * alphas
+    def _partials(self, u, j, alphas):
+        return self._partial(u, j) + self._hess_diag[j] * alphas
 
 
 def _ridge_pair_runs(mode, line_search, budget, rep, epoch_rule="paper-default"):

@@ -458,13 +458,13 @@ def _lines():
 def test_step_check_by_extremes_matches_the_reductions():
     for fn, x, j in _lines():
         echo = copy.copy(fn)  # its partials are the checked, clipped steps themselves
-        echo._partials = lambda x, j, alphas: alphas
+        echo._partials = lambda u, j, alphas: alphas
         line = Line(fn, x, j)
         for alphas in _batches(line.lo, line.hi):
             want = _outcome(lambda: _steps_by_reductions(line, alphas))
             assert _outcome(lambda: Line(echo, x, j).partials(alphas)) == want
             assert _outcome(lambda: line.partials(alphas)) == _outcome(
-                lambda: fn._partials(line.x, j, _steps_by_reductions(line, alphas)))
+                lambda: fn._partials(line.x - fn.x_star, j, _steps_by_reductions(line, alphas)))
 
 
 def _assert_partials_match_matmul(fn, x, j, alphas):
@@ -474,7 +474,7 @@ def _assert_partials_match_matmul(fn, x, j, alphas):
     assert fn.grad_coord(x, j).hex() == g0.hex()
     assert Line(fn, x, j).partials(alphas).tobytes() == (
         g0 + fn.matrix[j, j] * alphas).tobytes()
-    assert fn._directional_min_free(x, j).hex() == (-g0 / float(fn.matrix[j, j])).hex()
+    assert fn._directional_min_free(u, j).hex() == (-g0 / float(fn.matrix[j, j])).hex()
 
 
 @st.composite
@@ -562,6 +562,33 @@ def test_scalar_partials_equal_their_formulas_bit_for_bit():
                 # the scalar line query at step 0: a -0.0 coordinate becomes 0.0,
                 # whose +-0 terms the formulas' own zero handling settles
                 assert Line(fn, x, j).partial(0.0).hex() == want, (fn, x, j)
+
+
+def _steps_on(line):
+    """Steps at both ends of the line, in the tolerance pad past them (clamped onto
+    the box), inside, and zeros and subnormals of both signs."""
+    pad = _tol(line.lo, line.hi)
+    return [line.lo, line.hi, line.lo - 0.5 * pad, line.hi + 0.5 * pad,
+            0.5 * line.lo, 0.25 * line.hi, 0.0, -0.0, _TINY, -_TINY]
+
+
+def test_partials_away_from_step_zero_equal_their_formulas_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for fn, formula in _functions_for_partials():
+        d = fn.dim
+        points = [np.full(d, v) for v in _EDGE_COORDINATES]
+        points += list(rng.uniform(fn.box.lo, fn.box.hi, size=(5, d)))
+        for x in points:
+            for j in range(d):
+                line = Line(fn, x, j)
+                steps = _steps_on(line) + rng.uniform(line.lo, line.hi, size=4).tolist()
+                for a in steps:
+                    y = x.copy()  # the queried point: coordinate j clamped onto the box
+                    y[j] = min(max(x.item(j) + a, fn.box.lo.item(j)), fn.box.hi.item(j))
+                    assert line.partial(a).hex() == formula(fn, y, j).hex(), (fn, x, j, a)
+                    # scalar and batched queries share the line's offset
+                    assert line.partials(steps).tobytes() == \
+                        Line(fn, x, j).partials(steps).tobytes(), (fn, x, j, a)
 
 
 # ---------------------------------------------------------------------------
