@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,14 @@ GRID_AUTO = "auto"
 
 _SQRT2 = math.sqrt(2.0)
 _PLUS_MINUS = np.array([-1, 1], dtype=np.intp)  # indexed by a bool: -1 if False, +1 if True
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as an int; a float, even an integral one, is refused by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -62,7 +71,7 @@ class LearnerConfig:
     def __post_init__(self):
         if self.name not in LEARNERS:
             raise ValueError(f"name: expected one of {LEARNERS}, got {self.name!r}")
-        if self.budget < 0:
+        if as_count("budget", self.budget) < 0:
             raise ValueError("budget: must be non-negative")
         if not self.c_delta > _SQRT2:
             raise ValueError(f"c_delta: must exceed sqrt(2), got {self.c_delta}")
@@ -71,7 +80,7 @@ class LearnerConfig:
         if self.orientation == ORIENTATION_AUTO and self.name in ("passive", "bisect"):
             raise ValueError("orientation: 'auto' is only supported by the "
                              "adaptive and bz learners")
-        if self.grid_size != GRID_AUTO and self.grid_size < 2:
+        if self.grid_size != GRID_AUTO and as_count("grid_size", self.grid_size) < 2:
             raise ValueError("grid_size: must be at least 2")
         if self.bz_k is not None and not self.bz_k >= 1.0:
             raise ValueError(f"bz_k: must be at least 1, got {self.bz_k}")
@@ -87,14 +96,7 @@ class LearnerConfig:
         grid = self.grid_size
         if grid == GRID_AUTO and self.bz_k is not None:
             grid = auto_grid_size(budget, self.bz_k, dither)
-        return replace(self, budget=int(budget), grid_size=grid)
-
-
-def _halfway(a: float, b: float) -> float:
-    """0.5 * (a + b) for finite Python floats, halving first only where a + b
-    overflows: subnormal halves would round, and move the midpoint."""
-    mid = 0.5 * (a + b)
-    return mid if mid - mid == 0.0 else 0.5 * a + 0.5 * b  # inf - inf is NaN
+        return replace(self, budget=budget, grid_size=grid)
 
 
 def erm_cut(positions, labels, search: Interval,
@@ -144,7 +146,7 @@ def erm_cut(positions, labels, search: Interval,
         if not 0 < best <= boundaries.size:
             return float(search.hi if best else search.lo)
         lower, upper = p[boundaries[best - 1] - 1], p[boundaries[best - 1]]
-    mid = _halfway(float(lower), float(upper))
+    mid = 0.5 * (float(lower) + float(upper))
     # the midpoint of two adjacent floats can round onto the lower one
     return float(upper if mid == lower else mid)
 
@@ -154,10 +156,7 @@ def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,
     """Query labels at n uniform positions on the search interval, return the ERM cut."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    try:
-        xs = rng.uniform(search.lo, search.hi, size=n_samples)
-    except OverflowError:  # the width overflows: draw at half scale, then double
-        xs = 2.0 * rng.uniform(search.lo / 2, search.hi / 2, size=n_samples)
+    xs = rng.uniform(search.lo, search.hi, size=n_samples)
     labels = oracle.label_sample_many(xs)
     return erm_cut(xs, labels, search, orientation)
 
@@ -182,12 +181,10 @@ def _auto_orientation(oracle, search: Interval, n_probe: int) -> str:
 
     The side with the higher mean label is the positive one.  The probe
     points are fixed, so no sampling stream is needed; zero probes give
-    positive-right.  A search whose width overflows is probed at half scale.
+    positive-right.
     """
-    scale = 1.0 if math.isfinite(search.width) else 2.0
-    lo, width = search.lo / scale, search.hi / scale - search.lo / scale
-    x_left = scale * (lo + 0.25 * width)
-    x_right = scale * (lo + 0.75 * width)
+    x_left = search.lo + 0.25 * search.width
+    x_right = search.lo + 0.75 * search.width
     labels = oracle.label_sample_many(np.resize([x_right, x_left], n_probe))
     right, left = labels[0::2], labels[1::2]
     mean_right = right.mean() if right.size else 0.0
@@ -205,7 +202,7 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
     radius halves between epochs starting from the interval width.  Leftover
     queries T - E*N are not spent.
     """
-    budget = int(config.budget)
+    budget = config.budget
     if budget < 1:
         raise ValueError("adaptive learner needs a positive budget")
     epochs, per_epoch = adaptive_epoch_schedule(budget, config.c_delta)
@@ -216,12 +213,9 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
         orientation = _auto_orientation(oracle, search, n_probe)
         per_epoch = (budget - n_probe) // epochs
 
-    # the first ball, the width around the midpoint clipped to the search, is the
-    # search itself (if lo + hi overflows, that ball could not even be built)
+    # the first ball, the width around the midpoint clipped to the search, is the search
     x = passive_erm(oracle, search, per_epoch, orientation, rng)
     radius = 0.5 * search.width
-    if radius == math.inf:  # the width overflows; half of it does not
-        radius = search.hi / 2 - search.lo / 2
     for _ in range(epochs - 1):
         ball = Interval(max(search.lo, x - radius), min(search.hi, x + radius))
         x = passive_erm(oracle, ball, per_epoch, orientation, rng)
@@ -261,22 +255,19 @@ def bz_rows(oracles, search: Interval, configs) -> list:
     bit-identical to its one-row call.  Each row asks its oracle once for
     a ``grid_labeler`` over the row's grid points, and each query is a call
     of it, which checks, charges and draws as ``label_sample`` would at
-    that point.  A search whose width overflows is taken at half scale,
-    grid points and all, and scaled back by 2 without rounding.  The rows
-    run longest first, so the live rows are a shrinking prefix.  Returns,
-    per row, the estimate or the exception that ended the row (a budget
-    cap, a query outside the domain, ...); the other rows run on.
+    that point.  The rows run longest first, so the live rows are a
+    shrinking prefix.  Returns, per row, the estimate or the exception that
+    ended the row (a budget cap, an out-of-domain query, ...); the rest run on.
     """
     results: list = [None] * len(oracles)
-    scale = 1.0 if math.isfinite(search.width) else 2.0
-    lo = search.lo / scale
+    lo = search.lo
     runs = []  # per row that queries: (row, cells, delta, ratio, positive-left?, labeler, steps)
     for r, (oracle, config) in enumerate(zip(oracles, configs)):
         try:
             if config.grid_size == GRID_AUTO or config.bz_k is None or config.bz_mu is None:
                 raise ValueError("bz_learner needs grid_size, bz_k and bz_mu")
-            cells = int(config.grid_size)  # at least 2, by LearnerConfig and auto_grid_size
-            budget = int(config.budget)
+            # the grid has at least 2 cells, by LearnerConfig and auto_grid_size
+            cells, budget = config.grid_size, config.budget
             if budget == 0:
                 results[r] = search.midpoint
                 continue
@@ -285,12 +276,12 @@ def bz_rows(oracles, search: Interval, configs) -> list:
             if orientation == ORIENTATION_AUTO:
                 n_probe = min(20, budget)
                 orientation = _auto_orientation(oracle, search, n_probe)
-            delta = (search.hi / scale - lo) / cells
+            delta = search.width / cells
             try:
-                gamma = min(0.5, config.bz_mu * (scale * delta) ** (config.bz_k - 1.0))
+                gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
             except OverflowError:  # a power beyond the float range caps as well
                 gamma = 0.5
-            labeler = oracle.grid_labeler([scale * (lo + b * delta) for b in range(cells)])
+            labeler = oracle.grid_labeler([lo + b * delta for b in range(cells)])
         except Exception as exc:  # noqa: BLE001 - ends this row only
             results[r] = exc
             continue
@@ -355,7 +346,7 @@ def bz_rows(oracles, search: Interval, configs) -> list:
     idx = (cum >= 0.5 * cum[:, -1:]).argmax(axis=1)
     for i, (r, delta) in enumerate(zip(row_of, deltas)):
         results[r] = errors[i] if errors[i] is not None else float(
-            scale * (lo + (int(idx[i]) + 0.5) * delta))
+            lo + (int(idx[i]) + 0.5) * delta)
     return results
 
 
@@ -370,13 +361,11 @@ def bisect_noiseless(oracle, search: Interval, budget: int,
     lo, hi = search.lo, search.hi
     for _ in range(int(budget)):
         mid = 0.5 * (lo + hi)
-        if mid - mid != 0.0:  # _halfway, inlined as it runs once per query
-            mid = 0.5 * lo + 0.5 * hi
         if osign * oracle.label_sample(mid) > 0:
             hi = mid
         else:
             lo = mid
-    return _halfway(lo, hi)
+    return 0.5 * (lo + hi)
 
 
 def run_learner(oracle, search: Interval, config: LearnerConfig,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .learners import DRAWING_LEARNERS, LearnerConfig, POSITIVE_RIGHT, run_learner
+from .learners import DRAWING_LEARNERS, LearnerConfig, POSITIVE_RIGHT, as_count, run_learner
 from .oracles import ROLE_COORDS, ROLE_SAMPLING, SignOracle, philox_keys, seeded_rng
 from .problems import Interval, Line, UcFunction
 
@@ -89,20 +89,20 @@ class OptimizerConfig:
     x0: str | list[float] = "center"
 
     def __post_init__(self):
-        if self.budget < 0:
+        if as_count("budget", self.budget) < 0:
             raise ValueError("budget: must be non-negative")
         if isinstance(self.x0, str) and self.x0 != "center":
             raise ValueError(f"x0: expected 'center' or a point, got {self.x0!r}")
         if isinstance(self.epoch_rule, str):
             if self.epoch_rule != PAPER_DEFAULT:
                 raise ValueError(f"epoch_rule: unknown epoch rule {self.epoch_rule!r}")
-        elif int(self.epoch_rule) < 1:
+        elif as_count("epoch_rule", self.epoch_rule) < 1:
             raise ValueError("epoch_rule: explicit epoch count must be at least 1")
 
     def epoch_count(self, dim: int) -> int:
         if self.epoch_rule == PAPER_DEFAULT:
             return default_epoch_count(dim, self.budget)
-        return int(self.epoch_rule)
+        return self.epoch_rule
 
 
 class LineLabelOracle:
@@ -151,7 +151,7 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
     if sign_oracle.fn is not fn:
         raise ValueError("the sign oracle must query the function being minimized")
     epochs = config.epoch_count(fn.dim)
-    budget = int(config.budget)
+    budget = config.budget
     if budget < epochs:
         raise ValueError(
             f"budget {budget} cannot cover {epochs} epochs; increase the budget "

@@ -12,7 +12,10 @@ Every constructor check raises ``ValueError("<parameter>: <reason>")``,
 naming the parameter at fault.  Exponents are restricted to moderate
 ranges (``k in [1, 8]`` for threshold problems, ``k in [2, 8]`` for test
 functions): the powers ``|u|**(k - 1)`` underflow near the threshold for
-much larger exponents.
+much larger exponents.  An ``Interval`` refuses an end beyond
+``DOMAIN_BOUND`` = 2**1022, so sums and differences of its points are
+finite, and a ``Box`` a bound beyond a quarter of it, so each coordinate
+line's step segment is such an interval.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ ORIENTATIONS = (POSITIVE_RIGHT, POSITIVE_LEFT)
 
 TNC_EXPONENT_RANGE = (1.0, 8.0)
 UC_EXPONENT_RANGE = (2.0, 8.0)
+DOMAIN_BOUND = 2.0 ** 1022
 
 
 class OutOfDomain(ValueError):
@@ -53,16 +57,15 @@ def orientation_sign(orientation: str) -> float:
 
 @dataclass(frozen=True)
 class Interval:
-    """A nondegenerate closed interval [lo, hi]."""
+    """A nondegenerate closed interval [lo, hi] within +-``DOMAIN_BOUND``."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.lo):
-            raise ValueError(f"lo: must be finite, got {self.lo}")
-        if not math.isfinite(self.hi):
-            raise ValueError(f"hi: must be finite, got {self.hi}")
+        for name, end in (("lo", self.lo), ("hi", self.hi)):
+            if not abs(end) <= DOMAIN_BOUND:  # NaN fails too
+                raise ValueError(f"{name}: must lie within +-2**1022, got {end}")
         if not self.hi > self.lo:
             raise ValueError(f"hi: must exceed lo = {self.lo}, got {self.hi}")
 
@@ -72,7 +75,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * self.lo + 0.5 * self.hi  # halves first: lo + hi may overflow
+        return 0.5 * self.lo + 0.5 * self.hi  # at subnormal ends, not 0.5 * (lo + hi)
 
     def contains(self, x) -> bool:
         t = _tol(self.lo, self.hi)
@@ -148,7 +151,8 @@ class TncProblem:
             )
         arr = self.interval.clip(arr)
         d = arr - self.threshold
-        margin = np.minimum(self.mu * np.abs(d) ** (self.exponent - 1.0), self.cap)
+        with np.errstate(over="ignore"):  # a power beyond the float range caps, as above
+            margin = np.minimum(self.mu * np.abs(d) ** (self.exponent - 1.0), self.cap)
         return 0.5 + self._osign * np.sign(d) * margin
 
 
@@ -164,7 +168,7 @@ def make_tnc_problem(interval, threshold, exponent, mu, cap,
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box domain, stored as per-coordinate bound arrays.
+    """Axis-aligned box within +-``DOMAIN_BOUND`` / 4, stored as per-coordinate bound arrays.
 
     Zero-width coordinates are permitted (the optimizer skips them) but
     every other consumer assumes hi > lo.
@@ -181,8 +185,8 @@ class Box:
         if hi.shape != lo.shape:
             raise DimensionMismatch(f"hi: expected shape {lo.shape}, got {hi.shape}")
         for name, bound in (("lo", lo), ("hi", hi)):
-            if not np.isfinite(bound).all():
-                raise ValueError(f"{name}: must be finite")
+            if not (np.abs(bound) <= DOMAIN_BOUND / 4).all():  # NaN fails too
+                raise ValueError(f"{name}: must lie within +-2**1020")
         if np.any(hi < lo):
             raise ValueError("hi: must be at least lo in every coordinate")
         # read-only bounds keep their float lists fresh: contains compares against

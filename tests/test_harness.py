@@ -296,6 +296,13 @@ def test_bad_number_names_the_key(tmp_path):
                       (THRESHOLD_CFG.replace("hi = 1.0", "hi = 0.0"), "problem.hi"),
                       (THRESHOLD_CFG.replace("hi = 1.0", "hi = nan"), "problem.hi"),
                       (THRESHOLD_CFG.replace("lo = 0.0", "lo = -inf"), "problem.lo"),
+                      # finite, but beyond 2**1022 for an interval and 2**1020 for a box
+                      (THRESHOLD_CFG.replace("lo = 0.0", "lo = -1e308"), "problem.lo"),
+                      (THRESHOLD_CFG.replace("hi = 1.0", "hi = 5e307"), "problem.hi"),
+                      (OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -1.2e307"),
+                       "problem.box_lo"),
+                      (OPTIMIZE_CFG.replace("box_hi = 1.0", "box_hi = 1, 1.2e307"),
+                       "problem.box_hi"),
                       (THRESHOLD_CFG + "problem.orientation = up\n", "problem.orientation"),
                       (OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -1, 0, 1"),
                        "problem.box_lo"),

@@ -14,6 +14,7 @@ from signopt import (Interval, LabelOracle, LearnerConfig, OutOfDomain, POSITIVE
 from signopt import learners
 
 UNIT = Interval(0.0, 1.0)
+BOUND = Interval(-2.0 ** 1022, 2.0 ** 1022)  # the widest interval there is
 
 
 def _noiseless(threshold):
@@ -541,7 +542,8 @@ class _GridRecording(LabelOracle):
         return super().grid_labeler(points)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.7, 11.3), (1e308, 1.7e308),
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.7, 11.3),
+                                    pytest.param(BOUND.lo, BOUND.hi, id="-2**1022-2**1022"),
                                     (3 * 2.0 ** -1074, 1001 * 2.0 ** -1074)])
 def test_bz_grid_points_keep_the_bits_of_the_one_row_formula(lo, hi):
     # halving first would round the subnormal bounds
@@ -555,26 +557,31 @@ def test_bz_grid_points_keep_the_bits_of_the_one_row_formula(lo, hi):
 
 
 def test_bz_on_an_interval_whose_width_overflows():
-    wide = Interval(-1.7e308, 1.7e308)
+    # such an interval is refused before any learner sees it ...
+    with pytest.raises(ValueError, match="^lo: must lie within"):
+        Interval(-1.7e308, 1.7e308)
+    # ... and bz runs on the widest one taken, whose width 2**1023 is the
+    # largest power of two a float holds
     config = _bz_config(200, grid=64, mu=1.0)
-    problem = make_tnc_problem((wide.lo, wide.hi), 1e308, 2.0, 1.0, 0.4)
-    point = bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), wide, config)
-    assert math.isfinite(point) and wide.lo <= point <= wide.hi
-    # the same search scaled down by 2**-10, where the width is finite and the
-    # labels the same (the margin is at its cap), gives the same point scaled
-    small = Interval(wide.lo * 2.0 ** -10, wide.hi * 2.0 ** -10)
-    problem = make_tnc_problem((small.lo, small.hi), 1e308 * 2.0 ** -10, 2.0, 1.0, 0.4)
+    problem = make_tnc_problem(BOUND, 0.3 * BOUND.hi, 2.0, 1.0, 0.4)
+    point = bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), BOUND, config)
+    assert math.isfinite(point) and BOUND.lo <= point <= BOUND.hi
+    # the same search scaled down by 2**-10, whose labels are the same (the
+    # margin is at its cap), gives the same point scaled
+    small = Interval(BOUND.lo * 2.0 ** -10, BOUND.hi * 2.0 ** -10)
+    problem = make_tnc_problem(small, 0.3 * small.hi, 2.0, 1.0, 0.4)
     assert bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), small, config) == \
         point * 2.0 ** -10
 
 
-def _run_on_scaled_interval(name, orientation, scale):
-    """(point, queries) of one run on [-1.7e308, 1.7e308] scaled by ``scale``."""
-    search = Interval(-1.7e308 * scale, 1.7e308 * scale)
+def _run_on_scaled_bound(name, orientation, scale):
+    """(point, queries) of one run on [-2**1022, 2**1022] scaled by ``scale``."""
+    search = Interval(BOUND.lo * scale, BOUND.hi * scale)
     config = _bz_config(2000, grid=64, mu=1.0, name=name, orientation=orientation)
-    problem = make_tnc_problem((search.lo, search.hi), 1e308 * scale, 2.0, 1.0, 0.4)
+    problem = make_tnc_problem(search, 0.3 * search.hi, 2.0, 1.0, 0.4)
     oracle = LabelOracle(problem, seeded_rng(4, 9, 0))
-    with np.errstate(over="ignore"):  # eta_at's array path overflows x - t to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no sum, difference or power overflows
         point = learners.run_learner(oracle, search, config, seeded_rng(4, 9, 1))
     return point, oracle.queries_used
 
@@ -583,14 +590,14 @@ def _run_on_scaled_interval(name, orientation, scale):
     (name, orientation) for name in learners.LEARNERS
     for orientation in (learners.POSITIVE_RIGHT, learners.ORIENTATION_AUTO)
     if orientation == learners.POSITIVE_RIGHT or name in ("adaptive", "bz")])
-def test_every_learner_runs_on_an_interval_whose_width_overflows(name, orientation):
-    point, used = _run_on_scaled_interval(name, orientation, 1.0)
-    assert math.isfinite(point) and -1.7e308 <= point <= 1.7e308
+def test_every_learner_runs_at_the_interval_bound(name, orientation):
+    point, used = _run_on_scaled_bound(name, orientation, 1.0)
+    assert math.isfinite(point) and BOUND.lo <= point <= BOUND.hi
     assert 0 < used <= 2000
-    # draws, probes and radii are taken at half scale and doubled, without
-    # rounding: the search scaled down by 2**-10, whose width is finite and
-    # whose labels are the same (the margin is at its cap), gives the point scaled
-    assert _run_on_scaled_interval(name, orientation, 2.0 ** -10) == (point * 2.0 ** -10, used)
+    # draws, probes, radii and grid points scale without rounding: the search
+    # scaled down by 2**-10, whose labels are the same (the margin is at its
+    # cap wherever a float lies), gives the point scaled
+    assert _run_on_scaled_bound(name, orientation, 2.0 ** -10) == (point * 2.0 ** -10, used)
 
 
 class _ScalarOnly(type(_noisy())):
@@ -651,17 +658,20 @@ def test_bisect_positive_left():
 
 
 def test_erm_cut_midpoint_does_not_overflow():
+    # the two positions at the top of the widest interval, and beyond it by
+    # less than its tolerance
+    top = [BOUND.hi * (1.0 - 2e-12), BOUND.hi * (1.0 + 5e-13)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on an overflowing add
-        cut = erm_cut([1.6e308, 1.65e308], [-1, 1], Interval(1e308, 1.7e308))
-    assert math.isfinite(cut) and 1.6e308 < cut < 1.65e308
+        cut = erm_cut(top, [-1, 1], BOUND)
+    assert cut == 0.5 * top[0] + 0.5 * top[1]
 
 
 @pytest.mark.parametrize("lo, hi, t", [
-    (1e308, 1.7e308, 1.3e308),  # every lo + hi overflows
-    (-1.7e308, 1.7e308, 1.69e308),  # the sums overflow once lo passes about 0.1e308
-    (-1.7e308, 1.7e308, -1.69e308),
-])
+    (2.0 ** 1021, 2.0 ** 1022, 1.9 * 2.0 ** 1021),  # every lo + hi exceeds the bound
+    (BOUND.lo, BOUND.hi, 0.99 * BOUND.hi),
+    (BOUND.lo, BOUND.hi, 0.99 * BOUND.lo),
+], ids=["2**1021-2**1022-near-hi", "-2**1022-2**1022-near-hi", "-2**1022-2**1022-near-lo"])
 def test_bisect_midpoints_do_not_overflow(lo, hi, t):
     search = Interval(lo, hi)
     oracle = LabelOracle(make_tnc_problem(search, t, 2.0, 1e12, 0.5), seeded_rng(5, 4, 0))
@@ -669,7 +679,7 @@ def test_bisect_midpoints_do_not_overflow(lo, hi, t):
         warnings.simplefilter("error")
         est = bisect_noiseless(oracle, search, 60)
     assert math.isfinite(est) and lo < est < hi
-    assert abs(est - t) <= (0.5 * hi - 0.5 * lo) * 2.0 ** -60
+    assert abs(est - t) <= search.width * 2.0 ** -61
     assert oracle.queries_used == 60
 
 
@@ -678,7 +688,8 @@ def test_a_margin_power_beyond_the_float_range_takes_the_cap():
     # array path's np.minimum does with the inf it gets, and so does bz's gamma
     search = Interval(0.0, 1e50)
     problem = make_tnc_problem(search, 0.0, 8.0, 1.0, 0.4)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on an overflowing power
         assert problem.eta_at(np.array([1e50])).tolist() == [problem.eta_at(1e50)] == [0.9]
     oracle = LabelOracle(problem, seeded_rng(5, 5, 0))
     assert oracle.label_sample(1e50) in (-1, 1)
@@ -699,6 +710,23 @@ def test_learner_config_validation():
         LearnerConfig(budget=10, orientation="sideways")
     with pytest.raises(ValueError):
         LearnerConfig(budget=-1)
+
+
+@pytest.mark.parametrize("field, value", [("budget", 7.5), ("budget", 7.0),
+                                          ("grid_size", 7.5), ("grid_size", "64")])
+def test_learner_config_refuses_a_count_that_is_not_an_integer(field, value):
+    # a grid of 7.5 cells would run 7, and a budget of 7.5 would spend 7
+    with pytest.raises(ValueError, match=f"^{field}: must be an integer, got {value!r}"):
+        LearnerConfig("bz", bz_k=2.0, bz_mu=1.0, **{field: value})
+    with pytest.raises(ValueError, match=f"^budget: must be an integer, got {value!r}"):
+        LearnerConfig().for_budget(value)
+
+
+def test_learner_config_takes_any_integer_as_a_count():
+    config = LearnerConfig("bz", grid_size=np.int64(9), bz_k=2.0, bz_mu=1.0)
+    oracle = LabelOracle(_noisy(), seeded_rng(4, 11, 0))
+    assert bz_learner(oracle, UNIT, config.for_budget(np.int64(40))) == \
+        bz_learner(LabelOracle(_noisy(), seeded_rng(4, 11, 0)), UNIT, config.for_budget(40))
 
 
 # ---------------------------------------------------------------------------

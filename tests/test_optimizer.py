@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from signopt import (Box, BudgetExhausted, DimensionMismatch, ExactSign, Gaussia
 from signopt import optimizer
 from signopt.learners import DRAWING_LEARNERS, LEARNERS
 from signopt.optimizer import coordinate_rng, line_search_rng, line_search_streams
-from signopt.problems import _tol
+from signopt.problems import DOMAIN_BOUND, _tol
 
 from _checks import bench_ridge, binomial_band
 
@@ -76,6 +78,12 @@ def test_optimizer_config_validation():
         OptimizerConfig(budget=10, epoch_rule="sometimes")
     with pytest.raises(ValueError):
         OptimizerConfig(budget=10, epoch_rule=0)
+    # a count is never truncated: 2.7 epochs would run 2
+    with pytest.raises(ValueError, match=r"^epoch_rule: must be an integer, got 2\.7$"):
+        OptimizerConfig(budget=10, epoch_rule=2.7)
+    with pytest.raises(ValueError, match=r"^budget: must be an integer, got 10\.0$"):
+        OptimizerConfig(budget=10.0)
+    assert OptimizerConfig(budget=np.int64(10), epoch_rule=np.int64(5)).epoch_count(2) == 5
     with pytest.raises(ValueError):
         OptimizerConfig(budget=10, line_search=LearnerConfig("newton"))
 
@@ -490,6 +498,23 @@ def test_iterates_respect_the_box():
                                           line_search=LearnerConfig("adaptive"),
                                           seed=6))
     assert fn.box.contains(x)
+
+
+@pytest.mark.parametrize("name", LEARNERS)
+def test_every_line_search_runs_on_a_box_at_its_bound(name):
+    # from a start on the tolerance edge of the box at +-2**1020, a segment
+    # is nearly 2**1021 wide, and no sum, difference or power overflows
+    half = DOMAIN_BOUND / 4
+    fn = _quad((1.0, 2.0), half=half, x_star=(0.3 * half, -0.6 * half))
+    edge = half + _tol(-half, half)
+    line_search = LearnerConfig(name, grid_size=64, bz_k=2.0, bz_mu=1.0)
+    oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(14, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = rssgd(fn, oracle, OptimizerConfig(budget=2000, epoch_rule=20, seed=14,
+                                              line_search=line_search, x0=[edge, -edge]))
+    assert np.isfinite(x).all() and fn.box.contains(x)
+    assert oracle.queries_used == 2000
 
 
 def test_budget_accounting_and_leftover_discard():

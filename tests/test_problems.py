@@ -13,7 +13,7 @@ from signopt import (Box, DimensionMismatch, Interval, LabelOracle, LearnerConfi
                      OutOfDomain, POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
                      SeparablePower, box_from_bounds, bz_learner, erm_cut,
                      load_ridge_text, make_tnc_problem, seeded_rng)
-from signopt.problems import _tol
+from signopt.problems import DOMAIN_BOUND, _tol
 
 from _checks import (RidgeState, bench_ridge, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
@@ -34,10 +34,36 @@ def test_interval_requires_positive_width():
     assert iv.contains(0.0) and iv.contains(2.0) and not iv.contains(2.1)
 
 
+@pytest.mark.parametrize("lo, hi, field", [
+    (-2.0 ** 1022 * (1 + 2.0 ** -52), 0.0, "lo"), (-math.inf, 0.0, "lo"), (math.nan, 0.0, "lo"),
+    (0.0, 2.0 ** 1022 * (1 + 2.0 ** -52), "hi"), (0.0, math.inf, "hi"), (0.0, math.nan, "hi"),
+    (2.0 ** 1023, 2.0 ** 1023 * 1.5, "lo"),
+])
+def test_interval_refuses_an_end_beyond_the_bound(lo, hi, field):
+    with pytest.raises(ValueError, match=f"^{field}: must lie within \\+-2\\*\\*1022, got "):
+        Interval(lo, hi)
+
+
+def test_interval_accepts_the_bound():
+    iv = Interval(-DOMAIN_BOUND, DOMAIN_BOUND)
+    assert iv.width == 2.0 ** 1023 and iv.midpoint == 0.0
+
+
+@pytest.mark.parametrize("lo, hi, field", [
+    ([0.0, -2.0 ** 1020 * (1 + 2.0 ** -52)], [1.0, 1.0], "lo"),
+    ([0.0, -math.inf], [1.0, 1.0], "lo"), ([math.nan, 0.0], [1.0, 1.0], "lo"),
+    ([0.0, 0.0], [2.0 ** 1020 * (1 + 2.0 ** -52), 1.0], "hi"),
+    ([0.0, 0.0], [1.0, math.inf], "hi"), ([0.0, 0.0], [1.0, math.nan], "hi"),
+])
+def test_box_refuses_a_bound_beyond_a_quarter_of_the_bound(lo, hi, field):
+    with pytest.raises(ValueError, match=f"^{field}: must lie within \\+-2\\*\\*1020$"):
+        Box(np.array(lo), np.array(hi))
+
+
 def test_interval_midpoint_does_not_overflow():
-    iv = Interval(1e308, 1.7e308)  # lo + hi overflows
+    iv = Interval(2.0 ** 1021, 2.0 ** 1022)  # lo + hi exceeds the bound
     assert math.isfinite(iv.midpoint) and iv.lo < iv.midpoint < iv.hi
-    problem = make_tnc_problem(iv, 1.3e308, 2.0, 1.0, 0.4)
+    problem = make_tnc_problem(iv, 1.3 * 2.0 ** 1021, 2.0, 1.0, 0.4)
     oracle = LabelOracle(problem, seeded_rng(3, 0, 0))
     config = LearnerConfig("bz", budget=0, grid_size=64, bz_k=2.0, bz_mu=1.0)
     for point in (erm_cut([], [], iv), bz_learner(oracle, iv, config)):
@@ -45,7 +71,7 @@ def test_interval_midpoint_does_not_overflow():
     assert oracle.queries_used == 0
 
 
-_NORMAL_OR_ZERO = st.floats(allow_nan=False, allow_infinity=False).filter(
+_NORMAL_OR_ZERO = st.floats(-DOMAIN_BOUND, DOMAIN_BOUND).filter(
     lambda v: v == 0.0 or abs(v) >= 2.0 ** -1021)  # halves are normal or zero
 
 
@@ -53,11 +79,14 @@ _NORMAL_OR_ZERO = st.floats(allow_nan=False, allow_infinity=False).filter(
 @given(_NORMAL_OR_ZERO, _NORMAL_OR_ZERO)
 @example(-1.0, 1.0 + 2.0 ** -52)
 @example(2.0 ** -1021, 3 * 2.0 ** -1021)
+@example(-DOMAIN_BOUND, DOMAIN_BOUND)
+@example(DOMAIN_BOUND * (1 - 2.0 ** -53), DOMAIN_BOUND)
 def test_interval_midpoint_keeps_the_bits_of_the_halved_sum(lo, hi):
     # halving is exact for normal floats, so the halves' sum rounds what the
-    # sum's half rounds; with subnormal halves the two can differ
+    # sum's half rounds; with subnormal halves the two can differ.  Within
+    # the bound, lo + hi never overflows
     lo, hi = min(lo, hi), max(lo, hi)
-    assume(hi > lo and math.isfinite(lo + hi))
+    assume(hi > lo)
     assert Interval(lo, hi).midpoint.hex() == (0.5 * (lo + hi)).hex()
 
 
