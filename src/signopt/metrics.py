@@ -54,8 +54,9 @@ def error_record(target, estimate) -> ErrorRecord:
     if isinstance(target, UcFunction):
         est = np.asarray(estimate, dtype=float)
         gap = target.value(est) - target.f_min
-        return ErrorRecord(point_error=float(np.linalg.norm(est - target.x_star)),
-                           f_error=0.0 if gap <= 0.0 else float(gap))
+        with np.errstate(over="ignore"):  # inf where the squared distance overflows
+            distance = float(np.linalg.norm(est - target.x_star))
+        return ErrorRecord(point_error=distance, f_error=0.0 if gap <= 0.0 else float(gap))
     raise TypeError(f"cannot compute errors for {type(target).__name__}")
 
 

@@ -115,9 +115,9 @@ class LineLabelOracle:
     positive-right.  Queries share the sign oracle's budget and counter.
     """
 
-    def __init__(self, sign_oracle: SignOracle, x, j: int):
+    def __init__(self, sign_oracle: SignOracle, line: Line):
         self.base = sign_oracle
-        self.line = Line(sign_oracle.fn, x, j)
+        self.line = line
 
     def label_sample(self, alpha: float) -> int:
         return self.base.sign_sample(self.line, alpha)
@@ -131,9 +131,9 @@ class LineLabelOracle:
         return lambda b: self.label_sample(steps[b]) > 0
 
 
-def line_label_oracle(sign_oracle: SignOracle, x, j: int) -> LineLabelOracle:
-    """View one coordinate line of a sign oracle as a 1-D label oracle."""
-    return LineLabelOracle(sign_oracle, x, j)
+def line_label_oracle(sign_oracle: SignOracle, line: Line) -> LineLabelOracle:
+    """View a coordinate line of a sign oracle's function as a 1-D label oracle."""
+    return LineLabelOracle(sign_oracle, line)
 
 
 def rssgd(fn: UcFunction, sign_oracle: SignOracle,
@@ -141,12 +141,12 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
     """Minimize ``fn`` from gradient signs alone by randomized coordinate descent.
 
     Starts from ``config.x0`` and runs E epochs; each epoch draws a
-    coordinate uniformly at random, builds the line label oracle at the
+    coordinate uniformly at random, turns the run's line to it at the
     current iterate and moves to the step returned by the configured 1-D
-    learner under a budget of floor(T / E) queries.  Returns the final
-    iterate; the sign oracle counts the queries.  Raises if the budget
-    cannot cover one query per epoch (a zero budget never can); leftover
-    queries beyond E * N are not spent.
+    learner under a budget of floor(T / E) queries, clipped to the box.
+    Returns the final iterate; the sign oracle counts the queries.  Raises
+    if the budget cannot cover one query per epoch (a zero budget never
+    can); leftover queries beyond E * N are not spent.
     """
     if sign_oracle.fn is not fn:
         raise ValueError("the sign oracle must query the function being minimized")
@@ -159,25 +159,18 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
         )
     line_config = replace(config.line_search,
                           orientation=POSITIVE_RIGHT).for_budget(budget // epochs)
-    base = fn.point(fn.box.center if isinstance(config.x0, str) else config.x0)
-    # each epoch clips its iterate to the box: all of it once, as the first
-    # epoch ends (the start may lie within the box's tolerance), and after
-    # that only the coordinate that moved, with np.clip's comparisons
-    x = np.clip(base, fn.box.lo, fn.box.hi)
-    lo, hi = fn.box.lo.tolist(), fn.box.hi.tolist()
     coords = coordinate_rng(config.seed).integers(fn.dim, size=epochs).tolist()
+    # the run's one check of its start, which the first line search runs from;
+    # the first move clips the whole point to the box, later ones coordinate j
+    line = Line(fn, fn.box.center if isinstance(config.x0, str) else config.x0, coords[0])
     # a learner that never draws gets no stream, and no per-epoch re-key
     streams = (line_search_streams(config.seed, epochs)
                if line_config.name in DRAWING_LEARNERS else itertools.repeat(None))
     for j, line_rng in zip(coords, streams):
-        view = line_label_oracle(sign_oracle, base, j)
-        alo, ahi = view.line.lo, view.line.hi
-        step = alo  # the one step of a zero-width segment
-        if ahi > alo:
-            step = run_learner(view, Interval(alo, ahi), line_config, line_rng)
-        v = float(base[j]) + step
-        # a v equal to a bound takes the bound (its sign, for a zero); NaN stays
-        v = lo[j] if v <= lo[j] else v
-        x[j] = hi[j] if v >= hi[j] else v
-        base = x
-    return x
+        line.turn(j)
+        view = line_label_oracle(sign_oracle, line)
+        step = line.lo  # the one step of a zero-width segment
+        if line.hi > line.lo:
+            step = run_learner(view, Interval(line.lo, line.hi), line_config, line_rng)
+        line.move(step)
+    return line.x

@@ -327,29 +327,66 @@ class UcFunction(abc.ABC):
 class Line:
     """The function ``fn`` along the coordinate line x + a * e_j, a in [lo, hi].
 
-    Built once, it checks the point (its shape, then the box) and the index, and
+    Built, it checks the point (its shape, then the box) and the index, and
     keeps its own copy ``x`` of the point and the offset u = x - x* that the
     partials read.  Every step is checked by one rule: a NaN step, or one beyond
     the segment by more than ``_tol(lo, hi)``, leaves the domain, and one within
     that tolerance is clipped onto the segment.
+
+    A descent run keeps one line for all its epochs: ``move`` steps its point
+    along the line, clipped to the box, and ``turn`` sets it along another
+    coordinate, checking only what changed, so a run checks its start once.
     """
 
     def __init__(self, fn: UcFunction, x, j: int):
         x = fn.point(x)
-        j = operator.index(j)  # a float index raises TypeError; int() would truncate it
-        if not 0 <= j < len(x):
-            raise IndexError(f"coordinate index {j} out of range for dim {len(x)}")
-        self.fn, self.x, self.j = fn, x.copy(), j
+        self.fn, self.x = fn, x.copy()
         # a query moves only coordinate j of the offset, by the Python-float
         # subtraction that numpy makes elementwise: u is y - x* for the queried y
         self._u = x - fn.x_star
-        self._xj = xj = x.item(j)
-        self._sj = fn._x_star_list[j]
+        self._clipped = False  # the point may lie outside the box, within its tolerance
+        self._set(j)
+
+    def _set(self, j):
+        """Set the line along coordinate ``j`` of its point, checking the index."""
+        j = operator.index(j)  # a float index raises TypeError; int() would truncate it
+        if not 0 <= j < len(self.x):
+            raise IndexError(f"coordinate index {j} out of range for dim {len(self.x)}")
+        self.j = j
+        self._xj = xj = self.x.item(j)
+        self._sj = self.fn._x_star_list[j]
         # the bounds as floats: the same IEEE subtraction as on the bound arrays
-        self._blo, self._bhi = blo, bhi = fn.box._lo_list[j], fn.box._hi_list[j]
+        self._blo, self._bhi = blo, bhi = self.fn.box._lo_list[j], self.fn.box._hi_list[j]
         self.lo, self.hi = lo, hi = blo - xj, bhi - xj
         pad = _tol(lo, hi)
         self._lo_pad, self._hi_pad = lo - pad, hi + pad
+
+    def move(self, a: float) -> None:
+        """Move the point to x + a * e_j, clipped onto the box as ``np.clip`` clips.
+
+        A value at or beyond a bound takes the bound's bits, and NaN stays.  The
+        first move clips the whole point, which then lies in the box, so later
+        moves clamp only coordinate j.  Turn the line before querying it again.
+        """
+        v = self._xj + a
+        v = self._blo if v <= self._blo else v
+        self._xj = v = self._bhi if v >= self._bhi else v
+        self.x[self.j] = v
+        if not self._clipped:
+            np.clip(self.x, self.fn.box.lo, self.fn.box.hi, out=self.x)
+            np.subtract(self.x, self.fn.x_star, out=self._u)
+            self._clipped = True
+
+    def turn(self, j: int) -> None:
+        """Set the line along coordinate ``j`` of its point.
+
+        Only what changed is checked: the index, and the coordinate moved
+        last, which lies on the box unless it is NaN.
+        """
+        if self._xj != self._xj:
+            raise OutOfDomain("point outside the domain box")
+        self._u[self.j] = self._xj - self._sj  # the offset at step 0, after any query
+        self._set(j)
 
     def partial(self, a: float) -> float:
         """The partial at x + a * e_j, its coordinate j clamped onto the box."""
@@ -403,18 +440,26 @@ class SeparablePower(UcFunction):
 
     def value(self, x) -> float:
         u = self.point(x) - self.x_star
-        return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
+        with np.errstate(over="ignore"):  # a value beyond the float range is inf
+            return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
 
+    # a partial beyond the float range is the signed infinity on both paths
     def _partial(self, u, j: int) -> float:
         v = u.item(j)
+        if v == 0.0:
+            return 0.0
         k = self.uc_exponent
-        return float(self.coeffs[j] * k * abs(v) ** (k - 1.0) * math.copysign(1.0, v)) \
-            if v != 0.0 else 0.0
+        try:
+            p = abs(v) ** (k - 1.0)
+        except OverflowError:  # Python floats multiply to inf, but ** raises
+            p = math.inf
+        return self.coeffs.item(j) * k * p * math.copysign(1.0, v)
 
     def _partials(self, u, j: int, alphas) -> np.ndarray:
         v = u[j] + alphas
         k = self.uc_exponent
-        return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
+        with np.errstate(over="ignore"):
+            return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
 
     def _directional_min_free(self, u, j: int) -> float:
         return 0.0 - u.item(j)  # x*_j - x_j, but a zero step is +0.0
@@ -451,7 +496,8 @@ class Quadratic(UcFunction):
 
     def value(self, x) -> float:
         u = self.point(x) - self.x_star
-        return float(0.5 * u @ self.matrix @ u)
+        with np.errstate(over="ignore"):  # a value beyond the float range is inf
+            return float(0.5 * u @ self.matrix @ u)
 
     def _partial(self, u, j: int) -> float:
         # for two vectors ndarray.dot is matmul's kernel without its dispatch; each
@@ -508,9 +554,10 @@ class Ridge(Quadratic):
 
     def value(self, x) -> float:
         x = self.point(x)
-        r = self.design @ x
-        r -= self.targets
-        return float(0.5 * (r @ r) + 0.5 * (x @ x))
+        with np.errstate(over="ignore"):  # a value beyond the float range is inf
+            r = self.design @ x
+            r -= self.targets
+            return float(0.5 * (r @ r) + 0.5 * (x @ x))
 
 
 def load_ridge_text(path) -> tuple[np.ndarray, np.ndarray]:

@@ -807,6 +807,24 @@ def test_csv_roundtrip(tmp_path):
     assert "," in back.rows[-1].error
 
 
+def test_an_error_beyond_the_float_range_survives_the_csv_round_trip(tmp_path):
+    # one epoch moves one coordinate: the other stays at 1e300, so the value
+    # and the squared distance overflow, to inf and with no warning
+    fn = Quadratic(np.eye(2), [0.0, 0.0], box_from_bounds(-1e300, 1e300, dim=2))
+    config = ExperimentConfig(
+        kind="optimize", problem=fn, experiment_id="huge",
+        optimizer=OptimizerConfig(line_search=LearnerConfig("bisect"), epoch_rule=1,
+                                  x0=[1e300, 1e300]),
+        budgets=[8], replications=1, base_seed=2)
+    table = run_experiment(config)
+    (row,) = table.rows
+    assert row.error == "" and row.f_error == row.point_error == np.inf
+    table.to_csv(tmp_path / "out.csv")
+    back = RunTable.from_csv(tmp_path / "out.csv")
+    assert back.rows[0].f_error == back.rows[0].point_error == np.inf
+    assert back.csv_text(include_timing=False) == table.csv_text(include_timing=False)
+
+
 def test_json_mirrors_rows(tmp_path):
     table = run_experiment(_small_config())
     path = tmp_path / "out.json"

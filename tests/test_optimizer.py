@@ -36,9 +36,9 @@ def _record_iterates(monkeypatch):
     iterates = []
     original = optimizer.line_label_oracle
 
-    def recording(sign_oracle, x, j):
-        iterates.append(x.copy())
-        return original(sign_oracle, x, j)
+    def recording(sign_oracle, line):
+        iterates.append(line.x.copy())
+        return original(sign_oracle, line)
 
     monkeypatch.setattr(optimizer, "line_label_oracle", recording)
     return iterates
@@ -93,21 +93,21 @@ def test_optimizer_config_validation():
 
 def test_line_labels_for_identity_quadratic():
     fn = _quad((1.0, 1.0))
-    line = line_label_oracle(_oracle(fn), np.zeros(2), 0)
+    line = line_label_oracle(_oracle(fn), Line(fn, np.zeros(2), 0))
     assert line.label_sample(0.5) == 1
     assert line.label_sample(-0.5) == -1
 
 
 def test_line_label_at_the_directional_minimum_is_a_fair_coin():
     fn = _quad((1.0, 1.0))
-    line = line_label_oracle(_oracle(fn), np.zeros(2), 0)
+    line = line_label_oracle(_oracle(fn), Line(fn, np.zeros(2), 0))
     labels = line.label_sample_many(np.zeros(100_000))
     assert abs(np.mean(labels == 1) - 0.5) <= binomial_band(100_000)
 
 
 def test_line_segment_is_clipped_by_the_box():
     fn = _quad((1.0, 1.0))
-    line = line_label_oracle(_oracle(fn), np.array([0.9, 0.0]), 0).line
+    line = Line(fn, np.array([0.9, 0.0]), 0)
     assert line.lo == pytest.approx(-1.9)
     assert line.hi == pytest.approx(0.1)
 
@@ -115,7 +115,7 @@ def test_line_segment_is_clipped_by_the_box():
 def test_line_adapter_shares_the_budget_counter():
     fn = _quad((1.0, 1.0))
     oracle = _oracle(fn, budget=5)
-    line = line_label_oracle(oracle, np.zeros(2), 1)
+    line = line_label_oracle(oracle, Line(fn, np.zeros(2), 1))
     line.label_sample_many(np.array([0.1, 0.2, -0.3]))
     assert oracle.queries_used == 3
     line.label_sample(0.4)
@@ -143,8 +143,7 @@ def test_invalid_query_points_raise_and_charge_nothing(x, j, error):
         oracle = _oracle(fn, mode=GaussianNoise(1.0))
         state = _plain(oracle.rng.bit_generator.state)
         for query in (lambda: oracle.sign_sample(Line(fn, x, j), 0.0),
-                      lambda: oracle.sign_sample_line(Line(fn, x, j), alphas=[0.0, 0.5]),
-                      lambda: line_label_oracle(oracle, x, j)):
+                      lambda: oracle.sign_sample_line(Line(fn, x, j), alphas=[0.0, 0.5])):
             with pytest.raises(error):
                 query()
         assert oracle.queries_used == 0
@@ -169,8 +168,7 @@ def test_a_non_integral_index_raises_and_charges_nothing(j):
                       lambda: Line(fn, x, j).partials([0.0, 0.5]),
                       lambda: fn.directional_min(x, j),
                       lambda: oracle.sign_sample(Line(fn, x, j), 0.0),
-                      lambda: oracle.sign_sample_line(Line(fn, x, j), alphas=[0.0, 0.5]),
-                      lambda: line_label_oracle(oracle, x, j)):
+                      lambda: oracle.sign_sample_line(Line(fn, x, j), alphas=[0.0, 0.5])):
             with pytest.raises(TypeError):
                 query()
         assert oracle.queries_used == 0
@@ -180,7 +178,7 @@ def test_a_non_integral_index_raises_and_charges_nothing(j):
         assert fn.grad_coord(x, j1) == fn.grad_coord(x, 1)
         assert fn.directional_min(x, j1) == fn.directional_min(x, 1)
         assert np.array_equal(Line(fn, x, j1).partials([0.5]), Line(fn, x, 1).partials([0.5]))
-        line, ref = line_label_oracle(oracle, x, j1).line, Line(fn, x, 1)
+        line, ref = Line(fn, x, j1), Line(fn, x, 1)
         assert (line.lo, line.hi, line.j) == (ref.lo, ref.hi, 1) and type(line.j) is int
         oracle.sign_sample(Line(fn, x, j1), 0.0)
         oracle.sign_sample_line(Line(fn, x, j1), alphas=[0.0, 0.5])
@@ -203,7 +201,6 @@ def test_a_query_checks_its_point_before_its_index(x, error):
                       lambda: Line(fn, x, 2),
                       lambda: Line(fn, x, -1),
                       lambda: Line(fn, x, 1.5),
-                      lambda: line_label_oracle(oracle, x, 2),
                       # a step outside the segment as well: the point's error
                       lambda: Line(fn, x, 0).partials([5.0]),
                       lambda: oracle.sign_sample_line(Line(fn, x, 0), alphas=[np.nan, 5.0])):
@@ -216,7 +213,7 @@ def test_line_budget_boundary_and_counter():
     fn = _quad((1.0, 1.0))
     oracle = _oracle(fn, budget=5)
     reference = seeded_rng(0, 0, 0)
-    line = line_label_oracle(oracle, np.zeros(2), 0)
+    line = line_label_oracle(oracle, Line(fn, np.zeros(2), 0))
     # step 0 is the minimizer, where the partial is 0.0: each label is a tie coin
     for _ in range(5):
         assert line.label_sample(0.0) == (1 if reference.random() < 0.5 else -1)
@@ -236,8 +233,8 @@ def test_steps_beyond_the_segment_pad():
     x = np.array([0.5, 1.0 + 1e-13])  # inside the tolerance; steps lie in [-1.5, 0.5]
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn)
-        view = line_label_oracle(oracle, x, 0)
-        line = view.line
+        line = Line(fn, x, 0)
+        view = line_label_oracle(oracle, line)
         for alphas in ([0.5 + 1e-9], [-1.5 - 1e-9], [0.0, 2.0]):
             for query in (line.partials, lambda a: oracle.sign_sample_line(line, alphas=a)):
                 with pytest.raises(OutOfDomain, match="^step leaves the domain box$"):
@@ -262,8 +259,8 @@ def test_nan_steps_leave_the_domain_on_both_paths():
     x = np.array([0.5, 0.0])
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn, mode=GaussianNoise(1.0))
-        view = line_label_oracle(oracle, x, 0)
-        line = view.line
+        line = Line(fn, x, 0)
+        view = line_label_oracle(oracle, line)
         state = _plain(oracle.rng.bit_generator.state)
         for query in (lambda: line.partials([np.nan]),
                       lambda: line.partials([0.1, np.nan, -0.2]),
@@ -319,8 +316,8 @@ def test_line_queries_never_recheck_the_point(monkeypatch):
     for fn in _functions_on_the_unit_square():
         oracle = _oracle(fn, mode=GaussianNoise(1.0))
         calls.clear()
-        view = line_label_oracle(oracle, np.array([0.5, -0.25]), 1)
-        line = view.line
+        line = Line(fn, np.array([0.5, -0.25]), 1)
+        view = line_label_oracle(oracle, line)
         assert len(calls) == 1
         line.partial(0.3)
         line.partials([0.3, -0.5, 1.25])
@@ -355,7 +352,7 @@ def test_a_failed_line_query_leaves_later_answers_unchanged():
     steps = [-0.75, -0.3, 0.0, 0.2, 1e-13, 0.5, 1.25 + 1e-13, -0.75 - 1e-13, 0.1]
     oracle = _oracle(fn, mode=GaussianNoise(0.3), seed=(4, 2))
     reference = _oracle(fn, mode=GaussianNoise(0.3), seed=(4, 2))
-    line = line_label_oracle(oracle, x, 1)
+    line = line_label_oracle(oracle, Line(fn, x, 1))
     got = [line.label_sample(a) for a in steps]
     for bad in (np.nan, np.float64("nan"), 3.0, -4.0):
         with pytest.raises(OutOfDomain):
@@ -373,7 +370,7 @@ def test_a_failed_line_query_leaves_later_answers_unchanged():
 def test_degenerate_segment_reports_single_step():
     box = box_from_bounds([0.0, -1.0], [0.0, 1.0])  # first coordinate pinned
     fn = Quadratic(np.eye(2), np.zeros(2), box)
-    line = line_label_oracle(_oracle(fn), np.array([0.0, 0.5]), 0).line
+    line = Line(fn, np.array([0.0, 0.5]), 0)
     assert not line.hi > line.lo and line.lo == 0.0
     x = rssgd(fn, _oracle(fn, seed=(1, 1)),
               OptimizerConfig(budget=200, epoch_rule=10,
@@ -402,7 +399,7 @@ def test_line_view_matches_box_segment():
     points += [lo + (hi - lo) * rng.random(fn.dim) for _ in range(20)]
     for x in points:
         for j in range(fn.dim):
-            line = line_label_oracle(_oracle(fn), x, j).line
+            line = Line(fn, x, j)
             # the subtraction on the bound arrays, the sign of a zero included
             want = [fn.box.lo[j] - x[j], fn.box.hi[j] - x[j]]
             assert _bits([line.lo, line.hi]) == _bits(want)
@@ -454,6 +451,38 @@ def test_one_coordinate_clamp_is_bit_identical_to_np_clip(monkeypatch, start, na
         ref = np.clip(ref, fn.box.lo, fn.box.hi)
     assert _bits(x) == _bits(ref)
     assert np.isnan(x).any() == nan_last  # NaN stays NaN
+
+
+def test_a_run_checks_its_start_once(monkeypatch):
+    calls = []
+    contains = Box.contains
+
+    def counting(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(Box, "contains", counting)
+    fn = _quad((1.0, 2.0, 3.0), half=2.0)
+    for search in ("bisect", "adaptive", "passive"):
+        calls.clear()
+        rssgd(fn, _oracle(fn, mode=GaussianNoise(1.0)),
+              OptimizerConfig(budget=3000, epoch_rule=50, line_search=LearnerConfig(search),
+                              seed=5, x0=np.array([2.0 + 1e-13, -1.0, 0.5])))
+        assert len(calls) == 1
+
+
+def test_a_nan_step_raises_as_the_next_epoch_starts(monkeypatch):
+    fn = _quad((1.0, 2.0))
+    steps = []
+
+    def learner(*args):
+        steps.append(np.nan if len(steps) == 2 else 0.25)
+        return steps[-1]
+
+    monkeypatch.setattr(optimizer, "run_learner", learner)
+    with pytest.raises(OutOfDomain, match="^point outside the domain box$"):
+        rssgd(fn, _oracle(fn), OptimizerConfig(budget=10, epoch_rule=10, seed=1))
+    assert len(steps) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +609,7 @@ def test_one_dimensional_reduction_matches_adaptive_learner():
                                           line_search=LearnerConfig("adaptive"),
                                           seed=seed, x0=np.array([0.0])))
     direct_oracle = _oracle(fn, mode=GaussianNoise(0.8), seed=(seed, 0))
-    view = line_label_oracle(direct_oracle, np.array([0.0]), 0)
+    view = line_label_oracle(direct_oracle, Line(fn, np.array([0.0]), 0))
     direct = adaptive_learner(view, Interval(view.line.lo, view.line.hi),
                               LearnerConfig(budget=budget), line_search_rng(seed, 1))
     assert x[0] == direct
@@ -597,7 +626,7 @@ def test_one_epoch_adaptive_line_search_is_passive_on_the_segment():
     for n in (11, 34, 106, 336):
         for j in range(fn.dim):
             oracles = [_oracle(fn, mode=GaussianNoise(1.0), seed=(n, j)) for _ in range(2)]
-            lines = [line_label_oracle(oracle, x, j) for oracle in oracles]
+            lines = [line_label_oracle(oracle, Line(fn, x, j)) for oracle in oracles]
             search = Interval(lines[0].line.lo, lines[0].line.hi)
             adaptive = adaptive_learner(lines[0], search,
                                         LearnerConfig(budget=n, c_delta=3.0),

@@ -620,6 +620,93 @@ def test_partials_away_from_step_zero_equal_their_formulas_bit_for_bit():
                         Line(fn, x, j).partials(steps).tobytes(), (fn, x, j, a)
 
 
+def test_separable_power_partials_overflow_to_the_signed_infinity():
+    # the scalar path's ** raises OverflowError, the batched path's warns:
+    # both give the signed infinity, with no warning
+    fn = SeparablePower([1.0], [0.0], box_from_bounds(-1e50, 1e50, dim=1), exponent=8.0)
+    line = Line(fn, [0.0], 0)
+    assert (line.partial(1e45), line.partial(-1e45)) == (math.inf, -math.inf)
+    assert fn.grad_coord([1e45], 0) == math.inf
+    assert line.partials([1e45, -1e45, 0.0, 1.0]).tolist() == [math.inf, -math.inf, 0.0, 8.0]
+
+
+def test_a_value_beyond_the_float_range_is_inf():
+    box = box_from_bounds(-1e300, 1e300, dim=2)
+    for fn in (Quadratic(np.eye(2), [0.0, 0.0], box),
+               SeparablePower([1.0, 1.0], [0.0, 0.0], box, exponent=8.0),
+               Ridge(np.eye(2), [0.0, 0.0], box)):
+        assert fn.value([1e300, 1e300]) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# a moving line: a descent run's one line, moved and turned in place
+
+def _moving_line_functions():
+    """A SeparablePower, a Quadratic and a Ridge on a box with +-0.0 bounds,
+    zero-width coordinates of both kinds and visible roundoff at the ends."""
+    box = box_from_bounds([0.0, -0.0, -1.0, 0.0, 0.0, -0.1, -0.0],
+                          [1.0, 0.0, -0.0, 0.0, -0.0, 0.3, 0.5])
+    x_star = np.array([0.5, 0.0, -0.5, 0.0, 0.0, 0.1, 0.25])
+    rng = np.random.default_rng(61)
+    m = rng.normal(size=(7, 7))
+    design = 10.0 * rng.normal(size=(12, 7))
+    design[:, [1, 3, 4]] = 0.0  # so the minimizer is 0 on the zero-width coordinates
+    return (SeparablePower(np.linspace(0.5, 2.0, 7), x_star, box, 3.0),
+            Quadratic(m.T @ m + np.eye(7), x_star, box),
+            Ridge(design, design @ x_star, box))
+
+
+def _assert_same_line(line, fresh):
+    """Equal segments, pads, points, offsets and answers, bit for bit."""
+    ends = [line.lo, line.hi, line._lo_pad, line._hi_pad]
+    assert np.array(ends).tobytes() == \
+        np.array([fresh.lo, fresh.hi, fresh._lo_pad, fresh._hi_pad]).tobytes()
+    assert (line.j, line.x.tobytes(), line._u.tobytes()) == \
+        (fresh.j, fresh.x.tobytes(), fresh._u.tobytes())
+    steps = _steps_on(line)
+    assert [line.partial(a).hex() for a in steps] == [fresh.partial(a).hex() for a in steps]
+    assert line.partials(steps).tobytes() == fresh.partials(steps).tobytes()
+
+
+@pytest.mark.parametrize("start", ["center", "lo - 1e-13", "hi + 1e-13", "-0.0"])
+def test_a_moving_line_gives_the_bits_of_a_fresh_one(start):
+    for fn in _moving_line_functions():
+        lo, hi = fn.box.lo, fn.box.hi
+        x0 = {"center": fn.box.center, "lo - 1e-13": lo - 1e-13, "hi + 1e-13": hi + 1e-13,
+              "-0.0": np.full(fn.dim, -0.0)}[start]
+        rng = np.random.default_rng([len(start), 62])
+        coords = rng.integers(fn.dim, size=80).tolist()
+        line, ref = Line(fn, x0, coords[0]), x0.copy()
+        _assert_same_line(line, Line(fn, ref, coords[0]))
+        for k in coords[1:]:
+            if rng.random() < 0.9:  # else turn again from the same point
+                a_lo, a_hi = line.lo, line.hi
+                a = [a_lo, a_hi, float(np.nextafter(a_lo, -np.inf)),
+                     float(np.nextafter(a_hi, np.inf)), 0.0, -0.0,
+                     float(rng.uniform(a_lo, a_hi))][rng.integers(7)]
+                line.move(a)
+                ref[line.j] += a  # what rssgd did: the step, then np.clip of the point
+                ref = np.clip(ref, lo, hi)
+                assert line.x.tobytes() == ref.tobytes()
+            line.turn(k)
+            _assert_same_line(line, Line(fn, ref, k))
+        # a NaN move stays in the point and raises at the next turn, as a fresh line does
+        line.move(np.nan)
+        assert np.isnan(line.x[line.j])
+        for turn in (lambda: line.turn(0), lambda: Line(fn, line.x, 0)):
+            with pytest.raises(OutOfDomain, match="^point outside the domain box$"):
+                turn()
+
+
+def test_a_line_turns_only_to_a_coordinate():
+    line = Line(_sep2(), [0.5, -0.5], 0)
+    for j, error in ((2, IndexError), (-1, IndexError), (1.0, TypeError)):
+        with pytest.raises(error):
+            line.turn(j)
+    line.turn(1)
+    assert (line.j, line.lo, line.hi) == (1, -2.5, 3.5)
+
+
 # ---------------------------------------------------------------------------
 # sampled certificates
 
