@@ -10,12 +10,15 @@ harness and for every line search of the optimizer alike.
 
 Every learner takes an oracle, an explicit search interval and, where it
 places its own queries, an explicit numpy Generator, so runs are
-replayable.  An oracle answers ``label_sample(x)`` (one label, +1 or -1),
-``label_sample_many(xs)`` (an array of them) and ``grid_labeler(points)``
-(a function of a grid index b that tells whether the label at
-``points[b]`` is positive, one query per call).  ``bz_rows`` runs
-probabilistic bisection for many independent rows in lockstep, querying
-through grid labelers; ``bz_learner`` is its one-row call.
+replayable.  A search is anything with ``lo``, ``hi``, ``width`` and
+``midpoint`` whose ends would make a valid ``Interval``: an ``Interval``,
+or the ``Line`` of a coordinate line search.  An oracle answers
+``label_sample(x)`` (one label, +1 or -1), ``label_sample_many(xs)`` (an
+array of them) and ``grid_labeler(points)`` (a function of a grid index b
+that tells whether the label at ``points[b]`` is positive, one query per
+call).  ``bz_rows`` runs probabilistic bisection for many independent rows
+in lockstep, querying through grid labelers; ``bz_learner`` is its one-row
+call.
 """
 
 from __future__ import annotations
@@ -108,12 +111,19 @@ def erm_cut(positions, labels, search: Interval,
     empirical error of a cut c is #{+ samples left of c} + #{- samples
     right of c}; ties resolve to the leftmost minimizing candidate.
 
+    One pass takes the leftmost minimum over all n + 1 splits of the
+    sorted positions.  Where every position lies in [lo, hi) and that split
+    is 0, n or a boundary between distinct values, it is a candidate, and
+    so the leftmost minimum over the candidates too.  Otherwise (ties at
+    the minimum, or positions outside [lo, hi) or NaN) the candidates are
+    scanned.
+
     The sort need not be stable: every candidate split is a search end or
     a boundary between distinct values, so neither its error nor the
     values read there depend on the order within a group of equal
-    positions.  That holds for a {-0.0, 0.0} group too (``lower + upper``
-    and ``mid == lower`` cannot tell the zeros apart), and NaN sorts last
-    under every kind.
+    positions, and a minimum inside such a group is scanned.  That holds
+    for a {-0.0, 0.0} group too (``lower + upper`` and ``mid == lower``
+    cannot tell the zeros apart), and NaN sorts last under every kind.
     """
     positions = np.asarray(positions, dtype=float)
     labels = np.asarray(labels)
@@ -126,26 +136,31 @@ def erm_cut(positions, labels, search: Interval,
     pos = (y > 0) if orientation_sign(orientation) > 0 else (y < 0)
     # a cut c classifies x >= c as the positive side; at split s = #{p < c} its
     # error is #{positives in p[:s]} + #{negatives in p[s:]} = err[s] + const,
-    # where err[s] sums +1 per positive and -1 per negative in p[:s]
-    err = np.zeros(n + 1, dtype=np.intp)
-    np.add.accumulate(_PLUS_MINUS.take(pos), out=err[1:])
-    rising = p[1:] > p[:-1]  # the splits between distinct values
-    if p[0] >= search.lo and p[-1] < search.hi and np.count_nonzero(rising) == n - 1:
-        # distinct positions in [lo, hi): every split 0..n is a candidate
-        best = int(err.argmin())
+    # where err[s] sums +1 per positive and -1 per negative in p[:s], err[0] = 0
+    acc = np.add.accumulate(_PLUS_MINUS.take(pos))  # err[1:]
+    best = int(acc.argmin())
+    best = best + 1 if acc.item(best) < 0 else 0  # the leftmost minimum of err
+    if p.item(0) >= search.lo and p.item(-1) < search.hi:  # NaN fails too
         if not 0 < best < n:
             return float(search.hi if best else search.lo)
-        lower, upper = p[best - 1], p[best]
-    else:
-        # a midpoint between distinct values splits at their boundary, and a
-        # search end splits off the positions below it
-        boundaries = rising.nonzero()[0] + 1
-        ends = p.searchsorted((search.lo, search.hi), side="left")
-        splits = np.concatenate((ends[:1], boundaries, ends[1:]))
-        best = int(err[splits].argmin())
-        if not 0 < best <= boundaries.size:
-            return float(search.hi if best else search.lo)
-        lower, upper = p[boundaries[best - 1] - 1], p[boundaries[best - 1]]
+        lower, upper = p.item(best - 1), p.item(best)
+        if lower < upper:
+            return _cut_between(lower, upper)
+    # a midpoint between distinct values splits at their boundary, and a
+    # search end splits off the positions below it
+    err = np.zeros(n + 1, dtype=np.intp)
+    err[1:] = acc
+    boundaries = (p[1:] > p[:-1]).nonzero()[0] + 1
+    ends = p.searchsorted((search.lo, search.hi), side="left")
+    splits = np.concatenate((ends[:1], boundaries, ends[1:]))
+    best = int(err[splits].argmin())
+    if not 0 < best <= boundaries.size:
+        return float(search.hi if best else search.lo)
+    return _cut_between(p[boundaries[best - 1] - 1], p[boundaries[best - 1]])
+
+
+def _cut_between(lower, upper) -> float:
+    """The cut between two adjacent distinct sorted positions: their midpoint."""
     mid = 0.5 * (float(lower) + float(upper))
     # the midpoint of two adjacent floats can round onto the lower one
     return float(upper if mid == lower else mid)

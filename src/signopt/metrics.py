@@ -8,6 +8,7 @@ convergence rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,13 @@ def error_record(target, estimate) -> ErrorRecord:
                            excess_risk=excess_risk(target, est))
     if isinstance(target, UcFunction):
         est = np.asarray(estimate, dtype=float)
-        gap = target.value(est) - target.f_min
-        with np.errstate(over="ignore"):  # inf where the squared distance overflows
-            distance = float(np.linalg.norm(est - target.x_star))
+        gap = target.value(est) - target.f_min  # checks the point: est - x* is finite
+        v = est - target.x_star
+        with np.errstate(over="ignore"):  # the squared distance may overflow
+            distance = float(np.linalg.norm(v))
+            if distance == math.inf:  # norm squares first: rescale by the largest entry
+                s = float(np.abs(v).max())
+                distance = s * float(np.linalg.norm(v / s))
         return ErrorRecord(point_error=distance, f_error=0.0 if gap <= 0.0 else float(gap))
     raise TypeError(f"cannot compute errors for {type(target).__name__}")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .learners import DRAWING_LEARNERS, LearnerConfig, POSITIVE_RIGHT, as_count, run_learner
 from .oracles import ROLE_COORDS, ROLE_SAMPLING, SignOracle, philox_keys, seeded_rng
-from .problems import Interval, Line, UcFunction
+from .problems import Line, UcFunction
 
 PAPER_DEFAULT = "paper-default"
 KEY_BLOCK = 4096  # epochs whose line-search keys are derived in one pass
@@ -56,15 +56,19 @@ def line_search_streams(seed, epochs: int):
     One Philox generator serves every epoch: its state is reset to the
     epoch's key with a zero counter and an empty buffer, exactly as a fresh
     generator starts.  The keys come from ``philox_keys``, a block of
-    epochs per pass.  Each yielded generator is valid until the next one.
+    epochs per pass.  The state holds its counter, buffer and keys as
+    Python ints, which the state setter reads faster than numpy scalars.
+    Each yielded generator is valid until the next one.
     """
     prefix = (*_seed_tuple(seed), ROLE_SAMPLING)
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh generator's counter, buffer and flags
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     for first in range(1, epochs + 1, KEY_BLOCK):
         stop = min(first + KEY_BLOCK, epochs + 1)
-        for key in philox_keys(prefix, np.arange(first, stop)):
+        for key in philox_keys(prefix, np.arange(first, stop)).tolist():
             state["state"]["key"] = key
             bitgen.state = state
             yield rng
@@ -171,6 +175,8 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
         view = line_label_oracle(sign_oracle, line)
         step = line.lo  # the one step of a zero-width segment
         if line.hi > line.lo:
-            step = run_learner(view, Interval(line.lo, line.hi), line_config, line_rng)
+            # the line's step segment is the search: an Interval's lo < hi,
+            # both within the box bound's +-2**1021
+            step = run_learner(view, line, line_config, line_rng)
         line.move(step)
     return line.x

@@ -339,5 +339,8 @@ class SignOracle(_CountingOracle):
     # alphas is keyword-only: bench/spans.py counts a batch by its alphas= keyword
     def sign_sample_line(self, line: Line, *, alphas) -> np.ndarray:
         g = line.partials(alphas)  # checks the steps
-        self._charge(g.size)
+        n = g.size
+        if self.budget is not None and self.queries_used + n > self.budget:
+            self._charge(n)  # raises BudgetExhausted, before any draw
+        self.queries_used += n
         return self.mode.draw_many(g, self.rng)

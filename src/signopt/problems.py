@@ -49,6 +49,11 @@ def _tol(lo: float, hi: float) -> float:
     return 1e-12 * max(1.0, abs(lo), abs(hi))
 
 
+def _inf_for_nan(v: float) -> float:
+    """A value of a checked point: NaN only where its form overflowed, so +inf."""
+    return math.inf if v != v else v
+
+
 def orientation_sign(orientation: str) -> float:
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation: must be one of {ORIENTATIONS}, got {orientation!r}")
@@ -336,7 +341,12 @@ class Line:
     A descent run keeps one line for all its epochs: ``move`` steps its point
     along the line, clipped to the box, and ``turn`` sets it along another
     coordinate, checking only what changed, so a run checks its start once.
+    Its step segment is a learner's search: it reads ``lo``, ``hi``,
+    ``width`` and ``midpoint``, the last two ``Interval``'s own properties.
     """
+
+    width = Interval.width
+    midpoint = Interval.midpoint
 
     def __init__(self, fn: UcFunction, x, j: int):
         x = fn.point(x)
@@ -496,8 +506,10 @@ class Quadratic(UcFunction):
 
     def value(self, x) -> float:
         u = self.point(x) - self.x_star
-        with np.errstate(over="ignore"):  # a value beyond the float range is inf
-            return float(0.5 * u @ self.matrix @ u)
+        # a value beyond the float range is inf; where partial products overflow
+        # to infinities of both signs it sums to NaN, but the form is then +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _inf_for_nan(float(0.5 * u @ self.matrix @ u))
 
     def _partial(self, u, j: int) -> float:
         # for two vectors ndarray.dot is matmul's kernel without its dispatch; each
@@ -554,10 +566,10 @@ class Ridge(Quadratic):
 
     def value(self, x) -> float:
         x = self.point(x)
-        with np.errstate(over="ignore"):  # a value beyond the float range is inf
+        with np.errstate(over="ignore", invalid="ignore"):  # as in Quadratic.value
             r = self.design @ x
             r -= self.targets
-            return float(0.5 * (r @ r) + 0.5 * (x @ x))
+            return _inf_for_nan(float(0.5 * (r @ r) + 0.5 * (x @ x)))
 
 
 def load_ridge_text(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -809,7 +810,8 @@ def test_csv_roundtrip(tmp_path):
 
 def test_an_error_beyond_the_float_range_survives_the_csv_round_trip(tmp_path):
     # one epoch moves one coordinate: the other stays at 1e300, so the value
-    # and the squared distance overflow, to inf and with no warning
+    # overflows to inf, with no warning; the distance, about 1e300, is finite
+    # although its square overflows
     fn = Quadratic(np.eye(2), [0.0, 0.0], box_from_bounds(-1e300, 1e300, dim=2))
     config = ExperimentConfig(
         kind="optimize", problem=fn, experiment_id="huge",
@@ -818,10 +820,13 @@ def test_an_error_beyond_the_float_range_survives_the_csv_round_trip(tmp_path):
         budgets=[8], replications=1, base_seed=2)
     table = run_experiment(config)
     (row,) = table.rows
-    assert row.error == "" and row.f_error == row.point_error == np.inf
+    distance = math.hypot(*map(float, row.estimate.split()))
+    assert row.error == "" and row.f_error == np.inf
+    assert 1e300 <= row.point_error == pytest.approx(distance, rel=1e-15)
     table.to_csv(tmp_path / "out.csv")
     back = RunTable.from_csv(tmp_path / "out.csv")
-    assert back.rows[0].f_error == back.rows[0].point_error == np.inf
+    assert back.rows[0].f_error == np.inf
+    assert back.rows[0].point_error == row.point_error
     assert back.csv_text(include_timing=False) == table.csv_text(include_timing=False)
 
 

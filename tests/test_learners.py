@@ -173,6 +173,43 @@ def test_erm_cut_at_a_group_of_signed_zeros(samples, search, want):
         assert repr(cut) == repr(_erm_cut_reference(positions, labels, search))
 
 
+def _one_pass_split(positions, labels):
+    """The leftmost minimum over all n + 1 splits of the stably sorted positions."""
+    labels = np.asarray(labels)[np.argsort(positions, kind="stable")]
+    err = np.concatenate(([0], np.cumsum(np.where(labels > 0, 1, -1))))
+    return int(err.argmin())
+
+
+@pytest.mark.parametrize("samples, ends", [
+    # the leftmost minimum over all splits lies inside a group of equal positions
+    ([(0.2, -1), (0.5, -1), (0.5, 1), (0.8, 1)], (0.0, 1.0)),
+    ([(0.5, -1), (0.5, -1), (0.5, 1), (0.9, -1), (0.9, 1)], (0.0, 1.0)),
+    # ... between -0.0 and 0.0
+    ([(-0.5, -1), (-0.0, -1), (0.0, 1), (0.5, 1)], (-1.0, 1.0)),
+    # a position lies below lo
+    ([(-0.5, -1), (0.6, 1)], (0.0, 1.0)),
+    ([(-0.5, 1), (0.5, -1)], (0.0, 1.0)),
+    # a position lies at or above hi
+    ([(0.25, -1), (1.0, -1)], (0.0, 1.0)),
+    ([(0.25, -1), (1.5, -1)], (0.0, 1.0)),
+    # a position is NaN
+    ([(0.25, 1), (0.5, -1), (np.nan, -1)], (0.0, 1.0)),
+    ([(np.nan, 1), (0.25, -1)], (0.0, 1.0)),
+])
+def test_erm_cut_scans_the_candidates_where_one_pass_cannot_decide(samples, ends):
+    positions = np.array([p for p, _ in samples])
+    labels = np.array([y for _, y in samples])
+    search = Interval(*ends)
+    p = np.sort(positions, kind="stable")
+    best = _one_pass_split(positions, labels)
+    in_range = p[0] >= search.lo and p[-1] < search.hi
+    # each case leaves the one pass's split undecided, so erm_cut scans
+    assert not (in_range and (best in (0, p.size) or p[best - 1] < p[best]))
+    # negated labels on the positive-left side have the same errors
+    _assert_same_cut(positions, labels, search, "positive-right")
+    _assert_same_cut(positions, -labels, search, POSITIVE_LEFT)
+
+
 def test_passive_erm_localizes_noiseless_threshold():
     problem = _noiseless(0.7)
     oracle = LabelOracle(problem, seeded_rng(0, 0, 0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,23 @@ def test_error_record_reports_the_true_gap():
     assert error_record(fn, [0.0]).f_error == 0.0
     fn.f_min = 1e-3  # a value below the stated minimum is never a negative gap
     assert error_record(fn, [1e-7]).f_error == 0.0
+
+
+def test_error_record_distance_beyond_the_squares_range_is_finite():
+    # np.linalg.norm squares first: from 1e154 on the plain norm reads inf
+    box = box_from_bounds(-1e307, 1e307, dim=3)
+    fn = Quadratic(np.eye(3), [1e306, 0.0, -5e306], box)
+    for point in ([1e300, 1e300, 0.0], [1e307, -1e307, 1e307], [1e154, 0.0, 0.0]):
+        v = np.array(point) - fn.x_star
+        rec = error_record(fn, point)
+        assert rec.point_error == pytest.approx(np.sqrt(np.sum((v / 1e300) ** 2)) * 1e300,
+                                                rel=1e-15)
+        assert math.isfinite(rec.point_error) and rec.f_error == math.inf
+    # a distance whose square is finite keeps the plain norm's bits
+    fn = Quadratic(np.eye(3), [0.5, 0.0, -0.25], box)
+    for point in ([1e150, -3e150, 0.5], [0.25, 1e-200, 3.0]):
+        want = np.linalg.norm(np.array(point) - fn.x_star)
+        assert error_record(fn, point).point_error.hex() == float(want).hex()
 
 
 def test_error_record_rejects_unknown_targets():

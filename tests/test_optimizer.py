@@ -766,6 +766,50 @@ def test_line_search_streams_match_line_search_rng(monkeypatch, seed):
     assert epoch == epochs
 
 
+def test_the_philox_state_setter_reads_python_ints_as_uint64_arrays():
+    # line_search_streams keeps the state's counter, buffer and keys as Python
+    # ints; keys of both halves of the uint64 range must give the arrays' bits
+    keys = np.array([[0, 2 ** 64 - 1], [2 ** 63, 2 ** 63 - 1], [12345, 2 ** 63 + 7]],
+                    dtype=np.uint64)
+    for key in keys:
+        from_arrays, from_ints = np.random.Philox(0), np.random.Philox(0)
+        state = from_arrays.state
+        state["state"]["key"] = key
+        from_arrays.state = state
+        state = from_ints.state
+        state["state"]["counter"] = state["state"]["counter"].tolist()
+        state["buffer"] = state["buffer"].tolist()
+        state["state"]["key"] = key.tolist()
+        from_ints.state = state
+        assert _draws(np.random.Generator(from_ints), True) == \
+            _draws(np.random.Generator(from_arrays), True)
+        assert from_ints.state["state"]["key"].tolist() == key.tolist()
+
+
+@pytest.mark.parametrize("line_search", [
+    LearnerConfig("adaptive"), LearnerConfig("passive"), LearnerConfig("bisect"),
+    LearnerConfig("bz", grid_size=16, bz_k=2.0, bz_mu=1.0),
+])
+def test_the_search_of_each_line_search_is_the_runs_line(monkeypatch, line_search):
+    # the learner searches the line's own step segment, which reads as an Interval
+    searches = []
+    run_learner = optimizer.run_learner
+
+    def spy(view, search, config, rng):
+        assert search is view.line
+        same = Interval(search.lo, search.hi)
+        for name in ("lo", "hi", "width", "midpoint"):
+            assert getattr(search, name).hex() == getattr(same, name).hex(), name
+        searches.append(search)
+        return run_learner(view, search, config, rng)
+
+    monkeypatch.setattr(optimizer, "run_learner", spy)
+    fn = _quad((1.0, 2.0, 3.0), half=2.0, x_star=(0.3, -0.7, 1.1))
+    rssgd(fn, _oracle(fn, mode=GaussianNoise(1.0)),
+          OptimizerConfig(budget=600, epoch_rule=20, line_search=line_search, seed=4))
+    assert len(searches) == 20 and len({id(s) for s in searches}) == 1
+
+
 @pytest.mark.parametrize("mode, line_search", [
     (ExactSign(), LearnerConfig("bisect")),
     (GaussianNoise(1.0), LearnerConfig("bz", grid_size=64, bz_k=2.0, bz_mu=1.0)),

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -636,6 +637,27 @@ def test_a_value_beyond_the_float_range_is_inf():
                SeparablePower([1.0, 1.0], [0.0, 0.0], box, exponent=8.0),
                Ridge(np.eye(2), [0.0, 0.0], box)):
         assert fn.value([1e300, 1e300]) == math.inf
+
+
+def test_a_value_whose_products_overflow_to_both_infinities_is_inf():
+    # 0.5 * u @ A @ u sums +inf and -inf to NaN, with numpy's "invalid value
+    # encountered in matmul" warning; at a checked point the form is +inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn = Quadratic(1000 * np.array([[1.0, 0.9], [0.9, 1.0]]), [0.0, 0.0],
+                       box_from_bounds(-1e307, 1e307, dim=2))
+        assert fn.value([1e307, -0.75e307]) == math.inf
+        # rows of +-1e150 against a point of 1e200s: A @ x has products of both signs
+        design = 1e150 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                                   [1, -1, -1, 1]])
+        ridge = Ridge(design, np.zeros(4), box_from_bounds(-1e200, 1e200, dim=4))
+        assert ridge.value(np.full(4, 1e200)) == math.inf
+        # a finite value keeps the bits of the plain form
+        u = np.array([0.3, -0.7])
+        assert fn.value(u).hex() == float(0.5 * u @ fn.matrix @ u).hex()
+        x = np.array([1e-3, 2e-3, -1e-3, 5e-4])
+        r = design @ x
+        assert ridge.value(x).hex() == float(0.5 * (r @ r) + 0.5 * (x @ x)).hex()
 
 
 # ---------------------------------------------------------------------------
