@@ -453,6 +453,8 @@ class RunTable:
     def from_csv(cls, path) -> "RunTable":
         with open(path, newline="") as f:
             records = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
+        if not records:
+            raise ValueError(f"{path}: no header row")
         header = records[0]
         rows = []
         for record in records[1:]:

@@ -124,20 +124,27 @@ def erm_cut(positions, labels, search: Interval,
     positions, and a minimum inside such a group is scanned.  That holds
     for a {-0.0, 0.0} group too (``lower + upper`` and ``mid == lower``
     cannot tell the zeros apart), and NaN sorts last under every kind.
+
+    A label counts as positive where it is > 0, or < 0 for positive-left;
+    ``_erm_cut_steps`` cuts on the error steps that this gives.
     """
-    positions = np.asarray(positions, dtype=float)
     labels = np.asarray(labels)
+    pos = (labels > 0) if orientation_sign(orientation) > 0 else (labels < 0)
+    return _erm_cut_steps(np.asarray(positions, dtype=float), _PLUS_MINUS.take(pos),
+                          search)
+
+
+def _erm_cut_steps(positions: np.ndarray, steps: np.ndarray, search: Interval) -> float:
+    """``erm_cut`` from error steps: +1 per sample on the positive side, -1 otherwise."""
     n = positions.size
     if n == 0:
         return search.midpoint
     order = positions.argsort()  # the default kind, much faster than a stable sort
     p = positions.take(order)
-    y = labels.take(order)
-    pos = (y > 0) if orientation_sign(orientation) > 0 else (y < 0)
     # a cut c classifies x >= c as the positive side; at split s = #{p < c} its
     # error is #{positives in p[:s]} + #{negatives in p[s:]} = err[s] + const,
-    # where err[s] sums +1 per positive and -1 per negative in p[:s], err[0] = 0
-    acc = np.add.accumulate(_PLUS_MINUS.take(pos))  # err[1:]
+    # where err[s] sums the steps of p[:s], err[0] = 0
+    acc = np.add.accumulate(steps.take(order))  # err[1:]
     best = int(acc.argmin())
     best = best + 1 if acc.item(best) < 0 else 0  # the leftmost minimum of err
     if p.item(0) >= search.lo and p.item(-1) < search.hi:  # NaN fails too
@@ -173,7 +180,9 @@ def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,
         raise ValueError("need at least one sample")
     xs = rng.uniform(search.lo, search.hi, size=n_samples)
     labels = oracle.label_sample_many(xs)
-    return erm_cut(xs, labels, search, orientation)
+    # every label is +1 or -1, so the labels are a positive-right cut's error steps
+    steps = labels if orientation_sign(orientation) > 0 else -labels
+    return _erm_cut_steps(xs, steps, search)
 
 
 @functools.lru_cache(maxsize=256)  # one line search per epoch asks again

@@ -30,7 +30,8 @@ def excess_risk(problem: TncProblem, estimate: float) -> float:
     Equals the integral of |2 eta - 1| between the estimate and the
     threshold.  On the power-law region that is (2 mu / k) |d|^k; once the
     margin saturates the remaining stretch contributes 2 cap per unit
-    length.
+    length.  The risk is at most 2 cap d <= d, so it is finite wherever d
+    is, even where the power it is made of is not.
     """
     if not problem.interval.contains(estimate):
         raise OutOfDomain("estimate outside the problem interval")
@@ -40,10 +41,21 @@ def excess_risk(problem: TncProblem, estimate: float) -> float:
         return 0.0
     if k == 1.0:
         return 2.0 * min(mu, cap) * d
-    clamp_dist = (cap / mu) ** (1.0 / (k - 1.0))
+    try:
+        clamp_dist = (cap / mu) ** (1.0 / (k - 1.0))
+    except OverflowError:  # beyond the float range: the margin never saturates
+        clamp_dist = math.inf
     if d <= clamp_dist:
-        return (2.0 * mu / k) * d ** k
-    return (2.0 * mu / k) * clamp_dist ** k + 2.0 * cap * (d - clamp_dist)
+        return _power_risk(mu, k, d)
+    return _power_risk(mu, k, clamp_dist) + 2.0 * cap * (d - clamp_dist)
+
+
+def _power_risk(mu: float, k: float, x: float) -> float:
+    """(2 mu / k) x**k, the risk over a stretch of length x on the power law."""
+    try:
+        return (2.0 * mu / k) * x ** k
+    except OverflowError:  # x**k alone is beyond the float range: add logarithms
+        return math.exp(math.log(2.0) + math.log(mu) - math.log(k) + k * math.log(x))
 
 
 def error_record(target, estimate) -> ErrorRecord:

@@ -103,6 +103,14 @@ def test_sweep_then_slope_roundtrip(tmp_path, capsys):
     assert np.isfinite(report["slope"])  # 2 budgets x 2 reps: sign is noise
 
 
+@pytest.mark.parametrize("text", ["", "# schema_version=1\n\n# no rows\n"],
+                         ids=["empty", "comments-only"])
+def test_slope_of_a_table_without_a_header_row_exits_3(tmp_path, capsys, text):
+    table = _write(tmp_path, text, name="empty.csv")
+    assert main(["slope", "--table", table]) == 3
+    assert capsys.readouterr().err == f"error: {table}: no header row\n"
+
+
 def test_failing_cells_exit_3(tmp_path, capsys):
     failing = OPTIMIZE_CFG.replace("optimizer.epoch_rule = 25",
                                    "optimizer.epoch_rule = paper-default") \

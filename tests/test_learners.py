@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signopt import (Interval, LabelOracle, LearnerConfig, OutOfDomain, POSITIVE_LEFT,
+from signopt import (GaussianNoise, Interval, LabelOracle, LearnerConfig, Line,
+                     OutOfDomain, POSITIVE_LEFT, Quadratic, SignOracle,
                      adaptive_epoch_schedule, adaptive_learner, auto_grid_size,
-                     bisect_noiseless, bz_learner, erm_cut, excess_risk,
-                     fit_rate_slope, make_tnc_problem, passive_erm, seeded_rng)
+                     bisect_noiseless, box_from_bounds, bz_learner, erm_cut,
+                     excess_risk, fit_rate_slope, line_label_oracle, make_tnc_problem,
+                     passive_erm, seeded_rng)
 from signopt import learners
 
 UNIT = Interval(0.0, 1.0)
@@ -221,6 +223,35 @@ def test_passive_erm_needs_samples():
     oracle = LabelOracle(_noiseless(0.5), seeded_rng(0, 1, 0))
     with pytest.raises(ValueError):
         passive_erm(oracle, UNIT, 0, "positive-right", seeded_rng(0, 1, 1))
+
+
+def _passive_oracle(kind, seed):
+    """A fresh label oracle of ``kind`` and the search a passive run makes on it."""
+    if kind == "label":
+        return LabelOracle(_noisy(), seeded_rng(seed, 0, 0)), UNIT
+    fn = Quadratic(np.diag([1.0, 3.0]), [0.2, -0.4], box_from_bounds(-1.0, 1.0, dim=2))
+    line = Line(fn, np.array([0.5, 0.5]), 1)
+    sign_oracle = SignOracle(fn, GaussianNoise(1.0), seeded_rng(seed, 0, 0))
+    return line_label_oracle(sign_oracle, line), line
+
+
+@pytest.mark.parametrize("kind", ["label", "line"])
+@pytest.mark.parametrize("orientation", ["positive-right", POSITIVE_LEFT])
+@pytest.mark.parametrize("n", [1, 2, 11, 34, 106])
+@pytest.mark.parametrize("one_ulp", [False, True], ids=["wide", "one-ulp"])
+def test_passive_erm_cuts_as_erm_cut_on_its_draws_and_labels(kind, orientation, n,
+                                                             one_ulp):
+    oracle, search = _passive_oracle(kind, n)
+    if one_ulp:
+        search = Interval(search.midpoint, math.nextafter(search.midpoint, math.inf))
+    cut = passive_erm(oracle, search, n, orientation, seeded_rng(n, 0, 1))
+    replay, _ = _passive_oracle(kind, n)
+    xs = seeded_rng(n, 0, 1).uniform(search.lo, search.hi, size=n)
+    if one_ulp and n > 2:  # ties, and positions at hi: erm_cut scans the candidates
+        assert np.unique(xs).size < n and xs.max() == search.hi
+    want = erm_cut(xs, replay.label_sample_many(xs), search, orientation)
+    assert cut.hex() == want.hex()
+    assert (oracle.base if kind == "line" else oracle).queries_used == n
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,23 @@ def test_excess_risk_bounded_noise_case():
     assert excess_risk(p, 0.7) == pytest.approx(2 * 0.3 * 0.2)
 
 
+def test_excess_risk_where_a_power_of_it_is_beyond_the_float_range():
+    # k near 1: the saturation distance (cap / mu) ** (1 / (k - 1)) = 4 ** 1000
+    # overflows, and the margin never saturates
+    p = _problem(exponent=1.001, mu=0.1, cap=0.4)
+    for estimate in (0.0, 0.3, 0.5 + 1e-9, 1.0):
+        closed = excess_risk(p, estimate)
+        assert closed == (2.0 * 0.1 / 1.001) * abs(estimate - 0.5) ** 1.001
+        assert closed == pytest.approx(excess_risk_quadrature(p, estimate), abs=1e-8)
+    # d ** k overflows on the power law, where the risk is 1e120
+    wide = make_tnc_problem((-1e161, 1e161), 0.0, 2.0, 1e-200, 0.4)
+    assert excess_risk(wide, 1e160) == pytest.approx(1e120, rel=1e-12)
+    # the saturation distance 5e299 is finite, its square is not:
+    # (2 mu / k) * 5e299 ** 2 + 2 cap (1e300 - 5e299) = 2.5e299 + 5e299
+    saturating = make_tnc_problem((-1e301, 1e301), 0.0, 2.0, 1e-300, 0.5)
+    assert excess_risk(saturating, -1e300) == pytest.approx(7.5e299, rel=1e-12)
+
+
 def test_excess_risk_rejects_outside_estimate():
     with pytest.raises(OutOfDomain):
         excess_risk(_problem(), 1.2)
