@@ -261,7 +261,8 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
             key, other = ("problem.box_lo", "problem.box_hi")[::1 if has_lo else -1]
             raise ConfigError(f"{key}: not read by problem.family = ridge without {other}")
         box = _box(raw, design.shape[1]) if has_lo else None
-        with _config_errors("problem.", {"design": "problem.matrix_file"}):
+        with _config_errors("problem.", dict.fromkeys(("design", "targets"),
+                                                      "problem.matrix_file")):
             return Ridge(design, targets, box)
     dim = _get(raw, "problem.dim", int)
     if dim < 1:

@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .problems import (Interval, POSITIVE_LEFT, POSITIVE_RIGHT,
-                       orientation_sign)
+from .problems import (Interval, POSITIVE_LEFT, POSITIVE_RIGHT, SCALE_BOUND,
+                       TNC_EXPONENT_RANGE, orientation_sign)
 
 LEARNERS = ("adaptive", "bisect", "passive", "bz")
 DRAWING_LEARNERS = ("adaptive", "passive")  # those that read run_learner's Generator
@@ -85,10 +85,11 @@ class LearnerConfig:
                              "adaptive and bz learners")
         if self.grid_size != GRID_AUTO and as_count("grid_size", self.grid_size) < 2:
             raise ValueError("grid_size: must be at least 2")
-        if self.bz_k is not None and not self.bz_k >= 1.0:
-            raise ValueError(f"bz_k: must be at least 1, got {self.bz_k}")
-        if self.bz_mu is not None and not self.bz_mu > 0.0:
-            raise ValueError(f"bz_mu: must be positive, got {self.bz_mu}")
+        lo_k, hi_k = TNC_EXPONENT_RANGE
+        if self.bz_k is not None and not lo_k <= self.bz_k <= hi_k:
+            raise ValueError(f"bz_k: must lie in [{lo_k}, {hi_k}], got {self.bz_k}")
+        if self.bz_mu is not None and not 0.0 < self.bz_mu <= SCALE_BOUND:
+            raise ValueError(f"bz_mu: must lie in (0, 2**64], got {self.bz_mu}")
 
     def for_budget(self, budget: int, dither: int = 0) -> LearnerConfig:
         """This config for one run of ``budget`` queries.
@@ -301,10 +302,7 @@ def bz_rows(oracles, search: Interval, configs) -> list:
                 n_probe = min(20, budget)
                 orientation = _auto_orientation(oracle, search, n_probe)
             delta = search.width / cells
-            try:
-                gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
-            except OverflowError:  # a power beyond the float range caps as well
-                gamma = 0.5
+            gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
             labeler = oracle.grid_labeler([lo + b * delta for b in range(cells)])
         except Exception as exc:  # noqa: BLE001 - ends this row only
             results[r] = exc
@@ -414,17 +412,15 @@ def auto_grid_size(budget: int, bz_k: float, dither: int = 0) -> int:
     """Grid resolution matching the point-error scale of bisection at this budget.
 
     M ~ (T / ln T)^(1 / (2k - 2)) balances the cell width against the
-    posterior concentration rate; the bounded-noise case k = 1 gets a linear
-    grid.  ``dither`` (any integer, e.g. a replication index) spreads the
-    resolution over [M, 2M) so that aggregate error statistics are not an
-    artifact of where one fixed grid's midpoints happen to fall.
+    posterior concentration rate; every k <= 1.5, the bounded-noise case
+    k = 1 among them, gets the linear grid M ~ T / ln T.  ``dither`` (any
+    integer, e.g. a replication index) spreads the resolution over [M, 2M)
+    so that aggregate error statistics are not an artifact of where one
+    fixed grid's midpoints happen to fall.
     """
     budget = int(budget)
     if budget < 2:
         return 2
     log_t = max(1.0, math.log(budget))
-    if bz_k <= 1.0 + 1e-9:
-        base = max(2, math.ceil(budget / log_t))
-    else:
-        base = max(2, math.ceil((budget / log_t) ** (1.0 / (2.0 * bz_k - 2.0))))
+    base = max(2, math.ceil((budget / log_t) ** (1.0 / max(1.0, 2.0 * bz_k - 2.0))))
     return base + (int(dither) * 2654435761) % base

@@ -8,7 +8,6 @@ convergence rates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,9 @@ def excess_risk(problem: TncProblem, estimate: float) -> float:
     Equals the integral of |2 eta - 1| between the estimate and the
     threshold.  On the power-law region that is (2 mu / k) |d|^k; once the
     margin saturates the remaining stretch contributes 2 cap per unit
-    length.  The risk is at most 2 cap d <= d, so it is finite wherever d
-    is, even where the power it is made of is not.
+    length.  The branch is ``eta_at``'s own: the power law holds up to d
+    iff mu d^(k - 1) <= cap, so the saturation distance is taken only
+    where it lies below d.
     """
     if not problem.interval.contains(estimate):
         raise OutOfDomain("estimate outside the problem interval")
@@ -41,21 +41,10 @@ def excess_risk(problem: TncProblem, estimate: float) -> float:
         return 0.0
     if k == 1.0:
         return 2.0 * min(mu, cap) * d
-    try:
-        clamp_dist = (cap / mu) ** (1.0 / (k - 1.0))
-    except OverflowError:  # beyond the float range: the margin never saturates
-        clamp_dist = math.inf
-    if d <= clamp_dist:
-        return _power_risk(mu, k, d)
-    return _power_risk(mu, k, clamp_dist) + 2.0 * cap * (d - clamp_dist)
-
-
-def _power_risk(mu: float, k: float, x: float) -> float:
-    """(2 mu / k) x**k, the risk over a stretch of length x on the power law."""
-    try:
-        return (2.0 * mu / k) * x ** k
-    except OverflowError:  # x**k alone is beyond the float range: add logarithms
-        return math.exp(math.log(2.0) + math.log(mu) - math.log(k) + k * math.log(x))
+    if mu * d ** (k - 1.0) <= cap:
+        return (2.0 * mu / k) * d ** k
+    clamp_dist = (cap / mu) ** (1.0 / (k - 1.0))
+    return (2.0 * mu / k) * clamp_dist ** k + 2.0 * cap * (d - clamp_dist)
 
 
 def error_record(target, estimate) -> ErrorRecord:
@@ -66,14 +55,9 @@ def error_record(target, estimate) -> ErrorRecord:
                            excess_risk=excess_risk(target, est))
     if isinstance(target, UcFunction):
         est = np.asarray(estimate, dtype=float)
-        gap = target.value(est) - target.f_min  # checks the point: est - x* is finite
-        v = est - target.x_star
-        with np.errstate(over="ignore"):  # the squared distance may overflow
-            distance = float(np.linalg.norm(v))
-            if distance == math.inf:  # norm squares first: rescale by the largest entry
-                s = float(np.abs(v).max())
-                distance = s * float(np.linalg.norm(v / s))
-        return ErrorRecord(point_error=distance, f_error=0.0 if gap <= 0.0 else float(gap))
+        gap = target.value(est) - target.f_min  # checks the point
+        return ErrorRecord(point_error=float(np.linalg.norm(est - target.x_star)),
+                           f_error=0.0 if gap <= 0.0 else float(gap))
     raise TypeError(f"cannot compute errors for {type(target).__name__}")
 
 

@@ -176,7 +176,7 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
         step = line.lo  # the one step of a zero-width segment
         if line.hi > line.lo:
             # the line's step segment is the search: an Interval's lo < hi,
-            # both within the box bound's +-2**1021
+            # both within twice the box bound, +-2**63
             step = run_learner(view, line, line_config, line_rng)
         line.move(step)
     return line.x

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Line, TncProblem, UcFunction
+from .problems import SCALE_BOUND, Line, TncProblem, UcFunction
 
 LABEL_POSITIVE = 1
 LABEL_NEGATIVE = -1
@@ -216,8 +216,8 @@ class GaussianNoise:
     name = "additive-gaussian"
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma: must be positive")
+        if not 0.0 < self.sigma <= SCALE_BOUND:
+            raise ValueError(f"sigma: must lie in (0, 2**64], got {self.sigma}")
 
     def draw(self, g: float, rng) -> int:
         return _sign_with_fair_tie(g + rng.normal(0.0, self.sigma), rng)
@@ -235,8 +235,8 @@ class UniformNoise:
     name = "additive-uniform"
 
     def __post_init__(self):
-        if not self.halfwidth > 0:
-            raise ValueError("halfwidth: must be positive")
+        if not 0.0 < self.halfwidth <= SCALE_BOUND:
+            raise ValueError(f"halfwidth: must lie in (0, 2**64], got {self.halfwidth}")
 
     def draw(self, g: float, rng) -> int:
         return _sign_with_fair_tie(g + rng.uniform(-self.halfwidth, self.halfwidth), rng)

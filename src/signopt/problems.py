@@ -12,10 +12,16 @@ Every constructor check raises ``ValueError("<parameter>: <reason>")``,
 naming the parameter at fault.  Exponents are restricted to moderate
 ranges (``k in [1, 8]`` for threshold problems, ``k in [2, 8]`` for test
 functions): the powers ``|u|**(k - 1)`` underflow near the threshold for
-much larger exponents.  An ``Interval`` refuses an end beyond
-``DOMAIN_BOUND`` = 2**1022, so sums and differences of its points are
-finite, and a ``Box`` a bound beyond a quarter of it, so each coordinate
-line's step segment is such an interval.
+much larger exponents.
+
+Every value is finite by construction: each parameter is bounded where it
+is built.  An ``Interval`` refuses an end beyond ``DOMAIN_BOUND`` = 2**64
+and a ``Box`` a bound beyond a quarter of it, so each coordinate line's
+step segment is such an interval.  Every scale (mu, coeffs, matrix
+entries, ``bz_mu``, noise scales) lies within ``SCALE_BOUND`` = 2**64, and
+a ridge's data within ``RIDGE_BOUND`` = 2**16, so A'A + I does for n < 2**32.
+At worst a margin is 2**64 (2**65)**7, a risk 2**65 (2**65)**8, and, as a
+box's offsets x - x* lie below 2**64, a separable power d 2**64 (2**64)**8.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ ORIENTATIONS = (POSITIVE_RIGHT, POSITIVE_LEFT)
 
 TNC_EXPONENT_RANGE = (1.0, 8.0)
 UC_EXPONENT_RANGE = (2.0, 8.0)
-DOMAIN_BOUND = 2.0 ** 1022
+DOMAIN_BOUND = 2.0 ** 64
+SCALE_BOUND = 2.0 ** 64
+RIDGE_BOUND = 2.0 ** 16
 
 
 class OutOfDomain(ValueError):
@@ -47,11 +55,6 @@ class DimensionMismatch(ValueError):
 
 def _tol(lo: float, hi: float) -> float:
     return 1e-12 * max(1.0, abs(lo), abs(hi))
-
-
-def _inf_for_nan(v: float) -> float:
-    """A value of a checked point: NaN only where its form overflowed, so +inf."""
-    return math.inf if v != v else v
 
 
 def orientation_sign(orientation: str) -> float:
@@ -70,7 +73,7 @@ class Interval:
     def __post_init__(self):
         for name, end in (("lo", self.lo), ("hi", self.hi)):
             if not abs(end) <= DOMAIN_BOUND:  # NaN fails too
-                raise ValueError(f"{name}: must lie within +-2**1022, got {end}")
+                raise ValueError(f"{name}: must lie within +-2**64, got {end}")
         if not self.hi > self.lo:
             raise ValueError(f"hi: must exceed lo = {self.lo}, got {self.hi}")
 
@@ -119,8 +122,8 @@ class TncProblem:
         lo_k, hi_k = TNC_EXPONENT_RANGE
         if not lo_k <= self.exponent <= hi_k:
             raise ValueError(f"exponent: must lie in [{lo_k}, {hi_k}], got {self.exponent}")
-        if not self.mu > 0:
-            raise ValueError(f"mu: must be positive, got {self.mu}")
+        if not 0.0 < self.mu <= SCALE_BOUND:
+            raise ValueError(f"mu: must lie in (0, 2**64], got {self.mu}")
         if not 0.0 < self.cap <= 0.5:
             raise ValueError(f"cap: must lie in (0, 1/2], got {self.cap}")
         # constants of eta_at's scalar path, which runs once per label query
@@ -142,10 +145,7 @@ class TncProblem:
             d = (lo if x < lo else hi if x > hi else x) - self.threshold
             if d == 0.0:
                 return 0.5
-            try:
-                margin = self.mu * abs(d) ** self._k1
-            except OverflowError:  # the array path's power is inf, which it caps
-                margin = self.cap
+            margin = self.mu * abs(d) ** self._k1
             if margin > self.cap:
                 margin = self.cap
             return 0.5 + margin if (d > 0) == (self._osign > 0) else 0.5 - margin
@@ -156,8 +156,7 @@ class TncProblem:
             )
         arr = self.interval.clip(arr)
         d = arr - self.threshold
-        with np.errstate(over="ignore"):  # a power beyond the float range caps, as above
-            margin = np.minimum(self.mu * np.abs(d) ** (self.exponent - 1.0), self.cap)
+        margin = np.minimum(self.mu * np.abs(d) ** (self.exponent - 1.0), self.cap)
         return 0.5 + self._osign * np.sign(d) * margin
 
 
@@ -191,7 +190,7 @@ class Box:
             raise DimensionMismatch(f"hi: expected shape {lo.shape}, got {hi.shape}")
         for name, bound in (("lo", lo), ("hi", hi)):
             if not (np.abs(bound) <= DOMAIN_BOUND / 4).all():  # NaN fails too
-                raise ValueError(f"{name}: must lie within +-2**1020")
+                raise ValueError(f"{name}: must lie within +-2**62")
         if np.any(hi < lo):
             raise ValueError("hi: must be at least lo in every coordinate")
         # read-only bounds keep their float lists fresh: contains compares against
@@ -432,8 +431,8 @@ class SeparablePower(UcFunction):
         for name, v in (("coeffs", coeffs), ("x_star", x_star)):
             if v.shape != (box.dim,):
                 raise DimensionMismatch(f"{name}: expected shape ({box.dim},), got {v.shape}")
-        if not (coeffs > 0).all():  # NaN fails too
-            raise ValueError("coeffs: must be positive")
+        if not ((coeffs > 0) & (coeffs <= SCALE_BOUND)).all():  # NaN fails too
+            raise ValueError("coeffs: must lie in (0, 2**64]")
         if not box.contains(x_star):
             raise ValueError("x_star: must lie inside the domain box")
         k = float(exponent)
@@ -450,26 +449,19 @@ class SeparablePower(UcFunction):
 
     def value(self, x) -> float:
         u = self.point(x) - self.x_star
-        with np.errstate(over="ignore"):  # a value beyond the float range is inf
-            return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
+        return float(np.sum(self.coeffs * np.abs(u) ** self.uc_exponent))
 
-    # a partial beyond the float range is the signed infinity on both paths
     def _partial(self, u, j: int) -> float:
         v = u.item(j)
         if v == 0.0:
             return 0.0
         k = self.uc_exponent
-        try:
-            p = abs(v) ** (k - 1.0)
-        except OverflowError:  # Python floats multiply to inf, but ** raises
-            p = math.inf
-        return self.coeffs.item(j) * k * p * math.copysign(1.0, v)
+        return self.coeffs.item(j) * k * abs(v) ** (k - 1.0) * math.copysign(1.0, v)
 
     def _partials(self, u, j: int, alphas) -> np.ndarray:
         v = u[j] + alphas
         k = self.uc_exponent
-        with np.errstate(over="ignore"):
-            return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
+        return self.coeffs[j] * k * np.abs(v) ** (k - 1.0) * np.sign(v)
 
     def _directional_min_free(self, u, j: int) -> float:
         return 0.0 - u.item(j)  # x*_j - x_j, but a zero step is +0.0
@@ -485,6 +477,8 @@ class Quadratic(UcFunction):
                                ("x_star", x_star, (box.dim,))):
             if v.shape != shape:
                 raise DimensionMismatch(f"{name}: expected shape {shape}, got {v.shape}")
+        if not (np.abs(A) <= SCALE_BOUND).all():  # NaN fails too
+            raise ValueError("matrix: entries must lie within +-2**64")
         if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
             raise ValueError("matrix: must be symmetric")
         eigs = np.linalg.eigvalsh(A)
@@ -506,10 +500,7 @@ class Quadratic(UcFunction):
 
     def value(self, x) -> float:
         u = self.point(x) - self.x_star
-        # a value beyond the float range is inf; where partial products overflow
-        # to infinities of both signs it sums to NaN, but the form is then +inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _inf_for_nan(float(0.5 * u @ self.matrix @ u))
+        return float(0.5 * u @ self.matrix @ u)
 
     def _partial(self, u, j: int) -> float:
         # for two vectors ndarray.dot is matmul's kernel without its dispatch; each
@@ -544,6 +535,9 @@ class Ridge(Quadratic):
             raise DimensionMismatch(f"design: expected an (n, d) matrix, got shape {A.shape}")
         if b.shape[0] != A.shape[0]:
             raise DimensionMismatch(f"targets: expected shape ({A.shape[0]},), got {b.shape}")
+        for name, v in (("design", A), ("targets", b)):
+            if not (np.abs(v) <= RIDGE_BOUND).all():  # NaN fails too
+                raise ValueError(f"{name}: entries must lie within +-2**16")
         d = A.shape[1]
         Q = A.T @ A + np.eye(d)
         rhs = A.T @ b
@@ -566,10 +560,9 @@ class Ridge(Quadratic):
 
     def value(self, x) -> float:
         x = self.point(x)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in Quadratic.value
-            r = self.design @ x
-            r -= self.targets
-            return _inf_for_nan(float(0.5 * (r @ r) + 0.5 * (x @ x)))
+        r = self.design @ x
+        r -= self.targets
+        return float(0.5 * (r @ r) + 0.5 * (x @ x))
 
 
 def load_ridge_text(path) -> tuple[np.ndarray, np.ndarray]:

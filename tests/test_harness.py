@@ -249,9 +249,16 @@ def test_bad_number_names_the_key(tmp_path):
     for line, key in (("budget = 0", "budget"),
                       ("learner.bz_k = 0", "learner.bz_k"),
                       ("learner.bz_mu = 0", "learner.bz_mu"),
+                      # and so are values beyond the numeric envelope
+                      ("learner.bz_k = 9", "learner.bz_k"),
+                      ("learner.bz_mu = inf", "learner.bz_mu"),
                       ("oracle.mode = additive-gaussian\noracle.sigma = 0",
                        "oracle.sigma"),
+                      ("oracle.mode = additive-gaussian\noracle.sigma = inf",
+                       "oracle.sigma"),
                       ("oracle.mode = additive-uniform\noracle.halfwidth = nan",
+                       "oracle.halfwidth"),
+                      ("oracle.mode = additive-uniform\noracle.halfwidth = 1e308",
                        "oracle.halfwidth"),
                       ("slope.column = f_eror", "slope.column"),
                       ("optimizer.epoch_rule = 0", "optimizer.epoch_rule"),
@@ -278,6 +285,10 @@ def test_bad_number_names_the_key(tmp_path):
                        "problem.a_diag"),
                       (SEPARABLE_CFG.replace("coeffs = 1.0, 2.0", "coeffs = -1"),
                        "problem.coeffs"),
+                      (SEPARABLE_CFG.replace("coeffs = 1.0, 2.0", "coeffs = inf"),
+                       "problem.coeffs"),
+                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
+                                            "problem.a = 1 0; 0 2e19"), "problem.a"),
                       (SEPARABLE_CFG.replace("coeffs = 1.0, 2.0", "coeffs = 1.0, 2.0, 3.0"),
                        "problem.coeffs"),
                       (SEPARABLE_CFG + "problem.k = 9\n", "problem.k"),
@@ -293,16 +304,18 @@ def test_bad_number_names_the_key(tmp_path):
                       (THRESHOLD_CFG.replace("t = 0.37", "t = 1.37"), "problem.t"),
                       (THRESHOLD_CFG.replace("k = 2.0", "k = 9"), "problem.k"),
                       (THRESHOLD_CFG.replace("mu = 1.0", "mu = -1"), "problem.mu"),
+                      (THRESHOLD_CFG.replace("mu = 1.0", "mu = inf"), "problem.mu"),
+                      (THRESHOLD_CFG.replace("mu = 1.0", "mu = 1e308"), "problem.mu"),
                       (THRESHOLD_CFG.replace("cap = 0.4", "cap = 0.6"), "problem.cap"),
                       (THRESHOLD_CFG.replace("hi = 1.0", "hi = 0.0"), "problem.hi"),
                       (THRESHOLD_CFG.replace("hi = 1.0", "hi = nan"), "problem.hi"),
                       (THRESHOLD_CFG.replace("lo = 0.0", "lo = -inf"), "problem.lo"),
-                      # finite, but beyond 2**1022 for an interval and 2**1020 for a box
+                      # finite, but beyond 2**64 for an interval and 2**62 for a box
                       (THRESHOLD_CFG.replace("lo = 0.0", "lo = -1e308"), "problem.lo"),
-                      (THRESHOLD_CFG.replace("hi = 1.0", "hi = 5e307"), "problem.hi"),
-                      (OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -1.2e307"),
+                      (THRESHOLD_CFG.replace("hi = 1.0", "hi = 2e19"), "problem.hi"),
+                      (OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -5e18"),
                        "problem.box_lo"),
-                      (OPTIMIZE_CFG.replace("box_hi = 1.0", "box_hi = 1, 1.2e307"),
+                      (OPTIMIZE_CFG.replace("box_hi = 1.0", "box_hi = 1, 5e18"),
                        "problem.box_hi"),
                       (THRESHOLD_CFG + "problem.orientation = up\n", "problem.orientation"),
                       (OPTIMIZE_CFG.replace("box_lo = -1.0", "box_lo = -1, 0, 1"),
@@ -324,9 +337,11 @@ def test_bad_number_names_the_key(tmp_path):
     for lo, hi, key in (("5.0", "6.0", "problem.box_lo"), ("-6.0", "-5.0", "problem.box_hi")):
         with pytest.raises(ConfigError, match=f"^{key}: the global minimizer must lie inside"):
             _load(tmp_path, ridge + f"problem.box_lo = {lo}\nproblem.box_hi = {hi}\n")
-    (tmp_path / "design.txt").write_text("2 1\n1.0\nnan\n0.5 -0.5\n")
-    with pytest.raises(ConfigError, match="^problem.matrix_file: minimizer solve residual nan"):
-        _load(tmp_path, ridge + "problem.box_lo = -1.0\nproblem.box_hi = 1.0\n")
+    # a design or target entry beyond +-2**16, NaN included, names the file
+    for rows in ("1.0\nnan\n0.5 -0.5", "1.0\n70000\n0.5 -0.5", "1.0\n2.0\n0.5 -1e5"):
+        (tmp_path / "design.txt").write_text(f"2 1\n{rows}\n")
+        with pytest.raises(ConfigError, match="^problem.matrix_file: entries must lie within"):
+            _load(tmp_path, ridge + "problem.box_lo = -1.0\nproblem.box_hi = 1.0\n")
     with pytest.raises(ConfigError, match="learner.c_delta"):
         _load(tmp_path, THRESHOLD_CFG.replace("learner.c_delta = 2.0",
                                               "learner.c_delta = 1.0"))
@@ -345,19 +360,25 @@ _UNIT, _SQUARE = Interval(0.0, 1.0), box_from_bounds(-1.0, 1.0, dim=2)
     (TncProblem, (_UNIT, 1.5, 2.0, 1.0, 0.4), "threshold"),
     (TncProblem, (_UNIT, 0.5, 9.0, 1.0, 0.4), "exponent"),
     (TncProblem, (_UNIT, 0.5, 2.0, 0.0, 0.4), "mu"),
+    (TncProblem, (_UNIT, 0.5, 2.0, 2.0 ** 64 * (1 + 2.0 ** -52), 0.4), "mu"),
     (TncProblem, (_UNIT, 0.5, 2.0, 1.0, 0.6), "cap"),
     (TncProblem, (_UNIT, 0.5, 2.0, 1.0, 0.4, "up"), "orientation"),
     (SeparablePower, ([1.0], [0.0, 0.0], _SQUARE), "coeffs"),
     (SeparablePower, ([1.0, np.nan], [0.0, 0.0], _SQUARE), "coeffs"),
+    (SeparablePower, ([1.0, 2.0 ** 64 * (1 + 2.0 ** -52)], [0.0, 0.0], _SQUARE), "coeffs"),
     (SeparablePower, ([1.0, 1.0], [0.0, 2.0], _SQUARE), "x_star"),
     (SeparablePower, ([1.0, 1.0], [0.0, 0.0], _SQUARE, 1.5), "exponent"),
     (Quadratic, (np.eye(3), [0.0, 0.0], _SQUARE), "matrix"),
     (Quadratic, ([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0], _SQUARE), "matrix"),
     (Quadratic, (-np.eye(2), [0.0, 0.0], _SQUARE), "matrix"),
+    (Quadratic, (np.diag([1.0, 2.0 ** 64 * (1 + 2.0 ** -52)]), [0.0, 0.0], _SQUARE), "matrix"),
+    (Quadratic, ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], _SQUARE), "matrix"),
     (Quadratic, (np.eye(2), [0.0], _SQUARE), "x_star"),
     (Quadratic, (np.eye(2), [0.0, 2.0], _SQUARE), "x_star"),
     (Ridge, ([1.0, 2.0], [1.0, 2.0]), "design"),
     (Ridge, ([[1.0], [np.nan]], [0.5, -0.5]), "design"),
+    (Ridge, ([[1.0], [-1e5]], [0.5, -0.5]), "design"),
+    (Ridge, ([[1.0], [1.0]], [0.5, np.inf]), "targets"),
     (Ridge, (np.eye(2), [1.0, 2.0, 3.0]), "targets"),
     (Ridge, (np.eye(2), [1.0, 2.0], box_from_bounds(-1.0, 1.0, dim=3)), "box"),
     (LearnerConfig, ("foo",), "name"),
@@ -366,12 +387,16 @@ _UNIT, _SQUARE = Interval(0.0, 1.0), box_from_bounds(-1.0, 1.0, dim=2)
     (LearnerConfig, ("bisect", 0, 2.0, "auto"), "orientation"),
     (LearnerConfig, ("bz", 0, 2.0, "positive-right", 1), "grid_size"),
     (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 0.5), "bz_k"),
+    (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 8.0 + 2.0 ** -49), "bz_k"),
     (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 2.0, 0.0), "bz_mu"),
+    (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 2.0, np.inf), "bz_mu"),
     (OptimizerConfig, (-1,), "budget"),
     (OptimizerConfig, (0, 0), "epoch_rule"),
     (OptimizerConfig, (0, "paper-default", LearnerConfig(), 0, "corner"), "x0"),
     (GaussianNoise, (0.0,), "sigma"),
+    (GaussianNoise, (2.0 ** 64 * (1 + 2.0 ** -52),), "sigma"),
     (UniformNoise, (np.nan,), "halfwidth"),
+    (UniformNoise, (1e308,), "halfwidth"),
     (DirectBernoulli, (0.0,), "slope"),
     (DirectBernoulli, (1.0, 0.6), "cap"),
 ])
@@ -808,25 +833,24 @@ def test_csv_roundtrip(tmp_path):
     assert "," in back.rows[-1].error
 
 
-def test_an_error_beyond_the_float_range_survives_the_csv_round_trip(tmp_path):
-    # one epoch moves one coordinate: the other stays at 1e300, so the value
-    # overflows to inf, with no warning; the distance, about 1e300, is finite
-    # although its square overflows
-    fn = Quadratic(np.eye(2), [0.0, 0.0], box_from_bounds(-1e300, 1e300, dim=2))
+def test_errors_at_the_widest_box_survive_the_csv_round_trip(tmp_path):
+    # one epoch moves one coordinate: the other stays at the box corner 2**62,
+    # so the value is about 2**123 and the distance about 2**62
+    half = 2.0 ** 62
+    fn = Quadratic(np.eye(2), [0.0, 0.0], box_from_bounds(-half, half, dim=2))
     config = ExperimentConfig(
         kind="optimize", problem=fn, experiment_id="huge",
         optimizer=OptimizerConfig(line_search=LearnerConfig("bisect"), epoch_rule=1,
-                                  x0=[1e300, 1e300]),
+                                  x0=[half, half]),
         budgets=[8], replications=1, base_seed=2)
     table = run_experiment(config)
     (row,) = table.rows
-    distance = math.hypot(*map(float, row.estimate.split()))
-    assert row.error == "" and row.f_error == np.inf
-    assert 1e300 <= row.point_error == pytest.approx(distance, rel=1e-15)
+    estimate = np.array(row.estimate.split(), dtype=float)
+    assert row.error == "" and row.f_error == fn.value(estimate) >= 2.0 ** 122
+    assert half <= row.point_error == pytest.approx(math.hypot(*estimate), rel=1e-15)
     table.to_csv(tmp_path / "out.csv")
     back = RunTable.from_csv(tmp_path / "out.csv")
-    assert back.rows[0].f_error == np.inf
-    assert back.rows[0].point_error == row.point_error
+    assert (back.rows[0].f_error, back.rows[0].point_error) == (row.f_error, row.point_error)
     assert back.csv_text(include_timing=False) == table.csv_text(include_timing=False)
 
 

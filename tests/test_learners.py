@@ -14,9 +14,10 @@ from signopt import (GaussianNoise, Interval, LabelOracle, LearnerConfig, Line,
                      excess_risk, fit_rate_slope, line_label_oracle, make_tnc_problem,
                      passive_erm, seeded_rng)
 from signopt import learners
+from signopt.problems import SCALE_BOUND
 
 UNIT = Interval(0.0, 1.0)
-BOUND = Interval(-2.0 ** 1022, 2.0 ** 1022)  # the widest interval there is
+BOUND = Interval(-2.0 ** 64, 2.0 ** 64)  # the widest interval taken
 
 
 def _noiseless(threshold):
@@ -611,7 +612,7 @@ class _GridRecording(LabelOracle):
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.7, 11.3),
-                                    pytest.param(BOUND.lo, BOUND.hi, id="-2**1022-2**1022"),
+                                    pytest.param(BOUND.lo, BOUND.hi, id="-2**64-2**64"),
                                     (3 * 2.0 ** -1074, 1001 * 2.0 ** -1074)])
 def test_bz_grid_points_keep_the_bits_of_the_one_row_formula(lo, hi):
     # halving first would round the subnormal bounds
@@ -628,8 +629,7 @@ def test_bz_on_an_interval_whose_width_overflows():
     # such an interval is refused before any learner sees it ...
     with pytest.raises(ValueError, match="^lo: must lie within"):
         Interval(-1.7e308, 1.7e308)
-    # ... and bz runs on the widest one taken, whose width 2**1023 is the
-    # largest power of two a float holds
+    # ... and bz runs on the widest one taken, of width 2**65
     config = _bz_config(200, grid=64, mu=1.0)
     problem = make_tnc_problem(BOUND, 0.3 * BOUND.hi, 2.0, 1.0, 0.4)
     point = bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), BOUND, config)
@@ -643,7 +643,7 @@ def test_bz_on_an_interval_whose_width_overflows():
 
 
 def _run_on_scaled_bound(name, orientation, scale):
-    """(point, queries) of one run on [-2**1022, 2**1022] scaled by ``scale``."""
+    """(point, queries) of one run on [-2**64, 2**64] scaled by ``scale``."""
     search = Interval(BOUND.lo * scale, BOUND.hi * scale)
     config = _bz_config(2000, grid=64, mu=1.0, name=name, orientation=orientation)
     problem = make_tnc_problem(search, 0.3 * search.hi, 2.0, 1.0, 0.4)
@@ -693,6 +693,17 @@ def test_auto_grid_size_scales_with_budget():
     assert auto_grid_size(2, 2.0) == 2
 
 
+@pytest.mark.parametrize("budget", [2, 3, 16, 4096, 2 ** 20])
+def test_auto_grid_size_below_k_one_and_a_half_is_the_linear_grid(budget):
+    # (T / ln T) ** (1 / (2k - 2)) would grow without bound as k -> 1
+    linear = auto_grid_size(budget, 1.0)
+    assert linear == max(2, math.ceil(budget / max(1.0, math.log(budget))))
+    for k in (1.0001, 1.25, 1.5):
+        assert auto_grid_size(budget, k) == linear
+        assert auto_grid_size(budget, k, dither=7) == auto_grid_size(budget, 1.0, dither=7)
+    assert auto_grid_size(budget, 1.5 + 1e-9) <= linear
+
+
 # ---------------------------------------------------------------------------
 # noiseless bisection
 
@@ -736,10 +747,10 @@ def test_erm_cut_midpoint_does_not_overflow():
 
 
 @pytest.mark.parametrize("lo, hi, t", [
-    (2.0 ** 1021, 2.0 ** 1022, 1.9 * 2.0 ** 1021),  # every lo + hi exceeds the bound
+    (2.0 ** 63, 2.0 ** 64, 1.9 * 2.0 ** 63),  # every lo + hi exceeds the bound
     (BOUND.lo, BOUND.hi, 0.99 * BOUND.hi),
     (BOUND.lo, BOUND.hi, 0.99 * BOUND.lo),
-], ids=["2**1021-2**1022-near-hi", "-2**1022-2**1022-near-hi", "-2**1022-2**1022-near-lo"])
+], ids=["2**63-2**64-near-hi", "-2**64-2**64-near-hi", "-2**64-2**64-near-lo"])
 def test_bisect_midpoints_do_not_overflow(lo, hi, t):
     search = Interval(lo, hi)
     oracle = LabelOracle(make_tnc_problem(search, t, 2.0, 1e12, 0.5), seeded_rng(5, 4, 0))
@@ -751,20 +762,23 @@ def test_bisect_midpoints_do_not_overflow(lo, hi, t):
     assert oracle.queries_used == 60
 
 
-def test_a_margin_power_beyond_the_float_range_takes_the_cap():
-    # |x - t| ** 7 overflows a float here: the scalar path takes the cap, as the
-    # array path's np.minimum does with the inf it gets, and so does bz's gamma
-    search = Interval(0.0, 1e50)
-    problem = make_tnc_problem(search, 0.0, 8.0, 1.0, 0.4)
+def test_the_largest_margin_power_takes_the_cap():
+    # the largest mu * |x - t| ** 7 on the widest interval, 2**64 2**448, is
+    # finite: the scalar path and the array path's np.minimum take the cap,
+    # and so does bz's gamma
+    search = Interval(0.0, BOUND.hi)
+    problem = make_tnc_problem(search, 0.0, 8.0, SCALE_BOUND, 0.4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on an overflowing power
-        assert problem.eta_at(np.array([1e50])).tolist() == [problem.eta_at(1e50)] == [0.9]
-    oracle = LabelOracle(problem, seeded_rng(5, 5, 0))
-    assert oracle.label_sample(1e50) in (-1, 1)
-    for learn in (lambda: bisect_noiseless(oracle, search, 60),
-                  lambda: bz_learner(oracle, search, _bz_config(200, grid=16, k=8.0, mu=1.0))):
-        point = learn()
-        assert math.isfinite(point) and search.lo <= point <= search.hi
+        assert problem.eta_at(np.array([BOUND.hi])).tolist() == \
+            [problem.eta_at(BOUND.hi)] == [0.9]
+        oracle = LabelOracle(problem, seeded_rng(5, 5, 0))
+        assert oracle.label_sample(BOUND.hi) in (-1, 1)
+        config = _bz_config(200, grid=16, k=8.0, mu=SCALE_BOUND)
+        for learn in (lambda: bisect_noiseless(oracle, search, 60),
+                      lambda: bz_learner(oracle, search, config)):
+            point = learn()
+            assert math.isfinite(point) and search.lo <= point <= search.hi
     assert oracle.queries_used == 261
 
 

@@ -531,8 +531,8 @@ def test_iterates_respect_the_box():
 
 @pytest.mark.parametrize("name", LEARNERS)
 def test_every_line_search_runs_on_a_box_at_its_bound(name):
-    # from a start on the tolerance edge of the box at +-2**1020, a segment
-    # is nearly 2**1021 wide, and no sum, difference or power overflows
+    # from a start on the tolerance edge of the box at +-2**62, a segment
+    # is nearly 2**63 wide, and no sum, difference or power overflows
     half = DOMAIN_BOUND / 4
     fn = _quad((1.0, 2.0), half=half, x_star=(0.3 * half, -0.6 * half))
     edge = half + _tol(-half, half)

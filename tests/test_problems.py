@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from signopt import (Box, DimensionMismatch, Interval, LabelOracle, LearnerConfig, Line,
-                     OutOfDomain, POSITIVE_LEFT, POSITIVE_RIGHT, Quadratic, Ridge,
-                     SeparablePower, box_from_bounds, bz_learner, erm_cut,
+from signopt import (Box, DimensionMismatch, GaussianNoise, Interval, LabelOracle,
+                     LearnerConfig, Line, OutOfDomain, POSITIVE_LEFT, POSITIVE_RIGHT,
+                     Quadratic, Ridge, SeparablePower, SignOracle, UniformNoise,
+                     box_from_bounds, bz_learner, erm_cut, error_record, excess_risk,
                      load_ridge_text, make_tnc_problem, seeded_rng)
-from signopt.problems import DOMAIN_BOUND, _tol
+from signopt.problems import DOMAIN_BOUND, RIDGE_BOUND, SCALE_BOUND, _tol
 
 from _checks import (RidgeState, bench_ridge, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
@@ -36,35 +37,35 @@ def test_interval_requires_positive_width():
 
 
 @pytest.mark.parametrize("lo, hi, field", [
-    (-2.0 ** 1022 * (1 + 2.0 ** -52), 0.0, "lo"), (-math.inf, 0.0, "lo"), (math.nan, 0.0, "lo"),
-    (0.0, 2.0 ** 1022 * (1 + 2.0 ** -52), "hi"), (0.0, math.inf, "hi"), (0.0, math.nan, "hi"),
-    (2.0 ** 1023, 2.0 ** 1023 * 1.5, "lo"),
+    (-2.0 ** 64 * (1 + 2.0 ** -52), 0.0, "lo"), (-math.inf, 0.0, "lo"), (math.nan, 0.0, "lo"),
+    (0.0, 2.0 ** 64 * (1 + 2.0 ** -52), "hi"), (0.0, math.inf, "hi"), (0.0, math.nan, "hi"),
+    (2.0 ** 65, 2.0 ** 65 * 1.5, "lo"),
 ])
 def test_interval_refuses_an_end_beyond_the_bound(lo, hi, field):
-    with pytest.raises(ValueError, match=f"^{field}: must lie within \\+-2\\*\\*1022, got "):
+    with pytest.raises(ValueError, match=f"^{field}: must lie within \\+-2\\*\\*64, got "):
         Interval(lo, hi)
 
 
 def test_interval_accepts_the_bound():
     iv = Interval(-DOMAIN_BOUND, DOMAIN_BOUND)
-    assert iv.width == 2.0 ** 1023 and iv.midpoint == 0.0
+    assert iv.width == 2.0 ** 65 and iv.midpoint == 0.0
 
 
 @pytest.mark.parametrize("lo, hi, field", [
-    ([0.0, -2.0 ** 1020 * (1 + 2.0 ** -52)], [1.0, 1.0], "lo"),
+    ([0.0, -2.0 ** 62 * (1 + 2.0 ** -52)], [1.0, 1.0], "lo"),
     ([0.0, -math.inf], [1.0, 1.0], "lo"), ([math.nan, 0.0], [1.0, 1.0], "lo"),
-    ([0.0, 0.0], [2.0 ** 1020 * (1 + 2.0 ** -52), 1.0], "hi"),
+    ([0.0, 0.0], [2.0 ** 62 * (1 + 2.0 ** -52), 1.0], "hi"),
     ([0.0, 0.0], [1.0, math.inf], "hi"), ([0.0, 0.0], [1.0, math.nan], "hi"),
 ])
 def test_box_refuses_a_bound_beyond_a_quarter_of_the_bound(lo, hi, field):
-    with pytest.raises(ValueError, match=f"^{field}: must lie within \\+-2\\*\\*1020$"):
+    with pytest.raises(ValueError, match=f"^{field}: must lie within \\+-2\\*\\*62$"):
         Box(np.array(lo), np.array(hi))
 
 
 def test_interval_midpoint_does_not_overflow():
-    iv = Interval(2.0 ** 1021, 2.0 ** 1022)  # lo + hi exceeds the bound
+    iv = Interval(2.0 ** 63, 2.0 ** 64)  # lo + hi exceeds the bound
     assert math.isfinite(iv.midpoint) and iv.lo < iv.midpoint < iv.hi
-    problem = make_tnc_problem(iv, 1.3 * 2.0 ** 1021, 2.0, 1.0, 0.4)
+    problem = make_tnc_problem(iv, 1.3 * 2.0 ** 63, 2.0, 1.0, 0.4)
     oracle = LabelOracle(problem, seeded_rng(3, 0, 0))
     config = LearnerConfig("bz", budget=0, grid_size=64, bz_k=2.0, bz_mu=1.0)
     for point in (erm_cut([], [], iv), bz_learner(oracle, iv, config)):
@@ -122,7 +123,7 @@ def test_box_survives_pickle():
 
 @pytest.mark.parametrize("lo, hi", [
     ([-5.0, 2.0, 0.0], [4.0, 10.0, 0.0]),
-    ([-0.0, -1e300, 3.5], [0.0, 1e300, 3.5]),
+    ([-0.0, -2.0 ** 62, 3.5], [0.0, 2.0 ** 62, 3.5]),  # the widest box
     ([1e-300, -7.25, -2.0 ** 60], [2e-300, 7.25, 2.0 ** 60]),
 ])
 def test_box_float_bounds_are_the_bound_arrays_as_lists(lo, hi):
@@ -194,7 +195,7 @@ def test_box_contains_matches_the_array_comparisons(case):
 
 @pytest.mark.parametrize("lo, hi", [
     ([-5.0, 2.0, 0.0], [4.0, 10.0, 0.0]),   # the last coordinate has zero width
-    ([-0.0, -1e300, 3.5], [0.0, 1e300, 3.5]),
+    ([-0.0, -2.0 ** 62, 3.5], [0.0, 2.0 ** 62, 3.5]),  # the widest box
     ([1e-300, -7.25, -2.0 ** 60], [2e-300, 7.25, 2.0 ** 60]),
 ])
 def test_box_contains_one_ulp_from_each_tolerance_bound(lo, hi):
@@ -621,43 +622,64 @@ def test_partials_away_from_step_zero_equal_their_formulas_bit_for_bit():
                         Line(fn, x, j).partials(steps).tobytes(), (fn, x, j, a)
 
 
-def test_separable_power_partials_overflow_to_the_signed_infinity():
-    # the scalar path's ** raises OverflowError, the batched path's warns:
-    # both give the signed infinity, with no warning
-    fn = SeparablePower([1.0], [0.0], box_from_bounds(-1e50, 1e50, dim=1), exponent=8.0)
-    line = Line(fn, [0.0], 0)
-    assert (line.partial(1e45), line.partial(-1e45)) == (math.inf, -math.inf)
-    assert fn.grad_coord([1e45], 0) == math.inf
-    assert line.partials([1e45, -1e45, 0.0, 1.0]).tolist() == [math.inf, -math.inf, 0.0, 8.0]
+# ---------------------------------------------------------------------------
+# the numeric envelope: what the constructors accept has finite values
+
+def _envelope_functions():
+    """Each family on the widest box, with its largest scales and x* at a corner."""
+    wide = DOMAIN_BOUND / 4
+    box = box_from_bounds(-wide, wide, dim=3)
+    corner = np.array([-wide, wide, -wide])
+    off = -0.4 * SCALE_BOUND  # positive definite: eigenvalues 0.2 and 1.4 times 2**64
+    matrix = np.array([[SCALE_BOUND, off, off], [off, SCALE_BOUND, off],
+                       [off, off, SCALE_BOUND]])
+    # orthogonal +-2**16 columns: Q = A'A + I is 2**35 + 1 times the identity
+    signs = np.array([[1, 1, 1, 1, 1, 1, 1, 1], [1, -1, 1, -1, 1, -1, 1, -1],
+                      [1, 1, -1, -1, 1, 1, -1, -1]]).T
+    return [SeparablePower(np.full(3, SCALE_BOUND), corner, box, exponent=8.0),
+            Quadratic(matrix, corner, box),
+            Ridge(RIDGE_BOUND * signs, RIDGE_BOUND * signs[:, 0], box)]
 
 
-def test_a_value_beyond_the_float_range_is_inf():
-    box = box_from_bounds(-1e300, 1e300, dim=2)
-    for fn in (Quadratic(np.eye(2), [0.0, 0.0], box),
-               SeparablePower([1.0, 1.0], [0.0, 0.0], box, exponent=8.0),
-               Ridge(np.eye(2), [0.0, 0.0], box)):
-        assert fn.value([1e300, 1e300]) == math.inf
-
-
-def test_a_value_whose_products_overflow_to_both_infinities_is_inf():
-    # 0.5 * u @ A @ u sums +inf and -inf to NaN, with numpy's "invalid value
-    # encountered in matmul" warning; at a checked point the form is +inf
+def test_every_value_is_finite_at_the_corners_of_the_envelope():
+    # the widest domains, the largest scales and exponents, and the tiniest mu
+    # at k near 1: no value, partial, margin, risk or distance overflows
+    wide = DOMAIN_BOUND
+    iv = Interval(-wide, wide)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fn = Quadratic(1000 * np.array([[1.0, 0.9], [0.9, 1.0]]), [0.0, 0.0],
-                       box_from_bounds(-1e307, 1e307, dim=2))
-        assert fn.value([1e307, -0.75e307]) == math.inf
-        # rows of +-1e150 against a point of 1e200s: A @ x has products of both signs
-        design = 1e150 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
-                                   [1, -1, -1, 1]])
-        ridge = Ridge(design, np.zeros(4), box_from_bounds(-1e200, 1e200, dim=4))
-        assert ridge.value(np.full(4, 1e200)) == math.inf
-        # a finite value keeps the bits of the plain form
-        u = np.array([0.3, -0.7])
-        assert fn.value(u).hex() == float(0.5 * u @ fn.matrix @ u).hex()
-        x = np.array([1e-3, 2e-3, -1e-3, 5e-4])
-        r = design @ x
-        assert ridge.value(x).hex() == float(0.5 * (r @ r) + 0.5 * (x @ x)).hex()
+        warnings.simplefilter("error")  # numpy warns on an overflow
+        for fn in _envelope_functions():
+            far = np.where(fn.x_star < 0.0, fn.box.hi, fn.box.lo)  # the corner farthest from x*
+            for x in (far, fn.box.lo, fn.box.hi, fn.x_star):
+                rec = error_record(fn, x)
+                checked = [fn.value(x), rec.point_error, rec.f_error]
+                for j in range(fn.dim):
+                    line = Line(fn, x, j)
+                    checked += [fn.grad_coord(x, j), line.partial(line.lo), line.partial(line.hi)]
+                    checked += line.partials([line.lo, line.hi, 0.0]).tolist()
+                    for mode in (GaussianNoise(SCALE_BOUND), UniformNoise(SCALE_BOUND)):
+                        oracle = SignOracle(fn, mode, seeded_rng(5, j, 0))
+                        labels = oracle.sign_sample_line(line, alphas=[line.lo, line.hi])
+                        checked += labels.tolist()
+                assert all(map(math.isfinite, checked)), (type(fn).__name__, x)
+            assert rec.f_error == 0.0 and rec.point_error == 0.0  # at x*
+        for k, mu, cap in ((8.0, SCALE_BOUND, 0.5), (8.0, 5e-324, 0.5), (1.0, SCALE_BOUND, 0.5),
+                           (1.0001, 5e-324, 0.5), (1.0001, SCALE_BOUND, 0.5),
+                           (8.0, SCALE_BOUND, 5e-324), (1.0001, 5e-324, 5e-324)):
+            for t in (-wide, 0.0, wide):
+                problem = make_tnc_problem(iv, t, k, mu, cap)
+                points = [-wide, wide, 0.0, t, 0.5 * t + 1.0]
+                etas = [problem.eta_at(x) for x in points]
+                assert etas == problem.eta_at(np.array(points)).tolist()
+                for x, eta in zip(points, etas):
+                    d = abs(x - t)
+                    risk = excess_risk(problem, x)
+                    assert 0.0 <= eta <= 1.0 and 0.0 <= risk <= d * (1 + 1e-12), (k, mu, cap, t, x)
+                    assert error_record(problem, x).excess_risk == risk
+                for grid in (2, "auto"):
+                    config = LearnerConfig("bz", grid_size=grid, bz_k=k, bz_mu=mu)
+                    oracle = LabelOracle(problem, seeded_rng(6, 0, 0))
+                    assert iv.contains(bz_learner(oracle, iv, config.for_budget(16)))
 
 
 # ---------------------------------------------------------------------------
