@@ -41,6 +41,7 @@ GRID_AUTO = "auto"
 
 _SQRT2 = math.sqrt(2.0)
 _PLUS_MINUS = np.array([-1, 1], dtype=np.intp)  # indexed by a bool: -1 if False, +1 if True
+MASK_TABLE_BYTES = 1 << 20  # bz_rows' side-mask table, one byte a mask: grids of <= 723 cells
 
 
 def as_count(name: str, value) -> int:
@@ -328,10 +329,13 @@ def bz_rows(oracles, search: Interval, configs) -> list:
     errors: list[Exception | None] = [None] * n
     # sides[2 * width - b] are the cells left of boundary b, sides[width - b]
     # the others: windows of one strip, so O(width) memory.  A label that
-    # matches the row's orientation favours the threshold left of b.
+    # matches the row's orientation favours the threshold left of b.  Up to
+    # MASK_TABLE_BYTES, a step takes its masks from a C-contiguous copy of
+    # the (2 width + 1) x width windows, one take in place of indexing the view.
     strip = np.zeros(3 * width, dtype=bool)
     strip[width:2 * width] = True
     sides = sliding_window_view(strip, width)
+    table = np.ascontiguousarray(sides) if sides.size <= MASK_TABLE_BYTES else None
     on_plus = [width if neg else 2 * width for neg in negs]
     on_minus = [3 * width - start for start in on_plus]
 
@@ -359,7 +363,8 @@ def bz_rows(oracles, search: Interval, configs) -> list:
                 windows.append((on_plus[i] if positive else on_minus[i]) - b)
                 if h > 5e249:  # total > 1e250: h is half of it, exactly
                     big.append(i)
-            np.multiply(w_live, ratio_l, out=w_live, where=sides[windows])
+            np.multiply(w_live, ratio_l, out=w_live, where=sides[windows]
+                        if table is None else table.take(windows, axis=0))
             if big:
                 w_live[big] /= total[big, None]
         done = steps[live - 1]

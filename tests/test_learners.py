@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -558,6 +559,49 @@ def test_bz_rows_match_the_sequential_reference(seed):
         except Exception as exc:  # noqa: BLE001
             want = repr(exc)
         assert got == (want, oracle.queries_used)
+
+
+def _bz_path_rows(grid):
+    """A one-row call's row, a positive-left row and an auto-orientation row."""
+    left = make_tnc_problem((0.0, 1.0), 0.62, 2.5, 0.8, 0.4, POSITIVE_LEFT)
+    return [(0, _noisy(0.37), None, _bz_config(300, grid=grid, mu=1.0)),
+            (1, left, None, _bz_config(200, grid=grid, k=2.5, mu=0.8,
+                                       orientation=POSITIVE_LEFT)),
+            (2, left, None, _bz_config(150, grid=grid, k=2.5, mu=0.8, orientation="auto"))]
+
+
+@pytest.mark.parametrize("cap, grid", [
+    (None, 723), (None, 724),  # the stated cap: the widest grid with a table, the next
+    (19 * 9, 9), (19 * 9, 10),  # a cap lowered to a 9-cell grid's table
+])
+def test_both_side_mask_paths_match_the_sequential_reference(monkeypatch, cap, grid):
+    if cap is not None:
+        monkeypatch.setattr(learners, "MASK_TABLE_BYTES", cap)
+    # a grid of M cells has a (2M + 1) x M table of one-byte masks
+    assert ((2 * grid + 1) * grid <= learners.MASK_TABLE_BYTES) == (grid in (723, 9))
+    rows = _bz_path_rows(grid)
+    want = [(_bz_reference(_bz_oracle(row), UNIT, row[-1]), row[-1].budget) for row in rows]
+    assert [_bz_one_row(row) for row in rows] == want
+    assert _bz_run(rows) == want
+
+
+@pytest.mark.parametrize("problem, stream, cell", [
+    (_noiseless(0.37), 0, 499998),  # three positive labels: three cells left of 1/2
+    (_noisy(0.37), 3, 499999),  # returns 0.4999995
+])
+def test_a_million_cell_bz_grid_takes_no_mask_table(problem, stream, cell):
+    # its table would take (2M + 1) * M bytes, about 2 TB; the run takes the
+    # grid's points, eta slots, weights and sums, about 66 MiB
+    config = _bz_config(3, grid=10 ** 6, mu=1.0)
+    tracemalloc.start()
+    try:
+        point = bz_learner(LabelOracle(problem, seeded_rng(4, 11, stream)), UNIT, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
+    reference = _bz_reference(LabelOracle(problem, seeded_rng(4, 11, stream)), UNIT, config)
+    assert point == reference == (cell + 0.5) * 1e-6
 
 
 def test_a_query_leaving_the_domain_mid_run_ends_its_row_after_its_charged_queries():
