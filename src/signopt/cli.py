@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .harness import (ConfigError, ERROR_COLUMNS, ExperimentConfig,
@@ -45,7 +45,7 @@ def _run_single(args, expected_kind: str) -> int:
     if args.rep < 0:
         raise ConfigError(f"--rep: must be non-negative, got {args.rep}")
     row = run_cell(config, _single_budget(config), args.rep)
-    print(json.dumps({c: getattr(row, c) for c in row.__dataclass_fields__}, indent=2))
+    print(json.dumps(asdict(row), indent=2))
     return EXIT_RUNTIME if row.error else EXIT_OK
 
 
@@ -54,18 +54,9 @@ def _run_sweep(args) -> int:
     table = run_experiment(config, n_jobs=args.jobs)
     out_dir = Path(args.out) if args.out else Path(config.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config.experiment_id}.csv"
-    table.to_csv(csv_path)
-    written = [str(csv_path)]
-    if config.report == "json":
-        json_path = out_dir / f"{config.experiment_id}.json"
-        table.to_json(json_path)
-        written.append(str(json_path))
-    if config.report == "slope-summary":
-        report = slope_report(table, statistic=config.slope_statistic,
-                              error_column=config.slope_column)
-        print(json.dumps(report.as_dict(), indent=2))
-    for path in written:
+    for kind in ("csv", "json") if config.report == "json" else ("csv",):
+        path = out_dir / f"{config.experiment_id}.{kind}"
+        (table.to_csv if kind == "csv" else table.to_json)(path)
         print(f"wrote {path}", file=sys.stderr)
     if table.n_errors:
         print(f"{table.n_errors} cell(s) failed", file=sys.stderr)
@@ -76,7 +67,7 @@ def _run_sweep(args) -> int:
 def _run_slope(args) -> int:
     table = RunTable.from_csv(args.table)
     report = slope_report(table, statistic=args.statistic, error_column=args.column)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -61,8 +62,7 @@ class ConfigError(ValueError):
 # (learn-threshold) or optimizer.line_search (optimize).
 _KEY_TABLE = {
     None: {None: ("kind", "id", "budget", "report", "output", "slope.column",
-                  "slope.statistic", "oracle.budget", "sweep.budgets",
-                  "sweep.replications", "sweep.base_seed")},
+                  "oracle.budget", "sweep.budgets", "sweep.replications", "sweep.base_seed")},
     "kind": {
         KIND_THRESHOLD: ("problem.lo", "problem.hi", "problem.t", "problem.k", "problem.mu",
                          "problem.cap", "problem.orientation", "learner.name",
@@ -185,7 +185,6 @@ class ExperimentConfig:
     report: str = "csv"
     output: str | None = None
     slope_column: str = "excess_risk"
-    slope_statistic: str = "median"
     single_budget: int | None = None
 
     def __post_init__(self):
@@ -203,10 +202,8 @@ class ExperimentConfig:
             raise ConfigError("budget: must be positive")
         if self.replications < 1:
             raise ConfigError("sweep.replications: must be at least 1")
-        if self.report not in ("csv", "json", "slope-summary"):
+        if self.report not in ("csv", "json"):
             raise ConfigError(f"report: unknown report kind {self.report!r}")
-        if self.slope_statistic not in ("median", "mean"):
-            raise ConfigError("slope.statistic: expected 'median' or 'mean'")
         if self.slope_column not in ERROR_COLUMNS:
             raise ConfigError(f"slope.column: expected one of {ERROR_COLUMNS}, "
                               f"got {self.slope_column!r}")
@@ -353,7 +350,6 @@ def load_config(path) -> ExperimentConfig:
         report=raw.get("report", "csv"),
         output=raw.get("output"),
         slope_column=raw.get("slope.column", "excess_risk"),
-        slope_statistic=raw.get("slope.statistic", "median"),
         single_budget=_get(raw, "budget", int, None),
     )
     selected = {("kind", kind): f"kind = {kind} configs",
@@ -413,17 +409,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _optional(parse):
+    """``parse`` for a cell whose empty text stands for None."""
+    return lambda text: parse(text) if text else None
+
+
+# from_csv's reader of each Row field's cell; an absent column reads as
+# _ABSENT's value, else None
+_CELL_READERS = {"experiment_id": str, "kind": str, "budget": int, "replication": int,
+                 "seed": int, "estimate": _optional(str), "point_error": _optional(float),
+                 "excess_risk": _optional(float), "f_error": _optional(float),
+                 "queries_used": _optional(int), "error": str, "wall_time_ms": float}
+_ABSENT = {"error": "", "wall_time_ms": 0.0}
 
 
 @dataclass
@@ -444,27 +441,27 @@ class RunTable:
     def to_csv(self, path, include_timing: bool = True) -> None:
         Path(path).write_text(self.csv_text(include_timing))
 
-    def json_rows(self) -> list[dict]:
-        return [{c: getattr(row, c) for c in CSV_COLUMNS} for row in self.rows]
-
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.json_rows(), indent=2) + "\n")
+        Path(path).write_text(json.dumps([asdict(row) for row in self.rows], indent=2) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "RunTable":
+        """A CSV table's rows.  A cell that does not parse as its ``Row`` field
+        raises ValueError naming its row, from 1 after the header, and column."""
         with open(path, newline="") as f:
             records = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
         if not records:
             raise ValueError(f"{path}: no header row")
         header = records[0]
         rows = []
-        for record in records[1:]:
+        for n, record in enumerate(records[1:], start=1):
             cells = dict(zip(header, record))
-            values = {c: _parse_cell(cells.get(c, "")) for c in CSV_COLUMNS}
-            values["error"] = cells.get("error", "") or ""
-            values["estimate"] = cells.get("estimate", "") or None
-            if values["wall_time_ms"] is None:
-                values["wall_time_ms"] = 0.0
+            values = {}
+            for c, read in _CELL_READERS.items():
+                try:
+                    values[c] = read(cells[c]) if c in cells else _ABSENT.get(c)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {n}, column {c}: {exc}") from None
             rows.append(Row(**values))
         return cls(rows)
 
@@ -670,32 +667,26 @@ class SlopeReport:
     n_error_rows: int
     n_excluded_zero: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def slope_report(table: RunTable, statistic: str = "median",
                  error_column: str = "excess_risk") -> SlopeReport:
-    """Aggregate one error column per budget and fit the log-log slope."""
+    """Aggregate one error column per budget and fit the log-log slope.
+
+    A row that failed, or whose value is empty or not finite, is unusable:
+    it is counted in ``n_error_rows`` and left out.
+    """
     if statistic not in ("median", "mean"):
         raise ValueError("statistic must be 'median' or 'mean'")
     if error_column not in ERROR_COLUMNS:
         raise ValueError(f"unknown error column {error_column!r}")
-    if not table.rows:
-        raise ValueError("empty table")
     groups: dict[int, list[float]] = {}
     n_error_rows = 0
     for row in table.rows:
-        if row.error:
-            n_error_rows += 1
-            continue
         value = getattr(row, error_column)
-        if value is None:
+        if row.error or value is None or not math.isfinite(value):
             n_error_rows += 1
-            continue
-        groups.setdefault(row.budget, []).append(float(value))
-    if not groups:
-        raise ValueError(f"no usable rows for column {error_column!r}")
+        else:
+            groups.setdefault(row.budget, []).append(float(value))
     summaries = []
     for budget in sorted(groups):
         values = np.asarray(groups[budget])
@@ -705,8 +696,8 @@ def slope_report(table: RunTable, statistic: str = "median",
     excluded = [s.budget for s in summaries if s.value <= 0.0]
     n_usable = len(summaries) - len(excluded)
     if n_usable < 2:
-        raise ValueError(f"need at least 2 budgets with positive {statistic} "
-                         f"{error_column}, have {n_usable}")
+        raise ValueError(f"need at least 2 budgets with positive {statistic} {error_column}, "
+                         f"have {n_usable} ({n_error_rows} of {len(table.rows)} rows unusable)")
     # the fit drops and counts the zero budgets itself
     fit = fit_rate_slope([(s.budget, s.value) for s in summaries])
     return SlopeReport(slope=fit.slope, intercept=fit.intercept,

@@ -265,6 +265,23 @@ def bz_learner(oracle, search: Interval, config: LearnerConfig) -> float:
     return result
 
 
+@dataclass(frozen=True, slots=True)
+class _Grid:
+    """The M points lo + b * delta, b < M, of a bz grid, each made when read."""
+
+    lo: float
+    delta: float
+    cells: int
+
+    def __len__(self) -> int:
+        return self.cells
+
+    def __getitem__(self, b: int) -> float:
+        if not 0 <= b < self.cells:
+            raise IndexError(b)
+        return self.lo + b * self.delta
+
+
 def _ended(b: int) -> bool:
     """Stands in for the grid labeler of a row that has ended: no query, no label."""
     return False
@@ -279,10 +296,10 @@ def bz_rows(oracles, search: Interval, configs) -> list:
     and the reweighting, and every per-row operation is the one
     ``bz_learner`` makes on its own row, so each row's result is
     bit-identical to its one-row call.  Each row asks its oracle once for
-    a ``grid_labeler`` over the row's grid points, and each query is a call
-    of it, which checks, charges and draws as ``label_sample`` would at
-    that point.  The rows run longest first, so the live rows are a
-    shrinking prefix.  Returns, per row, the estimate or the exception that
+    a ``grid_labeler`` over the row's grid points, each made when read, and
+    each query is a call of it, which checks, charges and draws as
+    ``label_sample`` would at that point.  The rows run longest first, so
+    the live rows are a shrinking prefix.  Returns, per row, the estimate or the exception that
     ended the row (a budget cap, an out-of-domain query, ...); the rest run on.
     """
     results: list = [None] * len(oracles)
@@ -304,7 +321,7 @@ def bz_rows(oracles, search: Interval, configs) -> list:
                 orientation = _auto_orientation(oracle, search, n_probe)
             delta = search.width / cells
             gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
-            labeler = oracle.grid_labeler([lo + b * delta for b in range(cells)])
+            labeler = oracle.grid_labeler(_Grid(lo, delta, cells))
         except Exception as exc:  # noqa: BLE001 - ends this row only
             results[r] = exc
             continue

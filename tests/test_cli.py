@@ -90,17 +90,61 @@ def test_sweep_writes_versioned_csv(tmp_path, capsys):
     assert len(lines) == 2 + 4  # comment, header, 2 budgets x 2 replications
 
 
-def test_sweep_then_slope_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("column", ["excess_risk", "point_error"])
+def test_sweep_then_slope_roundtrip(tmp_path, capsys, column):
     out = tmp_path / "results"
     main(["sweep", "--config", _write(tmp_path, THRESHOLD_CFG), "--out", str(out)])
     capsys.readouterr()
-    code = main(["slope", "--table", str(out / "cli-demo.csv"),
-                 "--column", "excess_risk"])
+    code = main(["slope", "--table", str(out / "cli-demo.csv"), "--column", column])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["error_column"] == "excess_risk"
+    assert report["error_column"] == column
     assert len(report["per_budget"]) == 2
     assert np.isfinite(report["slope"])  # 2 budgets x 2 reps: sign is noise
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _slope_table(tmp_path, budgets, risks):
+    lines = ["# schema_version=1", "experiment_id,kind,budget,replication,seed,"
+             "estimate,point_error,excess_risk,f_error,queries_used,error,wall_time_ms"]
+    lines += [f"t,learn-threshold,{b},0,0,0.5,{r},{r},,{b},,0.1"
+              for b, r in zip(budgets, risks)]
+    return _write(tmp_path, "\n".join(lines) + "\n", name="t.csv")
+
+
+@pytest.mark.parametrize("budget", ["100.5", "1e2", "abc", pytest.param("", id="empty")])
+def test_slope_of_a_table_with_a_non_integer_budget_exits_3(tmp_path, capsys, budget):
+    table = _slope_table(tmp_path, [10, budget, 1000], [1.0, 0.1, 0.01])
+    assert main(["slope", "--table", table]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {table}: row 2, column budget: ")
+    assert repr(budget) in captured.err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_slope_counts_a_non_finite_error_as_an_unusable_row(tmp_path, capsys, bad):
+    table = _slope_table(tmp_path, [10, 100, 1000, 1000], [1.0, 0.1, bad, 0.01])
+    assert main(["slope", "--table", table]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert [(b["budget"], b["value"], b["n_rows"]) for b in report["per_budget"]] == \
+        [(10, 1.0, 1), (100, 0.1, 1), (1000, 0.01, 1)]
+    assert report["n_error_rows"] == 1
+    assert report["excluded_budgets"] == [] and report["n_excluded_zero"] == 0
+    assert report["slope"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_slope_with_one_usable_budget_exits_3_counting_the_unusable_rows(tmp_path, capsys):
+    table = _slope_table(tmp_path, [10, 100], [1.0, "nan"])
+    assert main(["slope", "--table", table]) == 3
+    assert capsys.readouterr().err == (
+        "error: need at least 2 budgets with positive median excess_risk, "
+        "have 1 (1 of 2 rows unusable)\n")
 
 
 @pytest.mark.parametrize("text", ["", "# schema_version=1\n\n# no rows\n"],
@@ -121,13 +165,17 @@ def test_failing_cells_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_sweep_slope_summary_report(tmp_path, capsys):
-    text = THRESHOLD_CFG + "report = slope-summary\nslope.column = point_error\n"
-    code = main(["sweep", "--config", _write(tmp_path, text),
+@pytest.mark.parametrize("line, message", [
+    ("report = slope-summary", "report: unknown report kind 'slope-summary'"),
+    ("slope.statistic = median", "slope.statistic: unknown key"),
+])
+def test_the_retired_sweep_slope_report_is_a_config_error(tmp_path, capsys, line, message):
+    # a sweep's slope is fitted from its table by `signopt slope`
+    code = main(["sweep", "--config", _write(tmp_path, THRESHOLD_CFG + line + "\n"),
                  "--out", str(tmp_path / "r")])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["error_column"] == "point_error"
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

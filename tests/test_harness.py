@@ -854,6 +854,33 @@ def test_errors_at_the_widest_box_survive_the_csv_round_trip(tmp_path):
     assert back.csv_text(include_timing=False) == table.csv_text(include_timing=False)
 
 
+def test_from_csv_reads_each_cell_as_its_row_field(tmp_path):
+    # an id of digits stays text and an integral error is a float; an absent
+    # column reads as None, or as no error and no time
+    path = tmp_path / "t.csv"
+    path.write_text("budget,experiment_id,point_error,estimate,queries_used\n"
+                    "64,123,0,0.5,\n")
+    (row,) = RunTable.from_csv(path).rows
+    assert (row.budget, row.experiment_id, row.point_error, row.estimate,
+            row.queries_used) == (64, "123", 0.0, "0.5", None)
+    assert type(row.point_error) is float
+    assert (row.kind, row.replication, row.seed, row.excess_risk, row.f_error,
+            row.error, row.wall_time_ms) == (None, None, None, None, None, "", 0.0)
+
+
+@pytest.mark.parametrize("column, text", [("seed", "1.0"), ("replication", ""),
+                                          ("queries_used", "x"), ("excess_risk", "1,5"),
+                                          ("wall_time_ms", "")])
+def test_from_csv_names_the_row_and_column_of_a_cell_that_does_not_parse(tmp_path,
+                                                                         column, text):
+    table = run_experiment(_small_config())
+    setattr(table.rows[1], column, text)
+    path = tmp_path / "t.csv"
+    table.to_csv(path)
+    with pytest.raises(ValueError, match=f"^{path}: row 2, column {column}: .*'{text}'"):
+        RunTable.from_csv(path)
+
+
 def test_json_mirrors_rows(tmp_path):
     table = run_experiment(_small_config())
     path = tmp_path / "out.json"
@@ -905,6 +932,16 @@ def test_slope_report_mean_statistic():
     table = _table_from({10: [1.0, 3.0], 100: [0.1, 0.3]})
     report = slope_report(table, "mean", "excess_risk")
     assert report.per_budget[0].value == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_slope_report_counts_a_non_finite_value_as_an_unusable_row(bad):
+    table = _table_from({10: [1.0], 100: [0.1], 1000: [bad, 0.01]})
+    report = slope_report(table, "median", "excess_risk")
+    assert [(b.budget, b.value, b.n_rows) for b in report.per_budget] == \
+        [(10, 1.0, 1), (100, 0.1, 1), (1000, 0.01, 1)]
+    assert report.n_error_rows == 1 and report.n_excluded_zero == 0
+    assert report.slope == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_slope_report_rejects_unknown_column():

@@ -604,6 +604,24 @@ def test_a_million_cell_bz_grid_takes_no_mask_table(problem, stream, cell):
     assert point == reference == (cell + 0.5) * 1e-6
 
 
+def test_a_million_cell_bz_grid_lists_none_of_its_points():
+    # each point is made when its first query reads it: the peak is the eta
+    # slots, weights and sums, about 34 MiB, where a list of the points took 65
+    config = _bz_config(3, grid=10 ** 6, mu=1.0)
+    oracle = _GridRecording(_noisy(0.37), seeded_rng(4, 11, 3))
+    tracemalloc.start()
+    try:
+        point = bz_learner(oracle, UNIT, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    assert point == 0.4999995 and len(oracle.points) == 10 ** 6
+    assert [oracle.points[b] for b in (0, 1, 499999)] == [0.0, 1e-6, 499999 * 1e-6]
+    with pytest.raises(IndexError):
+        oracle.points[10 ** 6]
+
+
 def test_a_query_leaving_the_domain_mid_run_ends_its_row_after_its_charged_queries():
     # the grid's boundary 1 lies at -0.2, outside the problem's [0, 1]: rows that
     # reach it stop there, having been charged for every query before it
