@@ -19,8 +19,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .harness import (ConfigError, ERROR_COLUMNS, ExperimentConfig,
-                      KIND_OPTIMIZE, KIND_THRESHOLD, RunTable, load_config,
-                      run_cell, run_experiment, slope_report)
+                      KIND_OPTIMIZE, KIND_THRESHOLD, RunTable, STATISTICS,
+                      load_config, run_cell, run_experiment, slope_report)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     slope = sub.add_parser("slope", help="fit a log-log rate slope from a table")
     slope.add_argument("--table", required=True, help="CSV table path")
     slope.add_argument("--column", default="excess_risk", choices=ERROR_COLUMNS)
-    slope.add_argument("--statistic", default="median", choices=["median", "mean"])
+    slope.add_argument("--statistic", default="median", choices=STATISTICS)
     return parser
 
 

@@ -47,6 +47,7 @@ KIND_OPTIMIZE = "optimize"
 QUANTIZED = "quantized"
 
 ERROR_COLUMNS = ("excess_risk", "f_error", "point_error")
+STATISTICS = ("median", "mean")  # how slope_report aggregates a budget's rows
 
 
 class ConfigError(ValueError):
@@ -166,19 +167,18 @@ class OracleSpec:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: its problem, oracles, learner and sweep.
+    """One experiment: its problem, oracles, method and sweep.
 
-    Threshold cells run ``learner``; optimize cells run ``optimizer``, whose
-    ``line_search`` is their learner.  ``load_config`` builds one learner and
-    sets it in both places.
+    Its ``kind`` is its problem's.  It holds only the method its cells run:
+    threshold cells run ``learner``, optimize cells ``optimizer``, whose
+    ``line_search`` is their learner.
     """
 
-    kind: str
     problem: TncProblem | UcFunction
     experiment_id: str = "exp"
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
+    learner: LearnerConfig | None = None
     oracle: OracleSpec = field(default_factory=OracleSpec)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: OptimizerConfig | None = None
     budgets: list[int] | None = None
     replications: int = 1
     base_seed: int = 0
@@ -187,10 +187,19 @@ class ExperimentConfig:
     slope_column: str = "excess_risk"
     single_budget: int | None = None
 
+    @property
+    def kind(self) -> str:
+        return KIND_THRESHOLD if isinstance(self.problem, TncProblem) else KIND_OPTIMIZE
+
     def __post_init__(self):
-        if self.kind not in (KIND_THRESHOLD, KIND_OPTIMIZE):
-            raise ConfigError(f"kind: expected {KIND_THRESHOLD!r} or "
-                              f"{KIND_OPTIMIZE!r}, got {self.kind!r}")
+        if not isinstance(self.problem, (TncProblem, UcFunction)):
+            raise ConfigError("problem: expected a TncProblem or a UcFunction, "
+                              f"got {type(self.problem).__name__}")
+        runs, other = ("learner", "optimizer")[::1 if self.kind == KIND_THRESHOLD else -1]
+        if getattr(self, runs) is None:
+            raise ConfigError(f"{runs}: required by {self.kind} cells")
+        if getattr(self, other) is not None:
+            raise ConfigError(f"{other}: not run by {self.kind} cells")
         if self.budgets is not None:
             if not self.budgets:
                 raise ConfigError("sweep.budgets: must not be empty")
@@ -302,8 +311,9 @@ def _build_mode(raw: dict):
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config file.
 
-    Every value is built and checked before the keys that the config never
-    reads are rejected, so a bad value is reported as such first.
+    ``kind`` picks the problem builder and the keys the config may set.
+    Every value the kind reads is built and checked before the keys that the
+    config never reads are rejected, so a bad value is reported as such first.
     """
     path = Path(path)
     raw = parse_config_text(path.read_text())
@@ -330,20 +340,20 @@ def load_config(path) -> ExperimentConfig:
             grid_size=_get(raw, "learner.grid_size", int, GRID_AUTO, word=GRID_AUTO),
             bz_k=_get(raw, "learner.bz_k", float, bz_param),
             bz_mu=_get(raw, "learner.bz_mu", float, bz_param))
-    with _config_errors("optimizer."):
-        optimizer = OptimizerConfig(
-            epoch_rule=_get(raw, "optimizer.epoch_rule", int, PAPER_DEFAULT,
-                            word=PAPER_DEFAULT),
-            line_search=learner, x0=_get(raw, "optimizer.x0", _floats, "center", word="center"))
+    method = {"learner": learner}
+    if kind == KIND_OPTIMIZE:
+        x0 = _get(raw, "optimizer.x0", _floats, "center", word="center")
+        with _config_errors("optimizer."):
+            method = {"optimizer": OptimizerConfig(
+                epoch_rule=_get(raw, "optimizer.epoch_rule", int, PAPER_DEFAULT,
+                                word=PAPER_DEFAULT), line_search=learner, x0=x0)}
 
     oracle = OracleSpec(mode=_build_mode(raw), budget=_get(raw, "oracle.budget", int, None))
     config = ExperimentConfig(
-        kind=kind,
         problem=problem,
+        **method,
         experiment_id=raw.get("id", path.stem),
-        learner=learner,
         oracle=oracle,
-        optimizer=optimizer,
         budgets=_get(raw, "sweep.budgets", _ints, None),
         replications=_get(raw, "sweep.replications", int, 1),
         base_seed=_get(raw, "sweep.base_seed", int, 0),
@@ -414,13 +424,13 @@ def _optional(parse):
     return lambda text: parse(text) if text else None
 
 
-# from_csv's reader of each Row field's cell; an absent column reads as
-# _ABSENT's value, else None
+# from_csv's reader of each Row field's cell; a table may leave out only the
+# columns of _ABSENT, which read as its values
 _CELL_READERS = {"experiment_id": str, "kind": str, "budget": int, "replication": int,
                  "seed": int, "estimate": _optional(str), "point_error": _optional(float),
                  "excess_risk": _optional(float), "f_error": _optional(float),
                  "queries_used": _optional(int), "error": str, "wall_time_ms": float}
-_ABSENT = {"error": "", "wall_time_ms": 0.0}
+_ABSENT = {"wall_time_ms": 0.0}
 
 
 @dataclass
@@ -446,20 +456,25 @@ class RunTable:
 
     @classmethod
     def from_csv(cls, path) -> "RunTable":
-        """A CSV table's rows.  A cell that does not parse as its ``Row`` field
-        raises ValueError naming its row, from 1 after the header, and column."""
+        """A CSV table's rows.  A missing column, or a row or cell that does not fit the
+        header or its ``Row`` field, raises ValueError naming it (rows from 1)."""
         with open(path, newline="") as f:
             records = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
         if not records:
             raise ValueError(f"{path}: no header row")
         header = records[0]
+        missing = [c for c in CSV_COLUMNS if c not in header and c not in _ABSENT]
+        if missing:
+            raise ValueError(f"{path}: no column {missing[0]}")
         rows = []
         for n, record in enumerate(records[1:], start=1):
+            if len(record) != len(header):
+                raise ValueError(f"{path}: row {n}: {len(record)} cells, {len(header)} columns")
             cells = dict(zip(header, record))
             values = {}
             for c, read in _CELL_READERS.items():
                 try:
-                    values[c] = read(cells[c]) if c in cells else _ABSENT.get(c)
+                    values[c] = read(cells[c]) if c in cells else _ABSENT[c]
                 except ValueError as exc:
                     raise ValueError(f"{path}: row {n}, column {c}: {exc}") from None
             rows.append(Row(**values))
@@ -665,7 +680,6 @@ class SlopeReport:
     per_budget: list[BudgetSummary]
     excluded_budgets: list[int]
     n_error_rows: int
-    n_excluded_zero: int
 
 
 def slope_report(table: RunTable, statistic: str = "median",
@@ -673,10 +687,11 @@ def slope_report(table: RunTable, statistic: str = "median",
     """Aggregate one error column per budget and fit the log-log slope.
 
     A row that failed, or whose value is empty or not finite, is unusable:
-    it is counted in ``n_error_rows`` and left out.
+    it is counted in ``n_error_rows`` and left out.  The fit takes every
+    budget whose aggregate is positive, and ``excluded_budgets`` the rest.
     """
-    if statistic not in ("median", "mean"):
-        raise ValueError("statistic must be 'median' or 'mean'")
+    if statistic not in STATISTICS:
+        raise ValueError(f"statistic must be one of {STATISTICS}")
     if error_column not in ERROR_COLUMNS:
         raise ValueError(f"unknown error column {error_column!r}")
     groups: dict[int, list[float]] = {}
@@ -693,15 +708,13 @@ def slope_report(table: RunTable, statistic: str = "median",
         agg = float(np.median(values)) if statistic == "median" else float(values.mean())
         summaries.append(BudgetSummary(budget=budget, value=agg, n_rows=values.size,
                                        n_zero=int(np.count_nonzero(values == 0.0))))
-    excluded = [s.budget for s in summaries if s.value <= 0.0]
-    n_usable = len(summaries) - len(excluded)
-    if n_usable < 2:
+    points = [(s.budget, s.value) for s in summaries if s.value > 0.0]
+    if len(points) < 2:
         raise ValueError(f"need at least 2 budgets with positive {statistic} {error_column}, "
-                         f"have {n_usable} ({n_error_rows} of {len(table.rows)} rows unusable)")
-    # the fit drops and counts the zero budgets itself
-    fit = fit_rate_slope([(s.budget, s.value) for s in summaries])
+                         f"have {len(points)} ({n_error_rows} of {len(table.rows)} rows unusable)")
+    fit = fit_rate_slope(points)
     return SlopeReport(slope=fit.slope, intercept=fit.intercept,
                        max_residual=fit.max_residual, statistic=statistic,
                        error_column=error_column, per_budget=summaries,
-                       excluded_budgets=excluded, n_error_rows=n_error_rows,
-                       n_excluded_zero=fit.n_excluded)
+                       excluded_budgets=[s.budget for s in summaries if s.value <= 0.0],
+                       n_error_rows=n_error_rows)

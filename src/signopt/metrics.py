@@ -3,7 +3,7 @@
 ``excess_risk`` integrates |2 eta - 1| between the estimate and the true
 threshold in closed form (the regression family is piecewise a power law).
 ``fit_rate_slope`` regresses log error on log budget to estimate empirical
-convergence rates.
+convergence rates, over exactly the points it is given.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learners import as_count
 from .problems import OutOfDomain, TncProblem, UcFunction
 
 @dataclass
@@ -68,31 +69,26 @@ class RateFit:
     slope: float
     intercept: float
     max_residual: float
-    n_used: int
-    n_excluded: int
 
 
 def fit_rate_slope(points) -> RateFit:
     """Fit ln(error) = intercept + slope * ln(budget) by ordinary least squares.
 
-    Points with non-positive error cannot enter the log fit; they are
-    excluded and counted.  Requires at least two usable points and budgets
-    of at least 2.
+    Every point enters the fit.  A budget that is not an integer of at least
+    2, an error that is not positive and finite, or fewer than two points
+    raise ValueError; which points to fit is the caller's choice.
     """
-    points = [(int(t), float(e)) for t, e in points]
-    if any(t < 2 for t, _ in points):
-        raise ValueError("all budgets must be at least 2")
-    usable = [(t, e) for t, e in points if e > 0.0]
-    n_excluded = len(points) - len(usable)
-    if len(usable) < 2:
-        raise ValueError(
-            f"need at least 2 points with positive error, have {len(usable)} "
-            f"({n_excluded} excluded)"
-        )
-    log_t = np.log([t for t, _ in usable])
-    log_e = np.log([e for _, e in usable])
+    points = [(as_count("budget", t), float(e)) for t, e in points]
+    if len(points) < 2:
+        raise ValueError(f"need at least 2 points, have {len(points)}")
+    for t, e in points:
+        if t < 2:
+            raise ValueError(f"budget: must be at least 2, got {t}")
+        if not 0.0 < e < np.inf:
+            raise ValueError(f"error: must be positive and finite, got {e} at budget {t}")
+    log_t = np.log([t for t, _ in points])
+    log_e = np.log([e for _, e in points])
     slope, intercept = np.polyfit(log_t, log_e, 1)
     resid = np.max(np.abs(log_e - (intercept + slope * log_t)))
     return RateFit(slope=float(slope), intercept=float(intercept),
-                   max_residual=float(resid), n_used=len(usable),
-                   n_excluded=n_excluded)
+                   max_residual=float(resid))

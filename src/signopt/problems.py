@@ -193,13 +193,12 @@ class Box:
                 raise ValueError(f"{name}: must lie within +-2**62")
         if np.any(hi < lo):
             raise ValueError("hi: must be at least lo in every coordinate")
-        # read-only bounds keep their float lists fresh: contains compares against
-        # the tolerance-widened ones, and a Line subtracts from the others
+        # read-only bounds keep fresh the float lists that a Line subtracts from
         t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo.flags.writeable = hi.flags.writeable = False
         self.__dict__.update(lo=lo, hi=hi, _shape=lo.shape,
                              _lo_list=lo.tolist(), _hi_list=hi.tolist(),
-                             _lo_tol=(lo - t).tolist(), _hi_tol=(hi + t).tolist())
+                             _lo_tol=lo - t, _hi_tol=hi + t)
 
     def __reduce__(self):
         # rebuild through __post_init__: unpickled arrays would be writeable
@@ -214,23 +213,12 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x) -> bool:
-        """Whether the point ``x``, of shape (d,), lies in the box up to tolerance.
-
-        Each coordinate is compared as a Python float with the bounds
-        widened by 1e-12 * max(1, |lo_j|, |hi_j|), by the IEEE comparisons
-        that numpy makes on float64 arrays, so NaN lies outside and -0.0
-        equals 0.0.  This is O(d) interpreter work, which beats comparing
-        numpy arrays (four numpy calls) only below d of about 40 (two runs
-        put the crossover between 32 and 48); every shipped config, golden
-        table and workload has d <= 8.
-        """
+        """Whether ``x``, of shape (d,), lies in the box widened by
+        1e-12 * max(1, |lo_j|, |hi_j|); NaN lies outside and -0.0 equals 0.0."""
         a = np.asarray(x, dtype=float)
         if a.shape != self._shape:
             raise DimensionMismatch(f"expected point of shape {self._shape}, got {a.shape}")
-        for v, lo, hi in zip(a.tolist(), self._lo_tol, self._hi_tol):
-            if not lo <= v <= hi:
-                return False
-        return True
+        return bool(((self._lo_tol <= a) & (a <= self._hi_tol)).all())
 
 
 def box_from_bounds(lo, hi, dim: int | None = None) -> Box:

@@ -44,8 +44,7 @@ def _threshold_problem(k):
 def adaptive_sweeps():
     tables = {}
     for k in (2.0, 3.0):
-        config = ExperimentConfig(kind="learn-threshold",
-                                  problem=_threshold_problem(k),
+        config = ExperimentConfig(problem=_threshold_problem(k),
                                   experiment_id=f"adaptive-k{k:g}",
                                   learner=ADAPTIVE_1D, budgets=BUDGETS_1D,
                                   replications=100, base_seed=SEED_1D)
@@ -86,7 +85,7 @@ def test_criterion_03_adaptivity_across_exponents(adaptive_sweeps):
 
 def test_criterion_04_bz_rate_and_comparison(adaptive_sweeps):
     config = ExperimentConfig(
-        kind="learn-threshold", problem=_threshold_problem(2.0),
+        problem=_threshold_problem(2.0),
         experiment_id="bz-k2",
         learner=LearnerConfig(name="bz", grid_size="auto", bz_k=2.0, bz_mu=1.0),
         budgets=BUDGETS_1D, replications=100, base_seed=SEED_1D)
@@ -112,7 +111,7 @@ def test_criterion_05_optimizer_rate_k2():
                    np.array([0.3, -0.2, 0.5, -0.4, 0.1]),
                    box_from_bounds(-16.0, 16.0, dim=5))
     config = ExperimentConfig(
-        kind="optimize", problem=fn, experiment_id="rssgd-quad-d5",
+        problem=fn, experiment_id="rssgd-quad-d5",
         oracle=OracleSpec(mode=GaussianNoise(sigma=1.0)),
         optimizer=OptimizerConfig(line_search=LearnerConfig("adaptive", c_delta=3.0)),
         budgets=BUDGETS_OPT, replications=50, base_seed=3)
@@ -131,7 +130,7 @@ def test_criterion_06_optimizer_rate_k3():
     fn = SeparablePower([1.0, 2.0, 3.0], [0.3, -0.2, 0.1],
                         box_from_bounds(-10.0, 10.0, dim=3), exponent=3.0)
     config = ExperimentConfig(
-        kind="optimize", problem=fn, experiment_id="rssgd-sep-k3",
+        problem=fn, experiment_id="rssgd-sep-k3",
         oracle=OracleSpec(mode=GaussianNoise(sigma=1.0)),
         optimizer=OptimizerConfig(line_search=LearnerConfig("adaptive", c_delta=3.0)),
         budgets=BUDGETS_OPT, replications=50, base_seed=5)
@@ -256,7 +255,7 @@ def test_criterion_09_property_suites():
         assert oracle.queries_used == expected <= 500
 
     # determinism: parallel and serial sweeps produce identical tables
-    config = ExperimentConfig(kind="learn-threshold", problem=problem,
+    config = ExperimentConfig(problem=problem,
                               experiment_id="det", learner=ADAPTIVE_1D,
                               budgets=[64, 128], replications=3, base_seed=1)
     serial = run_experiment(config, n_jobs=1).csv_text(include_timing=False)

@@ -135,8 +135,29 @@ def test_slope_counts_a_non_finite_error_as_an_unusable_row(tmp_path, capsys, ba
     assert [(b["budget"], b["value"], b["n_rows"]) for b in report["per_budget"]] == \
         [(10, 1.0, 1), (100, 0.1, 1), (1000, 0.01, 1)]
     assert report["n_error_rows"] == 1
-    assert report["excluded_budgets"] == [] and report["n_excluded_zero"] == 0
+    assert report["excluded_budgets"] == []
     assert report["slope"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_slope_report_lists_each_excluded_budget_once(tmp_path, capsys):
+    table = _slope_table(tmp_path, [10, 100, 1000], [1.0, 0.1, 0.0])
+    assert main(["slope", "--table", table]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert set(report) == {"slope", "intercept", "max_residual", "statistic",
+                           "error_column", "per_budget", "excluded_budgets",
+                           "n_error_rows"}
+    assert report["excluded_budgets"] == [1000]
+    assert report["slope"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_slope_of_a_table_without_a_budget_column_exits_3_naming_it(tmp_path, capsys):
+    lines = open(_slope_table(tmp_path, [10, 100], [1.0, 0.1])).read().splitlines()
+    # drop the third column, budget, from the header and every row
+    text = "\n".join([lines[0]] + [",".join(line.split(",")[:2] + line.split(",")[3:])
+                                    for line in lines[1:]]) + "\n"
+    table = _write(tmp_path, text, name="no-budget.csv")
+    assert main(["slope", "--table", table]) == 3
+    assert capsys.readouterr().err == f"error: {table}: no column budget\n"
 
 
 def test_slope_with_one_usable_budget_exits_3_counting_the_unusable_rows(tmp_path, capsys):

@@ -96,6 +96,7 @@ def test_load_threshold_config(tmp_path):
     assert config.experiment_id == "demo"
     assert config.budgets == [64, 128]
     assert config.problem.threshold == 0.37
+    assert config.learner == LearnerConfig("adaptive") and config.optimizer is None
 
 
 def test_load_optimize_config(tmp_path):
@@ -105,7 +106,7 @@ def test_load_optimize_config(tmp_path):
     assert config.single_budget == 512
     assert config.oracle.mode == GaussianNoise(sigma=1.0)
     assert config.optimizer.line_search == LearnerConfig("adaptive", c_delta=3.0)
-    assert config.optimizer.x0 == "center"
+    assert config.optimizer.x0 == "center" and config.learner is None
     # an omitted mode parameter takes the mode's own default
     no_sigma = _load(tmp_path, OPTIMIZE_CFG.replace("oracle.sigma = 1.0\n", ""))
     assert no_sigma.oracle.mode == GaussianNoise()
@@ -440,11 +441,34 @@ sweep.replications = 1
 
 def _small_config(**overrides):
     problem = make_tnc_problem((0.0, 1.0), 0.37, 2.0, 1.0, 0.4)
-    defaults = dict(kind="learn-threshold", problem=problem,
+    defaults = dict(problem=problem,
                     experiment_id="unit", learner=LearnerConfig(name="adaptive"),
                     budgets=[32, 64], replications=2, base_seed=1)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def test_a_spec_takes_its_kind_from_its_problem():
+    assert _small_config().kind == "learn-threshold"
+    assert _optimize_sweep().kind == "optimize"
+    with pytest.raises(ConfigError, match="^problem: expected a TncProblem or a UcFunction, "
+                                          "got Interval$"):
+        _small_config(problem=Interval(0.0, 1.0))
+    with pytest.raises(TypeError, match="kind"):
+        _small_config(kind="optimize")
+
+
+def test_a_spec_holds_only_the_method_its_kind_runs():
+    optimizer = OptimizerConfig(line_search=LearnerConfig("bisect"))
+    with pytest.raises(ConfigError, match="^learner: required by learn-threshold cells$"):
+        _small_config(learner=None)
+    with pytest.raises(ConfigError, match="^optimizer: not run by learn-threshold cells$"):
+        _small_config(optimizer=optimizer)
+    with pytest.raises(ConfigError, match="^optimizer: required by optimize cells$"):
+        replace(_optimize_sweep(), optimizer=None)
+    # the line search of an optimize cell is its optimizer's, never a learner's
+    with pytest.raises(ConfigError, match="^learner: not run by optimize cells$"):
+        replace(_optimize_sweep(), learner=LearnerConfig("bisect"))
 
 
 def test_cell_count_and_ordering():
@@ -476,7 +500,7 @@ def _bz_sweep():
 
 def _optimize_sweep():
     return ExperimentConfig(
-        kind="optimize", problem=_opt_problem(), experiment_id="blocks",
+        problem=_opt_problem(), experiment_id="blocks",
         oracle=OracleSpec(mode=GaussianNoise(sigma=1.0)),
         optimizer=OptimizerConfig(line_search=LearnerConfig("adaptive", c_delta=3.0),
                                   epoch_rule=8),
@@ -690,7 +714,6 @@ def test_error_rows_do_not_kill_the_sweep():
     # the default schedule needs 13+ epochs in d = 2 at these budgets, so
     # every cell fails, but each failure is recorded rather than raised
     config = ExperimentConfig(
-        kind="optimize",
         problem=_opt_problem(),
         experiment_id="failing",
         optimizer=OptimizerConfig(),
@@ -709,7 +732,7 @@ def _opt_problem():
 
 def test_optimize_cells_record_vector_estimates():
     config = ExperimentConfig(
-        kind="optimize", problem=_opt_problem(), experiment_id="vec",
+        problem=_opt_problem(), experiment_id="vec",
         optimizer=OptimizerConfig(line_search=LearnerConfig("bisect"),
                                   epoch_rule=20),
         budgets=[400], replications=1, base_seed=2)
@@ -839,7 +862,7 @@ def test_errors_at_the_widest_box_survive_the_csv_round_trip(tmp_path):
     half = 2.0 ** 62
     fn = Quadratic(np.eye(2), [0.0, 0.0], box_from_bounds(-half, half, dim=2))
     config = ExperimentConfig(
-        kind="optimize", problem=fn, experiment_id="huge",
+        problem=fn, experiment_id="huge",
         optimizer=OptimizerConfig(line_search=LearnerConfig("bisect"), epoch_rule=1,
                                   x0=[half, half]),
         budgets=[8], replications=1, base_seed=2)
@@ -855,17 +878,35 @@ def test_errors_at_the_widest_box_survive_the_csv_round_trip(tmp_path):
 
 
 def test_from_csv_reads_each_cell_as_its_row_field(tmp_path):
-    # an id of digits stays text and an integral error is a float; an absent
-    # column reads as None, or as no error and no time
+    # an id of digits stays text and an integral error is a float; the one
+    # column a table may leave out, as the untimed CSV does, is wall_time_ms
+    columns = ["experiment_id", "kind", "budget", "replication", "seed", "estimate",
+               "point_error", "excess_risk", "f_error", "queries_used", "error"]
+    cells = ["123", "learn-threshold", "64", "1", "7", "0.5", "0", "", "", "", ""]
     path = tmp_path / "t.csv"
-    path.write_text("budget,experiment_id,point_error,estimate,queries_used\n"
-                    "64,123,0,0.5,\n")
+    path.write_text(",".join(columns) + "\n" + ",".join(cells) + "\n")
     (row,) = RunTable.from_csv(path).rows
     assert (row.budget, row.experiment_id, row.point_error, row.estimate,
             row.queries_used) == (64, "123", 0.0, "0.5", None)
     assert type(row.point_error) is float
     assert (row.kind, row.replication, row.seed, row.excess_risk, row.f_error,
-            row.error, row.wall_time_ms) == (None, None, None, None, None, "", 0.0)
+            row.error, row.wall_time_ms) == ("learn-threshold", 1, 7, None, None, "", 0.0)
+    # every other absent column is refused by name, not read as None
+    for i, column in enumerate(columns):
+        path.write_text(",".join(columns[:i] + columns[i + 1:]) + "\n"
+                        + ",".join(cells[:i] + cells[i + 1:]) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: no column {column}$"):
+            RunTable.from_csv(path)
+
+
+def test_from_csv_refuses_a_row_whose_cells_do_not_match_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    run_experiment(_small_config()).to_csv(path)
+    lines = path.read_text().splitlines()  # the schema line, the header, then rows
+    lines[3] = lines[3].rsplit(",", 1)[0]  # row 2 loses its last cell
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: row 2: 11 cells, 12 columns$"):
+        RunTable.from_csv(path)
 
 
 @pytest.mark.parametrize("column, text", [("seed", "1.0"), ("replication", ""),
@@ -924,7 +965,6 @@ def test_slope_report_excludes_zero_median_budgets():
     table = _table_from({10: [1.0], 100: [0.1], 1000: [0.0]})
     report = slope_report(table, "median", "excess_risk")
     assert report.excluded_budgets == [1000]
-    assert report.n_excluded_zero == 1
     assert report.slope == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -940,7 +980,7 @@ def test_slope_report_counts_a_non_finite_value_as_an_unusable_row(bad):
     report = slope_report(table, "median", "excess_risk")
     assert [(b.budget, b.value, b.n_rows) for b in report.per_budget] == \
         [(10, 1.0, 1), (100, 0.1, 1), (1000, 0.01, 1)]
-    assert report.n_error_rows == 1 and report.n_excluded_zero == 0
+    assert report.n_error_rows == 1 and report.excluded_budgets == []
     assert report.slope == pytest.approx(-1.0, abs=1e-12)
 
 

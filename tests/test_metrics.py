@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,7 +141,6 @@ def test_fit_exact_log_log_line():
     fit = fit_rate_slope([(10, 1.0), (100, 0.1), (1000, 0.01)])
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
     assert fit.max_residual == pytest.approx(0.0, abs=1e-12)
-    assert fit.n_used == 3 and fit.n_excluded == 0
 
 
 def test_fit_flat_line():
@@ -147,19 +148,34 @@ def test_fit_flat_line():
 
 
 def test_fit_requires_two_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least 2 points, have 1$"):
         fit_rate_slope([(10, 1.0)])
-    with pytest.raises(ValueError):
-        fit_rate_slope([(10, 0.0), (100, 0.0), (1000, 1.0)])  # zeros excluded
+    with pytest.raises(ValueError, match="^error: must be positive and finite, got 0.0 at"):
+        fit_rate_slope([(10, 0.0), (100, 0.0), (1000, 1.0)])
 
 
-def test_fit_reports_excluded_zeros():
-    fit = fit_rate_slope([(10, 1.0), (100, 0.1), (1000, 0.0)])
-    assert fit.n_excluded == 1 and fit.n_used == 2
+def test_fit_refuses_rather_than_drops_a_zero_error():
+    # choosing the points is slope_report's: the fit takes every point it is given
+    with pytest.raises(ValueError, match="^error: must be positive and finite, got 0.0 at "
+                                         "budget 1000$"):
+        fit_rate_slope([(10, 1.0), (100, 0.1), (1000, 0.0)])
+
+
+@pytest.mark.parametrize("error", [-0.1, math.nan, math.inf])
+def test_fit_refuses_an_error_that_is_not_positive_and_finite(error):
+    with pytest.raises(ValueError, match="^error: must be positive and finite"):
+        fit_rate_slope([(10, 1.0), (100, error)])
+
+
+def test_fit_refuses_rather_than_truncates_a_non_integer_budget():
+    with pytest.raises(ValueError, match="^budget: must be an integer, got 10.9$"):
+        fit_rate_slope([(10.9, 1.0), (100.7, 0.1)])
+    with pytest.raises(ValueError, match="^budget: must be an integer, got 100.0$"):
+        fit_rate_slope([(10, 1.0), (100.0, 0.1)])
 
 
 def test_fit_rejects_tiny_budgets():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^budget: must be at least 2, got 1$"):
         fit_rate_slope([(1, 1.0), (100, 0.1)])
 
 

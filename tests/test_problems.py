@@ -201,8 +201,8 @@ def test_box_contains_matches_the_array_comparisons(case):
 def test_box_contains_one_ulp_from_each_tolerance_bound(lo, hi):
     box = box_from_bounds(lo, hi)
     t = 1e-12 * np.maximum(1.0, np.maximum(np.abs(box.lo), np.abs(box.hi)))
-    assert box._lo_tol == (box.lo - t).tolist()
-    assert box._hi_tol == (box.hi + t).tolist()
+    assert box._lo_tol.tolist() == (box.lo - t).tolist()
+    assert box._hi_tol.tolist() == (box.hi + t).tolist()
     copy = pickle.loads(pickle.dumps(box))
     inside = box.center
     for j in range(box.dim):
