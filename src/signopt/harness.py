@@ -34,8 +34,8 @@ from .metrics import error_record, fit_rate_slope
 from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
 from .oracles import (ExactSign, LabelOracle, ROLE_LABELS, ROLE_SAMPLING,
                       SIGN_MODES, SignOracle, seeded_rng)
-from .problems import (Box, Interval, POSITIVE_RIGHT, Quadratic, Ridge,
-                       SeparablePower, TncProblem, UcFunction, load_ridge_text)
+from .problems import (Box, Interval, Quadratic, Ridge, SeparablePower, TncProblem,
+                       UcFunction, load_ridge_text)
 
 SCHEMA_VERSION = 1
 JOBS_ENV_VAR = "SIGNOPT_JOBS"
@@ -132,25 +132,25 @@ def _config_errors(prefix: str, keys: dict | None = None):
 
 _EXPECTED = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers",
              _rows: "rows of numbers separated by ';'"}
-_REQUIRED = object()
 
 
-def _get(raw: dict, key: str, parse=str, default=_REQUIRED, word=None):
-    """``raw[key]`` parsed by ``parse``, or ``default`` when the key is unset.
-
-    A key without a default is required.  ``word`` is a value that stands
-    for itself unparsed (``auto``, ``center``, ...).
-    """
+def _get(raw: dict, key: str, parse=str, word=None):
+    """``raw[key]``, a required key, parsed by ``parse``; the value ``word``
+    (``auto``, ``center``, ...) stands for itself unparsed."""
     if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{key}: required key is missing")
-        return default
+        raise ConfigError(f"{key}: required key is missing")
     if raw[key] == word:
         return word
     try:
         return parse(raw[key])
     except ValueError:
         raise ConfigError(f"{key}: expected {_EXPECTED[parse]}, got {raw[key]!r}") from None
+
+
+def _given(raw: dict, keys: dict) -> dict:
+    """The arguments ``{parameter: (key, *how _get reads it)}`` whose keys ``raw``
+    sets; a parameter whose key is unset is left out, to take its type's default."""
+    return {param: _get(raw, key, *how) for param, (key, *how) in keys.items() if key in raw}
 
 
 @dataclass
@@ -234,7 +234,7 @@ def _build_tnc_problem(raw: dict) -> TncProblem:
                           exponent=_get(raw, "problem.k", float),
                           mu=_get(raw, "problem.mu", float),
                           cap=_get(raw, "problem.cap", float),
-                          orientation=raw.get("problem.orientation", POSITIVE_RIGHT))
+                          **_given(raw, {"orientation": ("problem.orientation",)}))
 
 
 def _vector(raw: dict, key: str, dim: int) -> np.ndarray:
@@ -279,7 +279,7 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
         coeffs = _vector(raw, "problem.coeffs", dim)
         with _config_errors("problem.", {"exponent": "problem.k"}):
             return SeparablePower(coeffs, x_star, box,
-                                  exponent=_get(raw, "problem.k", float, 2.0))
+                                  **_given(raw, {"exponent": ("problem.k", float)}))
     if family == "quadratic":
         key = "problem.a_diag" if "problem.a_diag" in raw else "problem.a"
         if key not in raw:
@@ -295,17 +295,17 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
 
 def _build_mode(raw: dict):
     """The sign mode ``oracle.mode`` names, from the ``oracle.*`` keys it declares."""
-    name = raw.get("oracle.mode", ExactSign.name)
+    name = raw["oracle.mode"]
     if name == QUANTIZED:  # 10.0 ** decimals, the rounding scale, overflows beyond 308
-        if not 0 <= _get(raw, "oracle.decimals", int, 3) <= 308:
+        if "oracle.decimals" in raw and not 0 <= _get(raw, "oracle.decimals", int) <= 308:
             raise ConfigError("oracle.decimals: must lie in [0, 308]")
         return ExactSign()
     mode = next((m for m in SIGN_MODES if m.name == name), None)
     if mode is None:
         raise ConfigError(f"oracle.mode: unknown mode {name!r}")
     with _config_errors("oracle."):
-        return mode(**{f.name: _get(raw, f"oracle.{f.name}", type(f.default), f.default)
-                       for f in fields(mode)})
+        return mode(**_given(raw, {f.name: (f"oracle.{f.name}", type(f.default))
+                                   for f in fields(mode)}))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -331,42 +331,33 @@ def load_config(path) -> ExperimentConfig:
 
     # the one learner: the threshold learner, or the optimizer's line search
     name_key = "learner.name" if kind == KIND_THRESHOLD else "optimizer.line_search"
-    name = raw.get(name_key, "adaptive")
-    bz_param = _REQUIRED if name == "bz" else None
     with _config_errors("learner.", {"name": name_key}):
-        learner = LearnerConfig(
-            name, c_delta=_get(raw, "learner.c_delta", float, 2.0),
-            orientation=raw.get("learner.orientation", POSITIVE_RIGHT),
-            grid_size=_get(raw, "learner.grid_size", int, GRID_AUTO, word=GRID_AUTO),
-            bz_k=_get(raw, "learner.bz_k", float, bz_param),
-            bz_mu=_get(raw, "learner.bz_mu", float, bz_param))
+        learner = LearnerConfig(**_given(raw, {
+            "name": (name_key,), "c_delta": ("learner.c_delta", float),
+            "orientation": ("learner.orientation",),
+            "grid_size": ("learner.grid_size", int, GRID_AUTO),
+            "bz_k": ("learner.bz_k", float), "bz_mu": ("learner.bz_mu", float)}))
     method = {"learner": learner}
     if kind == KIND_OPTIMIZE:
-        x0 = _get(raw, "optimizer.x0", _floats, "center", word="center")
         with _config_errors("optimizer."):
-            method = {"optimizer": OptimizerConfig(
-                epoch_rule=_get(raw, "optimizer.epoch_rule", int, PAPER_DEFAULT,
-                                word=PAPER_DEFAULT), line_search=learner, x0=x0)}
+            method = {"optimizer": OptimizerConfig(line_search=learner, **_given(raw, {
+                "epoch_rule": ("optimizer.epoch_rule", int, PAPER_DEFAULT),
+                "x0": ("optimizer.x0", _floats, "center")}))}
 
-    oracle = OracleSpec(mode=_build_mode(raw), budget=_get(raw, "oracle.budget", int, None))
+    mode = {"mode": _build_mode(raw)} if "oracle.mode" in raw else {}
+    oracle = OracleSpec(**mode, **_given(raw, {"budget": ("oracle.budget", int)}))
     config = ExperimentConfig(
-        problem=problem,
-        **method,
-        experiment_id=raw.get("id", path.stem),
-        oracle=oracle,
-        budgets=_get(raw, "sweep.budgets", _ints, None),
-        replications=_get(raw, "sweep.replications", int, 1),
-        base_seed=_get(raw, "sweep.base_seed", int, 0),
-        report=raw.get("report", "csv"),
-        output=raw.get("output"),
-        slope_column=raw.get("slope.column", "excess_risk"),
-        single_budget=_get(raw, "budget", int, None),
-    )
+        problem=problem, **method, experiment_id=raw.get("id", path.stem), oracle=oracle,
+        **_given(raw, {"budgets": ("sweep.budgets", _ints),
+                       "replications": ("sweep.replications", int),
+                       "base_seed": ("sweep.base_seed", int), "report": ("report",),
+                       "output": ("output",), "slope_column": ("slope.column",),
+                       "single_budget": ("budget", int)}))
     selected = {("kind", kind): f"kind = {kind} configs",
-                ("learner", name): f"{name_key} = {name}"}
+                ("learner", learner.name): f"{name_key} = {learner.name}"}
     if kind == KIND_OPTIMIZE:
         for selector, value in (("problem.family", raw["problem.family"]),
-                                ("oracle.mode", raw.get("oracle.mode", ExactSign.name))):
+                                ("oracle.mode", raw.get("oracle.mode", oracle.mode.name))):
             selected[selector, value] = f"{selector} = {value}"
     _reject_unread_keys(raw, selected)
     return config

@@ -37,6 +37,7 @@ from .problems import (Interval, POSITIVE_LEFT, POSITIVE_RIGHT, SCALE_BOUND,
 LEARNERS = ("adaptive", "bisect", "passive", "bz")
 DRAWING_LEARNERS = ("adaptive", "passive")  # those that read run_learner's Generator
 ORIENTATION_AUTO = "auto"
+AUTO_PROBES = 20  # the most queries that orientation="auto" spends on its probes
 GRID_AUTO = "auto"
 
 _SQRT2 = math.sqrt(2.0)
@@ -59,8 +60,8 @@ class LearnerConfig:
     ``budget`` is the query budget of one run; a config that serves a whole
     sweep leaves it at 0 and ``for_budget`` sets it per run.  ``c_delta`` is
     the epoch-count constant of the adaptive learner and must exceed
-    sqrt(2).  ``grid_size``, ``bz_k`` and ``bz_mu`` configure probabilistic
-    bisection only; the ``"auto"`` grid scales with the budget.
+    sqrt(2).  ``grid_size`` and the required ``bz_k`` and ``bz_mu`` configure
+    probabilistic bisection only; the ``"auto"`` grid scales with the budget.
     Only the adaptive and bz learners accept ``orientation="auto"``.
     """
 
@@ -91,6 +92,9 @@ class LearnerConfig:
             raise ValueError(f"bz_k: must lie in [{lo_k}, {hi_k}], got {self.bz_k}")
         if self.bz_mu is not None and not 0.0 < self.bz_mu <= SCALE_BOUND:
             raise ValueError(f"bz_mu: must lie in (0, 2**64], got {self.bz_mu}")
+        if self.name == "bz" and None in (self.bz_k, self.bz_mu):
+            missing = "bz_k" if self.bz_k is None else "bz_mu"
+            raise ValueError(f"{missing}: required by the bz learner")
 
     def for_budget(self, budget: int, dither: int = 0) -> LearnerConfig:
         """This config for one run of ``budget`` queries.
@@ -235,7 +239,7 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
 
     orientation = config.orientation
     if orientation == ORIENTATION_AUTO:
-        n_probe = min(20, per_epoch, budget - epochs)
+        n_probe = min(AUTO_PROBES, per_epoch, budget - epochs)
         orientation = _auto_orientation(oracle, search, n_probe)
         per_epoch = (budget - n_probe) // epochs
 
@@ -317,7 +321,7 @@ def bz_rows(oracles, search: Interval, configs) -> list:
             n_probe = 0
             orientation = config.orientation
             if orientation == ORIENTATION_AUTO:
-                n_probe = min(20, budget)
+                n_probe = min(AUTO_PROBES, budget)
                 orientation = _auto_orientation(oracle, search, n_probe)
             delta = search.width / cells
             gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))

@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,8 +22,8 @@ from signopt import (Box, DirectBernoulli, Interval, Quadratic, Ridge, Separable
 from signopt.harness import (_KNOWN_KEYS, ExperimentConfig, OracleSpec, Row, cell_seed,
                              parse_config_text, run_cell)
 from signopt import LabelOracle, SignOracle, make_tnc_problem, rssgd, run_learner, seeded_rng
-from signopt.learners import DRAWING_LEARNERS, LEARNERS
-from signopt.oracles import ROLE_LABELS, ROLE_SAMPLING
+from signopt.learners import AUTO_PROBES, DRAWING_LEARNERS, LEARNERS
+from signopt.oracles import ROLE_LABELS, ROLE_SAMPLING, SIGN_MODES
 
 THRESHOLD_CFG = """
 # adaptive learner on a quadratic-margin problem
@@ -229,12 +229,60 @@ def test_quantized_is_a_spelling_of_exact(tmp_path):
             _load(tmp_path, _quantized(decimals))
 
 
-def test_readme_names_exactly_the_config_keys():
+def _spec(config: ExperimentConfig) -> dict:
+    """A loaded config's fields as comparable values, its problem pickled."""
+    return {f.name: pickle.dumps(config.problem) if f.name == "problem"
+            else getattr(config, f.name) for f in fields(config)}
+
+
+def test_readme_names_exactly_the_config_keys(tmp_path):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("### Config keys", 1)[1].split("```")[1]
-    named = {key.strip() for line in block.splitlines()
-             for key in line.split("#", 1)[0].split("=", 1)[0].replace("|", ",").split(",")}
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    named = {key.strip() for line in lines
+             for key in line.split("=", 1)[0].replace("|", ",").split(",")}
     assert named - {""} == _KNOWN_KEYS
+    # `key = value` with one value states the default of an optional key:
+    # setting it changes nothing in a config of required keys that reads it
+    stated = dict(line.replace(" ", "").split("=") for line in lines
+                  if "=" in line and not {"|", "<"} & set(line))
+    assert set(stated) == {
+        "report", "slope.column", "problem.orientation", "problem.k", "oracle.mode",
+        "oracle.sigma", "oracle.halfwidth", "oracle.slope", "oracle.cap", "learner.name",
+        "learner.c_delta", "learner.orientation", "learner.grid_size",
+        "optimizer.epoch_rule", "optimizer.line_search", "optimizer.x0",
+        "sweep.replications", "sweep.base_seed"}
+    threshold = ("kind = learn-threshold\nproblem.lo = 0\nproblem.hi = 1\nproblem.t = 0.3\n"
+                 "problem.k = 2\nproblem.mu = 1\nproblem.cap = 0.4\n")
+    optimize = ("kind = optimize\nproblem.family = separable-power\nproblem.dim = 2\n"
+                "problem.x_star = 0.1\nproblem.coeffs = 1\nproblem.box_lo = -1\n"
+                "problem.box_hi = 1\n")
+    bases = [threshold, threshold + "learner.name = bz\nlearner.bz_k = 2\nlearner.bz_mu = 1\n",
+             optimize, *(optimize + f"oracle.mode = {mode.name}\n" for mode in SIGN_MODES)]
+    for key, value in stated.items():
+        read_by = 0
+        for base in bases:
+            try:  # a base that sets the key, or never reads it, refuses it
+                config = _load(tmp_path, base + f"{key} = {value}\n")
+            except ConfigError:
+                continue
+            assert _spec(config) == _spec(_load(tmp_path, base)), key
+            read_by += 1
+        assert read_by, key
+    assert f"(up to {AUTO_PROBES} queries)" in " ".join(block.split())
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    names: dict = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    so, est, x = names["so"], names["est"], names["x"]
+    assert math.isfinite(est) and math.isfinite(so.excess_risk(names["problem"], est))
+    assert np.isfinite(x).all() and math.isfinite(so.error_record(names["fn"], x).f_error)
+    for oracle in (names["oracle"], names["signs"]):
+        assert 0 < oracle.queries_used <= oracle.budget
 
 
 def test_budgets_must_increase(tmp_path):
@@ -391,6 +439,8 @@ _UNIT, _SQUARE = Interval(0.0, 1.0), box_from_bounds(-1.0, 1.0, dim=2)
     (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 8.0 + 2.0 ** -49), "bz_k"),
     (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 2.0, 0.0), "bz_mu"),
     (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 2.0, np.inf), "bz_mu"),
+    (LearnerConfig, ("bz",), "bz_k"),
+    (LearnerConfig, ("bz", 0, 2.0, "positive-right", 8, 2.0), "bz_mu"),
     (OptimizerConfig, (-1,), "budget"),
     (OptimizerConfig, (0, 0), "epoch_rule"),
     (OptimizerConfig, (0, "paper-default", LearnerConfig(), 0, "corner"), "x0"),
@@ -802,9 +852,8 @@ def test_a_threshold_learner_that_never_draws_gets_no_stream(tmp_path, monkeypat
 
 @pytest.mark.parametrize("name", ["passive", "bisect", "adaptive", "bz"])
 def test_every_learner_runs_through_the_harness(name):
-    spec = LearnerConfig(name=name)
-    if name == "bz":
-        spec = LearnerConfig(name=name, grid_size="auto", bz_k=2.0, bz_mu=1.0)
+    spec = (LearnerConfig(name=name, grid_size="auto", bz_k=2.0, bz_mu=1.0) if name == "bz"
+            else LearnerConfig(name=name))
     table = run_experiment(_small_config(learner=spec, budgets=[128]))
     assert table.n_errors == 0
     for row in table.rows:

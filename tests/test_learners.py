@@ -591,7 +591,7 @@ def test_both_side_mask_paths_match_the_sequential_reference(monkeypatch, cap, g
 ])
 def test_a_million_cell_bz_grid_takes_no_mask_table(problem, stream, cell):
     # its table would take (2M + 1) * M bytes, about 2 TB; the run takes the
-    # grid's points, eta slots, weights and sums, about 66 MiB
+    # eta slots, weights and sums, about 35 MiB (its grid's points are made when read)
     config = _bz_config(3, grid=10 ** 6, mu=1.0)
     tracemalloc.start()
     try:

@@ -434,6 +434,7 @@ def test_a_scalar_step_gives_a_0d_label_array(mode):
 
 def test_quantized_decimals_are_bounded():
     assert _build_mode({"oracle.mode": "quantized", "oracle.decimals": "308"}) == ExactSign()
+    assert _build_mode({"oracle.mode": "quantized"}) == ExactSign()  # checked only when set
     with pytest.raises(ConfigError, match="^oracle.decimals: "):
         _build_mode({"oracle.mode": "quantized", "oracle.decimals": "309"})
 
