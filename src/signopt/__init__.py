@@ -17,8 +17,8 @@ from .oracles import (BudgetExhausted, DirectBernoulli, ExactSign,
 from .learners import (LearnerConfig, adaptive_epoch_schedule,
                        adaptive_learner, auto_grid_size, bisect_noiseless,
                        bz_learner, erm_cut, passive_erm, run_learner)
-from .optimizer import (LineLabelOracle, OptimizerConfig,
-                        default_epoch_count, line_label_oracle, rssgd)
+from .optimizer import (LineLabelOracle, OptimizerConfig, default_epoch_count,
+                        descent, line_label_oracle, rssgd)
 from .metrics import (ErrorRecord, RateFit, error_record, excess_risk,
                       fit_rate_slope)
 from .harness import (ConfigError, ExperimentConfig, RunTable, load_config,
@@ -34,7 +34,7 @@ __all__ = [
     "POSITIVE_RIGHT", "Quadratic", "RateFit", "Ridge", "RunTable",
     "SeparablePower", "SignOracle", "TncProblem", "UcFunction", "UniformNoise",
     "adaptive_epoch_schedule", "adaptive_learner", "auto_grid_size",
-    "bisect_noiseless", "box_from_bounds", "bz_learner", "default_epoch_count",
+    "bisect_noiseless", "box_from_bounds", "bz_learner", "default_epoch_count", "descent",
     "erm_cut", "error_record", "excess_risk", "fit_rate_slope", "line_label_oracle",
     "load_config", "load_ridge_text", "make_tnc_problem", "passive_erm",
     "rssgd", "run_experiment", "run_learner", "seeded_rng", "slope_report",

@@ -140,17 +140,12 @@ def line_label_oracle(sign_oracle: SignOracle, line: Line) -> LineLabelOracle:
     return LineLabelOracle(sign_oracle, line)
 
 
-def rssgd(fn: UcFunction, sign_oracle: SignOracle,
-          config: OptimizerConfig) -> np.ndarray:
-    """Minimize ``fn`` from gradient signs alone by randomized coordinate descent.
+def descent(fn: UcFunction, sign_oracle: SignOracle, config: OptimizerConfig):
+    """Run ``rssgd``'s epochs, yielding the run's ``Line`` after each move.
 
-    Starts from ``config.x0`` and runs E epochs; each epoch draws a
-    coordinate uniformly at random, turns the run's line to it at the
-    current iterate and moves to the step returned by the configured 1-D
-    learner under a budget of floor(T / E) queries, clipped to the box.
-    Returns the final iterate; the sign oracle counts the queries.  Raises
-    if the budget cannot cover one query per epoch (a zero budget never
-    can); leftover queries beyond E * N are not spent.
+    At a yield, ``j``, ``lo`` and ``hi`` are the epoch's coordinate and searched
+    segment, and ``x`` the iterate after the move, in place: a reader that keeps
+    it copies ``x``.  The arguments are checked at the first ``next()``.
     """
     if sign_oracle.fn is not fn:
         raise ValueError("the sign oracle must query the function being minimized")
@@ -179,4 +174,21 @@ def rssgd(fn: UcFunction, sign_oracle: SignOracle,
             # both within twice the box bound, +-2**63
             step = run_learner(view, line, line_config, line_rng)
         line.move(step)
+        yield line
+
+
+def rssgd(fn: UcFunction, sign_oracle: SignOracle,
+          config: OptimizerConfig) -> np.ndarray:
+    """Minimize ``fn`` from gradient signs alone by randomized coordinate descent.
+
+    Starts from ``config.x0`` and runs E epochs; each epoch draws a
+    coordinate uniformly at random, turns the run's line to it at the
+    current iterate and moves to the step returned by the configured 1-D
+    learner under a budget of floor(T / E) queries, clipped to the box.
+    Returns the final iterate; the sign oracle counts the queries.  Raises
+    if the budget cannot cover one query per epoch (a zero budget never
+    can); leftover queries beyond E * N are not spent.
+    """
+    for line in descent(fn, sign_oracle, config):
+        pass
     return line.x

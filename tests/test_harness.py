@@ -277,8 +277,9 @@ def test_readme_library_example_runs(capsys):
     code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```")[0]
     names: dict = {}
     exec(compile(code, "README.md", "exec"), names)
-    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 4  # and a line per quarter
     so, est, x = names["so"], names["est"], names["x"]
+    assert names["line"].x.tobytes() == x.tobytes()  # rssgd's run, drained from descent
     assert math.isfinite(est) and math.isfinite(so.excess_risk(names["problem"], est))
     assert np.isfinite(x).all() and math.isfinite(so.error_record(names["fn"], x).f_error)
     for oracle in (names["oracle"], names["signs"]):

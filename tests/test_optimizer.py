@@ -6,7 +6,7 @@ import pytest
 from signopt import (Box, BudgetExhausted, DimensionMismatch, ExactSign, GaussianNoise,
                      Interval, LearnerConfig, Line, OptimizerConfig, OutOfDomain,
                      Quadratic, Ridge, SeparablePower, SignOracle, adaptive_epoch_schedule,
-                     adaptive_learner, box_from_bounds, default_epoch_count,
+                     adaptive_learner, box_from_bounds, default_epoch_count, descent,
                      line_label_oracle, passive_erm, rssgd, seeded_rng)
 from signopt import optimizer
 from signopt.learners import DRAWING_LEARNERS, LEARNERS
@@ -29,19 +29,6 @@ def _oracle(fn, mode=None, seed=(0, 0), budget=None):
 
 def _f_error(fn, x):
     return max(0.0, fn.value(x) - fn.f_min)
-
-
-def _record_iterates(monkeypatch):
-    """Record the iterate that each epoch of rssgd starts from."""
-    iterates = []
-    original = optimizer.line_label_oracle
-
-    def recording(sign_oracle, line):
-        iterates.append(line.x.copy())
-        return original(sign_oracle, line)
-
-    monkeypatch.setattr(optimizer, "line_label_oracle", recording)
-    return iterates
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +420,8 @@ def test_one_coordinate_clamp_is_bit_identical_to_np_clip(monkeypatch, start, na
     coords = coordinate_rng(seed).integers(fn.dim, size=200).tolist()
     # end on a line of nonzero width, whose step may be the NaN
     epochs = max(e for e, j in enumerate(coords, start=1) if j in (0, 2, 5, 6))
-    iterates, steps = _record_iterates(monkeypatch), []
+    # the iterate that each epoch starts from, then the last
+    iterates, steps = [x0.copy()], []
     rules = _step_rules(seed)
 
     def learner(*args):
@@ -441,8 +429,10 @@ def test_one_coordinate_clamp_is_bit_identical_to_np_clip(monkeypatch, start, na
         return steps[-1]
 
     monkeypatch.setattr(optimizer, "run_learner", learner)
-    x = rssgd(fn, _oracle(fn), OptimizerConfig(budget=epochs, epoch_rule=epochs,
-                                               seed=seed, x0=x0))
+    for line in descent(fn, _oracle(fn), OptimizerConfig(budget=epochs, epoch_rule=epochs,
+                                                         seed=seed, x0=x0)):
+        iterates.append(line.x.copy())
+    x = iterates.pop()
     ref, steps = x0.copy(), iter(steps)
     for j, iterate in zip(coords, iterates):
         assert _bits(iterate) == _bits(ref)
@@ -554,16 +544,16 @@ def test_budget_accounting_and_leftover_discard():
     assert oracle.queries_used == 10 * (777 // 10) <= 777
 
 
-def test_monotone_progress_with_exact_signs(monkeypatch):
+def test_monotone_progress_with_exact_signs():
     # With an exact oracle and bisection, each epoch moves to within the
     # bisection resolution of the line minimum, so f can rise only by that
     # resolution's worth of function value.
-    iterates = _record_iterates(monkeypatch)
     fn = _quad((1.0, 2.0, 3.0), half=2.0, x_star=(0.5, -0.3, 0.2))
-    x = rssgd(fn, _oracle(fn, seed=(8, 0)),
-              OptimizerConfig(budget=4000, epoch_rule=50,
-                              line_search=LearnerConfig("bisect"), seed=8,
-                              x0=np.array([-1.5, 1.5, -1.5])))
+    config = OptimizerConfig(budget=4000, epoch_rule=50, line_search=LearnerConfig("bisect"),
+                             seed=8, x0=np.array([-1.5, 1.5, -1.5]))
+    run = descent(fn, _oracle(fn, seed=(8, 0)), config)
+    # the iterate that each epoch starts from, then the last
+    *iterates, x = [config.x0.copy()] + [line.x.copy() for line in run]
     n = 4000 // 50
     # resolution slack, plus an absolute floor for coordinate-update rounding
     # (a step lands within one ulp of the coordinate's own magnitude)
@@ -575,27 +565,83 @@ def test_monotone_progress_with_exact_signs(monkeypatch):
         assert after <= before + slack
 
 
-def test_mean_error_is_nonincreasing_under_noise(monkeypatch):
+def test_mean_error_is_nonincreasing_under_noise():
     # Averaged over seeds, the expected error makes progress beyond the first
     # d epochs: per-epoch means at stationarity fluctuate at the 1-SE scale,
     # so compare early and late blocks rather than consecutive epochs.
     fn = _quad((1.0, 2.0), half=2.0, x_star=(0.7, -0.4))
-    iterates = _record_iterates(monkeypatch)
     traces = []
     for rep in range(50):
-        iterates.clear()
         oracle = _oracle(fn, mode=GaussianNoise(1.0), seed=(9, rep))
-        x = rssgd(fn, oracle, OptimizerConfig(budget=3000, epoch_rule=30,
-                                              line_search=LearnerConfig("adaptive"),
-                                              seed=(9, rep)))
-        # the error after each epoch: every iterate but the start, then the last
-        traces.append([fn.value(it) - fn.f_min for it in iterates[1:] + [x]])
+        run = descent(fn, oracle, OptimizerConfig(budget=3000, epoch_rule=30,
+                                                  line_search=LearnerConfig("adaptive"),
+                                                  seed=(9, rep)))
+        # the error after each epoch
+        traces.append([fn.value(line.x) - fn.f_min for line in run])
     traces = np.asarray(traces)
     early = traces[:, 2:8].mean(axis=1)   # beyond the first d = 2 epochs
     late = traces[:, -6:].mean(axis=1)
     diff = late - early
     sem = diff.std(ddof=1) / np.sqrt(diff.size)
     assert diff.mean() <= sem, f"late block rose by {diff.mean()} (sem {sem})"
+
+
+@pytest.mark.parametrize("mode", [ExactSign(), GaussianNoise(1.0)], ids=["exact", "gaussian"])
+@pytest.mark.parametrize("name", LEARNERS)
+def test_draining_descent_is_rssgd(name, mode):
+    fn = _quad((1.0, 2.0, 3.0), half=2.0, x_star=(0.3, -0.7, 1.1))
+    config = OptimizerConfig(budget=600, epoch_rule=20, seed=4, line_search=LearnerConfig(
+        name, grid_size=16, bz_k=2.0, bz_mu=1.0))
+    oracle, twin = (_oracle(fn, mode=mode, seed=(4, 0)) for _ in range(2))
+    coords = []
+    for line in descent(fn, oracle, config):
+        coords.append(line.j)
+    assert coords == coordinate_rng(4).integers(fn.dim, size=20).tolist()
+    assert _bits(line.x) == _bits(rssgd(fn, twin, config))
+    assert oracle.queries_used == twin.queries_used
+    assert _plain(oracle.rng.bit_generator.state) == _plain(twin.rng.bit_generator.state)
+
+
+def test_a_bisect_run_stopped_after_k_epochs_has_charged_k_searches():
+    fn = _quad((1.0, 2.0))
+    config = OptimizerConfig(budget=777, epoch_rule=10, line_search=LearnerConfig("bisect"),
+                             seed=7)
+    for k in range(1, 11):
+        oracle = _oracle(fn)
+        run = descent(fn, oracle, config)
+        for _ in range(k):
+            next(run)
+        assert oracle.queries_used == k * (777 // 10)
+
+
+def test_descent_checks_its_arguments_at_its_first_next():
+    fn = _quad()
+    run = descent(fn, _oracle(_quad()), OptimizerConfig(budget=100))
+    with pytest.raises(ValueError, match="must query the function"):
+        next(run)
+
+
+@pytest.mark.parametrize("budget, epochs", [(4000, 50), (600, 60), (300, 100), (2000, 400)])
+@pytest.mark.parametrize("problem", ["coupled-quadratic", "ridge"])
+def test_each_exact_bisect_move_lands_on_the_directional_minimum(problem, budget, epochs):
+    # The reduction under exact signs: an epoch's move lies within bisection's
+    # resolution, (hi - lo) * 2^-(N+1), of the directional minimum at the
+    # point the epoch starts from, up to the roundoff of the coordinates.
+    if problem == "ridge":
+        fn = bench_ridge(n=200, d=4)
+    else:
+        A = [[2.0, 0.6, 0.2], [0.6, 1.5, -0.4], [0.2, -0.4, 3.0]]
+        fn = Quadratic(A, [0.5, -0.3, 0.2], box_from_bounds(-2.0, 2.0, dim=3))
+    n = budget // epochs
+    before = np.full(fn.dim, -1.5)
+    config = OptimizerConfig(budget=budget, epoch_rule=epochs,
+                             line_search=LearnerConfig("bisect"), seed=8, x0=before)
+    for line in descent(fn, _oracle(fn, seed=(8, 0)), config):
+        j, after = line.j, line.x[line.j]
+        slack = ((line.hi - line.lo) * 2.0 ** -(n + 1)
+                 + 4 * np.spacing(max(abs(before[j]), abs(after))))
+        assert abs((after - before[j]) - fn.directional_min(before, j)) <= slack
+        before = line.x.copy()
 
 
 def test_one_dimensional_reduction_matches_adaptive_learner():
