@@ -3,7 +3,7 @@
 Subcommands:
   learn-threshold --config F   run one threshold-learning cell, print JSON
   optimize        --config F   run one optimizer cell, print JSON
-  sweep           --config F --out D   run the full sweep, write CSV/JSON
+  sweep           --config F --out D   run the full sweep, write D/<id>.csv
   slope           --table F.csv --column COL   fit a rate slope from a table
 
 Exit codes: 0 success, 2 config error, 3 runtime cell failure.  The
@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .harness import (ConfigError, ERROR_COLUMNS, ExperimentConfig,
                       KIND_OPTIMIZE, KIND_THRESHOLD, RunTable, STATISTICS,
-                      load_config, run_cell, run_experiment, slope_report)
+                      load_config, resolve_jobs, run_cell, run_experiment,
+                      slope_report)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,13 +52,15 @@ def _run_single(args, expected_kind: str) -> int:
 
 def _run_sweep(args) -> int:
     config = load_config(args.config)
-    table = run_experiment(config, n_jobs=args.jobs)
-    out_dir = Path(args.out) if args.out else Path(config.output or ".")
+    n_jobs = resolve_jobs(args.jobs)
+    if config.budgets is None:  # every config error is raised before --out is made
+        raise ConfigError("sweep.budgets: required to run a sweep")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for kind in ("csv", "json") if config.report == "json" else ("csv",):
-        path = out_dir / f"{config.experiment_id}.{kind}"
-        (table.to_csv if kind == "csv" else table.to_json)(path)
-        print(f"wrote {path}", file=sys.stderr)
+    table = run_experiment(config, n_jobs=n_jobs)
+    path = out_dir / f"{config.experiment_id}.csv"
+    table.to_csv(path)
+    print(f"wrote {path}", file=sys.stderr)
     if table.n_errors:
         print(f"{table.n_errors} cell(s) failed", file=sys.stderr)
         return EXIT_RUNTIME
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the full budget x replication sweep")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--out", default=None, help="output directory")
+    sweep.add_argument("--out", default=".", help="directory of the table <id>.csv (default .)")
     sweep.add_argument("--jobs", type=int, default=None,
                        help="processes that run cells, the caller included "
                             "(default $SIGNOPT_JOBS or 1)")

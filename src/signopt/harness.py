@@ -10,21 +10,19 @@ A block of cells is one process's unit of work: the caller runs the first
 block, and one worker process per other block, given the config and its
 cells at start, sends its rows back through a pipe.  A
 threshold sweep's bz cells in a block run in lockstep through one batched
-learner.  Results are emitted as versioned CSV (17 significant digits) or
-JSON mirroring the same rows.
+learner.  Results are emitted as versioned CSV (17 significant digits).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import multiprocessing
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +60,8 @@ class ConfigError(ValueError):
 # entry's keys always.  The learner is selected by learner.name
 # (learn-threshold) or optimizer.line_search (optimize).
 _KEY_TABLE = {
-    None: {None: ("kind", "id", "budget", "report", "output", "slope.column",
-                  "oracle.budget", "sweep.budgets", "sweep.replications", "sweep.base_seed")},
+    None: {None: ("kind", "id", "budget", "slope.column", "oracle.budget", "sweep.budgets",
+                  "sweep.replications", "sweep.base_seed")},
     "kind": {
         KIND_THRESHOLD: ("problem.lo", "problem.hi", "problem.t", "problem.k", "problem.mu",
                          "problem.cap", "problem.orientation", "learner.name",
@@ -182,8 +180,6 @@ class ExperimentConfig:
     budgets: list[int] | None = None
     replications: int = 1
     base_seed: int = 0
-    report: str = "csv"
-    output: str | None = None
     slope_column: str = "excess_risk"
     single_budget: int | None = None
 
@@ -207,12 +203,12 @@ class ExperimentConfig:
                 raise ConfigError("sweep.budgets: budgets must be positive")
             if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
                 raise ConfigError("sweep.budgets: budgets must be strictly increasing")
+        if self.experiment_id in ("", ".", "..") or {"/", "\\"} & set(self.experiment_id):
+            raise ConfigError(f"id: cannot name a table file, got {self.experiment_id!r}")
         if self.single_budget is not None and self.single_budget < 1:
             raise ConfigError("budget: must be positive")
         if self.replications < 1:
             raise ConfigError("sweep.replications: must be at least 1")
-        if self.report not in ("csv", "json"):
-            raise ConfigError(f"report: unknown report kind {self.report!r}")
         if self.slope_column not in ERROR_COLUMNS:
             raise ConfigError(f"slope.column: expected one of {ERROR_COLUMNS}, "
                               f"got {self.slope_column!r}")
@@ -284,6 +280,9 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
         key = "problem.a_diag" if "problem.a_diag" in raw else "problem.a"
         if key not in raw:
             raise ConfigError("problem.a_diag or problem.a: required for quadratic")
+        if key == "problem.a_diag" and "problem.a" in raw:
+            raise ConfigError("problem.a: not read by problem.family = quadratic with "
+                              "problem.a_diag")
         matrix = (np.diag(_vector(raw, key, dim)) if key == "problem.a_diag"
                   else _get(raw, key, _rows))
         if [len(row) for row in matrix] != [dim] * dim:  # numpy's ragged error names no field
@@ -350,8 +349,7 @@ def load_config(path) -> ExperimentConfig:
         problem=problem, **method, experiment_id=raw.get("id", path.stem), oracle=oracle,
         **_given(raw, {"budgets": ("sweep.budgets", _ints),
                        "replications": ("sweep.replications", int),
-                       "base_seed": ("sweep.base_seed", int), "report": ("report",),
-                       "output": ("output",), "slope_column": ("slope.column",),
+                       "base_seed": ("sweep.base_seed", int), "slope_column": ("slope.column",),
                        "single_budget": ("budget", int)}))
     selected = {("kind", kind): f"kind = {kind} configs",
                 ("learner", learner.name): f"{name_key} = {learner.name}"}
@@ -441,9 +439,6 @@ class RunTable:
 
     def to_csv(self, path, include_timing: bool = True) -> None:
         Path(path).write_text(self.csv_text(include_timing))
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps([asdict(row) for row in self.rows], indent=2) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "RunTable":

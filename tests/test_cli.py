@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from signopt import cli
 from signopt.cli import main
 
 THRESHOLD_CFG = """
@@ -187,7 +189,10 @@ def test_failing_cells_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("report = slope-summary", "report: unknown report kind 'slope-summary'"),
+    ("report = slope-summary", "report: unknown key"),
+    ("report = csv", "report: unknown key"),
+    ("report = json", "report: unknown key"),
+    ("output = d", "output: unknown key"),
     ("slope.statistic = median", "slope.statistic: unknown key"),
 ])
 def test_the_retired_sweep_slope_report_is_a_config_error(tmp_path, capsys, line, message):
@@ -197,6 +202,38 @@ def test_the_retired_sweep_slope_report_is_a_config_error(tmp_path, capsys, line
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "r").exists()
+
+
+def test_sweep_without_budgets_is_a_config_error_before_out_is_made(tmp_path, capsys):
+    config = _write(tmp_path, THRESHOLD_CFG.replace("sweep.budgets = 64, 128\n", ""))
+    code = main(["sweep", "--config", config, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: sweep.budgets: required to run a sweep\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_an_out_that_is_a_file_exits_3_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    out = tmp_path / "r"
+    out.write_text("")
+    code = main(["sweep", "--config", _write(tmp_path, THRESHOLD_CFG), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_the_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    repo = Path(__file__).parent.parent
+    readme = (repo / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        command, *argv = line.split()
+        assert command == "signopt"
+        argv = [str(repo / arg) if arg.startswith("configs/") else arg for arg in argv]
+        assert main(argv) == 0, line
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["adaptive-k2.csv"]
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,5 +1,4 @@
 import inspect
-import json
 import math
 import multiprocessing
 import os
@@ -40,7 +39,6 @@ learner.c_delta = 2.0
 sweep.budgets = 64, 128
 sweep.replications = 2
 sweep.base_seed = 5
-report = csv
 """
 
 GAUSSIAN_LINES = "additive-gaussian\noracle.sigma = 1.0"
@@ -132,6 +130,13 @@ def test_unknown_key_is_an_error(tmp_path):
         _load(tmp_path, THRESHOLD_CFG + "oracle.seed = 3\n")
 
 
+@pytest.mark.parametrize("experiment_id", ["", ".", "..", "sub/x", "/x", "sub\\x"])
+def test_an_id_that_cannot_name_the_table_file_is_an_error(tmp_path, experiment_id):
+    text = THRESHOLD_CFG.replace("id = demo", f"id = {experiment_id}")
+    with pytest.raises(ConfigError, match="^id: cannot name a table file, got "):
+        _load(tmp_path, text)
+
+
 def test_keys_the_kind_never_reads_are_errors(tmp_path):
     # a threshold cell builds a label oracle and no optimizer
     for line, key in (("oracle.mode = additive-gaussian", "oracle.mode"),
@@ -183,6 +188,8 @@ def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
              "problem.family = quadratic"),
             (RIDGE_CFG, "problem.dim = 2", "problem.dim", "problem.family = ridge"),
             (RIDGE_CFG, "problem.x_star = 0.0", "problem.x_star", "problem.family = ridge"),
+            (OPTIMIZE_CFG, "problem.a = 5 0; 0 x", "problem.a",
+             "problem.family = quadratic with problem.a_diag"),
             (RIDGE_CFG, "problem.box_lo = -1.0", "problem.box_lo",
              "problem.family = ridge without problem.box_hi"),
             (RIDGE_CFG, "problem.box_hi = 1.0", "problem.box_hi",
@@ -247,7 +254,7 @@ def test_readme_names_exactly_the_config_keys(tmp_path):
     stated = dict(line.replace(" ", "").split("=") for line in lines
                   if "=" in line and not {"|", "<"} & set(line))
     assert set(stated) == {
-        "report", "slope.column", "problem.orientation", "problem.k", "oracle.mode",
+        "slope.column", "problem.orientation", "problem.k", "oracle.mode",
         "oracle.sigma", "oracle.halfwidth", "oracle.slope", "oracle.cap", "learner.name",
         "learner.c_delta", "learner.orientation", "learner.grid_size",
         "optimizer.epoch_rule", "optimizer.line_search", "optimizer.x0",
@@ -970,18 +977,6 @@ def test_from_csv_names_the_row_and_column_of_a_cell_that_does_not_parse(tmp_pat
     table.to_csv(path)
     with pytest.raises(ValueError, match=f"^{path}: row 2, column {column}: .*'{text}'"):
         RunTable.from_csv(path)
-
-
-def test_json_mirrors_rows(tmp_path):
-    table = run_experiment(_small_config())
-    path = tmp_path / "out.json"
-    table.to_json(path)
-    rows = json.loads(path.read_text())
-    assert len(rows) == len(table.rows)
-    assert rows[0]["budget"] == 32
-    assert set(rows[0]) == {"experiment_id", "kind", "budget", "replication",
-                            "seed", "estimate", "point_error", "excess_risk",
-                            "f_error", "queries_used", "error", "wall_time_ms"}
 
 
 # ---------------------------------------------------------------------------
