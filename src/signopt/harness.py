@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .learners import DRAWING_LEARNERS, GRID_AUTO, LearnerConfig, bz_rows, run_learner
+from .learners import DRAWING_LEARNERS, GRID_AUTO, LearnerConfig, bz_learner, run_learner
 from .metrics import error_record, fit_rate_slope
 from .optimizer import OptimizerConfig, PAPER_DEFAULT, rssgd
 from .oracles import (ExactSign, LabelOracle, ROLE_LABELS, ROLE_SAMPLING,
@@ -535,7 +535,7 @@ def run_cell(config: ExperimentConfig, budget: int, replication: int) -> Row:
 
 
 def _run_bz_cells(config: ExperimentConfig, cells) -> list[Row]:
-    """The bz cells of a threshold sweep through one ``bz_rows`` call.
+    """The bz cells of a threshold sweep in lockstep, through one ``bz_learner`` call.
 
     The rows' ``wall_time_ms`` split the block's time in proportion to
     their queries.
@@ -549,8 +549,8 @@ def _run_bz_cells(config: ExperimentConfig, cells) -> list[Row]:
         except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
             runs.append(exc)
     ready = [run for run in runs if not isinstance(run, Exception)]
-    results = iter(bz_rows([oracle for oracle, _ in ready], config.problem.interval,
-                           [learner for _, learner in ready]))
+    results = iter(bz_learner([oracle for oracle, _ in ready], config.problem.interval,
+                              [learner for _, learner in ready]))
     rows, queries = [], []
     for (budget, replication), run in zip(cells, runs):
         outcome, used = run, 0
@@ -569,7 +569,8 @@ def run_block(config: ExperimentConfig, cells) -> list[Row]:
     """Execute a block of (budget, replication) cells; failures become error rows.
 
     The bz cells of a threshold sweep run in lockstep through one
-    ``bz_rows`` call; every other cell runs on its own through ``run_cell``.
+    ``bz_learner`` call; every other cell runs on its own through
+    ``run_cell``, whose searches go through the one-search entry ``run_learner``.
     Each row is the same as ``run_cell`` gives for its cell alone.
     """
     if config.kind == KIND_THRESHOLD and config.learner.name == "bz":

@@ -1,24 +1,25 @@
 """One-dimensional threshold learners.
 
-``passive_erm`` fits the best threshold cut to uniformly sampled labels;
-``bz_learner`` runs grid-based probabilistic bisection and needs the noise
-parameters up front; ``adaptive_learner`` wraps the passive subroutine in
-epochs with halving search radii and needs no noise parameters at all;
+``passive_erm`` fits the best threshold cut (``erm_cut``, a scan of error
+steps) to uniformly sampled labels; ``bz_learner`` runs grid-based
+probabilistic bisection for many independent rows in lockstep and needs the
+noise parameters up front; ``adaptive_learner`` wraps the passive subroutine
+in epochs with halving search radii and needs no noise parameters at all;
 ``bisect_noiseless`` is plain binary search for deterministic signs.
-``run_learner`` runs whichever of them a ``LearnerConfig`` names, for the
-harness and for every line search of the optimizer alike.
+``run_learner`` is the one-search entry: it runs whichever of them a
+``LearnerConfig`` names on one oracle, for a harness cell and for every line
+search of the optimizer alike.
 
-Every learner takes an oracle, an explicit search interval and, where it
-places its own queries, an explicit numpy Generator, so runs are
-replayable.  A search is anything with ``lo``, ``hi``, ``width`` and
-``midpoint`` whose ends would make a valid ``Interval``: an ``Interval``,
-or the ``Line`` of a coordinate line search.  An oracle answers
-``label_sample(x)`` (one label, +1 or -1), ``label_sample_many(xs)`` (an
-array of them) and ``grid_labeler(points)`` (a function of a grid index b
-that tells whether the label at ``points[b]`` is positive, one query per
-call).  ``bz_rows`` runs probabilistic bisection for many independent rows
-in lockstep, querying through grid labelers; ``bz_learner`` is its one-row
-call.
+Every learner takes an oracle (``bz_learner`` one per row), an explicit
+search interval and, where it places its own queries, an explicit numpy
+Generator, so runs are replayable.  A search is anything with ``lo``,
+``hi``, ``width`` and ``midpoint`` whose ends would make a valid
+``Interval``: an ``Interval``, or the ``Line`` of a coordinate line search.
+An oracle answers ``label_sample(x)`` (one label, +1 or -1),
+``label_sample_many(xs)`` (an array of them) and ``grid_labeler(points)``
+(a function of a grid index b that tells whether the label at
+``points[b]`` is positive, one query per call), through which
+``bz_learner`` queries.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ AUTO_PROBES = 20  # the most queries that orientation="auto" spends on its probe
 GRID_AUTO = "auto"
 
 _SQRT2 = math.sqrt(2.0)
-_PLUS_MINUS = np.array([-1, 1], dtype=np.intp)  # indexed by a bool: -1 if False, +1 if True
-MASK_TABLE_BYTES = 1 << 20  # bz_rows' side-mask table, one byte a mask: grids of <= 723 cells
+MASK_TABLE_BYTES = 1 << 20  # bz_learner's side-mask table, a byte a mask: grids of <= 723 cells
 
 
 def as_count(name: str, value) -> int:
@@ -108,14 +108,14 @@ class LearnerConfig:
         return replace(self, budget=budget, grid_size=grid)
 
 
-def erm_cut(positions, labels, search: Interval,
-            orientation: str = POSITIVE_RIGHT) -> float:
-    """Empirical-risk-minimizing threshold cut for labelled sample positions.
+def erm_cut(positions: np.ndarray, steps: np.ndarray, search: Interval) -> float:
+    """Empirical-risk-minimizing threshold cut from the error steps of samples.
 
-    Candidate cuts are the search endpoints plus the midpoints of
-    consecutive sorted positions.  For positive-right orientation the
-    empirical error of a cut c is #{+ samples left of c} + #{- samples
-    right of c}; ties resolve to the leftmost minimizing candidate.
+    ``positions`` is a float array and ``steps`` an int array of its size,
+    +1 per sample on the positive side and -1 otherwise.  A cut's error is
+    #{positives left of it} + #{negatives right of it}.  Candidate cuts are
+    the search endpoints plus the midpoints of consecutive sorted
+    positions; ties resolve to the leftmost minimizing candidate.
 
     One pass takes the leftmost minimum over all n + 1 splits of the
     sorted positions.  Where every position lies in [lo, hi) and that split
@@ -130,18 +130,7 @@ def erm_cut(positions, labels, search: Interval,
     positions, and a minimum inside such a group is scanned.  That holds
     for a {-0.0, 0.0} group too (``lower + upper`` and ``mid == lower``
     cannot tell the zeros apart), and NaN sorts last under every kind.
-
-    A label counts as positive where it is > 0, or < 0 for positive-left;
-    ``_erm_cut_steps`` cuts on the error steps that this gives.
     """
-    labels = np.asarray(labels)
-    pos = (labels > 0) if orientation_sign(orientation) > 0 else (labels < 0)
-    return _erm_cut_steps(np.asarray(positions, dtype=float), _PLUS_MINUS.take(pos),
-                          search)
-
-
-def _erm_cut_steps(positions: np.ndarray, steps: np.ndarray, search: Interval) -> float:
-    """``erm_cut`` from error steps: +1 per sample on the positive side, -1 otherwise."""
     n = positions.size
     if n == 0:
         return search.midpoint
@@ -188,7 +177,7 @@ def passive_erm(oracle, search: Interval, n_samples: int, orientation: str,
     labels = oracle.label_sample_many(xs)
     # every label is +1 or -1, so the labels are a positive-right cut's error steps
     steps = labels if orientation_sign(orientation) > 0 else -labels
-    return _erm_cut_steps(xs, steps, search)
+    return erm_cut(xs, steps, search)
 
 
 @functools.lru_cache(maxsize=256)  # one line search per epoch asks again
@@ -253,22 +242,6 @@ def adaptive_learner(oracle, search: Interval, config: LearnerConfig,
     return x
 
 
-def bz_learner(oracle, search: Interval, config: LearnerConfig) -> float:
-    """Probabilistic bisection on a uniform grid with known noise parameters.
-
-    Maintains a probability vector over the grid cells, queries the interior
-    grid boundary nearest the posterior median, and reweights the side
-    consistent with the observed label by (1 + g) against (1 - g), where
-    g = min(1/2, bz_mu * cell_width**(bz_k - 1)).  After the budget is spent
-    it returns the midpoint of the cell containing the posterior median.
-    This is the one-row call of ``bz_rows``.
-    """
-    (result,) = bz_rows([oracle], search, [config])
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 @dataclass(frozen=True, slots=True)
 class _Grid:
     """The M points lo + b * delta, b < M, of a bz grid, each made when read."""
@@ -291,14 +264,21 @@ def _ended(b: int) -> bool:
     return False
 
 
-def bz_rows(oracles, search: Interval, configs) -> list:
-    """``bz_learner`` for R independent rows at once, one query per row and step.
+def bz_learner(oracles, search: Interval, configs) -> list:
+    """Probabilistic bisection with known noise parameters, R rows in lockstep.
 
-    Row r runs on ``oracles[r]`` with ``configs[r]``; rows may differ in
-    budget, grid and orientation.  The posteriors form a zero-padded
-    (R, max M) weight matrix whose padding stays 0 under the running sums
-    and the reweighting, and every per-row operation is the one
-    ``bz_learner`` makes on its own row, so each row's result is
+    Each row keeps a probability vector over the cells of a uniform grid,
+    queries the interior grid boundary nearest the posterior median, and
+    reweights the side consistent with the observed label by (1 + g)
+    against (1 - g), where g = min(1/2, bz_mu * cell_width**(bz_k - 1)).
+    After the budget is spent it returns the midpoint of the cell
+    containing the posterior median.
+
+    Row r runs on ``oracles[r]`` with ``configs[r]``, one query per row and
+    step; rows may differ in budget, grid and orientation.  The posteriors
+    form a zero-padded (R, max M) weight matrix whose padding stays 0 under
+    the running sums and the reweighting, and every per-row operation is
+    the one a one-row call makes on that row, so each row's result is
     bit-identical to its one-row call.  Each row asks its oracle once for
     a ``grid_labeler`` over the row's grid points, each made when read, and
     each query is a call of it, which checks, charges and draws as
@@ -428,7 +408,10 @@ def run_learner(oracle, search: Interval, config: LearnerConfig,
     if config.name == "adaptive":
         return adaptive_learner(oracle, search, config, rng)
     if config.name == "bz":
-        return bz_learner(oracle, search, config)
+        (point,) = bz_learner([oracle], search, [config])
+        if isinstance(point, Exception):
+            raise point
+        return point
     if config.name == "passive":
         return passive_erm(oracle, search, config.budget, config.orientation, rng)
     return bisect_noiseless(oracle, search, config.budget, config.orientation)

@@ -8,8 +8,16 @@ import operator
 
 import numpy as np
 
-from signopt import (ExactSign, GaussianNoise, OutOfDomain, Ridge, TncProblem, UniformNoise,
-                     box_from_bounds)
+from signopt import (ExactSign, GaussianNoise, OutOfDomain, POSITIVE_RIGHT, Ridge,
+                     TncProblem, UniformNoise, box_from_bounds)
+
+
+def erm_steps(labels, orientation=POSITIVE_RIGHT) -> np.ndarray:
+    """``erm_cut``'s error steps for labels: +1 where a label is > 0 (< 0 for
+    positive-left), -1 for every other label, 0 included."""
+    labels = np.asarray(labels)
+    positive = (labels > 0) if orientation == POSITIVE_RIGHT else (labels < 0)
+    return np.where(positive, 1, -1)
 
 
 def bench_ridge(cls=Ridge, seed=0, n=4000, d=8):

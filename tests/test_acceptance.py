@@ -250,7 +250,9 @@ def test_criterion_09_property_suites():
             bisect_noiseless(oracle, problem.interval, 500)
             expected = 500
         else:
-            bz_learner(oracle, problem.interval, LearnerConfig(budget=500, **opts))
+            (point,) = bz_learner([oracle], problem.interval,
+                                  [LearnerConfig(budget=500, **opts)])
+            assert isinstance(point, float)
             expected = 500
         assert oracle.queries_used == expected <= 500
 

@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from signopt import ConfigError, RunTable, harness, load_config, run_experiment, slope_report
+from signopt import (ConfigError, RunTable, harness, learners, load_config, run_experiment,
+                     slope_report)
 from signopt import ExactSign, GaussianNoise, LearnerConfig, OptimizerConfig
 from signopt import (Box, DirectBernoulli, Interval, Quadratic, Ridge, SeparablePower,
                      TncProblem, UniformNoise, box_from_bounds)
@@ -581,6 +582,39 @@ def test_bz_block_rows_share_the_block_time():
     table = run_experiment(_bz_sweep())
     assert 1 <= table.n_errors < len(table.rows)  # the cap binds at budget 300
     assert all(row.wall_time_ms > 0.0 for row in table.rows)
+
+
+def _counting(monkeypatch, module, name):
+    """Route ``module.name`` through a wrapper that keeps each call's arguments."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_harness_optimizer_and_passive_erm_call_the_kernels_by_name(monkeypatch):
+    # a tracer that wraps these module bindings sees every lockstep bz run and ERM scan
+    block = _counting(monkeypatch, harness, "bz_learner")
+    harness.run_block(_bz_sweep(), [(40, 0), (40, 1)])
+    assert len(block) == 1
+    oracles, _, configs = block[0]
+    assert len(oracles) == len(configs) == 2
+
+    searches = _counting(monkeypatch, learners, "bz_learner")
+    fn = _opt_problem()
+    rssgd(fn, SignOracle(fn, GaussianNoise(1.0), seeded_rng(2, 0, 0)),
+          OptimizerConfig(budget=40, epoch_rule=1, line_search=LearnerConfig(
+              "bz", grid_size=8, bz_k=2.0, bz_mu=1.0)))
+    assert len(searches) == 1 and len(searches[0][0]) == 1
+
+    cuts = _counting(monkeypatch, learners, "erm_cut")
+    oracle = LabelOracle(make_tnc_problem((0.0, 1.0), 0.37, 2.0, 1.0, 0.4), seeded_rng(2, 1, 0))
+    learners.passive_erm(oracle, Interval(0.0, 1.0), 33, "positive-right", seeded_rng(2, 1, 1))
+    assert len(cuts) == 1 and cuts[0][0].size == cuts[0][1].size == 33
 
 
 def test_pool_never_starts_more_workers_than_blocks(monkeypatch):

@@ -13,9 +13,11 @@ from signopt import (GaussianNoise, Interval, LabelOracle, LearnerConfig, Line,
                      adaptive_epoch_schedule, adaptive_learner, auto_grid_size,
                      bisect_noiseless, box_from_bounds, bz_learner, erm_cut,
                      excess_risk, fit_rate_slope, line_label_oracle, make_tnc_problem,
-                     passive_erm, seeded_rng)
+                     passive_erm, run_learner, seeded_rng)
 from signopt import learners
 from signopt.problems import SCALE_BOUND
+
+from _checks import erm_steps
 
 UNIT = Interval(0.0, 1.0)
 BOUND = Interval(-2.0 ** 64, 2.0 ** 64)  # the widest interval taken
@@ -33,21 +35,22 @@ def _noisy(threshold=0.37, k=2.0):
 # ERM cut rule
 
 def test_erm_cut_separable_samples():
-    cut = erm_cut([0.2, 0.4, 0.7, 0.9], [-1, -1, 1, 1], UNIT)
+    cut = erm_cut(np.array([0.2, 0.4, 0.7, 0.9]), erm_steps([-1, -1, 1, 1]), UNIT)
     assert cut == pytest.approx(0.55)
 
 
 def test_erm_cut_all_positive_returns_left_end():
-    assert erm_cut([0.2, 0.4, 0.9], [1, 1, 1], UNIT) == 0.0
+    assert erm_cut(np.array([0.2, 0.4, 0.9]), erm_steps([1, 1, 1]), UNIT) == 0.0
 
 
 def test_erm_cut_breaks_ties_leftmost():
-    cut = erm_cut([0.2, 0.4, 0.6, 0.8], [-1, 1, -1, 1], UNIT)
+    cut = erm_cut(np.array([0.2, 0.4, 0.6, 0.8]), erm_steps([-1, 1, -1, 1]), UNIT)
     assert cut == pytest.approx(0.3)
 
 
 def test_erm_cut_positive_left_flips():
-    cut = erm_cut([0.2, 0.4, 0.7, 0.9], [1, 1, -1, -1], UNIT, POSITIVE_LEFT)
+    cut = erm_cut(np.array([0.2, 0.4, 0.7, 0.9]), erm_steps([1, 1, -1, -1], POSITIVE_LEFT),
+                  UNIT)
     assert cut == pytest.approx(0.55)
 
 
@@ -71,7 +74,7 @@ def _brute_force_error(positions, labels, cut, orientation="positive-right"):
 def test_erm_cut_minimizes_empirical_error(samples):
     positions = [p for p, _ in samples]
     labels = [y for _, y in samples]
-    cut = erm_cut(positions, labels, UNIT)
+    cut = erm_cut(np.array(positions), erm_steps(labels), UNIT)
     best = _brute_force_error(positions, labels, cut)
     # no candidate (including off-grid probes) does better
     for probe in list(positions) + [0.0, 1.0] + \
@@ -110,7 +113,7 @@ _FEW_FLOATS = [-0.5, -0.0, 0.0, 5e-324, 1e-10, 0.25, 0.5, float(np.nextafter(0.5
 
 
 def _assert_same_cut(positions, labels, search, orientation):
-    got = erm_cut(positions, labels, search, orientation)
+    got = erm_cut(np.array(positions, dtype=float), erm_steps(labels, orientation), search)
     want = _erm_cut_reference(positions, labels, search, orientation)
     assert type(got) is float and repr(got) == repr(want)
 
@@ -155,7 +158,8 @@ def test_erm_cut_does_not_depend_on_the_order_within_ties(data):
     want = repr(_erm_cut_reference([p for p, _ in samples], [y for _, y in samples],
                                    search, orientation))
     for case in (samples, shuffled):
-        cut = erm_cut([p for p, _ in case], [y for _, y in case], search, orientation)
+        cut = erm_cut(np.array([p for p, _ in case]),
+                      erm_steps([y for _, y in case], orientation), search)
         assert repr(cut) == want
 
 
@@ -172,7 +176,7 @@ def test_erm_cut_at_a_group_of_signed_zeros(samples, search, want):
     for case in itertools.permutations(samples):
         positions = [p for p, _ in case]
         labels = [y for _, y in case]
-        cut = erm_cut(positions, labels, search)
+        cut = erm_cut(np.array(positions), erm_steps(labels), search)
         assert repr(cut) == repr(want)
         assert repr(cut) == repr(_erm_cut_reference(positions, labels, search))
 
@@ -251,7 +255,7 @@ def test_passive_erm_cuts_as_erm_cut_on_its_draws_and_labels(kind, orientation, 
     xs = seeded_rng(n, 0, 1).uniform(search.lo, search.hi, size=n)
     if one_ulp and n > 2:  # ties, and positions at hi: erm_cut scans the candidates
         assert np.unique(xs).size < n and xs.max() == search.hi
-    want = erm_cut(xs, replay.label_sample_many(xs), search, orientation)
+    want = erm_cut(xs, erm_steps(replay.label_sample_many(xs), orientation), search)
     assert cut.hex() == want.hex()
     assert (oracle.base if kind == "line" else oracle).queries_used == n
 
@@ -373,19 +377,19 @@ def test_adaptive_learner_budget_never_exceeded():
 # ---------------------------------------------------------------------------
 # probabilistic bisection
 
-def _bz_config(budget, grid=64, k=2.0, mu=1e12, **kw):
-    return LearnerConfig(budget=budget, grid_size=grid, bz_k=k, bz_mu=mu, **kw)
+def _bz_config(budget, grid=64, k=2.0, mu=1e12, name="bz", **kw):
+    return LearnerConfig(name, budget=budget, grid_size=grid, bz_k=k, bz_mu=mu, **kw)
 
 
 def test_bz_zero_budget_returns_midpoint():
     oracle = LabelOracle(_noiseless(0.5), seeded_rng(4, 0, 0))
-    assert bz_learner(oracle, UNIT, _bz_config(0)) == 0.5
+    assert run_learner(oracle, UNIT, _bz_config(0), None) == 0.5
     assert oracle.queries_used == 0
 
 
 def test_bz_deterministic_labels_centered_threshold():
     oracle = LabelOracle(_noiseless(0.5), seeded_rng(4, 1, 0))
-    point = bz_learner(oracle, UNIT, _bz_config(30))
+    point = run_learner(oracle, UNIT, _bz_config(30), None)
     assert abs(point - 0.5) <= 1.0 / 64.0
     assert oracle.queries_used == 30
 
@@ -393,22 +397,23 @@ def test_bz_deterministic_labels_centered_threshold():
 def test_bz_threshold_at_boundary():
     problem = make_tnc_problem((0.0, 1.0), 0.0, 2.0, 1e12, 0.5)
     oracle = LabelOracle(problem, seeded_rng(4, 2, 0))
-    assert bz_learner(oracle, UNIT, _bz_config(30)) <= 1.0 / 64.0
+    assert run_learner(oracle, UNIT, _bz_config(30), None) <= 1.0 / 64.0
 
 
 def test_bz_noisy_convergence():
     oracle = LabelOracle(_noisy(0.37), seeded_rng(4, 3, 0))
-    point = bz_learner(oracle, UNIT, _bz_config(2000, grid=40, mu=1.0))
+    point = run_learner(oracle, UNIT, _bz_config(2000, grid=40, mu=1.0), None)
     assert abs(point - 0.37) <= 0.05
 
 
 def test_bz_requires_grid_parameters():
     oracle = LabelOracle(_noisy(), seeded_rng(4, 4, 0))
+    (result,) = bz_learner([oracle], UNIT, [LearnerConfig(budget=10)])
     with pytest.raises(ValueError):
-        bz_learner(oracle, UNIT, LearnerConfig(budget=10))
+        raise result
     with pytest.raises(ValueError):
-        bz_learner(oracle, UNIT, LearnerConfig(budget=10, grid_size=1,
-                                               bz_k=2.0, bz_mu=1.0))
+        bz_learner([oracle], UNIT, [LearnerConfig(budget=10, grid_size=1,
+                                                  bz_k=2.0, bz_mu=1.0)])
 
 
 def test_bz_raises_only_when_a_query_leaves_the_domain():
@@ -416,25 +421,25 @@ def test_bz_raises_only_when_a_query_leaves_the_domain():
     # that are never queried do not matter, a query outside it ends the run
     config = _bz_config(50, grid=6, mu=1.0)
     wide = Interval(-1.0, 2.0)
-    got = bz_learner(LabelOracle(_noisy(), seeded_rng(4, 7, 0)), wide, config)
+    got = run_learner(LabelOracle(_noisy(), seeded_rng(4, 7, 0)), wide, config, None)
     assert got == _bz_reference(LabelOracle(_noisy(), seeded_rng(4, 7, 0)), wide, config)
     oracle = LabelOracle(_noisy(), seeded_rng(4, 7, 0))
     with pytest.raises(OutOfDomain):
-        bz_learner(oracle, Interval(0.5, 3.0), config)
+        run_learner(oracle, Interval(0.5, 3.0), config, None)
     assert oracle.queries_used == 0
 
 
 def test_bz_positive_left_orientation():
     problem = make_tnc_problem((0.0, 1.0), 0.7, 2.0, 1e12, 0.5, POSITIVE_LEFT)
     oracle = LabelOracle(problem, seeded_rng(4, 5, 0))
-    point = bz_learner(oracle, UNIT, _bz_config(40, orientation=POSITIVE_LEFT))
+    point = run_learner(oracle, UNIT, _bz_config(40, orientation=POSITIVE_LEFT), None)
     assert abs(point - 0.7) <= 1.0 / 64.0
 
 
 def test_bz_auto_orientation_spends_the_same_budget():
     problem = make_tnc_problem((0.0, 1.0), 0.7, 2.0, 1e12, 0.5, POSITIVE_LEFT)
     oracle = LabelOracle(problem, seeded_rng(4, 6, 0), budget=60)
-    point = bz_learner(oracle, UNIT, _bz_config(60, orientation="auto"))
+    point = run_learner(oracle, UNIT, _bz_config(60, orientation="auto"), None)
     assert oracle.queries_used == 60
     assert abs(point - 0.7) <= 1.0 / 64.0
 
@@ -468,7 +473,7 @@ def _bz_oracle(row):
 
 def _bz_run(rows):
     oracles = [_bz_oracle(row) for row in rows]
-    results = learners.bz_rows(oracles, UNIT, [config for *_, config in rows])
+    results = bz_learner(oracles, UNIT, [config for *_, config in rows])
     return [(repr(r) if isinstance(r, Exception) else r, oracle.queries_used)
             for r, oracle in zip(results, oracles)]
 
@@ -476,12 +481,12 @@ def _bz_run(rows):
 def _bz_one_row(row):
     oracle = _bz_oracle(row)
     try:
-        return bz_learner(oracle, UNIT, row[-1]), oracle.queries_used
+        return run_learner(oracle, UNIT, row[-1], None), oracle.queries_used
     except Exception as exc:  # noqa: BLE001
         return repr(exc), oracle.queries_used
 
 
-def test_bz_rows_match_their_one_row_calls():
+def test_bz_learner_rows_match_their_one_row_calls():
     rows = _bz_block()
     batched = _bz_run(rows)
     assert batched == [_bz_one_row(row) for row in rows]
@@ -535,7 +540,7 @@ def _bz_reference(oracle, search, config):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_bz_rows_match_the_sequential_reference(seed):
+def test_bz_learner_rows_match_the_sequential_reference(seed):
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(12):
@@ -595,7 +600,8 @@ def test_a_million_cell_bz_grid_takes_no_mask_table(problem, stream, cell):
     config = _bz_config(3, grid=10 ** 6, mu=1.0)
     tracemalloc.start()
     try:
-        point = bz_learner(LabelOracle(problem, seeded_rng(4, 11, stream)), UNIT, config)
+        point = run_learner(LabelOracle(problem, seeded_rng(4, 11, stream)), UNIT, config,
+                            None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -611,7 +617,7 @@ def test_a_million_cell_bz_grid_lists_none_of_its_points():
     oracle = _GridRecording(_noisy(0.37), seeded_rng(4, 11, 3))
     tracemalloc.start()
     try:
-        point = bz_learner(oracle, UNIT, config)
+        point = run_learner(oracle, UNIT, config, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -628,7 +634,7 @@ def test_a_query_leaving_the_domain_mid_run_ends_its_row_after_its_charged_queri
     wide, config = Interval(-0.4, 1.0), _bz_config(60, grid=7, mu=1.0)
     oracles = [LabelOracle(_noiseless(0.0), seeded_rng(4, 9, s)) for s in range(3)]
     got = [(repr(r) if isinstance(r, Exception) else r, o.queries_used)
-           for r, o in zip(learners.bz_rows(oracles, wide, [config] * 3), oracles)]
+           for r, o in zip(bz_learner(oracles, wide, [config] * 3), oracles)]
     want = []
     for s in range(3):
         oracle = LabelOracle(_noiseless(0.0), seeded_rng(4, 9, s))
@@ -657,7 +663,7 @@ def test_queries_after_a_bz_run_continue_its_stream(queries):
     config = _bz_config(queries, grid=17, mu=1.0, orientation="auto")
     oracle = LabelOracle(_noisy(), seeded_rng(9, queries, 0))
     fresh = LabelOracle(_noisy(), seeded_rng(9, queries, 0))
-    assert bz_learner(oracle, UNIT, config) == \
+    assert run_learner(oracle, UNIT, config, None) == \
         _bz_reference(_ReplayedBySampleAlone(fresh), UNIT, config)
     assert oracle.queries_used == fresh.queries_used == queries
     xs = [0.03 + 0.94 * ((37 * i) % 101) / 100 for i in range(600)]
@@ -681,7 +687,7 @@ def test_bz_grid_points_keep_the_bits_of_the_one_row_formula(lo, hi):
     search, config = Interval(lo, hi), _bz_config(150, grid=13, mu=1e12)
     problem = make_tnc_problem((lo, hi), lo + 0.3 * (hi - lo), 2.0, 1e12, 0.5)
     oracle = _GridRecording(problem, seeded_rng(4, 10, 0))
-    point = bz_learner(oracle, search, config)
+    point = run_learner(oracle, search, config, None)
     delta = search.width / 13
     assert [x.hex() for x in oracle.points] == [(lo + b * delta).hex() for b in range(13)]
     assert point == _bz_reference(LabelOracle(problem, seeded_rng(4, 10, 0)), search, config)
@@ -694,13 +700,13 @@ def test_bz_on_an_interval_whose_width_overflows():
     # ... and bz runs on the widest one taken, of width 2**65
     config = _bz_config(200, grid=64, mu=1.0)
     problem = make_tnc_problem(BOUND, 0.3 * BOUND.hi, 2.0, 1.0, 0.4)
-    point = bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), BOUND, config)
+    point = run_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), BOUND, config, None)
     assert math.isfinite(point) and BOUND.lo <= point <= BOUND.hi
     # the same search scaled down by 2**-10, whose labels are the same (the
     # margin is at its cap), gives the same point scaled
     small = Interval(BOUND.lo * 2.0 ** -10, BOUND.hi * 2.0 ** -10)
     problem = make_tnc_problem(small, 0.3 * small.hi, 2.0, 1.0, 0.4)
-    assert bz_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), small, config) == \
+    assert run_learner(LabelOracle(problem, seeded_rng(4, 8, 0)), small, config, None) == \
         point * 2.0 ** -10
 
 
@@ -738,13 +744,13 @@ class _ScalarOnly(type(_noisy())):
         return super().eta_at(x)
 
 
-def test_bz_rows_read_probabilities_from_the_scalar_eta():
+def test_bz_learner_rows_read_probabilities_from_the_scalar_eta():
     problem = _ScalarOnly(UNIT, 0.37, 2.5, 1.0, 0.4)
     configs = [_bz_config(b, grid=g, k=2.5, mu=1.0) for b, g in ((200, 11), (90, 30))]
     oracles = [LabelOracle(problem, seeded_rng(8, i, 0)) for i in range(2)]
     scalar = [LabelOracle(_noisy(0.37, k=2.5), seeded_rng(8, i, 0)) for i in range(2)]
-    assert learners.bz_rows(oracles, UNIT, configs) == \
-        [bz_learner(o, UNIT, c) for o, c in zip(scalar, configs)]
+    assert bz_learner(oracles, UNIT, configs) == \
+        [run_learner(o, UNIT, c, None) for o, c in zip(scalar, configs)]
 
 
 def test_auto_grid_size_scales_with_budget():
@@ -804,7 +810,7 @@ def test_erm_cut_midpoint_does_not_overflow():
     top = [BOUND.hi * (1.0 - 2e-12), BOUND.hi * (1.0 + 5e-13)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on an overflowing add
-        cut = erm_cut(top, [-1, 1], BOUND)
+        cut = erm_cut(np.array(top), erm_steps([-1, 1]), BOUND)
     assert cut == 0.5 * top[0] + 0.5 * top[1]
 
 
@@ -838,7 +844,7 @@ def test_the_largest_margin_power_takes_the_cap():
         assert oracle.label_sample(BOUND.hi) in (-1, 1)
         config = _bz_config(200, grid=16, k=8.0, mu=SCALE_BOUND)
         for learn in (lambda: bisect_noiseless(oracle, search, 60),
-                      lambda: bz_learner(oracle, search, config)):
+                      lambda: run_learner(oracle, search, config, None)):
             point = learn()
             assert math.isfinite(point) and search.lo <= point <= search.hi
     assert oracle.queries_used == 261
@@ -869,8 +875,9 @@ def test_learner_config_refuses_a_count_that_is_not_an_integer(field, value):
 def test_learner_config_takes_any_integer_as_a_count():
     config = LearnerConfig("bz", grid_size=np.int64(9), bz_k=2.0, bz_mu=1.0)
     oracle = LabelOracle(_noisy(), seeded_rng(4, 11, 0))
-    assert bz_learner(oracle, UNIT, config.for_budget(np.int64(40))) == \
-        bz_learner(LabelOracle(_noisy(), seeded_rng(4, 11, 0)), UNIT, config.for_budget(40))
+    assert run_learner(oracle, UNIT, config.for_budget(np.int64(40)), None) == \
+        run_learner(LabelOracle(_noisy(), seeded_rng(4, 11, 0)), UNIT, config.for_budget(40),
+                    None)
 
 
 # ---------------------------------------------------------------------------

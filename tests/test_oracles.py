@@ -203,7 +203,7 @@ def test_bz_computes_each_eta_at_most_once_per_grid_point_and_row(monkeypatch):
                for b, g in ((400, 11), (90, 30), (250, 11))]
     problems = [_problem(mu=4.0) for _ in configs]
     oracles = [LabelOracle(p, seeded_rng(51, i, 0)) for i, p in enumerate(problems)]
-    learners.bz_rows(oracles, Interval(0.0, 1.0), configs)
+    learners.bz_learner(oracles, Interval(0.0, 1.0), configs)
     assert [o.queries_used for o in oracles] == [400, 90, 250]
     for problem, config in zip(problems, configs):
         grid = [b / config.grid_size for b in range(config.grid_size)]

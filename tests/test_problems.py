@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from signopt import (Box, DimensionMismatch, GaussianNoise, Interval, LabelOracle,
                      LearnerConfig, Line, OutOfDomain, POSITIVE_LEFT, POSITIVE_RIGHT,
                      Quadratic, Ridge, SeparablePower, SignOracle, UniformNoise,
-                     box_from_bounds, bz_learner, erm_cut, error_record, excess_risk,
-                     load_ridge_text, make_tnc_problem, seeded_rng)
+                     box_from_bounds, erm_cut, error_record, excess_risk,
+                     load_ridge_text, make_tnc_problem, run_learner, seeded_rng)
 from signopt.problems import DOMAIN_BOUND, RIDGE_BOUND, SCALE_BOUND, _tol
 
 from _checks import (RidgeState, bench_ridge, check_gradient_finite_differences,
                      check_lkss_inequality, check_ridge_residual_cache,
-                     check_stationary_directional_min, check_uc_inequality)
+                     check_stationary_directional_min, check_uc_inequality, erm_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,8 @@ def test_interval_midpoint_does_not_overflow():
     problem = make_tnc_problem(iv, 1.3 * 2.0 ** 63, 2.0, 1.0, 0.4)
     oracle = LabelOracle(problem, seeded_rng(3, 0, 0))
     config = LearnerConfig("bz", budget=0, grid_size=64, bz_k=2.0, bz_mu=1.0)
-    for point in (erm_cut([], [], iv), bz_learner(oracle, iv, config)):
+    for point in (erm_cut(np.array([]), erm_steps([]), iv),
+                  run_learner(oracle, iv, config, None)):
         assert point == iv.midpoint
     assert oracle.queries_used == 0
 
@@ -679,7 +680,7 @@ def test_every_value_is_finite_at_the_corners_of_the_envelope():
                 for grid in (2, "auto"):
                     config = LearnerConfig("bz", grid_size=grid, bz_k=k, bz_mu=mu)
                     oracle = LabelOracle(problem, seeded_rng(6, 0, 0))
-                    assert iv.contains(bz_learner(oracle, iv, config.for_budget(16)))
+                    assert iv.contains(run_learner(oracle, iv, config.for_budget(16), None))
 
 
 # ---------------------------------------------------------------------------
