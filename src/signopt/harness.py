@@ -71,7 +71,7 @@ _KEY_TABLE = {
     },
     "problem.family": {
         "separable-power": ("problem.dim", "problem.x_star", "problem.k", "problem.coeffs"),
-        "quadratic": ("problem.dim", "problem.x_star", "problem.a_diag", "problem.a"),
+        "quadratic": ("problem.dim", "problem.x_star", "problem.a_diag"),
         "ridge": ("problem.matrix_file",),
     },
     "oracle.mode": {**{mode.name: tuple(f"oracle.{f.name}" for f in fields(mode))
@@ -108,10 +108,6 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _rows(text: str) -> list[list[float]]:
-    return [_floats(row) for row in text.split(";")]
-
-
 @contextmanager
 def _config_errors(prefix: str, keys: dict | None = None):
     """Raise a ValueError of the enclosed build as a ConfigError naming its key.
@@ -128,8 +124,7 @@ def _config_errors(prefix: str, keys: dict | None = None):
         raise ConfigError(f"{(keys or {}).get(field, prefix + field)}: {reason}") from exc
 
 
-_EXPECTED = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers",
-             _rows: "rows of numbers separated by ';'"}
+_EXPECTED = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers"}
 
 
 def _get(raw: dict, key: str, parse=str, word=None):
@@ -258,11 +253,7 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
             design, targets = load_ridge_text(path)
         except ValueError as exc:  # its messages start with the path
             raise ConfigError(f"problem.matrix_file: {exc}") from exc
-        has_lo, has_hi = "problem.box_lo" in raw, "problem.box_hi" in raw
-        if has_lo != has_hi:
-            key, other = ("problem.box_lo", "problem.box_hi")[::1 if has_lo else -1]
-            raise ConfigError(f"{key}: not read by problem.family = ridge without {other}")
-        box = _box(raw, design.shape[1]) if has_lo else None
+        box = _box(raw, design.shape[1])
         with _config_errors("problem.", dict.fromkeys(("design", "targets"),
                                                       "problem.matrix_file")):
             return Ridge(design, targets, box)
@@ -277,17 +268,8 @@ def _build_function(raw: dict, base_dir: Path) -> UcFunction:
             return SeparablePower(coeffs, x_star, box,
                                   **_given(raw, {"exponent": ("problem.k", float)}))
     if family == "quadratic":
-        key = "problem.a_diag" if "problem.a_diag" in raw else "problem.a"
-        if key not in raw:
-            raise ConfigError("problem.a_diag or problem.a: required for quadratic")
-        if key == "problem.a_diag" and "problem.a" in raw:
-            raise ConfigError("problem.a: not read by problem.family = quadratic with "
-                              "problem.a_diag")
-        matrix = (np.diag(_vector(raw, key, dim)) if key == "problem.a_diag"
-                  else _get(raw, key, _rows))
-        if [len(row) for row in matrix] != [dim] * dim:  # numpy's ragged error names no field
-            raise ConfigError(f"{key}: expected {dim} rows of {dim} values")
-        with _config_errors("problem.", {"matrix": key}):
+        matrix = np.diag(_vector(raw, "problem.a_diag", dim))
+        with _config_errors("problem.", {"matrix": "problem.a_diag"}):
             return Quadratic(matrix, x_star, box)
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
@@ -445,7 +427,10 @@ class RunTable:
         """A CSV table's rows.  A missing column, or a row or cell that does not fit the
         header or its ``Row`` field, raises ValueError naming it (rows from 1)."""
         with open(path, newline="") as f:
-            records = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
+            records = [r for r in csv.reader(f) if r]
+        # comment lines precede the header; after it, a row's id may start with '#'
+        while records and records[0][0].startswith("#"):
+            del records[0]
         if not records:
             raise ValueError(f"{path}: no header row")
         header = records[0]

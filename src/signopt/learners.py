@@ -108,10 +108,10 @@ class LearnerConfig:
         return replace(self, budget=budget, grid_size=grid)
 
 
-def erm_cut(positions: np.ndarray, steps: np.ndarray, search: Interval) -> float:
+def erm_cut(positions, steps, search: Interval) -> float:
     """Empirical-risk-minimizing threshold cut from the error steps of samples.
 
-    ``positions`` is a float array and ``steps`` an int array of its size,
+    ``positions`` are floats and ``steps`` as many ints (arrays or sequences),
     +1 per sample on the positive side and -1 otherwise.  A cut's error is
     #{positives left of it} + #{negatives right of it}.  Candidate cuts are
     the search endpoints plus the midpoints of consecutive sorted
@@ -131,6 +131,7 @@ def erm_cut(positions: np.ndarray, steps: np.ndarray, search: Interval) -> float
     for a {-0.0, 0.0} group too (``lower + upper`` and ``mid == lower``
     cannot tell the zeros apart), and NaN sorts last under every kind.
     """
+    positions, steps = np.asarray(positions, dtype=float), np.asarray(steps)
     n = positions.size
     if n == 0:
         return search.midpoint

@@ -516,7 +516,7 @@ class Ridge(Quadratic):
     roundoff scale.  ``value`` and ``f_min`` keep the least-squares form.
     """
 
-    def __init__(self, design, targets, box: Box | None = None):
+    def __init__(self, design, targets, box: Box):
         A = np.asarray(design, dtype=float)
         b = np.atleast_1d(np.asarray(targets, dtype=float))
         if A.ndim != 2:
@@ -533,12 +533,9 @@ class Ridge(Quadratic):
         resid = np.linalg.norm(Q @ x_star - rhs)
         if not resid <= 1e-10 * max(1.0, np.linalg.norm(rhs)):  # NaN fails too
             raise ValueError(f"design: minimizer solve residual {resid:.3e} exceeds tolerance")
-        if box is None:
-            half = np.maximum(1.0, 2.0 * np.abs(x_star))
-            box = Box(x_star - half, x_star + half)
-        elif box.dim != d:
+        if box.dim != d:
             raise DimensionMismatch(f"box: expected dimension {d}, got {box.dim}")
-        elif not box.contains(x_star):
+        if not box.contains(x_star):
             bound = "box_lo" if np.any(x_star < box.lo) else "box_hi"
             raise ValueError(f"{bound}: the global minimizer must lie inside the domain box")
         super().__init__(Q, x_star, box)

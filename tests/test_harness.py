@@ -168,6 +168,8 @@ RIDGE_CFG = """
 kind = optimize
 problem.family = ridge
 problem.matrix_file = design.txt
+problem.box_lo = -2.0
+problem.box_hi = 2.0
 optimizer.line_search = bisect
 optimizer.epoch_rule = 20
 sweep.budgets = 400
@@ -181,20 +183,12 @@ def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
             (OPTIMIZE_CFG, "problem.coeffs = 9.0", "problem.coeffs",
              "problem.family = quadratic"),
             (OPTIMIZE_CFG, "problem.k = 5.0", "problem.k", "problem.family = quadratic"),
-            (SEPARABLE_CFG, "problem.a = 1 0; 0 1", "problem.a",
-             "problem.family = separable-power"),
             (RIDGE_CFG, "problem.a_diag = 1.0", "problem.a_diag", "problem.family = ridge"),
             (RIDGE_CFG, "problem.k = 2.0", "problem.k", "problem.family = ridge"),
             (OPTIMIZE_CFG, "problem.matrix_file = design.txt", "problem.matrix_file",
              "problem.family = quadratic"),
             (RIDGE_CFG, "problem.dim = 2", "problem.dim", "problem.family = ridge"),
             (RIDGE_CFG, "problem.x_star = 0.0", "problem.x_star", "problem.family = ridge"),
-            (OPTIMIZE_CFG, "problem.a = 5 0; 0 x", "problem.a",
-             "problem.family = quadratic with problem.a_diag"),
-            (RIDGE_CFG, "problem.box_lo = -1.0", "problem.box_lo",
-             "problem.family = ridge without problem.box_hi"),
-            (RIDGE_CFG, "problem.box_hi = 1.0", "problem.box_hi",
-             "problem.family = ridge without problem.box_lo"),
             (RIDGE_CFG, "learner.c_delta = 9.0", "learner.c_delta",
              "optimizer.line_search = bisect"),
             (RIDGE_CFG, "learner.grid_size = 7", "learner.grid_size",
@@ -211,12 +205,29 @@ def test_keys_the_family_or_learner_never_reads_are_errors(tmp_path):
         with pytest.raises(ConfigError, match=f"^{key}: not read by {reader}$"):
             _load(tmp_path, base + line + "\n")
     # the keys each family or learner does read
-    ridge = _load(tmp_path, RIDGE_CFG + "problem.box_lo = -2.0\nproblem.box_hi = 2.0\n")
-    assert ridge.problem.box.hi.tolist() == [2.0, 2.0]
+    assert _load(tmp_path, RIDGE_CFG).problem.box.hi.tolist() == [2.0, 2.0]
     bz = _load(tmp_path, OPTIMIZE_CFG.replace("= adaptive", "= bz").replace(
         "learner.c_delta = 3.0",
         "learner.grid_size = 7\nlearner.bz_k = 2.0\nlearner.bz_mu = 1.0"))
     assert bz.optimizer.line_search.grid_size == 7
+
+
+def test_each_family_requires_its_box_and_matrix_keys(tmp_path):
+    (tmp_path / "design.txt").write_text(
+        "3 2\n1.0 0.0\n0.0 1.0\n1.0 1.0\n0.5 -0.5 0.25\n")
+    for text, message in (
+            (RIDGE_CFG.replace("problem.box_lo = -2.0\n", ""),
+             "problem.box_lo: required key is missing"),
+            (RIDGE_CFG.replace("problem.box_hi = 2.0\n", ""),
+             "problem.box_hi: required key is missing"),
+            (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0\n", ""),
+             "problem.a_diag: required key is missing"),
+            # a quadratic's matrix is its diagonal; a full matrix is the library's
+            (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0", "problem.a = 1 0; 0 2"),
+             "problem.a: unknown key"),
+            (OPTIMIZE_CFG + "problem.a = 1 0; 0 2\n", "problem.a: unknown key")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            _load(tmp_path, text)
 
 
 def _quantized(decimals):
@@ -329,14 +340,10 @@ def test_bad_number_names_the_key(tmp_path):
                       (OPTIMIZE_CFG.replace("dim = 2", "dim = 0"), "problem.dim"),
                       (OPTIMIZE_CFG + "optimizer.x0 = 0.5\n", "optimizer.x0"),
                       (OPTIMIZE_CFG + "optimizer.x0 = 0.5, 3.0\n", "optimizer.x0"),
-                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
-                                            "problem.a = 1 0; 0 x"), "problem.a"),
                       (OPTIMIZE_CFG.replace("x_star = 0.3, -0.2", "x_star = 5"),
                        "problem.x_star"),
-                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
-                                            "problem.a = 1 0; 0"), "problem.a"),
-                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
-                                            "problem.a = 1 0; 0 -1"), "problem.a"),
+                      (OPTIMIZE_CFG.replace("a_diag = 1.0, 2.0", "a_diag = 1.0, -1"),
+                       "problem.a_diag"),
                       (OPTIMIZE_CFG.replace("x_star = 0.3, -0.2", "x_star = 0.3, -0.2, 0"),
                        "problem.x_star"),
                       (OPTIMIZE_CFG.replace("a_diag = 1.0, 2.0", "a_diag = 1.0, 2.0, 3.0"),
@@ -345,8 +352,8 @@ def test_bad_number_names_the_key(tmp_path):
                        "problem.coeffs"),
                       (SEPARABLE_CFG.replace("coeffs = 1.0, 2.0", "coeffs = inf"),
                        "problem.coeffs"),
-                      (OPTIMIZE_CFG.replace("problem.a_diag = 1.0, 2.0",
-                                            "problem.a = 1 0; 0 2e19"), "problem.a"),
+                      (OPTIMIZE_CFG.replace("a_diag = 1.0, 2.0", "a_diag = 1.0, 2e19"),
+                       "problem.a_diag"),
                       (SEPARABLE_CFG.replace("coeffs = 1.0, 2.0", "coeffs = 1.0, 2.0, 3.0"),
                        "problem.coeffs"),
                       (SEPARABLE_CFG + "problem.k = 9\n", "problem.k"),
@@ -406,6 +413,7 @@ def test_bad_number_names_the_key(tmp_path):
 
 
 _UNIT, _SQUARE = Interval(0.0, 1.0), box_from_bounds(-1.0, 1.0, dim=2)
+_SEGMENT = box_from_bounds(-1.0, 1.0, dim=1)
 
 
 @pytest.mark.parametrize("build, args, field", [
@@ -433,11 +441,11 @@ _UNIT, _SQUARE = Interval(0.0, 1.0), box_from_bounds(-1.0, 1.0, dim=2)
     (Quadratic, ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], _SQUARE), "matrix"),
     (Quadratic, (np.eye(2), [0.0], _SQUARE), "x_star"),
     (Quadratic, (np.eye(2), [0.0, 2.0], _SQUARE), "x_star"),
-    (Ridge, ([1.0, 2.0], [1.0, 2.0]), "design"),
-    (Ridge, ([[1.0], [np.nan]], [0.5, -0.5]), "design"),
-    (Ridge, ([[1.0], [-1e5]], [0.5, -0.5]), "design"),
-    (Ridge, ([[1.0], [1.0]], [0.5, np.inf]), "targets"),
-    (Ridge, (np.eye(2), [1.0, 2.0, 3.0]), "targets"),
+    (Ridge, ([1.0, 2.0], [1.0, 2.0], _SQUARE), "design"),
+    (Ridge, ([[1.0], [np.nan]], [0.5, -0.5], _SEGMENT), "design"),
+    (Ridge, ([[1.0], [-1e5]], [0.5, -0.5], _SEGMENT), "design"),
+    (Ridge, ([[1.0], [1.0]], [0.5, np.inf], _SEGMENT), "targets"),
+    (Ridge, (np.eye(2), [1.0, 2.0, 3.0], _SQUARE), "targets"),
     (Ridge, (np.eye(2), [1.0, 2.0], box_from_bounds(-1.0, 1.0, dim=3)), "box"),
     (LearnerConfig, ("foo",), "name"),
     (LearnerConfig, ("adaptive", -1), "budget"),
@@ -481,6 +489,8 @@ kind = optimize
 id = ridge-demo
 problem.family = ridge
 problem.matrix_file = design.txt
+problem.box_lo = -2.0
+problem.box_hi = 2.0
 oracle.mode = exact
 optimizer.line_search = bisect
 optimizer.epoch_rule = 20
@@ -489,6 +499,9 @@ sweep.replications = 1
 """
     config = _load(tmp_path, text)
     assert config.problem.dim == 2
+    fn = config.problem
+    assert config.optimizer.x0 == "center"
+    assert fn.value(fn.box.center) - fn.f_min > 0  # doing nothing is not optimal
     table = run_experiment(config)
     assert len(table.rows) == 1
     assert table.rows[0].error == ""
@@ -966,6 +979,13 @@ def test_errors_at_the_widest_box_survive_the_csv_round_trip(tmp_path):
     back = RunTable.from_csv(tmp_path / "out.csv")
     assert (back.rows[0].f_error, back.rows[0].point_error) == (row.f_error, row.point_error)
     assert back.csv_text(include_timing=False) == table.csv_text(include_timing=False)
+
+
+def test_a_table_whose_id_starts_with_a_hash_reads_back(tmp_path):
+    # '#' starts a comment only before the header: each line after it is a row
+    table = run_experiment(_small_config(experiment_id="#demo"))
+    table.to_csv(tmp_path / "t.csv")
+    assert RunTable.from_csv(tmp_path / "t.csv").csv_text() == table.csv_text()
 
 
 def test_from_csv_reads_each_cell_as_its_row_field(tmp_path):

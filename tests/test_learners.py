@@ -54,6 +54,12 @@ def test_erm_cut_positive_left_flips():
     assert cut == pytest.approx(0.55)
 
 
+def test_erm_cut_takes_sequences_as_it_takes_arrays():
+    cut = erm_cut(np.array([0.2, 0.7]), np.array([-1, 1]), UNIT)
+    assert erm_cut([0.2, 0.7], [-1, 1], UNIT) == cut == pytest.approx(0.45)
+    assert erm_cut((), [], UNIT) == UNIT.midpoint
+
+
 def _brute_force_error(positions, labels, cut, orientation="positive-right"):
     positions = np.asarray(positions, float)
     labels = np.asarray(labels)

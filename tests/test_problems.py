@@ -795,7 +795,7 @@ def test_directional_min_is_stationary(name):
 
 def test_ridge_minimizer_solves_normal_equation():
     rng = np.random.default_rng(21)
-    fn = Ridge(rng.normal(size=(10, 4)), rng.normal(size=10))
+    fn = Ridge(rng.normal(size=(10, 4)), rng.normal(size=10), box_from_bounds(-2.0, 2.0, dim=4))
     # the least-squares gradient, not fn.grad_coord: that one is Q (x* - x*) = 0
     A, b = fn.design, fn.targets
     assert np.linalg.norm(A.T @ (A @ fn.x_star - b) + fn.x_star) <= 1e-9
@@ -808,13 +808,13 @@ def test_ridge_minimizer_solves_normal_equation():
 
 def test_ridge_residual_cache_consistency():
     rng = np.random.default_rng(22)
-    fn = Ridge(rng.normal(size=(12, 5)), rng.normal(size=12))
+    fn = Ridge(rng.normal(size=(12, 5)), rng.normal(size=12), box_from_bounds(-2.0, 2.0, dim=5))
     check_ridge_residual_cache(fn, np.random.default_rng(23))
 
 
 def test_ridge_state_grad_matches_stateless():
     rng = np.random.default_rng(24)
-    fn = Ridge(rng.normal(size=(6, 3)), rng.normal(size=6))
+    fn = Ridge(rng.normal(size=(6, 3)), rng.normal(size=6), box_from_bounds(-2.0, 2.0, dim=3))
     state = RidgeState(fn, fn.box.center)
     for _ in range(25):
         j = int(rng.integers(3))
