@@ -419,8 +419,8 @@ class RunTable:
         writer.writerows([_fmt(getattr(row, c)) for c in cols] for row in self.rows)
         return out.getvalue()
 
-    def to_csv(self, path, include_timing: bool = True) -> None:
-        Path(path).write_text(self.csv_text(include_timing))
+    def to_csv(self, path) -> None:
+        Path(path).write_text(self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "RunTable":

@@ -15,11 +15,10 @@ search interval and, where it places its own queries, an explicit numpy
 Generator, so runs are replayable.  A search is anything with ``lo``,
 ``hi``, ``width`` and ``midpoint`` whose ends would make a valid
 ``Interval``: an ``Interval``, or the ``Line`` of a coordinate line search.
-An oracle answers ``label_sample(x)`` (one label, +1 or -1),
-``label_sample_many(xs)`` (an array of them) and ``grid_labeler(points)``
-(a function of a grid index b that tells whether the label at
-``points[b]`` is positive, one query per call), through which
-``bz_learner`` queries.
+An oracle answers ``label_sample(x)`` (one label, +1 or -1) and
+``label_sample_many(xs)`` (an array of them).  One that also answers
+``label_tables(points)`` may hand ``bz_learner`` the tables through which
+its queries on a grid are answered inline (``oracles.LabelOracle``).
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .oracles import DRAW_CHUNK
 from .problems import (Interval, POSITIVE_LEFT, POSITIVE_RIGHT, SCALE_BOUND,
                        TNC_EXPONENT_RANGE, orientation_sign)
 
@@ -111,9 +111,9 @@ class LearnerConfig:
 def erm_cut(positions, steps, search: Interval) -> float:
     """Empirical-risk-minimizing threshold cut from the error steps of samples.
 
-    ``positions`` are floats and ``steps`` as many ints (arrays or sequences),
-    +1 per sample on the positive side and -1 otherwise.  A cut's error is
-    #{positives left of it} + #{negatives right of it}.  Candidate cuts are
+    ``positions`` are floats and ``steps`` ints of their shape (arrays or
+    sequences), +1 per sample on the positive side and -1 otherwise.  A cut's
+    error is #{positives left of it} + #{negatives right of it}.  Candidate cuts are
     the search endpoints plus the midpoints of consecutive sorted
     positions; ties resolve to the leftmost minimizing candidate.
 
@@ -132,6 +132,8 @@ def erm_cut(positions, steps, search: Interval) -> float:
     cannot tell the zeros apart), and NaN sorts last under every kind.
     """
     positions, steps = np.asarray(positions, dtype=float), np.asarray(steps)
+    if steps.shape != positions.shape:
+        raise ValueError(f"steps: expected shape {positions.shape}, got {steps.shape}")
     n = positions.size
     if n == 0:
         return search.midpoint
@@ -260,9 +262,9 @@ class _Grid:
         return self.lo + b * self.delta
 
 
-def _ended(b: int) -> bool:
-    """Stands in for the grid labeler of a row that has ended: no query, no label."""
-    return False
+def _ended(x: float) -> int:
+    """Stands in for ``label_sample`` in a row that has ended: no query, no label."""
+    return 0
 
 
 def bz_learner(oracles, search: Interval, configs) -> list:
@@ -280,16 +282,17 @@ def bz_learner(oracles, search: Interval, configs) -> list:
     form a zero-padded (R, max M) weight matrix whose padding stays 0 under
     the running sums and the reweighting, and every per-row operation is
     the one a one-row call makes on that row, so each row's result is
-    bit-identical to its one-row call.  Each row asks its oracle once for
-    a ``grid_labeler`` over the row's grid points, each made when read, and
-    each query is a call of it, which checks, charges and draws as
-    ``label_sample`` would at that point.  The rows run longest first, so
-    the live rows are a shrinking prefix.  Returns, per row, the estimate or the exception that
-    ended the row (a budget cap, an out-of-domain query, ...); the rest run on.
+    bit-identical to its one-row call.  A query compares the row's next
+    uniform with its grid point's eta, from the ``label_tables`` its oracle
+    gave for the grid (points made when read), and each live row takes a
+    chunk of uniforms every ``DRAW_CHUNK`` steps; a row without tables calls
+    ``label_sample``.  The rows run longest first, so the live rows are a
+    shrinking prefix.  Returns, per row, the estimate or the exception that
+    ended it (a budget cap, an out-of-domain query, ...); the rest run on.
     """
     results: list = [None] * len(oracles)
     lo = search.lo
-    runs = []  # per row that queries: (row, cells, delta, ratio, positive-left?, labeler, steps)
+    runs = []  # per querying row: r, M, delta, ratio, positive-left?, tables, sampler, grid, steps
     for r, (oracle, config) in enumerate(zip(oracles, configs)):
         try:
             if config.grid_size == GRID_AUTO or config.bz_k is None or config.bz_mu is None:
@@ -306,7 +309,8 @@ def bz_learner(oracles, search: Interval, configs) -> list:
                 orientation = _auto_orientation(oracle, search, n_probe)
             delta = search.width / cells
             gamma = min(0.5, config.bz_mu * delta ** (config.bz_k - 1.0))
-            labeler = oracle.grid_labeler(_Grid(lo, delta, cells))
+            grid = _Grid(lo, delta, cells)
+            tables = oracle.label_tables(grid) if hasattr(oracle, "label_tables") else None
         except Exception as exc:  # noqa: BLE001 - ends this row only
             results[r] = exc
             continue
@@ -314,13 +318,15 @@ def bz_learner(oracles, search: Interval, configs) -> list:
         # posterior is proportional either way.
         ratio = (1.0 + gamma) / (1.0 - gamma)
         runs.append((r, cells, delta, ratio, orientation_sign(orientation) < 0,
-                     labeler, budget - n_probe))
+                     tables or (None, None), oracle.label_sample, grid, budget - n_probe))
     if not runs:
         return results
 
     # longest first (a stable sort): the live rows of a step are a prefix
     runs.sort(key=lambda run: -run[-1])
-    row_of, sizes, deltas, ratios, negs, labelers, steps = map(list, zip(*runs))
+    row_of, sizes, deltas, ratios, negs, tables, samplers, grids, steps = map(list, zip(*runs))
+    etas, chunks = zip(*tables)
+    uniforms = [None if chunk is None else [] for chunk in chunks]  # a table row's chunk
     n, width = len(runs), max(sizes)
     weights = np.zeros((n, width))
     for i, m in enumerate(sizes):
@@ -344,24 +350,33 @@ def bz_learner(oracles, search: Interval, configs) -> list:
     done = 0
     for live in range(n, 0, -1):  # rows [0, live) take steps [done, steps[live - 1])
         w_live, base_l, ratio_l = weights[:live], base[:live], ratio_col[:live]
-        for _ in range(steps[live - 1] - done):
-            cum = np.add.accumulate(w_live, axis=1)
-            total = cum[:, -1]
-            half = 0.5 * total
+        # a step writes its sums, half-totals, mask and gather index in place
+        cum, reached = np.empty((live, width)), np.empty((live, width), dtype=bool)
+        half, idx, at = np.empty(live), np.empty(live, np.intp), np.empty(live, np.intp)
+        total, half_col = cum[:, -1], half[:, None]
+        for step in range(done, steps[live - 1]):
+            j = step % DRAW_CHUNK
+            if j == 0:  # every live table row takes the uniforms of its next queries
+                for i in range(live):
+                    if uniforms[i] is not None:
+                        uniforms[i] = chunks[i](min(DRAW_CHUNK, steps[i] - step))
+            np.add.accumulate(w_live, axis=1, out=cum)
+            np.multiply(total, 0.5, out=half)
             # cum is nondecreasing: its first entry >= half is at searchsorted(half)
-            idx = (cum >= half[:, None]).argmax(axis=1)
-            at = base_l + idx
+            np.greater_equal(cum, half_col, out=reached)
+            reached.argmax(axis=1, out=idx)
+            np.add(base_l, idx, out=at)
             windows, big = [], []
-            for i, (k, h, c, w) in enumerate(zip(idx.tolist(), half.tolist(),
-                                                 cum.take(at).tolist(),
-                                                 weights.take(at).tolist())):
+            for i, (k, h, c, w, u) in enumerate(zip(idx.tolist(), half.tolist(),
+                                                    cum.take(at).tolist(),
+                                                    weights.take(at).tolist(), uniforms)):
                 # w > 0: it is the first cell whose cumulative weight reaches half
                 b = round(k + (h - (c - w)) / w)
                 b = 1 if b < 1 else tops[i] if b > tops[i] else b
                 try:
-                    positive = labelers[i](b)
+                    positive = samplers[i](grids[i][b]) > 0 if u is None else u[j] < etas[i][b]
                 except Exception as exc:  # noqa: BLE001 - ends this row only
-                    errors[i], labelers[i], positive = exc, _ended, False
+                    errors[i], uniforms[i], samplers[i], positive = exc, None, _ended, False
                 windows.append((on_plus[i] if positive else on_minus[i]) - b)
                 if h > 5e249:  # total > 1e250: h is half of it, exactly
                     big.append(i)

@@ -139,11 +139,11 @@ class _CountingOracle:
 class LabelOracle(_CountingOracle):
     """Draws noisy binary labels from a threshold problem's regression function.
 
-    Uniforms are drawn ``DRAW_CHUNK`` at a time into one buffer, and all
-    three query paths (``label_sample``, ``label_sample_many`` and the calls
-    of a ``grid_labeler``) take them in stream order, so the labels are
-    those of one ``rng.random()`` per query (a sized draw equals as many
-    scalar draws); only the generator's position after a run differs.
+    Uniforms are drawn ``DRAW_CHUNK`` at a time into one buffer, and every
+    query path (``label_sample``, ``label_sample_many`` and the uniform
+    chunks of ``label_tables``) takes them in stream order, so the labels
+    are those of one ``rng.random()`` per query (a sized draw equals as
+    many scalar draws); only the generator's position after a run differs.
     """
 
     def __init__(self, problem: TncProblem, rng: np.random.Generator,
@@ -156,56 +156,70 @@ class LabelOracle(_CountingOracle):
     def label_sample(self, x: float) -> int:
         p = self.problem.eta_at(x)  # validates the domain before any charge
         self._charge(1)
-        # grid_labeler's calls repeat this charge and draw inline: keep them in step
         if self._next == len(self._uniforms):
             self._uniforms, self._next = self.rng.random(DRAW_CHUNK).tolist(), 0
         u = self._uniforms[self._next]
         self._next += 1
         return LABEL_POSITIVE if u < p else LABEL_NEGATIVE
 
-    def grid_labeler(self, points):
-        """Whether the label at ``points[b]`` is positive, as a function of ``b``.
+    def label_tables(self, points):
+        """``(etas, uniforms)``: ``u < etas[b]`` is ``label_sample(points[b]) > 0``.
 
-        A call is ``label_sample(points[b]) > 0``: the same domain check,
-        charge and uniform.  A point's eta is computed on its first query
-        and kept; a point whose ``eta_at`` raises raises on every query,
-        before any charge.  Where ``label_sample`` has been replaced (by a
-        subclass, or by a wrapper set on the class), every call goes
-        through the replacement, so it still sees each query.
-        """
-        if type(self).label_sample is not _LABEL_SAMPLE:
-            label_sample = self.label_sample
-            return lambda b: label_sample(points[b]) > 0
-        etas = [None] * len(points)
+        ``etas[b]``, the eta at ``points[b]``, is computed on its first read and
+        kept; ``uniforms(n)`` charges for the next n queries and returns their
+        uniforms, then, past the budget, a stand-in whose comparison charges one
+        more.  None where one of the ascending ``points`` lies outside the
+        interval (its query raises before any charge) or ``label_sample`` has
+        been replaced."""
+        if (type(self).label_sample is not _LABEL_SAMPLE or not
+                self.problem.interval.contains([points[0], points[len(points) - 1]])):
+            return None
+        return _GridEtas(self.problem, points), self._chunk
 
-        def positive(b: int) -> bool:
-            p = etas[b]
-            if p is None:
-                p = etas[b] = float(self.problem.eta_at(points[b]))
-            if self.budget is not None and self.queries_used >= self.budget:
-                self._charge(1)  # raises BudgetExhausted, before any draw
-            self.queries_used += 1
-            i = self._next  # label_sample's draw, inlined: this runs once per query
-            if i == len(self._uniforms):
-                self._uniforms, i = self.rng.random(DRAW_CHUNK).tolist(), 0
-            self._next = i + 1
-            return self._uniforms[i] < p
-        return positive
+    def _chunk(self, n: int) -> list:
+        allowed = n if self.budget is None else min(n, self.budget - self.queries_used)
+        self._charge(allowed)
+        chunk = self._stream(allowed).tolist()
+        if allowed < n:
+            chunk.append(_PastBudget(self._charge))
+        return chunk
+
+    def _stream(self, n: int) -> np.ndarray:
+        """The stream's next ``n`` uniforms: the buffered ones first, then fresh draws."""
+        buffered = self._uniforms[self._next:self._next + n]
+        self._next += len(buffered)
+        u = self.rng.random(n - len(buffered))
+        return np.concatenate([buffered, u]) if buffered else u
 
     def label_sample_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         p = self.problem.eta_at(xs)
         self._charge(xs.size)
-        # the buffered uniforms come first in the stream, then fresh draws
-        buffered = self._uniforms[self._next:self._next + xs.size]
-        self._next += len(buffered)
-        u = self.rng.random(xs.size - len(buffered))
-        if buffered:
-            u = np.concatenate([buffered, u])
-        return np.where(u < p, LABEL_POSITIVE, LABEL_NEGATIVE)
+        return np.where(self._stream(xs.size) < p, LABEL_POSITIVE, LABEL_NEGATIVE)
 
 
-_LABEL_SAMPLE = LabelOracle.label_sample  # the method grid_labeler's table stands in for
+_LABEL_SAMPLE = LabelOracle.label_sample  # the method label_tables's tables stand in for
+
+
+class _GridEtas(dict):
+    """The eta at ``points[b]``, keyed by ``b``: computed on its first read and kept."""
+
+    def __init__(self, problem: TncProblem, points):
+        self.problem, self.points = problem, points
+
+    def __missing__(self, b: int) -> float:
+        p = self[b] = float(self.problem.eta_at(self.points[b]))
+        return p
+
+
+class _PastBudget:
+    """The uniform of the first query past a budget: comparing it charges that query."""
+
+    def __init__(self, charge):
+        self.charge = charge
+
+    def __lt__(self, eta):
+        return self.charge(1)  # raises BudgetExhausted
 
 
 @dataclass(frozen=True)

@@ -557,14 +557,14 @@ def load_ridge_text(path) -> tuple[np.ndarray, np.ndarray]:
     decimals (the design matrix), then one row of n decimals (the targets).
     """
     tokens = Path(path).read_text().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: expected a header line 'n d'")
-    n, d = int(tokens[0]), int(tokens[1])
-    need = 2 + n * d + n
-    if len(tokens) != need:
-        raise ValueError(f"{path}: expected {need} numbers for n={n}, d={d}, "
-                         f"found {len(tokens)}")
-    values = np.asarray([float(t) for t in tokens[2:]], dtype=float)
-    A = values[: n * d].reshape(n, d)
-    b = values[n * d:]
-    return A, b
+    try:
+        if len(tokens) < 2:
+            raise ValueError("expected a header line 'n d'")
+        n, d = int(tokens[0]), int(tokens[1])
+        need = 2 + n * d + n
+        if len(tokens) != need:
+            raise ValueError(f"expected {need} numbers for n={n}, d={d}, found {len(tokens)}")
+        values = np.asarray([float(t) for t in tokens[2:]], dtype=float)
+        return values[:n * d].reshape(n, d), values[n * d:]
+    except ValueError as exc:  # a count or an entry that does not parse, too
+        raise ValueError(f"{path}: {exc}") from exc

@@ -81,6 +81,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("design, message", [
+    ("2.5 1\n1.0\n0.5\n", "invalid literal for int() with base 10: '2.5'"),
+    ("2 1\n1.0\nx\n0.5 -0.5\n", "could not convert string to float: 'x'"),
+], ids=["header", "entry"])
+def test_a_ridge_design_that_does_not_parse_exits_2_naming_its_path(tmp_path, capsys,
+                                                                    design, message):
+    (tmp_path / "design.txt").write_text(design)
+    config = OPTIMIZE_CFG.replace("problem.family = separable-power", "problem.family = ridge")
+    config = "\n".join(line for line in config.splitlines() if not line.startswith(
+        ("problem.dim", "problem.k", "problem.coeffs", "problem.x_star")))
+    code = main(["optimize", "--config",
+                 _write(tmp_path, config + "\nproblem.matrix_file = design.txt\n")])
+    assert code == 2
+    path = tmp_path / "design.txt"
+    assert capsys.readouterr().err == \
+        f"config error: problem.matrix_file: {path}: {message}\n"
+
+
 def test_sweep_writes_versioned_csv(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(["sweep", "--config", _write(tmp_path, THRESHOLD_CFG),

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signopt import (GaussianNoise, Interval, LabelOracle, LearnerConfig, Line,
+from signopt import (BudgetExhausted, GaussianNoise, Interval, LabelOracle, LearnerConfig, Line,
                      OutOfDomain, POSITIVE_LEFT, Quadratic, SignOracle,
                      adaptive_epoch_schedule, adaptive_learner, auto_grid_size,
                      bisect_noiseless, box_from_bounds, bz_learner, erm_cut,
                      excess_risk, fit_rate_slope, line_label_oracle, make_tnc_problem,
                      passive_erm, run_learner, seeded_rng)
 from signopt import learners
+from signopt.oracles import DRAW_CHUNK
 from signopt.problems import SCALE_BOUND
 
 from _checks import erm_steps
@@ -58,6 +59,12 @@ def test_erm_cut_takes_sequences_as_it_takes_arrays():
     cut = erm_cut(np.array([0.2, 0.7]), np.array([-1, 1]), UNIT)
     assert erm_cut([0.2, 0.7], [-1, 1], UNIT) == cut == pytest.approx(0.45)
     assert erm_cut((), [], UNIT) == UNIT.midpoint
+
+
+@pytest.mark.parametrize("steps", [[-1, 1, 1], [-1], [[-1, 1]]], ids=["more", "fewer", "2-d"])
+def test_erm_cut_refuses_steps_of_another_shape(steps):
+    with pytest.raises(ValueError, match=r"^steps: expected shape \(2,\), got"):
+        erm_cut([0.2, 0.7], steps, UNIT)
 
 
 def _brute_force_error(positions, labels, cut, orientation="positive-right"):
@@ -572,6 +579,33 @@ def test_bz_learner_rows_match_the_sequential_reference(seed):
         assert got == (want, oracle.queries_used)
 
 
+def test_capped_rows_end_at_their_cap_in_a_later_uniform_chunk():
+    # one oracle cap of DRAW_CHUNK + 3 over rows of different budgets: it binds
+    # within a chunk of uniforms (the probing row's first, the others' second),
+    # at the query where the sequential loop stops
+    cap = DRAW_CHUNK + 3
+    left = make_tnc_problem((0.0, 1.0), 0.62, 2.5, 0.8, 0.4, POSITIVE_LEFT)
+    rows = [(0, _noisy(0.37), cap, _bz_config(3 * DRAW_CHUNK, grid=40, mu=1.0)),
+            (1, _noisy(0.37), cap, _bz_config(cap, grid=17, mu=1.0)),
+            (2, _noisy(0.37), cap, _bz_config(cap + 1, grid=17, mu=1.0)),
+            (3, left, cap, _bz_config(2 * DRAW_CHUNK, grid=9, k=2.5, mu=0.8,
+                                      orientation="auto")),  # 20 probes first
+            (4, _noisy(0.37), cap, _bz_config(DRAW_CHUNK - 1, grid=23, mu=1.0))]
+    want = []
+    for row in rows:
+        oracle = _bz_oracle(row)
+        try:
+            want.append((_bz_reference(oracle, UNIT, row[-1]), oracle.queries_used))
+        except BudgetExhausted as exc:
+            want.append((repr(exc), oracle.queries_used))
+    got = _bz_run(rows)
+    assert got == want
+    message = f"BudgetExhausted('budget {cap} exhausted ({cap} used, 1 more requested)')"
+    assert [r if isinstance(r, str) else "point" for r, _ in got] == \
+        [message, "point", message, message, "point"]
+    assert [q for _, q in got] == [cap] * 4 + [DRAW_CHUNK - 1]
+
+
 def _bz_path_rows(grid):
     """A one-row call's row, a positive-left row and an auto-orientation row."""
     left = make_tnc_problem((0.0, 1.0), 0.62, 2.5, 0.8, 0.4, POSITIVE_LEFT)
@@ -680,9 +714,9 @@ def test_queries_after_a_bz_run_continue_its_stream(queries):
 
 
 class _GridRecording(LabelOracle):
-    def grid_labeler(self, points):
+    def label_tables(self, points):
         self.points = points
-        return super().grid_labeler(points)
+        return super().label_tables(points)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.7, 11.3),

@@ -151,33 +151,63 @@ def _counting_eta(monkeypatch):
     return calls
 
 
-def test_a_grid_labeler_answers_as_label_sample_with_one_eta_per_point(monkeypatch):
+def test_label_tables_answer_as_label_sample_with_one_eta_per_point(monkeypatch):
     calls = _counting_eta(monkeypatch)
-    oracle, reference = _both(50, budget=301)
-    points = [0.1, 0.5, 0.9, 1.5, float("nan"), 0.3]
-    positive = oracle.grid_labeler(points)
-    assert calls == []  # a point's eta waits for its first query
-    order = [0, 1, 2, 5, 1, 1, 0, 2] * 25
-    got = [positive(b) for b in order]
-    assert [x for _, x in calls] == [0.1, 0.5, 0.9, 0.3]
+    oracle, reference = _both(50, budget=DRAW_CHUNK + 150)
+    points = [0.1, 0.3, 0.5, 0.9]
+    etas, uniforms = oracle.label_tables(points)
+    assert calls == [] and oracle.queries_used == 0  # a point's eta waits for its first read
+    order = [0, 1, 2, 3, 1, 1, 0, 2] * 40
+    got = [oracle.label_sample(x) for x in _points(5)]  # leaves a chunk's tail buffered
     calls.clear()
-    for b in (3, 4, 3):  # a failed point is never charged, and draws nothing
-        with pytest.raises(OutOfDomain):
-            positive(b)
-    assert [repr(x) for _, x in calls] == ["1.5", "nan", "1.5"]
+    chunk = uniforms(DRAW_CHUNK)
+    assert oracle.queries_used == 5 + DRAW_CHUNK
+    got += [u < etas[b] for u, b in zip(chunk, order)]
+    assert [x for _, x in calls] == points
     calls.clear()
     got += [oracle.label_sample(x) > 0 for x in _points(100)]
-    got.append(positive(2))
+    chunk = uniforms(DRAW_CHUNK)  # past the budget: 45 uniforms, then the stand-in
+    assert len(chunk) == 46 and oracle.queries_used == DRAW_CHUNK + 150
+    got += [u < etas[b] for u, b in zip(chunk[:45], order[3:])]
+    assert [x for _, x in calls] == _points(100)  # no eta twice
+    with pytest.raises(BudgetExhausted) as info:
+        chunk[45] < etas[0]
+    assert str(info.value) == "budget 406 exhausted (406 used, 1 more requested)"
+    assert oracle.queries_used == 406
+    drawn = (repr(oracle.rng.bit_generator.state), oracle._next)
+    (past,) = uniforms(3)  # over budget, a chunk is the stand-in alone and draws nothing
+    assert (repr(oracle.rng.bit_generator.state), oracle._next) == drawn
     with pytest.raises(BudgetExhausted):
-        positive(0)
-    assert [x for _, x in calls] == _points(100) and oracle.queries_used == 301
-    want = [reference.label_sample(points[b]) > 0 for b in order]
+        past < etas[2]
+    want = [reference.label_sample(x) for x in _points(5)]
+    want += [reference.label_sample(points[b]) > 0 for b in order[:DRAW_CHUNK]]
     want += [reference.label_sample(x) > 0 for x in _points(100)]
-    want.append(reference.label_sample(points[2]) > 0)
-    assert got == want and {type(label) for label in got} == {bool}
+    want += [reference.label_sample(points[b]) > 0 for b in order[3:48]]
+    assert got == want and {type(label) for label in got[5:]} == {bool}
+    # the stream runs on after a chunk, as after a sized draw
+    oracle, reference = _both(51)
+    etas, uniforms = oracle.label_tables(points)
+    got = [u < etas[1] for u in uniforms(7)]
+    got += oracle.label_sample_many(_points(300)).tolist() + [oracle.label_sample(0.5)]
+    want = [reference.label_sample(0.3) > 0 for _ in range(7)]
+    want += reference.label_sample_many(_points(300)).tolist() + [reference.label_sample(0.5)]
+    assert got == want
 
 
-def test_a_grid_labeler_goes_through_a_replaced_label_sample(monkeypatch):
+@pytest.mark.parametrize("points", [[0.1, 0.5, 1.5], [-0.2, 0.5], [0.1, float("nan")]],
+                         ids=["above", "below", "nan"])
+def test_no_label_tables_where_a_point_leaves_the_domain(monkeypatch, points):
+    # each query at that point must raise before its charge: label_sample does
+    calls = _counting_eta(monkeypatch)
+    oracle = LabelOracle(_problem(), seeded_rng(53, 0, 0))
+    oracle.label_sample(0.5)
+    drawn = (repr(oracle.rng.bit_generator.state), oracle._next)
+    assert oracle.label_tables(points) is None
+    assert len(calls) == 1 and oracle.queries_used == 1
+    assert (repr(oracle.rng.bit_generator.state), oracle._next) == drawn
+
+
+def test_a_replaced_label_sample_gets_no_label_tables(monkeypatch):
     seen = []
     label_sample = LabelOracle.label_sample
 
@@ -185,16 +215,23 @@ def test_a_grid_labeler_goes_through_a_replaced_label_sample(monkeypatch):
         seen.append(x)
         return label_sample(self, x)
 
-    oracle, reference = _both(52, budget=40)
+    oracle = LabelOracle(_problem(), seeded_rng(52, 0, 0))
+    assert oracle.label_tables([0.1, 0.5]) is not None
     monkeypatch.setattr(LabelOracle, "label_sample", wrapped)
-    points = [0.1, 0.5, 0.9]
-    positive = oracle.grid_labeler(points)
-    order = [0, 2, 1, 1] * 10
-    assert [positive(b) for b in order] == \
-        [reference.label_sample(points[b]) > 0 for b in order]
-    assert seen == [points[b] for b in order] and oracle.queries_used == 40
-    with pytest.raises(BudgetExhausted):
-        positive(0)
+    assert oracle.label_tables([0.1, 0.5]) is None
+    # so bz calls the replacement once per query, and the labels do not change
+    config = LearnerConfig(name="bz", budget=40, grid_size=9, bz_k=2.0, bz_mu=1.0)
+    point = learners.run_learner(oracle, Interval(0.0, 1.0), config, None)
+    assert len(seen) == oracle.queries_used == 40
+    monkeypatch.undo()
+    reference = LabelOracle(_problem(), seeded_rng(52, 0, 0))
+    assert learners.run_learner(reference, Interval(0.0, 1.0), config, None) == point
+
+    class Subclass(LabelOracle):
+        def label_sample(self, x):
+            return super().label_sample(x)
+
+    assert Subclass(_problem(), seeded_rng(52, 0, 0)).label_tables([0.1, 0.5]) is None
 
 
 def test_bz_computes_each_eta_at_most_once_per_grid_point_and_row(monkeypatch):
